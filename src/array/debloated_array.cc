@@ -1,18 +1,10 @@
 #include "array/debloated_array.h"
 
 #include <bit>
-#include <cstdio>
-#include <cstring>
 
-#include "array/kdf_file.h"
 #include "common/logging.h"
 
 namespace kondo {
-namespace {
-
-constexpr char kMagic[4] = {'K', 'D', 'D', '1'};
-
-}  // namespace
 
 DebloatedArray DebloatedArray::FromDataArray(const DataArray& array,
                                              const IndexSet& retained) {
@@ -80,108 +72,6 @@ double DebloatedArray::SizeReductionFraction() const {
     return 0.0;
   }
   return 1.0 - static_cast<double>(DebloatedPayloadBytes()) / original;
-}
-
-Status DebloatedArray::WriteFile(const std::string& path) const {
-  std::string bytes;
-  bytes.append(kMagic, 4);
-  bytes.push_back(static_cast<char>(shape_.rank()));
-  bytes.push_back(static_cast<char>(dtype_));
-  bytes.push_back(0);
-  bytes.push_back(0);
-  for (int d = 0; d < shape_.rank(); ++d) {
-    char buf[8];
-    const int64_t dim = shape_.dim(d);
-    std::memcpy(buf, &dim, 8);
-    bytes.append(buf, 8);
-  }
-  for (uint64_t word : bitmap_) {
-    char buf[8];
-    std::memcpy(buf, &word, 8);
-    bytes.append(buf, 8);
-  }
-  const int64_t elem = DTypeSize(dtype_);
-  std::vector<char> ebuf(static_cast<size_t>(elem));
-  for (double value : packed_values_) {
-    EncodeElement(value, dtype_, ebuf.data());
-    bytes.append(ebuf.data(), static_cast<size_t>(elem));
-  }
-
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    return InternalError("cannot open for write: " + path);
-  }
-  const size_t written = std::fwrite(bytes.data(), 1, bytes.size(), f);
-  std::fclose(f);
-  if (written != bytes.size()) {
-    return InternalError("short write: " + path);
-  }
-  return OkStatus();
-}
-
-StatusOr<DebloatedArray> DebloatedArray::ReadFile(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return NotFoundError("cannot open " + path);
-  }
-  std::string bytes;
-  char chunk[4096];
-  size_t n = 0;
-  while ((n = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
-    bytes.append(chunk, n);
-  }
-  std::fclose(f);
-
-  if (bytes.size() < 8 || std::memcmp(bytes.data(), kMagic, 4) != 0) {
-    return DataLossError("not a KDD file: " + path);
-  }
-  const int rank = static_cast<int>(bytes[4]);
-  const uint8_t dtype_raw = static_cast<uint8_t>(bytes[5]);
-  if (rank < 1 || rank > kMaxRank || !IsValidDType(dtype_raw)) {
-    return DataLossError("corrupt KDD header: " + path);
-  }
-  size_t cursor = 8;
-  if (bytes.size() < cursor + 8 * static_cast<size_t>(rank)) {
-    return DataLossError("truncated KDD dims: " + path);
-  }
-  std::vector<int64_t> dims(rank);
-  for (int d = 0; d < rank; ++d) {
-    std::memcpy(&dims[d], bytes.data() + cursor, 8);
-    cursor += 8;
-    if (dims[d] <= 0) {
-      return DataLossError("corrupt KDD dims: " + path);
-    }
-  }
-
-  DebloatedArray result;
-  result.shape_ = Shape(dims);
-  result.dtype_ = static_cast<DType>(dtype_raw);
-  const int64_t num_elements = result.shape_.NumElements();
-  const size_t words = static_cast<size_t>((num_elements + 63) / 64);
-  if (bytes.size() < cursor + words * 8) {
-    return DataLossError("truncated KDD bitmap: " + path);
-  }
-  result.bitmap_.resize(words);
-  for (size_t w = 0; w < words; ++w) {
-    std::memcpy(&result.bitmap_[w], bytes.data() + cursor, 8);
-    cursor += 8;
-  }
-  result.RebuildRankDirectory();
-  result.retained_count_ = result.block_ranks_.back();
-
-  const int64_t elem = DTypeSize(result.dtype_);
-  const size_t payload =
-      static_cast<size_t>(result.retained_count_ * elem);
-  if (bytes.size() < cursor + payload) {
-    return DataLossError("truncated KDD payload: " + path);
-  }
-  result.packed_values_.resize(static_cast<size_t>(result.retained_count_));
-  for (int64_t i = 0; i < result.retained_count_; ++i) {
-    result.packed_values_[static_cast<size_t>(i)] =
-        DecodeElement(bytes.data() + cursor, result.dtype_);
-    cursor += static_cast<size_t>(elem);
-  }
-  return result;
 }
 
 }  // namespace kondo

@@ -19,6 +19,8 @@ namespace kondo {
 /// densely packed payload holding only retained values (with a per-block
 /// popcount directory for O(1) rank lookups). Accessing a Null index yields
 /// the paper's "data missing" exception as `StatusCode::kDataMissing`.
+/// This is the in-memory type only; on disk `D_Θ` ships as a KDP package
+/// (src/pack/pack_writer.h, read back through PackReader).
 class DebloatedArray {
  public:
   /// Builds `D_Θ` from `array` by retaining exactly the indices in
@@ -48,12 +50,6 @@ class DebloatedArray {
 
   /// Fraction of payload eliminated, `1 - debloated/original`.
   double SizeReductionFraction() const;
-
-  /// Serialises to a ".kdd" debloated container payload file.
-  Status WriteFile(const std::string& path) const;
-
-  /// Parses a file written by WriteFile.
-  static StatusOr<DebloatedArray> ReadFile(const std::string& path);
 
  private:
   DebloatedArray() = default;

@@ -30,7 +30,7 @@ struct AuditReport {
 
 /// Persists a finished run's event log to a durable store. The audit layer
 /// is agnostic to the on-disk format; factories live in
-/// src/provenance/persist.h (`MakeKel1Persister`, `MakeKel2Persister`).
+/// src/provenance/persist.h (`MakeKel2Persister`, `CampaignLineageSink`).
 ///
 /// Single-writer contract: persisters are stateful writers over one store
 /// and are NOT safe to invoke concurrently — two interleaved calls can tear
@@ -55,7 +55,7 @@ StatusOr<AuditReport> RunAudited(
     const std::function<Status(TracedFile&)>& body);
 
 /// As above, but additionally hands the completed event log to `persist`
-/// before distilling the report — the hook that makes KEL1/KEL2 stores
+/// before distilling the report — the hook that makes KEL2 stores
 /// durable backends of the auditor. A persist failure fails the audit.
 StatusOr<AuditReport> RunAudited(
     const std::string& path, int64_t pid,

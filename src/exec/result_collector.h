@@ -22,7 +22,7 @@ namespace kondo {
 /// criterion) and return `CandidateResult`s; the campaign's serial
 /// consumption loop calls `Collect` exactly for the candidates the serial
 /// schedule would have executed, in the order it would have executed them.
-/// Consequently the on-disk KEL1/KEL2 lineage is byte-identical to a
+/// Consequently the on-disk KEL2 lineage is byte-identical to a
 /// `jobs == 1` run: same runs, same order, nothing persisted for
 /// speculative tests that the schedule never consumed.
 ///

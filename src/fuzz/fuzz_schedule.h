@@ -111,7 +111,7 @@ class FuzzSchedule {
   /// Runs the campaign with debloat tests fanned out across `executor`'s
   /// workers. When `collector` is non-null, every consumed test's outcome is
   /// funnelled through it — in candidate order, from this (single) thread —
-  /// which is how audited campaigns keep KEL1/KEL2 lineage identical to the
+  /// which is how audited campaigns keep KEL2 lineage identical to the
   /// serial path. Persist failures abort the campaign (as they do in
   /// RunAudited).
   FuzzResult Run(CampaignExecutor& executor, const CandidateTestFn& test,

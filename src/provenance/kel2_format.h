@@ -38,8 +38,9 @@ namespace kondo {
 ///   sizes     run-length pairs (zigzag varint value, varint run)
 ///
 /// A torn trailing block (crash mid-append: truncated descriptor or
-/// payload) is dropped on read, mirroring KEL1's crash semantics; a
-/// *complete* block whose payload fails its CRC is reported as data loss.
+/// payload) is dropped on read, losing that block's events and no other;
+/// a *complete* block whose payload fails its CRC is reported as data
+/// loss.
 constexpr char kKel2Magic[4] = {'K', 'E', 'L', '2'};
 constexpr size_t kKel2HeaderBytes = 8;
 constexpr size_t kKel2DescriptorBytes = 64;

@@ -2,7 +2,6 @@
 
 #include <cstring>
 
-#include "audit/event_store.h"
 #include "common/strings.h"
 #include "provenance/crc32.h"
 #include "provenance/varint.h"
@@ -139,6 +138,17 @@ StatusOr<Kel2Reader> Kel2Reader::Open(const std::string& path) {
                                   " declares implausible payload of ",
                                   info.payload_bytes, " bytes: ", path));
     }
+    // Every event costs at least one varint byte in each of the pid,
+    // file_id and offset columns, so a larger count cannot decode — and
+    // would size ReadAll's reservation from a corrupt descriptor.
+    if (info.event_count > info.payload_bytes / 3) {
+      std::fclose(file);
+      reader.file_ = nullptr;
+      return DataLossError(StrCat("KEL2 block at offset ", pos, " declares ",
+                                  info.event_count, " events in ",
+                                  info.payload_bytes, " payload bytes: ",
+                                  path));
+    }
     info.payload_pos = pos + static_cast<int64_t>(kKel2DescriptorBytes);
     // A torn write can leave the descriptor intact but the payload short:
     // probe the payload end before accepting the block.
@@ -219,32 +229,9 @@ StatusOr<std::vector<Event>> Kel2Reader::ReadAll() const {
   return events;
 }
 
-bool IsKel2Store(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
-    return false;
-  }
-  char magic[4];
-  const bool is_kel2 = std::fread(magic, 1, 4, file) == 4 &&
-                       std::memcmp(magic, kKel2Magic, 4) == 0;
-  std::fclose(file);
-  return is_kel2;
-}
-
 StatusOr<std::vector<Event>> ReadLineageStore(const std::string& path) {
-  if (IsKel2Store(path)) {
-    KONDO_ASSIGN_OR_RETURN(Kel2Reader reader, Kel2Reader::Open(path));
-    return reader.ReadAll();
-  }
-  return ReadEventStore(path);
-}
-
-Status ReplayLineageStore(const std::string& path, EventLog* log) {
-  KONDO_ASSIGN_OR_RETURN(std::vector<Event> events, ReadLineageStore(path));
-  for (const Event& event : events) {
-    log->Record(event);
-  }
-  return OkStatus();
+  KONDO_ASSIGN_OR_RETURN(Kel2Reader reader, Kel2Reader::Open(path));
+  return reader.ReadAll();
 }
 
 }  // namespace kondo

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "audit/event.h"
-#include "audit/event_log.h"
 #include "common/status.h"
 #include "common/statusor.h"
 #include "provenance/kel2_format.h"
@@ -21,10 +20,12 @@ namespace kondo {
 /// blocks that cannot match.
 ///
 /// Crash semantics: a truncated trailing descriptor or payload (torn
-/// write) is silently dropped at Open, mirroring KEL1. A structurally
-/// complete block whose payload fails its CRC is reported as
-/// `kDataLoss` by DecodeBlock/ReadAll — corruption is detected, never
-/// silently mis-decoded.
+/// write) is silently dropped at Open. A structurally complete block whose
+/// payload fails its CRC is reported as `kDataLoss` by DecodeBlock/ReadAll
+/// — corruption is detected, never silently mis-decoded. Descriptors sit
+/// outside the CRC, so Open rejects (kDataLoss) any descriptor whose
+/// payload size or event count is implausible rather than letting it size
+/// an allocation.
 class Kel2Reader {
  public:
   static StatusOr<Kel2Reader> Open(const std::string& path);
@@ -71,16 +72,8 @@ StatusOr<std::vector<Event>> DecodeKel2Payload(const char* payload,
                                                size_t size,
                                                uint32_t event_count);
 
-/// True when the file at `path` starts with the KEL2 magic.
-bool IsKel2Store(const std::string& path);
-
-/// Reads an event store of either generation, dispatching on the magic:
-/// "KEL1" decodes the fixed-width stream, "KEL2" the block-compressed one.
-/// This is what makes KEL2 a drop-in durable backend for EventLog replay.
+/// Opens the KEL2 store at `path` and decodes every event in order.
 StatusOr<std::vector<Event>> ReadLineageStore(const std::string& path);
-
-/// Replays either store format into `log`.
-Status ReplayLineageStore(const std::string& path, EventLog* log);
 
 }  // namespace kondo
 

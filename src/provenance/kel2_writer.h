@@ -28,7 +28,7 @@ struct Kel2WriterOptions {
 /// Streaming writer for the KEL2 block-compressed lineage store. Events are
 /// buffered and sealed into checksummed columnar blocks; a crash loses at
 /// most the unsealed buffer plus a torn trailing block, which the reader
-/// drops — the same at-most-one-tail guarantee as KEL1.
+/// drops.
 ///
 /// Durability: blocks accumulate in `path + ".tmp"`; Close() (also run by
 /// the destructor) seals the tail, fsyncs, and renames the store into

@@ -4,7 +4,6 @@
 #include <memory>
 #include <utility>
 
-#include "audit/event_store.h"
 #include "common/thread_annotations.h"
 #include "provenance/kel2_reader.h"
 
@@ -15,15 +14,6 @@ AuditPersistFn MakeKel2Persister(std::string path,
   return [path = std::move(path), options](const EventLog& log) -> Status {
     KONDO_ASSIGN_OR_RETURN(Kel2Writer writer,
                            Kel2Writer::Create(path, options));
-    KONDO_RETURN_IF_ERROR(writer.AppendAll(log));
-    return writer.Close();
-  };
-}
-
-AuditPersistFn MakeKel1Persister(std::string path, Env* env) {
-  return [path = std::move(path), env](const EventLog& log) -> Status {
-    KONDO_ASSIGN_OR_RETURN(EventStoreWriter writer,
-                           EventStoreWriter::Create(path, env));
     KONDO_RETURN_IF_ERROR(writer.AppendAll(log));
     return writer.Close();
   };

@@ -19,11 +19,6 @@ namespace kondo {
 AuditPersistFn MakeKel2Persister(std::string path,
                                  Kel2WriterOptions options = {});
 
-/// KEL1-compatible persister (the original 40-byte-per-record store), for
-/// callers that want the uncompressed format. `env == nullptr` selects the
-/// real filesystem.
-AuditPersistFn MakeKel1Persister(std::string path, Env* env = nullptr);
-
 /// Wraps `persist` so concurrent invocations serialize on an internal
 /// mutex instead of interleaving writes to the store. Use when audited
 /// runs race on one persister outside the campaign executor's ordered
@@ -67,7 +62,7 @@ class CampaignLineageSink {
   std::shared_ptr<int64_t> runs_;
 };
 
-/// Outcome of compacting a KEL1 store into KEL2.
+/// Outcome of re-blocking a KEL2 store.
 struct CompactStats {
   int64_t events = 0;
   int64_t blocks = 0;
@@ -82,8 +77,10 @@ struct CompactStats {
   }
 };
 
-/// Rewrites the KEL1 (or KEL2) store at `input_path` as a KEL2 store at
-/// `output_path`, preserving event order byte-exactly.
+/// Rewrites the KEL2 store at `input_path` as a KEL2 store at
+/// `output_path` with `options.events_per_block` events per block,
+/// preserving event order exactly. Larger blocks compress better; smaller
+/// ones let queries skip at finer granularity.
 StatusOr<CompactStats> CompactLineageStore(const std::string& input_path,
                                            const std::string& output_path,
                                            Kel2WriterOptions options = {});

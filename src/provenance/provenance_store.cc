@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "common/strings.h"
-
 namespace kondo {
 
 ProvenanceStore::ProvenanceStore(Kel2Reader reader)
@@ -15,11 +13,6 @@ ProvenanceStore::ProvenanceStore(Kel2Reader reader)
 
 StatusOr<std::unique_ptr<ProvenanceStore>> ProvenanceStore::Open(
     const std::string& path) {
-  if (!IsKel2Store(path)) {
-    return InvalidArgumentError(
-        StrCat("not a KEL2 store (in-situ queries need block descriptors): ",
-               path));
-  }
   KONDO_ASSIGN_OR_RETURN(Kel2Reader reader, Kel2Reader::Open(path));
   return std::unique_ptr<ProvenanceStore>(
       new ProvenanceStore(std::move(reader)));

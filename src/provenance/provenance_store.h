@@ -26,8 +26,8 @@ namespace kondo {
 /// each block at most once for the store's lifetime.
 class ProvenanceStore {
  public:
-  /// Opens a KEL2 store; a KEL1 stream is rejected (kInvalidArgument) —
-  /// in-situ block skipping is the point of serving queries server-side.
+  /// Opens a KEL2 store; any other file is rejected (kDataLoss, from
+  /// Kel2Reader::Open).
   static StatusOr<std::unique_ptr<ProvenanceStore>> Open(
       const std::string& path);
 

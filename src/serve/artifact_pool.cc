@@ -1,10 +1,6 @@
 #include "serve/artifact_pool.h"
 
 #include <utility>
-#include <vector>
-
-#include "array/debloated_array.h"
-#include "shard/shard_campaign.h"
 
 namespace kondo {
 namespace {
@@ -58,77 +54,67 @@ StatusOr<std::shared_ptr<const std::string>> ArtifactPool::FetchSubsetPayload(
     return Status(StatusCode::kInvalidArgument,
                   "bad element range: want 0 <= begin <= end");
   }
+  if (!IsPackName(request.artifact)) {
+    return Status(StatusCode::kInvalidArgument,
+                  "fetch-subset serves .kdp packages only: " +
+                      request.artifact);
+  }
   KONDO_ASSIGN_OR_RETURN(const std::string path, ResolvePath(request.artifact));
   KONDO_ASSIGN_OR_RETURN(const ShardArtifactInfo info, HashFileArtifact(path));
 
-  if (IsPackName(request.artifact)) {
-    // Packed artifact: serve straight from the chunked package, decoding
-    // only the chunks the range touches. The key carries the pack
-    // fingerprint (manifest CRC) on top of the whole-file hash, so a
-    // repacked package can never resolve to slices of its predecessor.
-    KONDO_ASSIGN_OR_RETURN(std::shared_ptr<PackReader> reader,
-                           OpenPack(request.artifact));
-    const SubsetKey key{request.artifact,  info.lineage_bytes,
-                        info.lineage_crc,  request.begin,
-                        request.end,       reader->pack_fingerprint()};
+  // Serve straight from the chunked package, decoding only the chunks the
+  // range touches. The key carries the pack fingerprint (manifest CRC) on
+  // top of the whole-file hash, so a repacked package can never resolve to
+  // slices of its predecessor.
+  KONDO_ASSIGN_OR_RETURN(std::shared_ptr<PackReader> reader,
+                         OpenPack(request.artifact, path, info));
+  const SubsetKey key{request.artifact, info.lineage_bytes, info.lineage_crc,
+                      request.begin,    request.end,
+                      reader->pack_fingerprint()};
+  {
+    // A request for a slice another request is loading waits for that load
+    // and then hits, so concurrent first requests for a slice load it once.
+    // Loads of different slices run in parallel.
+    MutexLock lock(fill_mu_);
+    while (loading_.count(key) != 0) {
+      loaded_.Wait(fill_mu_);
+    }
     if (std::shared_ptr<const std::string> cached = cache_.Get(key)) {
       return cached;
     }
-    cache_.EvictStale(request.artifact, info.lineage_bytes, info.lineage_crc);
-
-    if (request.end > reader->shape().NumElements()) {
-      return Status(StatusCode::kOutOfRange,
-                    "range end " + std::to_string(request.end) +
-                        " exceeds element count " +
-                        std::to_string(reader->shape().NumElements()));
-    }
-    FetchSubsetResponse response;
-    response.fingerprint_bytes = info.lineage_bytes;
-    response.fingerprint_crc = info.lineage_crc;
-    response.begin = request.begin;
-    response.end = request.end;
-    KONDO_RETURN_IF_ERROR(reader->ReadRange(request.begin, request.end,
-                                            &response.present,
-                                            &response.values));
-    return cache_.Put(key, response.Encode());
+    loading_.insert(key);
   }
-
-  const SubsetKey key{request.artifact, info.lineage_bytes, info.lineage_crc,
-                      request.begin, request.end};
-  if (std::shared_ptr<const std::string> cached = cache_.Get(key)) {
-    return cached;
+  StatusOr<std::shared_ptr<const std::string>> payload =
+      LoadSlice(request, info, *reader, key);
+  {
+    MutexLock lock(fill_mu_);
+    loading_.erase(key);
   }
+  loaded_.NotifyAll();
+  return payload;
+}
 
+StatusOr<std::shared_ptr<const std::string>> ArtifactPool::LoadSlice(
+    const FetchSubsetRequest& request, const ShardArtifactInfo& info,
+    PackReader& reader, const SubsetKey& key) {
   // Miss: anything cached under an older fingerprint of this artifact is
   // dead weight now — sweep it rather than waiting for LRU pressure.
   cache_.EvictStale(request.artifact, info.lineage_bytes, info.lineage_crc);
 
-  KONDO_ASSIGN_OR_RETURN(const DebloatedArray array,
-                         DebloatedArray::ReadFile(path));
-  const int64_t total = array.shape().NumElements();
-  if (request.end > total) {
+  if (request.end > reader.shape().NumElements()) {
     return Status(StatusCode::kOutOfRange,
                   "range end " + std::to_string(request.end) +
-                      " exceeds element count " + std::to_string(total));
+                      " exceeds element count " +
+                      std::to_string(reader.shape().NumElements()));
   }
-
   FetchSubsetResponse response;
   response.fingerprint_bytes = info.lineage_bytes;
   response.fingerprint_crc = info.lineage_crc;
   response.begin = request.begin;
   response.end = request.end;
-  response.present.reserve(static_cast<size_t>(request.end - request.begin));
-  for (int64_t linear = request.begin; linear < request.end; ++linear) {
-    StatusOr<double> value = array.At(array.shape().Delinearize(linear));
-    if (value.ok()) {
-      response.present.push_back(1);
-      response.values.push_back(*value);
-    } else if (value.status().code() == StatusCode::kDataMissing) {
-      response.present.push_back(0);
-    } else {
-      return value.status();
-    }
-  }
+  KONDO_RETURN_IF_ERROR(reader.ReadRange(request.begin, request.end,
+                                         &response.present,
+                                         &response.values));
   return cache_.Put(key, response.Encode());
 }
 
@@ -161,10 +147,8 @@ StatusOr<std::shared_ptr<ProvenanceStore>> ArtifactPool::OpenStore(
 }
 
 StatusOr<std::shared_ptr<PackReader>> ArtifactPool::OpenPack(
-    const std::string& name) {
-  KONDO_ASSIGN_OR_RETURN(const std::string path, ResolvePath(name));
-  KONDO_ASSIGN_OR_RETURN(const ShardArtifactInfo info, HashFileArtifact(path));
-
+    const std::string& name, const std::string& path,
+    const ShardArtifactInfo& info) {
   MutexLock lock(packs_mu_);
   auto it = packs_.find(name);
   if (it != packs_.end()) {

@@ -12,7 +12,7 @@ namespace kondo {
 /// `kondo blast`: closed-loop fetch-subset load against a running daemon.
 struct BlastOptions {
   SocketAddress address;
-  std::string artifact = "main.kdd";
+  std::string artifact = "main.kdp";
   int clients = 1;        // Concurrent connections, one thread each.
   int requests = 100;     // Requests per client.
   int64_t begin = 0;      // Element range fetched by every request.

@@ -113,9 +113,9 @@ class KpcCursor {
 // Verb payloads.
 
 /// fetch-subset: a debloated runtime asks for the D_Θ slice covering
-/// linear element ids [begin, end) of a pooled `.kdd` artifact.
+/// linear element ids [begin, end) of a pooled `.kdp` package.
 struct FetchSubsetRequest {
-  std::string artifact;  // Pool-relative name, e.g. "main.kdd".
+  std::string artifact;  // Pool-relative name, e.g. "main.kdp".
   int64_t begin = 0;
   int64_t end = 0;
 

@@ -24,7 +24,7 @@ struct ServeOptions {
   /// (port 0 picks a free one; bound_address() reports it).
   SocketAddress address;
 
-  /// Directory of served artifacts (`.kdd`, `.kel2`) and campaign output.
+  /// Directory of served artifacts (`.kdp`, `.kel2`) and campaign output.
   std::string pool_root = ".";
 
   /// Campaign worker threads; 0 = hardware concurrency.

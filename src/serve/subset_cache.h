@@ -11,21 +11,20 @@
 
 namespace kondo {
 
-/// Cache key for one served D_Θ slice: the artifact's pool name, its
+/// Cache key for one served D_Θ slice: the package's pool name, its
 /// whole-file fingerprint (byte count + CRC32 — exactly what the shard KSS
 /// `A` line records for sealed lineage stores), the requested linear
-/// element range, and — for `.kdp` packages — the pack fingerprint (the
-/// KDP manifest CRC). Keying on the fingerprints makes coherence
-/// structural: an artifact rewritten or repacked on disk hashes to a
-/// different key, so stale bytes are unreachable rather than specially
-/// invalidated.
+/// element range, and the pack fingerprint (the KDP manifest CRC). Keying
+/// on the fingerprints makes coherence structural: an artifact rewritten
+/// or repacked on disk hashes to a different key, so stale bytes are
+/// unreachable rather than specially invalidated.
 struct SubsetKey {
   std::string artifact;
   int64_t fingerprint_bytes = 0;
   uint32_t fingerprint_crc = 0;
   int64_t begin = 0;
   int64_t end = 0;
-  uint32_t pack_crc = 0;  // KDP manifest CRC; 0 for plain `.kdd` artifacts.
+  uint32_t pack_crc = 0;  // KDP manifest CRC.
 
   friend bool operator<(const SubsetKey& a, const SubsetKey& b) {
     if (a.artifact != b.artifact) return a.artifact < b.artifact;

@@ -9,7 +9,6 @@
 #include "audit/auditor.h"
 #include "audit/event.h"
 #include "audit/event_log.h"
-#include "audit/event_store.h"
 #include "audit/interval_btree.h"
 #include "audit/offset_mapper.h"
 #include "audit/traced_file.h"
@@ -443,43 +442,35 @@ Event StoreEvent(int64_t pid, int64_t offset, int64_t size) {
   return event;
 }
 
-/// Torn-write tolerance, parameterized over both store generations: write
-/// three events, truncate the file mid-record (KEL1) / mid-block (KEL2),
-/// and assert the reader drops exactly the partial trailing unit.
+/// Torn-write tolerance of the KEL2 store: write three events, truncate
+/// the file five bytes short, and assert the reader drops exactly the torn
+/// trailing block. The torn unit is a whole block, so the parameter picks
+/// the block size: "kel2" seals one event per block (two events survive),
+/// "kel2_one_block" seals all three into one block (none survive).
 class TornWriteTest : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(TornWriteTest, TruncationDropsExactlyThePartialTail) {
-  const bool kel2 = std::string(GetParam()) == "kel2";
+  const bool one_block = std::string(GetParam()) == "kel2_one_block";
   const std::string path =
       TempPath(std::string("torn_param.") + GetParam());
   const std::vector<Event> events = {StoreEvent(1, 0, 8),
                                      StoreEvent(1, 8, 8),
                                      StoreEvent(2, 100, 8)};
-  int64_t intact = 0;  // Events expected to survive truncation.
-  if (kel2) {
-    // One event per block: truncating into the third block keeps two.
-    Kel2WriterOptions options;
-    options.events_per_block = 1;
+  Kel2WriterOptions options;
+  options.events_per_block = one_block ? 3 : 1;
+  const int64_t intact = one_block ? 0 : 2;  // Events surviving the cut.
+  {
     StatusOr<Kel2Writer> writer = Kel2Writer::Create(path, options);
     ASSERT_TRUE(writer.ok());
     for (const Event& event : events) {
       ASSERT_TRUE(writer->Append(event).ok());
     }
     ASSERT_TRUE(writer->Close().ok());
-    intact = 2;
-  } else {
-    StatusOr<EventStoreWriter> writer = EventStoreWriter::Create(path);
-    ASSERT_TRUE(writer.ok());
-    for (const Event& event : events) {
-      ASSERT_TRUE(writer->Append(event).ok());
-    }
-    ASSERT_TRUE(writer->Close().ok());
-    intact = 2;
   }
 
   StatusOr<int64_t> full = FileSizeBytes(path);
   ASSERT_TRUE(full.ok());
-  // Chop into (not at) the final record/block.
+  // Chop into (not at) the final block's payload.
   ASSERT_EQ(::truncate(path.c_str(), *full - 5), 0);
 
   StatusOr<std::vector<Event>> got = ReadLineageStore(path);
@@ -492,13 +483,13 @@ TEST_P(TornWriteTest, TruncationDropsExactlyThePartialTail) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Formats, TornWriteTest,
-                         ::testing::Values("kel1", "kel2"));
+                         ::testing::Values("kel2", "kel2_one_block"));
 
 // ------------------------------------------ event store error reporting --
 
 TEST(EventStoreErrorTest, AppendAfterCloseNamesTheStore) {
-  const std::string path = TempPath("closed_named.kel");
-  StatusOr<EventStoreWriter> writer = EventStoreWriter::Create(path);
+  const std::string path = TempPath("closed_named.kel2");
+  StatusOr<Kel2Writer> writer = Kel2Writer::Create(path);
   ASSERT_TRUE(writer.ok());
   ASSERT_TRUE(writer->Close().ok());
   const Status status = writer->Append(StoreEvent(1, 0, 8));
@@ -509,16 +500,18 @@ TEST(EventStoreErrorTest, AppendAfterCloseNamesTheStore) {
 
 TEST(EventStoreErrorTest, ShortWriteReportsSizes) {
   // /dev/full fails every flush with ENOSPC; with the default 4 KiB stdio
-  // buffer the failure surfaces inside some Append (or at Close). The
-  // regression under test: the status must report how many of the 40
-  // record bytes made it out.
+  // buffer the failure surfaces inside some block write (or at Close). The
+  // regression under test: the status must name the device and report how
+  // many of the block's bytes made it out.
   std::FILE* probe = std::fopen("/dev/full", "wb");
   if (probe == nullptr) {
     GTEST_SKIP() << "/dev/full not available";
   }
   std::fclose(probe);
 
-  StatusOr<EventStoreWriter> writer = EventStoreWriter::Create("/dev/full");
+  Kel2WriterOptions options;
+  options.events_per_block = 1;
+  StatusOr<Kel2Writer> writer = Kel2Writer::Create("/dev/full", options);
   ASSERT_TRUE(writer.ok());
   Status failure = OkStatus();
   for (int i = 0; i < 500 && failure.ok(); ++i) {
@@ -529,7 +522,9 @@ TEST(EventStoreErrorTest, ShortWriteReportsSizes) {
   }
   ASSERT_FALSE(failure.ok());
   if (failure.message().find("short write") != std::string::npos) {
-    EXPECT_NE(failure.message().find("of 40 bytes"), std::string::npos)
+    EXPECT_NE(failure.message().find(" bytes"), std::string::npos)
+        << failure.message();
+    EXPECT_NE(failure.message().find("wrote "), std::string::npos)
         << failure.message();
   }
   EXPECT_NE(failure.message().find("/dev/full"), std::string::npos)

@@ -1,13 +1,17 @@
 // Integration tests for the `kondo` command-line tool: each test shells out
-// to the built binary (path injected by CMake via KONDO_CLI_BINARY).
+// to the built binary (path injected by CMake via KONDO_CLI_BINARY). KEL2
+// fixtures are written with the provenance library's own writer.
 
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
+
+#include "audit/event.h"
+#include "provenance/kel2_writer.h"
 
 namespace kondo {
 namespace {
@@ -21,10 +25,9 @@ struct CommandResult {
   std::string output;
 };
 
-CommandResult RunCli(const std::string& args) {
-  const std::string command =
-      std::string(KONDO_CLI_BINARY) + " " + args + " 2>&1";
-  std::FILE* pipe = popen(command.c_str(), "r");
+/// Runs `command` through the shell, capturing stdout and stderr.
+CommandResult RunShell(const std::string& command) {
+  std::FILE* pipe = popen(("(" + command + ") 2>&1").c_str(), "r");
   CommandResult result;
   if (pipe == nullptr) {
     return result;
@@ -36,6 +39,10 @@ CommandResult RunCli(const std::string& args) {
   const int status = pclose(pipe);
   result.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
   return result;
+}
+
+CommandResult RunCli(const std::string& args) {
+  return RunShell(std::string(KONDO_CLI_BINARY) + " " + args);
 }
 
 std::string TempPath(const std::string& name) {
@@ -93,33 +100,34 @@ TEST(CliTest, MakeDataChunked) {
 
 TEST(CliTest, DebloatAndReplayFlow) {
   const std::string kdf = TempPath("cli_flow.kdf");
-  const std::string kdd = TempPath("cli_flow.kdd");
+  const std::string kdp = TempPath("cli_flow.kdp");
   ASSERT_EQ(RunCli("make-data LDC " + kdf).exit_code, 0);
   const CommandResult debloat = RunCli("debloat LDC --data " + kdf +
-                                       " --out " + kdd + " --seed 3");
+                                       " --out " + kdp + " --seed 3");
   EXPECT_EQ(debloat.exit_code, 0) << debloat.output;
   EXPECT_NE(debloat.output.find("smaller"), std::string::npos);
 
-  const CommandResult inspect = RunCli("inspect " + kdd);
-  EXPECT_EQ(inspect.exit_code, 0);
+  const CommandResult inspect = RunCli("inspect " + kdp);
+  EXPECT_EQ(inspect.exit_code, 0) << inspect.output;
   EXPECT_NE(inspect.output.find("debloated"), std::string::npos);
+  EXPECT_NE(inspect.output.find("128x128"), std::string::npos);
 
-  const CommandResult replay = RunCli("replay LDC " + kdd + " 3 4");
+  const CommandResult replay = RunCli("replay LDC " + kdp + " 3 4");
   EXPECT_EQ(replay.exit_code, 0) << replay.output;
   EXPECT_NE(replay.output.find("0 misses"), std::string::npos);
 }
 
 TEST(CliTest, ReplayWithRemoteFallback) {
   const std::string kdf = TempPath("cli_remote.kdf");
-  const std::string kdd = TempPath("cli_remote.kdd");
+  const std::string kdp = TempPath("cli_remote.kdp");
   ASSERT_EQ(RunCli("make-data CS " + kdf).exit_code, 0);
   // A deliberately weak campaign leaves holes for the remote to fill.
-  ASSERT_EQ(RunCli("debloat CS --data " + kdf + " --out " + kdd +
+  ASSERT_EQ(RunCli("debloat CS --data " + kdf + " --out " + kdp +
                    " --max-iter 100")
                 .exit_code,
             0);
   const CommandResult replay =
-      RunCli("replay CS " + kdd + " 1 2 --remote " + kdf);
+      RunCli("replay CS " + kdp + " 1 2 --remote " + kdf);
   EXPECT_EQ(replay.exit_code, 0) << replay.output;
   EXPECT_NE(replay.output.find("remote fetches"), std::string::npos);
 }
@@ -185,42 +193,45 @@ TEST(CliTest, UnknownProgramFails) {
 
 TEST(CliTest, ReplayWrongArityFails) {
   const std::string kdf = TempPath("cli_arity.kdf");
-  const std::string kdd = TempPath("cli_arity.kdd");
+  const std::string kdp = TempPath("cli_arity.kdp");
   ASSERT_EQ(RunCli("make-data LDC " + kdf).exit_code, 0);
   ASSERT_EQ(
-      RunCli("debloat LDC --data " + kdf + " --out " + kdd).exit_code, 0);
-  const CommandResult result = RunCli("replay LDC " + kdd + " 1 2 3");
+      RunCli("debloat LDC --data " + kdf + " --out " + kdp).exit_code, 0);
+  const CommandResult result = RunCli("replay LDC " + kdp + " 1 2 3");
   EXPECT_EQ(result.exit_code, 1);
   EXPECT_NE(result.output.find("expected 2 parameters"), std::string::npos);
 }
 
 // ------------------------------------------------------------ provenance --
 
-/// Writes a minimal KEL1 store by hand (the test binary links only gtest,
-/// so it re-states the 40-byte record layout of docs/FORMATS.md).
-void WriteKel1Fixture(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  std::fwrite("KEL1\0\0\0\0", 1, 8, f);
-  const struct {
-    int64_t pid, file_id;
-    unsigned char type;
-    int64_t offset, size;
-  } records[] = {
-      {1, 1, 2, 0, 100},    // pread [0,100)
-      {2, 1, 2, 250, 100},  // pread [250,350)
-      {1, 1, 2, 40, 20},    // pread [40,60)
-  };
-  for (const auto& r : records) {
-    char buf[40] = {};
-    std::memcpy(buf, &r.pid, 8);
-    std::memcpy(buf + 8, &r.file_id, 8);
-    buf[16] = static_cast<char>(r.type);
-    std::memcpy(buf + 24, &r.offset, 8);
-    std::memcpy(buf + 32, &r.size, 8);
-    std::fwrite(buf, 1, sizeof(buf), f);
+Event Pread(int64_t pid, int64_t file_id, int64_t offset, int64_t size) {
+  Event event;
+  event.id = EventId{pid, file_id};
+  event.type = EventType::kPread;
+  event.offset = offset;
+  event.size = size;
+  return event;
+}
+
+/// Writes `events` to a KEL2 store at `path`, `events_per_block` per block.
+void WriteKel2Fixture(const std::string& path,
+                      const std::vector<Event>& events,
+                      int64_t events_per_block = 512) {
+  Kel2WriterOptions options;
+  options.events_per_block = events_per_block;
+  StatusOr<Kel2Writer> writer = Kel2Writer::Create(path, options);
+  ASSERT_TRUE(writer.ok()) << writer.status();
+  for (const Event& event : events) {
+    ASSERT_TRUE(writer->Append(event).ok());
   }
-  std::fclose(f);
+  ASSERT_TRUE(writer->Close().ok());
+}
+
+/// Three positioned reads of file 1 by two runs.
+void WriteKel2Fixture(const std::string& path) {
+  WriteKel2Fixture(path, {Pread(1, 1, 0, 100),     // [0,100)
+                          Pread(2, 1, 250, 100),   // [250,350)
+                          Pread(1, 1, 40, 20)});  // [40,60)
 }
 
 TEST(CliTest, GlobalUsageListsProvenance) {
@@ -247,28 +258,27 @@ TEST(CliTest, ArgumentErrorPrintsPerCommandUsage) {
 }
 
 TEST(CliTest, ProvenanceCompactQueryStatsFlow) {
-  const std::string kel1 = TempPath("cli_prov.kel");
+  const std::string in = TempPath("cli_prov_in.kel2");
   const std::string kel2 = TempPath("cli_prov.kel2");
-  WriteKel1Fixture(kel1);
+  WriteKel2Fixture(in);
 
+  // Compaction re-blocks a KEL2 store into another KEL2 store.
   const CommandResult compact =
-      RunCli("provenance compact " + kel1 + " " + kel2 + " --block 2");
+      RunCli("provenance compact " + in + " " + kel2 + " --block 2");
   EXPECT_EQ(compact.exit_code, 0) << compact.output;
-  EXPECT_NE(compact.output.find("3 events"), std::string::npos);
+  EXPECT_NE(compact.output.find("3 events in 2 blocks"), std::string::npos)
+      << compact.output;
 
-  // Querying either generation of store finds the same events; the KEL2
-  // answer reports block decode/skip counts.
-  const CommandResult q1 = RunCli("provenance query " + kel1 +
-                                  " --range 30:50");
-  EXPECT_EQ(q1.exit_code, 0) << q1.output;
-  EXPECT_NE(q1.output.find("full scan"), std::string::npos);
-  EXPECT_NE(q1.output.find("2 events"), std::string::npos);
-
-  const CommandResult q2 = RunCli("provenance query " + kel2 +
-                                  " --range 30:50");
-  EXPECT_EQ(q2.exit_code, 0) << q2.output;
-  EXPECT_NE(q2.output.find("2 events"), std::string::npos);
-  EXPECT_NE(q2.output.find("blocks"), std::string::npos);
+  // Either blocking of the store finds the same events, and both answers
+  // report block decode/skip counts.
+  for (const std::string& store : {in, kel2}) {
+    const CommandResult query =
+        RunCli("provenance query " + store + " --range 30:50");
+    EXPECT_EQ(query.exit_code, 0) << query.output;
+    EXPECT_NE(query.output.find("2 events"), std::string::npos)
+        << query.output;
+    EXPECT_NE(query.output.find("blocks"), std::string::npos);
+  }
 
   const CommandResult runs = RunCli("provenance query " + kel2 +
                                     " --range 240:260 --runs");
@@ -278,13 +288,31 @@ TEST(CliTest, ProvenanceCompactQueryStatsFlow) {
 
   const CommandResult stats = RunCli("provenance stats " + kel2);
   EXPECT_EQ(stats.exit_code, 0) << stats.output;
-  EXPECT_NE(stats.output.find("KEL2 store: 3 events"), std::string::npos);
+  EXPECT_NE(stats.output.find("KEL2 store: 3 events in 2 blocks"),
+            std::string::npos)
+      << stats.output;
   EXPECT_NE(stats.output.find("run 1: 100 distinct bytes"),
             std::string::npos);
+}
 
-  const CommandResult stats1 = RunCli("provenance stats " + kel1);
-  EXPECT_EQ(stats1.exit_code, 0) << stats1.output;
-  EXPECT_NE(stats1.output.find("KEL1 store: 3 events"), std::string::npos);
+TEST(CliTest, ProvenanceStatsListsSparseFileIds) {
+  // One block holding file ids 1 and 2^40: stats must list both files
+  // from the decoded events, not enumerate the descriptor's id range.
+  const std::string kel2 = TempPath("cli_prov_sparse.kel2");
+  const int64_t far_file = int64_t{1} << 40;
+  WriteKel2Fixture(kel2, {Pread(1, 1, 0, 16), Pread(2, far_file, 8, 4)});
+  const CommandResult stats = RunCli("provenance stats " + kel2);
+  EXPECT_EQ(stats.exit_code, 0) << stats.output;
+  EXPECT_NE(stats.output.find("KEL2 store: 2 events in 1 blocks"),
+            std::string::npos)
+      << stats.output;
+  EXPECT_NE(stats.output.find("file 1 run 1: 16 distinct bytes"),
+            std::string::npos)
+      << stats.output;
+  EXPECT_NE(stats.output.find("file " + std::to_string(far_file) +
+                              " run 2: 4 distinct bytes"),
+            std::string::npos)
+      << stats.output;
 }
 
 TEST(CliTest, GlobalUsageListsServeClientBlast) {
@@ -315,11 +343,11 @@ TEST(CliTest, ServeRejectsGarbageIntFlags) {
 
 TEST(CliTest, BlastRejectsGarbageIntFlags) {
   for (const std::string args :
-       {"blast --socket /tmp/kondo_cli_none.sock --artifact a.kdd"
+       {"blast --socket /tmp/kondo_cli_none.sock --artifact a.kdp"
         " --clients 1.5",
-        "blast --socket /tmp/kondo_cli_none.sock --artifact a.kdd"
+        "blast --socket /tmp/kondo_cli_none.sock --artifact a.kdp"
         " --requests zero",
-        "blast --socket /tmp/kondo_cli_none.sock --artifact a.kdd"
+        "blast --socket /tmp/kondo_cli_none.sock --artifact a.kdp"
         " --clients -4"}) {
     const CommandResult result = RunCli(args);
     EXPECT_EQ(result.exit_code, 2) << args << "\n" << result.output;
@@ -337,51 +365,54 @@ TEST(CliTest, ServeRequiresExactlyOneListenAddress) {
 
 TEST(CliTest, PackUnpackRepackFlow) {
   const std::string kdf = TempPath("cli_pack.kdf");
-  const std::string kdd = TempPath("cli_pack.kdd");
+  const std::string kdp = TempPath("cli_pack.kdp");
   ASSERT_EQ(RunCli("make-data LDC " + kdf).exit_code, 0);
+  // Debloat packs D_Θ into the --out package and nothing else.
   const CommandResult debloat =
-      RunCli("debloat LDC --data " + kdf + " --out " + kdd);
+      RunCli("debloat LDC --data " + kdf + " --out " + kdp + " --jobs 1");
   ASSERT_EQ(debloat.exit_code, 0) << debloat.output;
-  // Debloat emits the packaged companion alongside the .kdd.
   EXPECT_NE(debloat.output.find("packed"), std::string::npos)
       << debloat.output;
-  const std::string companion = TempPath("cli_pack.kdp");
 
-  // An explicit pack of the same .kdd is byte-identical to the companion.
-  const std::string kdp = TempPath("cli_pack_explicit.kdp");
-  const CommandResult pack = RunCli("pack " + kdd + " " + kdp);
-  ASSERT_EQ(pack.exit_code, 0) << pack.output;
-  EXPECT_NE(pack.output.find("packed"), std::string::npos);
-  EXPECT_EQ(ReadAllBytes(companion), ReadAllBytes(kdp));
+  // Package bytes do not depend on the worker count.
+  const std::string kdp4 = TempPath("cli_pack_jobs4.kdp");
+  ASSERT_EQ(
+      RunCli("debloat LDC --data " + kdf + " --out " + kdp4 + " --jobs 4")
+          .exit_code,
+      0);
+  EXPECT_EQ(ReadAllBytes(kdp4), ReadAllBytes(kdp));
 
-  const CommandResult stats = RunCli("pack-stats " + kdp);
+  // Inspect reports the package's chunk coding and fingerprint.
+  const CommandResult stats = RunCli("inspect " + kdp);
   ASSERT_EQ(stats.exit_code, 0) << stats.output;
   EXPECT_NE(stats.output.find("chunks"), std::string::npos) << stats.output;
   EXPECT_NE(stats.output.find("fingerprint"), std::string::npos)
       << stats.output;
 
-  // Unpack reproduces the original .kdd byte for byte.
-  const std::string back = TempPath("cli_pack_back.kdd");
-  const CommandResult unpack = RunCli("unpack " + kdp + " " + back);
-  ASSERT_EQ(unpack.exit_code, 0) << unpack.output;
-  EXPECT_EQ(ReadAllBytes(kdd), ReadAllBytes(back));
-
-  // Repack against unchanged data reuses every chunk and changes nothing.
-  const CommandResult repack = RunCli("repack " + kdp + " --data " + kdd);
+  // Repack unpacks --data and, against unchanged data, reuses every chunk
+  // and reproduces the package byte for byte.
+  const std::string again = TempPath("cli_pack_again.kdp");
+  const CommandResult repack =
+      RunCli("repack " + kdp + " --data " + kdp + " --out " + again);
   ASSERT_EQ(repack.exit_code, 0) << repack.output;
   EXPECT_NE(repack.output.find("reused"), std::string::npos)
       << repack.output;
-  EXPECT_EQ(ReadAllBytes(companion), ReadAllBytes(kdp));
+  EXPECT_EQ(ReadAllBytes(again), ReadAllBytes(kdp));
+
+  // The separate pack verbs are gone: the package is the only artifact.
+  for (const std::string verb : {"pack", "unpack", "pack-stats"}) {
+    const CommandResult retired = RunCli(verb + " " + kdp);
+    EXPECT_EQ(retired.exit_code, 2) << verb;
+    EXPECT_NE(retired.output.find("usage:"), std::string::npos) << verb;
+  }
 }
 
 TEST(CliTest, PackRejectsGarbageIntFlags) {
-  const std::string kdd = TempPath("cli_pack_flags.kdd");
-  for (const std::string args : std::vector<std::string>{
-           "pack " + kdd + " out.kdp --chunk banana",
-           "pack " + kdd + " out.kdp --chunk -2",
-           "pack " + kdd + " out.kdp --jobs 1.5",
-           "unpack in.kdp out.kdd --jobs zero",
-           "repack in.kdp --data " + kdd + " --jobs 0"}) {
+  const std::string kdp = TempPath("cli_pack_flags.kdp");
+  for (const std::string& args : std::vector<std::string>{
+           "repack in.kdp --data " + kdp + " --jobs 0",
+           "repack in.kdp --data " + kdp + " --jobs 1.5",
+           "debloat LDC --data in.kdf --out " + kdp + " --jobs zero"}) {
     const CommandResult result = RunCli(args);
     EXPECT_EQ(result.exit_code, 2) << args << "\n" << result.output;
     EXPECT_NE(result.output.find("invalid"), std::string::npos) << args;
@@ -390,36 +421,81 @@ TEST(CliTest, PackRejectsGarbageIntFlags) {
 
 TEST(CliTest, UnpackSurfacesCorruptionNamingTheChunk) {
   const std::string kdf = TempPath("cli_corrupt.kdf");
-  const std::string kdd = TempPath("cli_corrupt.kdd");
   const std::string kdp = TempPath("cli_corrupt.kdp");
+  const std::string out = TempPath("cli_corrupt_out.kdp");
   ASSERT_EQ(RunCli("make-data LDC " + kdf).exit_code, 0);
-  ASSERT_EQ(RunCli("debloat LDC --data " + kdf + " --out " + kdd).exit_code,
+  ASSERT_EQ(RunCli("debloat LDC --data " + kdf + " --out " + kdp).exit_code,
             0);
-  ASSERT_EQ(RunCli("pack " + kdd + " " + kdp).exit_code, 0);
 
-  // Flip one payload byte (past the rank-2 header) and unpack: the failure
-  // must name the damaged chunk.
+  // Flip one payload byte (past the rank-2 header). Every command that
+  // unpacks the package must fail naming the damaged chunk and write
+  // nothing.
   std::string bytes = ReadAllBytes(kdp);
   ASSERT_GT(bytes.size(), 60u);
   bytes[45] = static_cast<char>(bytes[45] ^ 0x5a);
   {
-    std::FILE* out = std::fopen(kdp.c_str(), "wb");
-    ASSERT_NE(out, nullptr);
-    std::fwrite(bytes.data(), 1, bytes.size(), out);
-    std::fclose(out);
+    std::FILE* file = std::fopen(kdp.c_str(), "wb");
+    ASSERT_NE(file, nullptr);
+    std::fwrite(bytes.data(), 1, bytes.size(), file);
+    std::fclose(file);
   }
-  const CommandResult unpack =
-      RunCli("unpack " + kdp + " " + TempPath("cli_corrupt_back.kdd"));
-  EXPECT_EQ(unpack.exit_code, 1) << unpack.output;
-  EXPECT_NE(unpack.output.find("KDP chunk"), std::string::npos)
-      << unpack.output;
+  std::remove(out.c_str());
+  const CommandResult repack =
+      RunCli("repack " + kdp + " --data " + kdp + " --out " + out);
+  EXPECT_EQ(repack.exit_code, 1) << repack.output;
+  EXPECT_NE(repack.output.find("KDP chunk"), std::string::npos)
+      << repack.output;
+  std::FILE* written = std::fopen(out.c_str(), "rb");
+  EXPECT_EQ(written, nullptr) << out;
+  if (written != nullptr) {
+    std::fclose(written);
+  }
+
+  const CommandResult replay = RunCli("replay LDC " + kdp + " 3 4");
+  EXPECT_EQ(replay.exit_code, 1) << replay.output;
+  EXPECT_NE(replay.output.find("KDP chunk"), std::string::npos)
+      << replay.output;
+}
+
+TEST(CliTest, ClientFetchRefusesNonPackageNames) {
+  const std::string pool = TempPath("cli_serve_pool");
+  const std::string sock = pool + "/kondo.sock";
+  const std::string kdf = TempPath("cli_serve.kdf");
+  ASSERT_EQ(RunShell("mkdir -p " + pool + " && rm -f " + sock).exit_code, 0);
+  ASSERT_EQ(RunCli("make-data LDC " + kdf).exit_code, 0);
+  ASSERT_EQ(RunCli("debloat LDC --data " + kdf + " --out " + pool +
+                   "/main.kdp --max-iter 50")
+                .exit_code,
+            0);
+
+  // Start a daemon on the pool, fetch through `kondo client`, stop it.
+  const std::string kondo = KONDO_CLI_BINARY;
+  const auto fetch = [&](const std::string& name) {
+    return RunShell(
+        kondo + " serve --socket " + sock + " --pool " + pool +
+        " --jobs 1 >/dev/null 2>&1 & pid=$!; i=0; "
+        "while [ ! -S " + sock + " ] && [ $i -lt 200 ]; do "
+        "sleep 0.05; i=$((i+1)); done; " +
+        kondo + " client fetch " + name + " --range 0:4 --socket " + sock +
+        "; rc=$?; kill $pid; wait $pid; exit $rc");
+  };
+  const CommandResult refused = fetch("main.kdd");
+  EXPECT_EQ(refused.exit_code, 1) << refused.output;
+  EXPECT_NE(refused.output.find("INVALID_ARGUMENT"), std::string::npos)
+      << refused.output;
+
+  const CommandResult served = fetch("main.kdp");
+  EXPECT_EQ(served.exit_code, 0) << served.output;
+  EXPECT_NE(served.output.find("fetched [0,4) of main.kdp"),
+            std::string::npos)
+      << served.output;
 }
 
 TEST(CliTest, ProvenanceQueryRejectsBadRange) {
-  const std::string kel1 = TempPath("cli_prov_bad.kel");
-  WriteKel1Fixture(kel1);
+  const std::string kel2 = TempPath("cli_prov_bad.kel2");
+  WriteKel2Fixture(kel2);
   const CommandResult result =
-      RunCli("provenance query " + kel1 + " --range 50:30");
+      RunCli("provenance query " + kel2 + " --range 50:30");
   EXPECT_EQ(result.exit_code, 1);
   EXPECT_NE(result.output.find("invalid --range"), std::string::npos);
 }

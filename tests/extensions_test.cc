@@ -3,17 +3,20 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "array/data_array.h"
 #include "array/kdf_file.h"
-#include "audit/event_store.h"
 #include "carve/chunk_subset.h"
 #include "core/hybrid.h"
 #include "core/kondo.h"
 #include "core/metrics.h"
 #include "core/remote_fetch.h"
+#include "provenance/kel2_reader.h"
+#include "provenance/kel2_writer.h"
 #include "workloads/registry.h"
 
 namespace kondo {
@@ -250,82 +253,86 @@ Event MakeEvent(int64_t pid, EventType type, int64_t offset, int64_t size) {
 }
 
 TEST(EventStoreTest, RoundTrip) {
-  const std::string path = TempPath("events.kel");
+  // Every event type survives the KEL2 type column, with pids and sizes
+  // that are not monotone across the stream.
+  const std::string path = TempPath("events.kel2");
+  const std::vector<Event> written = {
+      MakeEvent(1, EventType::kOpen, 0, 0),
+      MakeEvent(1, EventType::kPread, 24, 16),
+      MakeEvent(2, EventType::kMmap, 100, 64),
+      MakeEvent(1, EventType::kRead, 8, 4),
+      MakeEvent(3, EventType::kWrite, 0, 1),
+      MakeEvent(2, EventType::kClose, 0, 0)};
   {
-    StatusOr<EventStoreWriter> writer = EventStoreWriter::Create(path);
+    StatusOr<Kel2Writer> writer = Kel2Writer::Create(path);
     ASSERT_TRUE(writer.ok());
-    ASSERT_TRUE(writer->Append(MakeEvent(1, EventType::kOpen, 0, 0)).ok());
-    ASSERT_TRUE(writer->Append(MakeEvent(1, EventType::kPread, 24, 16)).ok());
-    ASSERT_TRUE(writer->Append(MakeEvent(2, EventType::kMmap, 100, 64)).ok());
-    EXPECT_EQ(writer->events_written(), 3);
+    for (const Event& event : written) {
+      ASSERT_TRUE(writer->Append(event).ok());
+    }
     ASSERT_TRUE(writer->Close().ok());
+    EXPECT_EQ(writer->events_written(), 6);
   }
-  StatusOr<std::vector<Event>> events = ReadEventStore(path);
-  ASSERT_TRUE(events.ok());
-  ASSERT_EQ(events->size(), 3u);
-  EXPECT_EQ((*events)[1].type, EventType::kPread);
-  EXPECT_EQ((*events)[1].offset, 24);
-  EXPECT_EQ((*events)[2].id.pid, 2);
-  EXPECT_EQ((*events)[2].size, 64);
+  StatusOr<std::vector<Event>> events = ReadLineageStore(path);
+  ASSERT_TRUE(events.ok()) << events.status();
+  ASSERT_EQ(events->size(), written.size());
+  for (size_t i = 0; i < written.size(); ++i) {
+    EXPECT_EQ((*events)[i].type, written[i].type) << i;
+    EXPECT_EQ((*events)[i].id.pid, written[i].id.pid) << i;
+    EXPECT_EQ((*events)[i].offset, written[i].offset) << i;
+    EXPECT_EQ((*events)[i].size, written[i].size) << i;
+  }
 }
 
 TEST(EventStoreTest, AppendAllFromLog) {
   EventLog log;
   log.Record(MakeEvent(1, EventType::kRead, 0, 110));
   log.Record(MakeEvent(2, EventType::kRead, 70, 30));
-  const std::string path = TempPath("log.kel");
+  const std::string path = TempPath("log.kel2");
   {
-    StatusOr<EventStoreWriter> writer = EventStoreWriter::Create(path);
+    StatusOr<Kel2Writer> writer = Kel2Writer::Create(path);
     ASSERT_TRUE(writer.ok());
     ASSERT_TRUE(writer->AppendAll(log).ok());
   }
   // Replay into a fresh log: derived state matches.
+  StatusOr<std::vector<Event>> events = ReadLineageStore(path);
+  ASSERT_TRUE(events.ok()) << events.status();
   EventLog replayed;
-  ASSERT_TRUE(ReplayEventStore(path, &replayed).ok());
+  for (const Event& event : *events) {
+    replayed.Record(event);
+  }
   EXPECT_EQ(replayed.NumEvents(), 2);
   EXPECT_EQ(replayed.AccessedRanges(1).ToString(),
             log.AccessedRanges(1).ToString());
 }
 
 TEST(EventStoreTest, AppendAfterCloseFails) {
-  const std::string path = TempPath("closed.kel");
-  StatusOr<EventStoreWriter> writer = EventStoreWriter::Create(path);
+  const std::string path = TempPath("closed.kel2");
+  StatusOr<Kel2Writer> writer = Kel2Writer::Create(path);
   ASSERT_TRUE(writer.ok());
   ASSERT_TRUE(writer->Close().ok());
+  EXPECT_TRUE(writer->Close().ok());  // Idempotent.
   EXPECT_EQ(writer->Append(MakeEvent(1, EventType::kRead, 0, 1)).code(),
             StatusCode::kFailedPrecondition);
-}
-
-TEST(EventStoreTest, ToleratesTornTrailingRecord) {
-  const std::string path = TempPath("torn.kel");
-  {
-    StatusOr<EventStoreWriter> writer = EventStoreWriter::Create(path);
-    ASSERT_TRUE(writer.ok());
-    ASSERT_TRUE(writer->Append(MakeEvent(1, EventType::kRead, 0, 8)).ok());
-    ASSERT_TRUE(writer->Close().ok());
-  }
-  // Simulate a torn write: append half a record of garbage.
-  std::FILE* f = std::fopen(path.c_str(), "ab");
-  ASSERT_NE(f, nullptr);
-  const char garbage[13] = {};
-  std::fwrite(garbage, 1, sizeof(garbage), f);
-  std::fclose(f);
-
-  StatusOr<std::vector<Event>> events = ReadEventStore(path);
-  ASSERT_TRUE(events.ok());
-  EXPECT_EQ(events->size(), 1u);
+  EXPECT_EQ(writer->Flush().code(), StatusCode::kFailedPrecondition);
 }
 
 TEST(EventStoreTest, RejectsWrongMagic) {
-  const std::string path = TempPath("bad.kel");
+  // A store of the retired fixed-width generation (its magic header plus one
+  // 40-byte record) is rejected, not decoded.
+  const std::string path = TempPath("retired.kel");
   std::FILE* f = std::fopen(path.c_str(), "wb");
-  std::fwrite("JUNKJUNK", 1, 8, f);
+  ASSERT_NE(f, nullptr);
+  const char record[48] = {'K', 'E', 'L', '1'};
+  std::fwrite(record, 1, sizeof(record), f);
   std::fclose(f);
-  EXPECT_FALSE(ReadEventStore(path).ok());
+  const StatusOr<std::vector<Event>> events = ReadLineageStore(path);
+  EXPECT_EQ(events.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(events.status().message().find("not a KEL2"), std::string::npos)
+      << events.status();
 }
 
 TEST(EventStoreTest, MissingFileIsNotFound) {
-  EXPECT_EQ(ReadEventStore(TempPath("absent.kel")).status().code(),
+  EXPECT_EQ(ReadLineageStore(TempPath("absent.kel2")).status().code(),
             StatusCode::kNotFound);
 }
 

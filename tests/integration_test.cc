@@ -15,6 +15,8 @@
 #include "core/kondo.h"
 #include "core/metrics.h"
 #include "core/runtime.h"
+#include "pack/pack_reader.h"
+#include "pack/pack_writer.h"
 #include "workloads/registry.h"
 
 namespace kondo {
@@ -59,15 +61,18 @@ CMD [1, 2, /app/grid.kdf]
   // 4. The debloated payload replaces the original data file.
   DebloatedArray debloated = PackageDebloated(array, result.approx);
   EXPECT_GT(debloated.SizeReductionFraction(), 0.2);
-  const std::string debloated_path = TempPath("grid.kdd");
-  ASSERT_TRUE(debloated.WriteFile(debloated_path).ok());
+  const std::string debloated_path = TempPath("grid.kdp");
+  ASSERT_TRUE(WriteKdpFile(debloated_path, debloated).ok());
 
   // 5. Bob's runtime recreates D_Θ and replays the advertised CMD run.
   //    Recall may be fractionally below 1 (§V-D1 reports 0.0%-0.8% of
   //    valuations seeing a missed access); any miss must surface as the
   //    data-missing exception, never as silent wrong data.
-  StatusOr<DebloatedArray> shipped = DebloatedArray::ReadFile(debloated_path);
-  ASSERT_TRUE(shipped.ok());
+  StatusOr<std::unique_ptr<PackReader>> reader =
+      PackReader::Open(debloated_path);
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  StatusOr<DebloatedArray> shipped = (*reader)->Unpack();
+  ASSERT_TRUE(shipped.ok()) << shipped.status();
   DebloatRuntime runtime(*std::move(shipped));
   const Status replay = runtime.ReplayRun(*program, {1.0, 2.0});
   if (!replay.ok()) {

@@ -327,32 +327,6 @@ TEST(DebloatedArrayTest, FullRetentionKeepsEverything) {
   EXPECT_LT(debloated.SizeReductionFraction(), 0.0);
 }
 
-TEST(DebloatedArrayTest, FileRoundTrip) {
-  DataArray array(Shape{1, 1}, DType::kFloat64);
-  DebloatedArray debloated = MakeCheckerboard(Shape{6, 6}, &array);
-  const std::string path = TempPath("debloated.kdd");
-  ASSERT_TRUE(debloated.WriteFile(path).ok());
-
-  StatusOr<DebloatedArray> back = DebloatedArray::ReadFile(path);
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back->shape(), debloated.shape());
-  EXPECT_EQ(back->retained_count(), debloated.retained_count());
-  array.shape().ForEachIndex([&](const Index& index) {
-    StatusOr<double> original = debloated.At(index);
-    StatusOr<double> restored = back->At(index);
-    EXPECT_EQ(original.ok(), restored.ok()) << index;
-    if (original.ok()) {
-      EXPECT_DOUBLE_EQ(*restored, *original);
-    }
-  });
-}
-
-TEST(DebloatedArrayTest, ReadFileRejectsGarbage) {
-  const std::string path = TempPath("garbage.kdd");
-  std::ofstream(path) << "garbage bytes here";
-  EXPECT_FALSE(DebloatedArray::ReadFile(path).ok());
-}
-
 TEST(DebloatedArrayTest, RandomRetentionProperty) {
   Rng rng(21);
   for (int trial = 0; trial < 5; ++trial) {

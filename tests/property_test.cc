@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -17,6 +18,7 @@
 #include "common/rng.h"
 #include "core/kondo.h"
 #include "geom/hull.h"
+#include "pack/pack_reader.h"
 #include "workloads/registry.h"
 
 namespace kondo {
@@ -273,20 +275,26 @@ TEST(RobustnessProperty, KdfReaderSurvivesRandomGarbage) {
 
 TEST(RobustnessProperty, DebloatedReaderSurvivesRandomGarbage) {
   Rng rng(13);
-  const std::string path = ::testing::TempDir() + "/garbage_fuzz.kdd";
+  const std::string path = ::testing::TempDir() + "/garbage_fuzz.kdp";
   for (int trial = 0; trial < 40; ++trial) {
     const int64_t size = rng.UniformInt(0, 200);
     std::string bytes;
     if (rng.Bernoulli(0.5)) {
-      bytes = "KDD1";
+      bytes = "KDP1";
     }
     for (int64_t i = static_cast<int64_t>(bytes.size()); i < size; ++i) {
       bytes.push_back(static_cast<char>(rng.UniformInt(0, 255)));
     }
+    if (rng.Bernoulli(0.5)) {
+      bytes += "KDPE";  // A plausible trailer magic gets past the first check.
+    }
     std::ofstream(path, std::ios::binary) << bytes;
-    StatusOr<DebloatedArray> array = DebloatedArray::ReadFile(path);
-    if (array.ok()) {
-      (void)array->At(Index{0, 0});
+    // Must return an error status or a safely-readable package; never crash.
+    StatusOr<std::unique_ptr<PackReader>> reader = PackReader::Open(path);
+    if (reader.ok() && (*reader)->shape().NumElements() > 0) {
+      std::vector<uint8_t> present;
+      std::vector<double> values;
+      (void)(*reader)->ReadRange(0, 1, &present, &values);
     }
   }
 }

@@ -13,7 +13,6 @@
 #include "array/kdf_file.h"
 #include "audit/auditor.h"
 #include "audit/event.h"
-#include "audit/event_store.h"
 #include "audit/offset_mapper.h"
 #include "audit/traced_file.h"
 #include "common/rng.h"
@@ -300,9 +299,10 @@ TEST(Kel2RoundTripTest, StencilCompressesAtLeastThreeFold) {
   const std::string kel2_path = WriteKel2("ratio.kel2", events);
   StatusOr<int64_t> kel2_bytes = FileSizeBytes(kel2_path);
   ASSERT_TRUE(kel2_bytes.ok());
-  const int64_t kel1_bytes =
+  // Against a fixed-width store of 40 bytes per event plus an 8-byte header.
+  const int64_t fixed_width_bytes =
       8 + 40 * static_cast<int64_t>(events.size());
-  EXPECT_GE(static_cast<double>(kel1_bytes) /
+  EXPECT_GE(static_cast<double>(fixed_width_bytes) /
                 static_cast<double>(*kel2_bytes),
             3.0);
 }
@@ -372,6 +372,31 @@ TEST(Kel2CrashTest, CorruptedBlockDetectedByChecksum) {
   EXPECT_TRUE(reader->DecodeBlock(2).ok());
   // And a full scan reports the corruption instead of mis-decoding.
   EXPECT_EQ(reader->ReadAll().status().code(), StatusCode::kDataLoss);
+}
+
+TEST(Kel2CrashTest, ImplausibleEventCountRejectedAtOpen) {
+  const std::vector<Event> events = StencilStream(512, 11);
+  const std::string path = WriteKel2("event_count.kel2", events, 256);
+  StatusOr<Kel2Reader> pristine = Kel2Reader::Open(path);
+  ASSERT_TRUE(pristine.ok());
+  ASSERT_EQ(pristine->NumBlocks(), 2);
+  // Descriptors sit outside the block CRC. Flip the top byte of block 1's
+  // u32 event_count (descriptor bytes 8..11): without the bound, ReadAll
+  // would reserve billions of events and abort.
+  const int64_t count_top_byte =
+      pristine->blocks()[1].payload_pos -
+      static_cast<int64_t>(kKel2DescriptorBytes) + 11;
+  std::FILE* f = std::fopen(path.c_str(), "rb+");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fseek(f, count_top_byte, SEEK_SET), 0);
+  std::fputc(0xff, f);
+  std::fclose(f);
+
+  StatusOr<Kel2Reader> reader = Kel2Reader::Open(path);
+  ASSERT_FALSE(reader.ok());
+  EXPECT_EQ(reader.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(reader.status().message().find("events in"), std::string::npos)
+      << reader.status();
 }
 
 TEST(Kel2CrashTest, NotAKel2StoreRejected) {
@@ -550,74 +575,20 @@ TEST(ProvenanceQueryTest, AccessedIndicesFeedTheCarver) {
 
 // --------------------------------------------------- persist + compaction --
 
-TEST(PersistTest, Kel1PersisterWritesReplayableStore) {
-  const std::string data_path = TempPath("persist_data.kdf");
-  DataArray array(Shape({16}), DType::kFloat64);
-  array.FillPattern(1);
-  ASSERT_TRUE(WriteKdfFile(data_path, array).ok());
-  const std::string store_path = TempPath("persist.kel");
-  StatusOr<AuditReport> report = RunAudited(
-      data_path, /*pid=*/3,
-      [](TracedFile& file) -> Status {
-        return file.ReadElement(Index({2})).status();
-      },
-      MakeKel1Persister(store_path));
-  ASSERT_TRUE(report.ok()) << report.status();
-  StatusOr<std::vector<Event>> events = ReadEventStore(store_path);
-  ASSERT_TRUE(events.ok());
-  EXPECT_EQ(static_cast<int64_t>(events->size()), report->num_events);
-}
-
-TEST(PersistTest, CompactKel1ToKel2PreservesEvents) {
+TEST(PersistTest, CompactReblocksKel2PreservingEvents) {
   const std::vector<Event> events = ClusteredStream(3000, 17);
-  const std::string kel1_path = TempPath("compact_in.kel");
-  {
-    StatusOr<EventStoreWriter> writer = EventStoreWriter::Create(kel1_path);
-    ASSERT_TRUE(writer.ok());
-    for (const Event& event : events) {
-      ASSERT_TRUE(writer->Append(event).ok());
-    }
-    ASSERT_TRUE(writer->Close().ok());
-  }
-  const std::string kel2_path = TempPath("compact_out.kel2");
-  StatusOr<CompactStats> stats = CompactLineageStore(kel1_path, kel2_path);
+  const std::string in_path = WriteKel2("compact_in.kel2", events, 16);
+  const std::string out_path = TempPath("compact_out.kel2");
+  StatusOr<CompactStats> stats = CompactLineageStore(in_path, out_path);
   ASSERT_TRUE(stats.ok()) << stats.status();
   EXPECT_EQ(stats->events, 3000);
+  EXPECT_EQ(stats->blocks, 6);  // 3000 events at the default 512 per block.
+  // Fewer, larger blocks carry fewer descriptors and longer delta runs.
   EXPECT_GT(stats->Ratio(), 1.0);
 
-  StatusOr<std::vector<Event>> got = ReadLineageStore(kel2_path);
+  StatusOr<std::vector<Event>> got = ReadLineageStore(out_path);
   ASSERT_TRUE(got.ok());
   ExpectSameEvents(*got, events);
-}
-
-TEST(PersistTest, ReadLineageStoreDispatchesOnMagic) {
-  const std::vector<Event> events = StencilStream(100, 2);
-  const std::string kel1_path = TempPath("dispatch.kel");
-  {
-    StatusOr<EventStoreWriter> writer = EventStoreWriter::Create(kel1_path);
-    ASSERT_TRUE(writer.ok());
-    for (const Event& event : events) {
-      ASSERT_TRUE(writer->Append(event).ok());
-    }
-  }
-  const std::string kel2_path = WriteKel2("dispatch.kel2", events);
-  EXPECT_FALSE(IsKel2Store(kel1_path));
-  EXPECT_TRUE(IsKel2Store(kel2_path));
-
-  StatusOr<std::vector<Event>> kel1_events = ReadLineageStore(kel1_path);
-  StatusOr<std::vector<Event>> kel2_events = ReadLineageStore(kel2_path);
-  ASSERT_TRUE(kel1_events.ok());
-  ASSERT_TRUE(kel2_events.ok());
-  ExpectSameEvents(*kel1_events, events);
-  ExpectSameEvents(*kel2_events, events);
-
-  // Either store replays into an identical EventLog.
-  EventLog log1, log2;
-  ASSERT_TRUE(ReplayLineageStore(kel1_path, &log1).ok());
-  ASSERT_TRUE(ReplayLineageStore(kel2_path, &log2).ok());
-  EXPECT_EQ(log1.NumEvents(), log2.NumEvents());
-  EXPECT_EQ(log1.AccessedRanges(1).ToString(),
-            log2.AccessedRanges(1).ToString());
 }
 
 TEST(PersistTest, RejectsNonPositiveBlockSize) {

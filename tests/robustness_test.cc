@@ -22,7 +22,6 @@
 
 #include "array/data_array.h"
 #include "array/kdf_file.h"
-#include "audit/event_store.h"
 #include "common/env.h"
 #include "core/debloat_test.h"
 #include "core/remote_fetch.h"
@@ -212,7 +211,7 @@ TEST(FaultInjectingEnvTest, CrashDropsUnsyncedBytesAndFailsEveryLaterOp) {
 
 TEST(DurabilityTest, EventStoreCrashPublishesNothingCleanRunCommits) {
   const std::string dir = TempDir("event_store");
-  const std::string path = dir + "/audit.kel";
+  const std::string path = dir + "/audit.kel2";
   Event event;
   event.id = EventId{1, 1};
   event.type = EventType::kPread;
@@ -221,19 +220,22 @@ TEST(DurabilityTest, EventStoreCrashPublishesNothingCleanRunCommits) {
 
   FaultPlan plan;
   plan.seed = FaultSeed();
-  plan.crash_at_op = 1;  // Header lands; the first record crashes.
+  plan.crash_at_op = 1;  // Header lands; the first block write crashes.
   FaultInjectingEnv env(Env::Default(), plan);
-  StatusOr<EventStoreWriter> writer = EventStoreWriter::Create(path, &env);
+  Kel2WriterOptions options;
+  options.events_per_block = 1;  // Every Append seals (writes) a block.
+  options.env = &env;
+  StatusOr<Kel2Writer> writer = Kel2Writer::Create(path, options);
   ASSERT_TRUE(writer.ok()) << writer.status();
   EXPECT_FALSE(writer->Append(event).ok());
   EXPECT_FALSE(writer->Close().ok());
   EXPECT_TRUE(FileMissing(path));
 
-  StatusOr<EventStoreWriter> clean = EventStoreWriter::Create(path);
+  StatusOr<Kel2Writer> clean = Kel2Writer::Create(path);
   ASSERT_TRUE(clean.ok()) << clean.status();
   ASSERT_TRUE(clean->Append(event).ok());
   ASSERT_TRUE(clean->Close().ok());
-  const StatusOr<std::vector<Event>> events = ReadEventStore(path);
+  const StatusOr<std::vector<Event>> events = ReadLineageStore(path);
   ASSERT_TRUE(events.ok()) << events.status();
   EXPECT_EQ(events->size(), 1u);
 }

@@ -36,12 +36,12 @@ namespace {
 
 TEST(KpcCodecTest, FetchSubsetRoundTrip) {
   FetchSubsetRequest request;
-  request.artifact = "main.kdd";
+  request.artifact = "main.kdp";
   request.begin = 7;
   request.end = 123;
   auto decoded_request = FetchSubsetRequest::Decode(request.Encode());
   ASSERT_TRUE(decoded_request.ok()) << decoded_request.status();
-  EXPECT_EQ(decoded_request->artifact, "main.kdd");
+  EXPECT_EQ(decoded_request->artifact, "main.kdp");
   EXPECT_EQ(decoded_request->begin, 7);
   EXPECT_EQ(decoded_request->end, 123);
 
@@ -163,7 +163,7 @@ TEST(KpcCodecTest, ErrorCarriesStatus) {
 
 TEST(KpcCodecTest, DecodeRejectsTruncatedPayload) {
   FetchSubsetRequest request;
-  request.artifact = "a.kdd";
+  request.artifact = "a.kdp";
   const std::string payload = request.Encode();
   const auto truncated =
       FetchSubsetRequest::Decode(std::string_view(payload).substr(
@@ -242,7 +242,7 @@ SubsetKey MakeKey(const std::string& artifact, int64_t begin, int64_t end) {
 
 TEST(SubsetCacheTest, HitReturnsIdenticalBytes) {
   SubsetCache cache(1 << 20);
-  const SubsetKey key = MakeKey("a.kdd", 0, 64);
+  const SubsetKey key = MakeKey("a.kdp", 0, 64);
   EXPECT_EQ(cache.Get(key), nullptr);
   auto inserted = cache.Put(key, "the exact payload");
   auto hit = cache.Get(key);
@@ -258,14 +258,14 @@ TEST(SubsetCacheTest, HitReturnsIdenticalBytes) {
 TEST(SubsetCacheTest, EvictionIsDeterministicLru) {
   // Capacity fits exactly two 8-byte payloads.
   SubsetCache cache(16);
-  cache.Put(MakeKey("a.kdd", 0, 1), "11111111");
-  cache.Put(MakeKey("a.kdd", 1, 2), "22222222");
+  cache.Put(MakeKey("a.kdp", 0, 1), "11111111");
+  cache.Put(MakeKey("a.kdp", 1, 2), "22222222");
   // Touch the first entry so the second becomes least recently used.
-  ASSERT_NE(cache.Get(MakeKey("a.kdd", 0, 1)), nullptr);
-  cache.Put(MakeKey("a.kdd", 2, 3), "33333333");
-  EXPECT_NE(cache.Get(MakeKey("a.kdd", 0, 1)), nullptr);   // Kept (MRU).
-  EXPECT_EQ(cache.Get(MakeKey("a.kdd", 1, 2)), nullptr);   // Evicted (LRU).
-  EXPECT_NE(cache.Get(MakeKey("a.kdd", 2, 3)), nullptr);   // Newly inserted.
+  ASSERT_NE(cache.Get(MakeKey("a.kdp", 0, 1)), nullptr);
+  cache.Put(MakeKey("a.kdp", 2, 3), "33333333");
+  EXPECT_NE(cache.Get(MakeKey("a.kdp", 0, 1)), nullptr);   // Kept (MRU).
+  EXPECT_EQ(cache.Get(MakeKey("a.kdp", 1, 2)), nullptr);   // Evicted (LRU).
+  EXPECT_NE(cache.Get(MakeKey("a.kdp", 2, 3)), nullptr);   // Newly inserted.
   const SubsetCacheStats stats = cache.stats();
   EXPECT_EQ(stats.evictions, 1);
   EXPECT_EQ(stats.entries, 2);
@@ -274,23 +274,23 @@ TEST(SubsetCacheTest, EvictionIsDeterministicLru) {
 
 TEST(SubsetCacheTest, OversizedEntryIsServedNotCached) {
   SubsetCache cache(4);
-  auto value = cache.Put(MakeKey("a.kdd", 0, 1), "way too large");
+  auto value = cache.Put(MakeKey("a.kdp", 0, 1), "way too large");
   EXPECT_EQ(*value, "way too large");
   EXPECT_EQ(cache.stats().entries, 0);
-  EXPECT_EQ(cache.Get(MakeKey("a.kdd", 0, 1)), nullptr);
+  EXPECT_EQ(cache.Get(MakeKey("a.kdp", 0, 1)), nullptr);
 }
 
 TEST(SubsetCacheTest, EvictStaleDropsOnlyChangedFingerprints) {
   SubsetCache cache(1 << 20);
-  SubsetKey stale = MakeKey("a.kdd", 0, 64);
+  SubsetKey stale = MakeKey("a.kdp", 0, 64);
   stale.fingerprint_crc = 0x1111;
-  SubsetKey fresh = MakeKey("a.kdd", 0, 64);
+  SubsetKey fresh = MakeKey("a.kdp", 0, 64);
   fresh.fingerprint_crc = 0x2222;
-  const SubsetKey other = MakeKey("b.kdd", 0, 64);
+  const SubsetKey other = MakeKey("b.kdp", 0, 64);
   cache.Put(stale, "old bytes");
   cache.Put(fresh, "new bytes");
   cache.Put(other, "unrelated");
-  EXPECT_EQ(cache.EvictStale("a.kdd", fresh.fingerprint_bytes,
+  EXPECT_EQ(cache.EvictStale("a.kdp", fresh.fingerprint_bytes,
                              fresh.fingerprint_crc),
             1);
   EXPECT_EQ(cache.Get(stale), nullptr);
@@ -333,15 +333,15 @@ TEST(ArtifactPoolTest, RejectsFilesystemAddressing) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(pool.ResolvePath("/etc/passwd").status().code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(pool.ResolvePath("../secret.kdd").status().code(),
+  EXPECT_EQ(pool.ResolvePath("../secret.kdp").status().code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(pool.ResolvePath("sub/../../x.kdd").status().code(),
+  EXPECT_EQ(pool.ResolvePath("sub/../../x.kdp").status().code(),
             StatusCode::kInvalidArgument);
-  auto fine = pool.ResolvePath("sub/main.kdd");
+  auto fine = pool.ResolvePath("sub/main.kdp");
   ASSERT_TRUE(fine.ok());
-  EXPECT_EQ(*fine, "/pool/sub/main.kdd");
+  EXPECT_EQ(*fine, "/pool/sub/main.kdp");
   // A dot-prefixed name is not a traversal.
-  EXPECT_TRUE(pool.ResolvePath(".hidden.kdd").ok());
+  EXPECT_TRUE(pool.ResolvePath(".hidden.kdp").ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -359,12 +359,7 @@ DebloatedArray MakePoolArray(uint64_t seed) {
   return DebloatedArray::FromDataArray(data, retained);
 }
 
-/// Writes an 8x8 debloated array with every fourth element retained.
-void WritePoolArtifact(const std::string& path, uint64_t seed) {
-  ASSERT_TRUE(MakePoolArray(seed).WriteFile(path).ok());
-}
-
-/// Packs the same array as a `.kdp` package.
+/// Packs the pool array as a `.kdp` package.
 void WritePoolPack(const std::string& path, uint64_t seed) {
   const StatusOr<PackStats> stats = WriteKdpFile(path, MakePoolArray(seed));
   ASSERT_TRUE(stats.ok()) << stats.status();
@@ -397,10 +392,10 @@ class ServeTest : public ::testing::Test {
                  ::testing::UnitTest::GetInstance()
                      ->current_test_info()
                      ->name();
-    std::remove((pool_root_ + "/main.kdd").c_str());
+    std::remove((pool_root_ + "/main.kdp").c_str());
     std::remove((pool_root_ + "/trace.kel2").c_str());
     mkdir(pool_root_.c_str(), 0755);
-    WritePoolArtifact(pool_root_ + "/main.kdd", /*seed=*/7);
+    WritePoolPack(pool_root_ + "/main.kdp", /*seed=*/7);
     WritePoolStore(pool_root_ + "/trace.kel2", /*events=*/20);
     options.address.unix_path = pool_root_ + "/kondo.sock";
     options.pool_root = pool_root_;
@@ -423,7 +418,7 @@ TEST_F(ServeTest, CacheHitIsByteIdenticalToMiss) {
   auto client = Client();
   ASSERT_NE(client, nullptr);
   FetchSubsetRequest request;
-  request.artifact = "main.kdd";
+  request.artifact = "main.kdp";
   request.begin = 0;
   request.end = 64;
   auto miss = client->FetchSubsetRaw(request);
@@ -457,14 +452,14 @@ TEST_F(ServeTest, RewrittenArtifactInvalidatesCache) {
   auto client = Client();
   ASSERT_NE(client, nullptr);
   FetchSubsetRequest request;
-  request.artifact = "main.kdd";
+  request.artifact = "main.kdp";
   request.begin = 0;
   request.end = 64;
   auto before = client->FetchSubset(request);
   ASSERT_TRUE(before.ok()) << before.status();
 
   // Rewrite the pool file with different content.
-  WritePoolArtifact(pool_root_ + "/main.kdd", /*seed=*/99);
+  WritePoolPack(pool_root_ + "/main.kdp", /*seed=*/99);
   auto after = client->FetchSubset(request);
   ASSERT_TRUE(after.ok()) << after.status();
   EXPECT_NE(before->fingerprint_crc, after->fingerprint_crc);
@@ -553,24 +548,30 @@ TEST(ArtifactPoolPackTest, RepackEvictsStaleCachedSlices) {
 
 TEST_F(ServeTest, PackedArtifactServesOverTheWire) {
   StartServer(ServeOptions{});
-  WritePoolPack(pool_root_ + "/main.kdp", /*seed=*/7);
   auto client = Client();
   ASSERT_NE(client, nullptr);
 
-  // The packed and the dense artifact carry the same D_Θ, so their decoded
-  // subsets must agree element for element.
+  // The served subset carries exactly the packed D_Θ: every retained
+  // element with its value, every other element absent.
   FetchSubsetRequest packed_request;
   packed_request.artifact = "main.kdp";
   packed_request.begin = 0;
   packed_request.end = 64;
   auto packed = client->FetchSubset(packed_request);
   ASSERT_TRUE(packed.ok()) << packed.status();
-  FetchSubsetRequest dense_request = packed_request;
-  dense_request.artifact = "main.kdd";
-  auto dense = client->FetchSubset(dense_request);
-  ASSERT_TRUE(dense.ok()) << dense.status();
-  EXPECT_EQ(packed->present, dense->present);
-  EXPECT_EQ(packed->values, dense->values);
+  const DebloatedArray array = MakePoolArray(/*seed=*/7);
+  ASSERT_EQ(packed->present.size(), 64u);
+  size_t value_pos = 0;
+  for (int64_t linear = 0; linear < 64; ++linear) {
+    const StatusOr<double> want = array.At(array.shape().Delinearize(linear));
+    ASSERT_EQ(packed->present[static_cast<size_t>(linear)] != 0, want.ok())
+        << "element " << linear;
+    if (want.ok()) {
+      ASSERT_LT(value_pos, packed->values.size());
+      EXPECT_EQ(packed->values[value_pos++], *want) << "element " << linear;
+    }
+  }
+  EXPECT_EQ(value_pos, packed->values.size());
 
   // And raw hit/miss byte-identity holds for the packed path too.
   auto raw_miss = client->FetchSubsetRaw(packed_request);
@@ -585,14 +586,22 @@ TEST_F(ServeTest, FetchErrorsAreStatusCarrying) {
   auto client = Client();
   ASSERT_NE(client, nullptr);
   FetchSubsetRequest request;
-  request.artifact = "absent.kdd";
+  request.artifact = "absent.kdp";
   request.end = 8;
   EXPECT_EQ(client->FetchSubset(request).status().code(),
             StatusCode::kNotFound);
-  request.artifact = "../escape.kdd";
+  request.artifact = "../escape.kdp";
+  EXPECT_EQ(client->FetchSubset(request).status().code(),
+            StatusCode::kInvalidArgument);
+  // fetch-subset serves packages only; any other pool name is refused
+  // before the pool is touched.
+  request.artifact = "trace.kel2";
   EXPECT_EQ(client->FetchSubset(request).status().code(),
             StatusCode::kInvalidArgument);
   request.artifact = "main.kdd";
+  EXPECT_EQ(client->FetchSubset(request).status().code(),
+            StatusCode::kInvalidArgument);
+  request.artifact = "main.kdp";
   request.begin = 0;
   request.end = 1 << 20;  // Past the 64-element shape.
   EXPECT_EQ(client->FetchSubset(request).status().code(),
@@ -759,7 +768,7 @@ TEST_F(ServeTest, StatsVerbMatchesServerSnapshot) {
   auto client = Client();
   ASSERT_NE(client, nullptr);
   FetchSubsetRequest fetch;
-  fetch.artifact = "main.kdd";
+  fetch.artifact = "main.kdp";
   fetch.end = 8;
   ASSERT_TRUE(client->FetchSubset(fetch).ok());
   auto stats = client->Stats();
@@ -800,7 +809,7 @@ TEST_F(ServeTest, ServesOverTcpWithPortZero) {
   auto client = KpcClient::Connect(server.bound_address());
   ASSERT_TRUE(client.ok()) << client.status();
   FetchSubsetRequest request;
-  request.artifact = "main.kdd";
+  request.artifact = "main.kdp";
   request.end = 16;
   auto response = (*client)->FetchSubset(request);
   ASSERT_TRUE(response.ok()) << response.status();
@@ -812,7 +821,7 @@ TEST_F(ServeTest, BlastSeesIdenticalResponsesAcrossClients) {
   StartServer(ServeOptions{});
   BlastOptions blast;
   blast.address = server_->bound_address();
-  blast.artifact = "main.kdd";
+  blast.artifact = "main.kdp";
   blast.clients = 4;
   blast.requests = 25;
   blast.begin = 0;

@@ -3,8 +3,8 @@
 //   kondo programs
 //   kondo spec <Kondofile>
 //   kondo make-data <program> <out.kdf> [--chunked] [--seed N]
-//   kondo inspect <file.kdf|file.kdd>
-//   kondo debloat <program> --data <in.kdf> --out <out.kdd>
+//   kondo inspect <file.kdf|file.kdp>
+//   kondo debloat <program> --data <in.kdf> --out <out.kdp>
 //                 [--seed N] [--audited] [--max-iter N] [--max-evals N]
 //                 [--jobs N] [--shards N] [--shard-dir DIR]
 //                 [--workers N | --connect ADDR ...] [--plan-weights KEL2]
@@ -12,7 +12,7 @@
 //                 [--seed N] [--max-iter N] [--max-evals N]
 //                 [--jobs N] [--shards N] [--shard-dir DIR]
 //                 [--workers N | --connect ADDR ...] [--plan-weights KEL2]
-//   kondo replay <program> <in.kdd> <param>... [--remote <orig.kdf>]
+//   kondo replay <program> <in.kdp> <param>... [--remote <orig.kdf>]
 //       [--fetch-retries <n>] [--fetch-backoff-ms <ms>]
 //   kondo evaluate <program> [--seed N] [--map] [--jobs N] [--shards N]
 //                 [--max-evals N]
@@ -20,11 +20,8 @@
 //               [--max-evals N] [--resume <state.kcs>] [--jobs N]
 //               [--shards N]
 //   kondo carve <program> --state <state.kcs> [--center X] [--boundary X]
-//   kondo pack <in.kdd> <out.kdp> [--chunk N] [--jobs N]
-//   kondo unpack <in.kdp> <out.kdd> [--jobs N]
-//   kondo repack <pkg.kdp> --data <updated.kdd> [--out <out.kdp>] [--jobs N]
-//   kondo pack-stats <pkg.kdp>
-//   kondo provenance compact <in.kel> <out.kel2> [--block N]
+//   kondo repack <pkg.kdp> --data <updated.kdp> [--out <out.kdp>] [--jobs N]
+//   kondo provenance compact <in.kel2> <out.kel2> [--block N]
 //   kondo provenance query <store> --range A:B [--file F] [--runs]
 //   kondo provenance stats <store>
 //   kondo serve (--socket PATH | --port N) [--pool DIR] [--jobs N]
@@ -47,6 +44,7 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -99,9 +97,9 @@ constexpr CommandHelp kCommandHelp[] = {
     {"spec", "  kondo spec <Kondofile>\n"},
     {"make-data",
      "  kondo make-data <program> <out.kdf> [--chunked] [--seed N]\n"},
-    {"inspect", "  kondo inspect <file.kdf|file.kdd>\n"},
+    {"inspect", "  kondo inspect <file.kdf|file.kdp>\n"},
     {"debloat",
-     "  kondo debloat <program> --data <in.kdf> --out <out.kdd>\n"
+     "  kondo debloat <program> --data <in.kdf> --out <out.kdp>\n"
      "                [--seed N] [--audited] [--max-iter N] [--max-evals N]\n"
      "                [--jobs N] [--shards N] [--shard-dir DIR]\n"
      "                [--workers N | --connect ADDR ...]\n"
@@ -112,7 +110,7 @@ constexpr CommandHelp kCommandHelp[] = {
      "                [--workers N | --connect ADDR ...]\n"
      "                [--plan-weights KEL2]\n"},
     {"replay",
-     "  kondo replay <program> <in.kdd> <param>... [--remote <orig.kdf>]\n"
+     "  kondo replay <program> <in.kdp> <param>... [--remote <orig.kdf>]\n"
      "      [--fetch-retries <n>] [--fetch-backoff-ms <ms>]\n"},
     {"evaluate",
      "  kondo evaluate <program> [--seed N] [--map] [--jobs N]\n"
@@ -124,15 +122,11 @@ constexpr CommandHelp kCommandHelp[] = {
     {"carve",
      "  kondo carve <program> --state <state.kcs> [--center X]\n"
      "              [--boundary X]\n"},
-    {"pack",
-     "  kondo pack <in.kdd> <out.kdp> [--chunk N] [--jobs N]\n"},
-    {"unpack", "  kondo unpack <in.kdp> <out.kdd> [--jobs N]\n"},
     {"repack",
-     "  kondo repack <pkg.kdp> --data <updated.kdd> [--out <out.kdp>]\n"
+     "  kondo repack <pkg.kdp> --data <updated.kdp> [--out <out.kdp>]\n"
      "               [--jobs N]\n"},
-    {"pack-stats", "  kondo pack-stats <pkg.kdp>\n"},
     {"provenance",
-     "  kondo provenance compact <in.kel> <out.kel2> [--block N]\n"
+     "  kondo provenance compact <in.kel2> <out.kel2> [--block N]\n"
      "  kondo provenance query <store> --range A:B [--file F] [--runs]\n"
      "  kondo provenance stats <store>\n"},
     {"serve",
@@ -228,19 +222,9 @@ const char* StopReason(const FuzzStats& stats) {
   return "max iterations";
 }
 
-/// Derives the `.kdp` package path companion to a `.kdd` container path.
-std::string KdpPathFor(const std::string& kdd_path) {
-  const std::string suffix = ".kdd";
-  if (kdd_path.size() > suffix.size() &&
-      kdd_path.compare(kdd_path.size() - suffix.size(), suffix.size(),
-                       suffix) == 0) {
-    return kdd_path.substr(0, kdd_path.size() - suffix.size()) + ".kdp";
-  }
-  return kdd_path + ".kdp";
-}
-
-/// Packs `array` to `path` and prints the one-line summary the pack
-/// commands and the debloat pipeline share.
+/// Packs `array` to `path` and prints the summary every debloat shares:
+/// what was kept, the package size against the dense original, and how the
+/// chunks were coded.
 int WritePackage(const std::string& path, const DebloatedArray& array,
                  const PackOptions& options) {
   StatusOr<PackStats> stats = WriteKdpFile(path, array, options);
@@ -248,16 +232,39 @@ int WritePackage(const std::string& path, const DebloatedArray& array,
     std::fprintf(stderr, "%s\n", stats.status().ToString().c_str());
     return 1;
   }
-  std::printf("packed %s: %lld chunks (%lld holes, %lld coded, %lld raw), "
-              "%lld -> %lld payload bytes, %lld on disk\n",
-              path.c_str(), static_cast<long long>(stats->total_chunks),
+  const int64_t original = array.OriginalPayloadBytes();
+  const double smaller = 100.0 * (1.0 - static_cast<double>(stats->file_bytes) /
+                                            static_cast<double>(original));
+  std::printf("wrote %s: %lld of %lld elements retained, %lld -> %lld "
+              "bytes (%.1f%% smaller)\n",
+              path.c_str(), static_cast<long long>(array.retained_count()),
+              static_cast<long long>(array.shape().NumElements()),
+              static_cast<long long>(original),
+              static_cast<long long>(stats->file_bytes), smaller);
+  std::printf("packed: %lld chunks (%lld holes, %lld coded, %lld raw), "
+              "%lld -> %lld payload bytes\n",
+              static_cast<long long>(stats->total_chunks),
               static_cast<long long>(stats->hole_chunks),
               static_cast<long long>(stats->coded_chunks),
               static_cast<long long>(stats->raw_chunks),
               static_cast<long long>(stats->decoded_bytes),
-              static_cast<long long>(stats->encoded_bytes),
-              static_cast<long long>(stats->file_bytes));
+              static_cast<long long>(stats->encoded_bytes));
   return 0;
+}
+
+/// Opens the KDP package at `path` and decodes it whole, printing the
+/// failure (which names a damaged chunk) on error.
+StatusOr<DebloatedArray> UnpackFile(const std::string& path, int jobs) {
+  StatusOr<std::unique_ptr<PackReader>> reader = PackReader::Open(path);
+  if (!reader.ok()) {
+    std::fprintf(stderr, "%s\n", reader.status().ToString().c_str());
+    return reader.status();
+  }
+  StatusOr<DebloatedArray> array = (*reader)->Unpack(nullptr, jobs);
+  if (!array.ok()) {
+    std::fprintf(stderr, "%s\n", array.status().ToString().c_str());
+  }
+  return array;
 }
 
 int CmdPrograms() {
@@ -343,27 +350,65 @@ int CmdMakeData(std::vector<std::string> args) {
   return 0;
 }
 
-int CmdInspect(const std::string& path) {
-  if (path.size() > 4 && path.substr(path.size() - 4) == ".kdd") {
-    StatusOr<DebloatedArray> array = DebloatedArray::ReadFile(path);
-    if (!array.ok()) {
-      std::fprintf(stderr, "%s\n", array.status().ToString().c_str());
-      return 1;
+/// Prints a KDP package's shape, retention, chunk coding and fingerprint.
+int InspectPackage(const std::string& path) {
+  StatusOr<std::unique_ptr<PackReader>> reader = PackReader::Open(path);
+  if (!reader.ok()) {
+    std::fprintf(stderr, "%s\n", reader.status().ToString().c_str());
+    return 1;
+  }
+  const KdpManifest& manifest = (*reader)->manifest();
+  int64_t holes = 0, raw = 0, coded = 0;
+  int64_t encoded = 0, decoded = 0;
+  for (const KdpChunkInfo& info : manifest.chunks) {
+    switch (info.codec) {
+      case KdpCodec::kHole:
+        ++holes;
+        break;
+      case KdpCodec::kRaw:
+        ++raw;
+        break;
+      default:
+        ++coded;
+        break;
     }
-    std::printf("debloated array (KDD)\n");
-    std::printf("shape:     %s\n", array->shape().ToString().c_str());
-    std::printf("dtype:     %s\n",
-                std::string(DTypeName(array->dtype())).c_str());
-    std::printf("retained:  %lld of %lld elements (%.1f%%)\n",
-                static_cast<long long>(array->retained_count()),
-                static_cast<long long>(array->shape().NumElements()),
-                100.0 * static_cast<double>(array->retained_count()) /
-                    static_cast<double>(array->shape().NumElements()));
-    std::printf("payload:   %lld bytes (original %lld, %.1f%% smaller)\n",
-                static_cast<long long>(array->DebloatedPayloadBytes()),
-                static_cast<long long>(array->OriginalPayloadBytes()),
-                100.0 * array->SizeReductionFraction());
-    return 0;
+    encoded += info.encoded_bytes;
+    decoded += info.decoded_bytes;
+  }
+  std::string chunk_dims;
+  for (size_t d = 0; d < manifest.chunk_dims.size(); ++d) {
+    if (d > 0) {
+      chunk_dims += "x";
+    }
+    chunk_dims += std::to_string(manifest.chunk_dims[d]);
+  }
+  const int64_t elements = manifest.shape.NumElements();
+  const int64_t retained = (*reader)->retained_count();
+  std::printf("debloated array (KDP v%d)\n", kKdpVersion);
+  std::printf("shape:     %s\n", manifest.shape.ToString().c_str());
+  std::printf("dtype:     %s\n",
+              std::string(DTypeName(manifest.dtype)).c_str());
+  std::printf("retained:  %lld of %lld elements (%.1f%%)\n",
+              static_cast<long long>(retained),
+              static_cast<long long>(elements),
+              100.0 * static_cast<double>(retained) /
+                  static_cast<double>(elements));
+  std::printf("chunks:    %lld total (grid %s), %lld holes, %lld coded, "
+              "%lld raw\n",
+              static_cast<long long>(manifest.chunks.size()),
+              chunk_dims.c_str(), static_cast<long long>(holes),
+              static_cast<long long>(coded), static_cast<long long>(raw));
+  std::printf("bytes:     %lld decoded -> %lld encoded, %lld on disk\n",
+              static_cast<long long>(decoded),
+              static_cast<long long>(encoded),
+              static_cast<long long>((*reader)->FileBytes()));
+  std::printf("fingerprint: %08x\n", (*reader)->pack_fingerprint());
+  return 0;
+}
+
+int CmdInspect(const std::string& path) {
+  if (path.size() > 4 && path.substr(path.size() - 4) == ".kdp") {
+    return InspectPackage(path);
   }
   StatusOr<KdfReader> reader = KdfReader::Open(path);
   if (!reader.ok()) {
@@ -560,7 +605,8 @@ StatusOr<ShardedRunResult> RunShardedFromCli(const MultiFileProgram& program,
 }
 
 /// Multi-file debloat: one campaign over Θ (optionally sharded), one
-/// synthesised source array + packaged .kdd per data file under `out_dir`.
+/// synthesised source array + `<file>.kdp` package per data file under
+/// `out_dir`.
 int CmdDebloatMultiFile(std::unique_ptr<MultiFileProgram> program,
                         const std::string& out_dir,
                         const std::string& shard_dir, uint64_t seed, int jobs,
@@ -612,22 +658,14 @@ int CmdDebloatMultiFile(std::unique_ptr<MultiFileProgram> program,
     array.FillPattern(seed + static_cast<uint64_t>(f));
     DebloatedArray debloated =
         PackageDebloated(array, result.per_file_approx[static_cast<size_t>(f)]);
-    const std::string path =
-        out_dir + "/" + std::string(program->file_name(f)) + ".kdd";
-    if (Status status = debloated.WriteFile(path); !status.ok()) {
-      std::fprintf(stderr, "%s\n", status.ToString().c_str());
-      return 1;
-    }
-    std::printf("wrote %s: %lld -> %lld bytes (%.1f%% smaller, %d hulls)\n",
-                path.c_str(),
-                static_cast<long long>(debloated.OriginalPayloadBytes()),
-                static_cast<long long>(debloated.DebloatedPayloadBytes()),
-                100.0 * debloated.SizeReductionFraction(),
+    const std::string file_name(program->file_name(f));
+    std::printf("%s: %d hulls carved\n", file_name.c_str(),
                 result.per_file_carve_stats[static_cast<size_t>(f)]
                     .final_hulls);
     PackOptions pack_options;
     pack_options.jobs = jobs;
-    if (int rc = WritePackage(KdpPathFor(path), debloated, pack_options);
+    if (int rc = WritePackage(out_dir + "/" + file_name + ".kdp", debloated,
+                              pack_options);
         rc != 0) {
       return rc;
     }
@@ -740,67 +778,10 @@ int CmdDebloat(std::vector<std::string> args) {
     std::fprintf(stderr, "%s\n", array.status().ToString().c_str());
     return 1;
   }
-  DebloatedArray debloated = PackageDebloated(*array, approx);
-  if (Status status = debloated.WriteFile(out_path); !status.ok()) {
-    std::fprintf(stderr, "%s\n", status.ToString().c_str());
-    return 1;
-  }
-  std::printf("wrote %s: %lld -> %lld bytes (%.1f%% smaller)\n",
-              out_path.c_str(),
-              static_cast<long long>(debloated.OriginalPayloadBytes()),
-              static_cast<long long>(debloated.DebloatedPayloadBytes()),
-              100.0 * debloated.SizeReductionFraction());
   PackOptions pack_options;
   pack_options.jobs = jobs;
-  return WritePackage(KdpPathFor(out_path), debloated, pack_options);
-}
-
-int CmdPack(std::vector<std::string> args) {
-  int jobs = 0;
-  int64_t chunk = 0;
-  if (!JobsFrom(&args, &jobs) ||
-      TakePositiveInt(&args, "--chunk", &chunk) == FlagParse::kBad ||
-      args.size() != 2) {
-    return UsageFor("pack");
-  }
-  StatusOr<DebloatedArray> array = DebloatedArray::ReadFile(args[0]);
-  if (!array.ok()) {
-    std::fprintf(stderr, "%s\n", array.status().ToString().c_str());
-    return 1;
-  }
-  PackOptions options;
-  options.jobs = jobs;
-  if (chunk > 0) {
-    options.chunk_dims.assign(
-        static_cast<size_t>(array->shape().rank()), chunk);
-  }
-  return WritePackage(args[1], *array, options);
-}
-
-int CmdUnpack(std::vector<std::string> args) {
-  int jobs = 0;
-  if (!JobsFrom(&args, &jobs) || args.size() != 2) {
-    return UsageFor("unpack");
-  }
-  StatusOr<std::unique_ptr<PackReader>> reader = PackReader::Open(args[0]);
-  if (!reader.ok()) {
-    std::fprintf(stderr, "%s\n", reader.status().ToString().c_str());
-    return 1;
-  }
-  StatusOr<DebloatedArray> array = (*reader)->Unpack(nullptr, jobs);
-  if (!array.ok()) {
-    std::fprintf(stderr, "%s\n", array.status().ToString().c_str());
-    return 1;
-  }
-  if (Status status = array->WriteFile(args[1]); !status.ok()) {
-    std::fprintf(stderr, "%s\n", status.ToString().c_str());
-    return 1;
-  }
-  std::printf("unpacked %s -> %s: shape %s, %lld retained elements\n",
-              args[0].c_str(), args[1].c_str(),
-              array->shape().ToString().c_str(),
-              static_cast<long long>(array->retained_count()));
-  return 0;
+  return WritePackage(out_path, PackageDebloated(*array, approx),
+                      pack_options);
 }
 
 int CmdRepack(std::vector<std::string> args) {
@@ -813,9 +794,8 @@ int CmdRepack(std::vector<std::string> args) {
   if (out_path.empty()) {
     out_path = args[0];  // In-place repack (atomic tmp+rename commit).
   }
-  StatusOr<DebloatedArray> updated = DebloatedArray::ReadFile(data_path);
+  StatusOr<DebloatedArray> updated = UnpackFile(data_path, jobs);
   if (!updated.ok()) {
-    std::fprintf(stderr, "%s\n", updated.status().ToString().c_str());
     return 1;
   }
   PackOptions options;
@@ -833,58 +813,6 @@ int CmdRepack(std::vector<std::string> args) {
               static_cast<long long>(stats->total_chunks),
               static_cast<long long>(stats->chunks_reencoded),
               static_cast<long long>(stats->file_bytes));
-  return 0;
-}
-
-int CmdPackStats(std::vector<std::string> args) {
-  if (args.size() != 1) {
-    return UsageFor("pack-stats");
-  }
-  StatusOr<std::unique_ptr<PackReader>> reader = PackReader::Open(args[0]);
-  if (!reader.ok()) {
-    std::fprintf(stderr, "%s\n", reader.status().ToString().c_str());
-    return 1;
-  }
-  const KdpManifest& manifest = (*reader)->manifest();
-  int64_t holes = 0, raw = 0, coded = 0;
-  int64_t encoded = 0, decoded = 0;
-  for (const KdpChunkInfo& info : manifest.chunks) {
-    switch (info.codec) {
-      case KdpCodec::kHole:
-        ++holes;
-        break;
-      case KdpCodec::kRaw:
-        ++raw;
-        break;
-      default:
-        ++coded;
-        break;
-    }
-    encoded += info.encoded_bytes;
-    decoded += info.decoded_bytes;
-  }
-  std::string chunk_dims;
-  for (size_t d = 0; d < manifest.chunk_dims.size(); ++d) {
-    if (d > 0) {
-      chunk_dims += "x";
-    }
-    chunk_dims += std::to_string(manifest.chunk_dims[d]);
-  }
-  std::printf("%s: KDP v%d, dtype %s, shape %s, chunk grid %s\n",
-              args[0].c_str(), kKdpVersion,
-              std::string(DTypeName(manifest.dtype)).c_str(),
-              manifest.shape.ToString().c_str(), chunk_dims.c_str());
-  std::printf("chunks: %lld total, %lld holes, %lld coded, %lld raw\n",
-              static_cast<long long>(manifest.chunks.size()),
-              static_cast<long long>(holes), static_cast<long long>(coded),
-              static_cast<long long>(raw));
-  std::printf("bytes:  %lld decoded -> %lld encoded, %lld on disk\n",
-              static_cast<long long>(decoded),
-              static_cast<long long>(encoded),
-              static_cast<long long>((*reader)->FileBytes()));
-  std::printf("retained: %lld elements; fingerprint %08x\n",
-              static_cast<long long>((*reader)->retained_count()),
-              (*reader)->pack_fingerprint());
   return 0;
 }
 
@@ -906,9 +834,8 @@ int CmdReplay(std::vector<std::string> args) {
     std::fprintf(stderr, "unknown program: %s\n", args[0].c_str());
     return 1;
   }
-  StatusOr<DebloatedArray> array = DebloatedArray::ReadFile(args[1]);
+  StatusOr<DebloatedArray> array = UnpackFile(args[1], /*jobs=*/1);
   if (!array.ok()) {
-    std::fprintf(stderr, "%s\n", array.status().ToString().c_str());
     return 1;
   }
   ParamValue v;
@@ -1188,7 +1115,7 @@ int CmdProvenanceCompact(std::vector<std::string> args) {
     return 1;
   }
   std::printf("compacted %s -> %s: %lld events in %lld blocks, "
-              "%lld -> %lld bytes (%.2fx smaller)\n",
+              "%lld -> %lld bytes (input/output %.2fx)\n",
               args[0].c_str(), args[1].c_str(),
               static_cast<long long>(stats->events),
               static_cast<long long>(stats->blocks),
@@ -1214,40 +1141,6 @@ int CmdProvenanceQuery(std::vector<std::string> args) {
   if (!file.empty() && !ParseInt64(file, &file_id)) {
     std::fprintf(stderr, "invalid --file value: %s\n", file.c_str());
     return 1;
-  }
-
-  if (!IsKel2Store(args[0])) {
-    // KEL1 has no block index: fall back to a full decode + filter.
-    StatusOr<std::vector<Event>> events = ReadLineageStore(args[0]);
-    if (!events.ok()) {
-      std::fprintf(stderr, "%s\n", events.status().ToString().c_str());
-      return 1;
-    }
-    std::vector<int64_t> pids;
-    int64_t matches = 0;
-    for (const Event& event : *events) {
-      if (event.IsDataAccess() && event.id.file_id == file_id &&
-          event.offset < end && begin < event.offset + event.size) {
-        ++matches;
-        pids.push_back(event.id.pid);
-        if (!runs_only) {
-          std::printf("%s\n", event.ToString().c_str());
-        }
-      }
-    }
-    std::sort(pids.begin(), pids.end());
-    pids.erase(std::unique(pids.begin(), pids.end()), pids.end());
-    if (runs_only) {
-      for (int64_t pid : pids) {
-        std::printf("%lld\n", static_cast<long long>(pid));
-      }
-    }
-    std::printf("%lld events, %zu runs in [%lld,%lld) — full scan of %zu "
-                "events (KEL1 store has no block index)\n",
-                static_cast<long long>(matches), pids.size(),
-                static_cast<long long>(begin), static_cast<long long>(end),
-                events->size());
-    return 0;
   }
 
   StatusOr<Kel2Reader> reader = Kel2Reader::Open(args[0]);
@@ -1293,17 +1186,6 @@ int CmdProvenanceStats(const std::string& path) {
     std::fprintf(stderr, "%s\n", file_bytes.status().ToString().c_str());
     return 1;
   }
-  if (!IsKel2Store(path)) {
-    StatusOr<std::vector<Event>> events = ReadLineageStore(path);
-    if (!events.ok()) {
-      std::fprintf(stderr, "%s\n", events.status().ToString().c_str());
-      return 1;
-    }
-    std::printf("KEL1 store: %zu events, %lld bytes (40 bytes/event "
-                "fixed)\n",
-                events->size(), static_cast<long long>(*file_bytes));
-    return 0;
-  }
   StatusOr<Kel2Reader> reader = Kel2Reader::Open(path);
   if (!reader.ok()) {
     std::fprintf(stderr, "%s\n", reader.status().ToString().c_str());
@@ -1314,25 +1196,27 @@ int CmdProvenanceStats(const std::string& path) {
               static_cast<long long>(reader->NumBlocks()),
               static_cast<long long>(*file_bytes));
   if (reader->NumEvents() > 0) {
-    std::printf("density:    %.2f bytes/event (vs 40 in KEL1, %.2fx "
-                "smaller)\n",
+    std::printf("density:    %.2f bytes/event (%.2fx smaller than 40-byte "
+                "fixed-width records)\n",
                 static_cast<double>(reader->BlockBytes()) /
                     static_cast<double>(reader->NumEvents()),
                 40.0 * static_cast<double>(reader->NumEvents()) /
                     static_cast<double>(reader->BlockBytes()));
   }
-  ProvenanceQuery query(&*reader);
-  // Distinct file ids are bounded by the per-block ranges; collect them
-  // from the descriptors instead of decoding payloads.
-  std::vector<int64_t> file_ids;
-  for (const Kel2BlockInfo& block : reader->blocks()) {
-    for (int64_t f = block.min_file_id; f <= block.max_file_id; ++f) {
-      file_ids.push_back(f);
+  // Distinct file ids come from the decoded events: a block's descriptor
+  // range [min_file_id, max_file_id] may span ids no event carries.
+  std::set<int64_t> file_ids;
+  for (size_t b = 0; b < reader->blocks().size(); ++b) {
+    StatusOr<std::vector<Event>> events = reader->DecodeBlock(b);
+    if (!events.ok()) {
+      std::fprintf(stderr, "%s\n", events.status().ToString().c_str());
+      return 1;
+    }
+    for (const Event& event : *events) {
+      file_ids.insert(event.id.file_id);
     }
   }
-  std::sort(file_ids.begin(), file_ids.end());
-  file_ids.erase(std::unique(file_ids.begin(), file_ids.end()),
-                 file_ids.end());
+  ProvenanceQuery query(&*reader);
   for (int64_t file_id : file_ids) {
     StatusOr<std::map<int64_t, int64_t>> coverage =
         query.PerRunCoverage(file_id);
@@ -1779,17 +1663,8 @@ int Main(int argc, char** argv) {
   if (command == "carve") {
     return CmdCarve(std::move(args));
   }
-  if (command == "pack") {
-    return CmdPack(std::move(args));
-  }
-  if (command == "unpack") {
-    return CmdUnpack(std::move(args));
-  }
   if (command == "repack") {
     return CmdRepack(std::move(args));
-  }
-  if (command == "pack-stats") {
-    return CmdPackStats(std::move(args));
   }
   if (command == "provenance") {
     return CmdProvenance(std::move(args));
