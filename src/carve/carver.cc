@@ -1,7 +1,8 @@
 #include "carve/carver.h"
 
-#include <atomic>
+#include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <utility>
 
 #include "common/logging.h"
@@ -24,94 +25,73 @@ struct CellCoord {
   }
 };
 
-/// Below this many hulls a parallel scan's latch + atomic traffic costs
-/// more than the O(n^2) CLOSE evaluations it spreads out.
-constexpr int64_t kParallelScanMinHulls = 8;
-
 struct ClosePair {
   int64_t i = -1;
   int64_t j = -1;
 };
 
 /// Lexicographically smallest CLOSE pair — smallest i, then smallest j —
-/// or {-1, -1}. The parallel path gives each row i its own ascending scan
-/// for the first matching j (rows are independent), prunes rows already
-/// beaten by a smaller matched row through an atomic lower bound, and
-/// reduces to the smallest matched row. The winning pair is a pure
-/// function of the hulls, not of worker scheduling, so both paths return
-/// the identical pair.
+/// or {-1, -1}. `changed` is the hull the previous round merged into (-1
+/// in the first round). That round's scan found every pair in rows below
+/// `changed` not CLOSE, and those rows' other hulls are unchanged, so rows
+/// below `changed` re-test only their pair with it; the full scan resumes
+/// at row `changed`. The pair is the one a full scan from row 0 finds.
 ClosePair FindFirstClosePair(const Carver& carver,
                              const std::vector<Hull>& hulls,
-                             CampaignExecutor* executor) {
+                             int64_t changed) {
   const int64_t n = static_cast<int64_t>(hulls.size());
-  if (executor == nullptr || executor->jobs() <= 1 ||
-      n < kParallelScanMinHulls) {
-    for (int64_t i = 0; i + 1 < n; ++i) {
-      for (int64_t j = i + 1; j < n; ++j) {
-        if (carver.Close(hulls[static_cast<size_t>(i)],
-                         hulls[static_cast<size_t>(j)])) {
-          return {i, j};
-        }
-      }
+  for (int64_t i = 0; i < changed; ++i) {
+    if (carver.Close(hulls[static_cast<size_t>(i)],
+                     hulls[static_cast<size_t>(changed)])) {
+      return {i, changed};
     }
-    return {};
   }
-
-  std::atomic<int64_t> best{n};
-  std::vector<int64_t> row_match(static_cast<size_t>(n), -1);
-  executor->ParallelFor(n - 1, [&carver, &hulls, &best, &row_match,
-                                n](int64_t i) {
-    if (i >= best.load(std::memory_order_relaxed)) {
-      return;  // A smaller row already matched; this row cannot win.
-    }
+  for (int64_t i = std::max<int64_t>(changed, 0); i + 1 < n; ++i) {
     for (int64_t j = i + 1; j < n; ++j) {
-      if (!carver.Close(hulls[static_cast<size_t>(i)],
-                        hulls[static_cast<size_t>(j)])) {
-        continue;
+      if (carver.Close(hulls[static_cast<size_t>(i)],
+                       hulls[static_cast<size_t>(j)])) {
+        return {i, j};
       }
-      row_match[static_cast<size_t>(i)] = j;
-      int64_t current = best.load(std::memory_order_relaxed);
-      while (i < current &&
-             !best.compare_exchange_weak(current, i,
-                                         std::memory_order_relaxed)) {
-      }
-      break;
     }
-  });
-  const int64_t i = best.load(std::memory_order_relaxed);
-  if (i >= n) {
-    return {};
   }
-  return {i, row_match[static_cast<size_t>(i)]};
+  return {};
 }
 
 }  // namespace
 
 bool Carver::Close(const Hull& a, const Hull& b) const {
-  const bool boundary_close =
-      a.MinVertexDistance(b) <= config_.boundary_d_thresh;
+  // Cheapest test first. The centroid distance alone settles the answer
+  // whenever it is decisive for the mode; otherwise the boundary criterion
+  // decides, and the O(1) bounding-box distance — a lower bound of the
+  // boundary distance — rules out far pairs before the O(Va·Vb) vertex
+  // scan. The kGeomTol margin keeps rounding in either distance from
+  // flipping the answer.
   const bool center_close = a.CentroidDistance(b) <= config_.center_d_thresh;
   switch (config_.close_mode) {
     case CloseMode::kBoundaryOrCenter:
-      return boundary_close || center_close;
+      if (center_close) {
+        return true;
+      }
+      break;
     case CloseMode::kBoundaryAndCenter:
-      return boundary_close && center_close;
+      if (!center_close) {
+        return false;
+      }
+      break;
   }
-  return false;
+  if (a.BoundingBoxDistance(b) > config_.boundary_d_thresh + kGeomTol) {
+    return false;
+  }
+  return a.MinVertexDistance(b) <= config_.boundary_d_thresh;
 }
 
 CarvedSubset Carver::Carve(const IndexSet& points, CarveStats* stats) const {
-  return CarveImpl(points, nullptr, stats);
+  CampaignExecutor serial(1);
+  return Carve(points, serial, stats);
 }
 
 CarvedSubset Carver::Carve(const IndexSet& points, CampaignExecutor& executor,
                            CarveStats* stats) const {
-  return CarveImpl(points, &executor, stats);
-}
-
-CarvedSubset Carver::CarveImpl(const IndexSet& points,
-                               CampaignExecutor* executor,
-                               CarveStats* stats) const {
   const Shape& shape = points.shape();
   const int rank = shape.rank();
   KONDO_CHECK(rank >= 1 && rank <= 3);
@@ -126,11 +106,23 @@ CarvedSubset Carver::CarveImpl(const IndexSet& points,
     cells[coord].push_back(Vec3::FromIndex(index));
   });
 
-  // One hull per non-empty cell.
+  // One hull per non-empty cell, built over the executor's workers and
+  // stored in cell order.
+  std::vector<const std::vector<Vec3>*> cell_points;
+  cell_points.reserve(cells.size());
+  for (const auto& [coord, cell] : cells) {
+    cell_points.push_back(&cell);
+  }
+  std::vector<std::optional<Hull>> built =
+      executor.Map<std::optional<Hull>>(
+          static_cast<int64_t>(cell_points.size()),
+          [&cell_points, rank](int64_t c) {
+            return Hull::Build(*cell_points[static_cast<size_t>(c)], rank);
+          });
   std::vector<Hull> hulls;
-  hulls.reserve(cells.size());
-  for (auto& [coord, cell_points] : cells) {
-    hulls.push_back(Hull::Build(cell_points, rank));
+  hulls.reserve(built.size());
+  for (std::optional<Hull>& hull : built) {
+    hulls.push_back(std::move(*hull));
   }
 
   if (stats != nullptr) {
@@ -142,10 +134,11 @@ CarvedSubset Carver::CarveImpl(const IndexSet& points,
   // Iterated pairwise merging until no two hulls are CLOSE. Each merge
   // strictly decreases the hull count, so at most initial_hulls - 1 merges
   // happen; the rounds bound is a config safety net. Every round merges
-  // the lexicographically smallest CLOSE pair, whichever scan found it.
+  // the lexicographically smallest CLOSE pair.
   int rounds = 0;
+  int64_t changed = -1;
   while (rounds++ < config_.max_merge_rounds) {
-    const ClosePair pair = FindFirstClosePair(*this, hulls, executor);
+    const ClosePair pair = FindFirstClosePair(*this, hulls, changed);
     if (pair.i < 0) {
       break;
     }
@@ -158,6 +151,7 @@ CarvedSubset Carver::CarveImpl(const IndexSet& points,
     Hull merged = Hull::Build(union_vertices, rank);
     hulls.erase(hulls.begin() + pair.j);
     hulls[static_cast<size_t>(pair.i)] = std::move(merged);
+    changed = pair.i;
     if (stats != nullptr) {
       ++stats->merge_operations;
     }

@@ -43,14 +43,11 @@ class Carver {
   /// `stats` (optional) receives per-stage counters.
   CarvedSubset Carve(const IndexSet& points, CarveStats* stats = nullptr) const;
 
-  /// As above, with the CLOSE-pair scan of each merge round parallelised
-  /// over `executor`'s workers: every row i searches its own j > i (taking
-  /// the smallest), rows already beaten by a smaller matched row are
-  /// pruned via an atomic bound, and the round merges the lexicographically
-  /// smallest matched pair — exactly the pair the serial scan finds. The
-  /// merge sequence, and therefore the carved output and stats, are
-  /// bit-identical to the serial overload at every jobs setting. Must not
-  /// be called from inside one of `executor`'s own pool tasks.
+  /// As above, with the per-cell hulls built over `executor`'s workers and
+  /// stored in cell order; the merge rounds run on the calling thread. The
+  /// carved output and stats are bit-identical to the serial overload at
+  /// every jobs setting. Must not be called from inside one of
+  /// `executor`'s own pool tasks.
   CarvedSubset Carve(const IndexSet& points, CampaignExecutor& executor,
                      CarveStats* stats = nullptr) const;
 
@@ -66,9 +63,6 @@ class Carver {
                             CampaignExecutor& executor);
 
  private:
-  CarvedSubset CarveImpl(const IndexSet& points, CampaignExecutor* executor,
-                         CarveStats* stats) const;
-
   CarveConfig config_;
 };
 

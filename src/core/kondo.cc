@@ -37,7 +37,7 @@ KondoResult KondoPipeline::RunWithCandidateTest(
   stopwatch.Reset();
   Carver carver(config_.carve);
   CarveStats carve_stats;
-  CarvedSubset carved = carver.Carve(fuzz.discovered, &carve_stats);
+  CarvedSubset carved = carver.Carve(fuzz.discovered, executor, &carve_stats);
   const double carve_seconds = stopwatch.ElapsedSeconds();
 
   stopwatch.Reset();

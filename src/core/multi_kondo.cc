@@ -84,10 +84,9 @@ MultiKondoResult RunMultiFileKondo(const MultiFileProgram& program,
   Carver carver(config.carve);
   for (int f = 0; f < files; ++f) {
     CarveStats stats;
-    const CarvedSubset carved =
-        carver.Carve(result.per_file_discovered[static_cast<size_t>(f)],
-                     &stats);
-    result.per_file_approx.push_back(carved.Rasterize());
+    const CarvedSubset carved = carver.Carve(
+        result.per_file_discovered[static_cast<size_t>(f)], executor, &stats);
+    result.per_file_approx.push_back(Carver::Rasterize(carved, executor));
     result.per_file_carve_stats.push_back(stats);
   }
   return result;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <set>
 #include <utility>
 
@@ -102,75 +101,86 @@ bool FindInitialTetrahedron(const std::vector<Vec3>& points, int out[4]) {
 
 Hull3D ConvexHull3D(const std::vector<Vec3>& points) {
   Hull3D hull;
-  int tetra[4];
+  int tetra[4] = {0, 0, 0, 0};
   KONDO_CHECK(FindInitialTetrahedron(points, tetra))
       << "ConvexHull3D requires full-dimensional input";
 
   const Vec3 interior = (points[tetra[0]] + points[tetra[1]] +
                          points[tetra[2]] + points[tetra[3]]) /
                         4.0;
-  hull.facets.push_back(
-      MakeFacet(points, tetra[0], tetra[1], tetra[2], interior));
-  hull.facets.push_back(
-      MakeFacet(points, tetra[0], tetra[1], tetra[3], interior));
-  hull.facets.push_back(
-      MakeFacet(points, tetra[0], tetra[2], tetra[3], interior));
-  hull.facets.push_back(
-      MakeFacet(points, tetra[1], tetra[2], tetra[3], interior));
+  std::vector<HullFacet>& facets = hull.facets;
+  facets.push_back(MakeFacet(points, tetra[0], tetra[1], tetra[2], interior));
+  facets.push_back(MakeFacet(points, tetra[0], tetra[1], tetra[3], interior));
+  facets.push_back(MakeFacet(points, tetra[0], tetra[2], tetra[3], interior));
+  facets.push_back(MakeFacet(points, tetra[1], tetra[2], tetra[3], interior));
 
+  // An edge of a visible facet: (lo, hi) is the undirected key, (u, v) the
+  // facet's winding.
+  struct Edge {
+    int lo;
+    int hi;
+    int u;
+    int v;
+  };
+  // Scratch reused by every point.
+  std::vector<char> visible;
+  std::vector<Edge> edges;
   const int n = static_cast<int>(points.size());
   for (int i = 0; i < n; ++i) {
     if (i == tetra[0] || i == tetra[1] || i == tetra[2] || i == tetra[3]) {
       continue;
     }
-    // Collect facets visible from points[i].
-    std::vector<char> visible(hull.facets.size(), 0);
-    bool any_visible = false;
-    for (size_t f = 0; f < hull.facets.size(); ++f) {
-      if (hull.facets[f].SignedDistance(points[i]) > kGeomTol) {
-        visible[f] = 1;
-        any_visible = true;
-      }
+    // Facets visible from points[i]. Every facet is tested either way, so
+    // the scan has no early exit and no branch.
+    const Vec3 p = points[static_cast<size_t>(i)];
+    const size_t count = facets.size();
+    visible.resize(count);
+    const HullFacet* facet_data = facets.data();
+    char* is_visible = visible.data();
+    char any_visible = 0;
+    for (size_t f = 0; f < count; ++f) {
+      const char outside = facet_data[f].SignedDistance(p) > kGeomTol;
+      is_visible[f] = outside;
+      any_visible |= outside;
     }
     if (!any_visible) {
       continue;  // Inside (or on) the current hull.
     }
-    // Horizon edges: edges belonging to exactly one visible facet. We count
-    // undirected edges over visible facets; shared edges appear twice.
-    std::map<std::pair<int, int>, std::pair<int, int>> edge_counts;
-    auto add_edge = [&edge_counts](int u, int v) {
-      auto key = std::minmax(u, v);
-      auto [it, inserted] =
-          edge_counts.try_emplace({key.first, key.second},
-                                  std::pair<int, int>{u, v});
-      if (!inserted) {
-        it->second = {-1, -1};  // Interior edge of the visible region.
-      }
-    };
-    for (size_t f = 0; f < hull.facets.size(); ++f) {
-      if (!visible[f]) {
+    // Remove the visible facets in place, keeping the others in order, and
+    // collect the visible facets' edges.
+    edges.clear();
+    size_t kept = 0;
+    for (size_t f = 0; f < count; ++f) {
+      const HullFacet facet = facets[f];
+      if (!is_visible[f]) {
+        facets[kept++] = facet;
         continue;
       }
-      add_edge(hull.facets[f].a, hull.facets[f].b);
-      add_edge(hull.facets[f].b, hull.facets[f].c);
-      add_edge(hull.facets[f].c, hull.facets[f].a);
-    }
-    // Remove visible facets.
-    std::vector<HullFacet> kept;
-    kept.reserve(hull.facets.size());
-    for (size_t f = 0; f < hull.facets.size(); ++f) {
-      if (!visible[f]) {
-        kept.push_back(hull.facets[f]);
+      const int corners[3] = {facet.a, facet.b, facet.c};
+      for (int k = 0; k < 3; ++k) {
+        const int u = corners[k];
+        const int v = corners[(k + 1) % 3];
+        edges.push_back({std::min(u, v), std::max(u, v), u, v});
       }
     }
-    hull.facets = std::move(kept);
-    // Attach a new facet for every horizon edge.
-    for (const auto& [key, directed] : edge_counts) {
-      if (directed.first < 0) {
-        continue;  // Interior edge, not on the horizon.
+    facets.resize(kept);
+    // Horizon edges belong to exactly one visible facet; an edge shared by
+    // two is interior to the visible region. Attach a new facet to each
+    // horizon edge in (lo, hi) order.
+    std::sort(edges.begin(), edges.end(), [](const Edge& x, const Edge& y) {
+      return x.lo != y.lo ? x.lo < y.lo : x.hi < y.hi;
+    });
+    for (size_t e = 0; e < edges.size();) {
+      size_t next = e + 1;
+      while (next < edges.size() && edges[next].lo == edges[e].lo &&
+             edges[next].hi == edges[e].hi) {
+        ++next;
       }
-      hull.facets.push_back(
-          MakeFacet(points, directed.first, directed.second, i, interior));
+      if (next == e + 1) {
+        facets.push_back(MakeFacet(points, edges[e].u, edges[e].v, i,
+                                   interior));
+      }
+      e = next;
     }
   }
 

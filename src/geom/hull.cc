@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/logging.h"
 
@@ -110,8 +111,14 @@ Hull Hull::Build(const std::vector<Vec3>& input_points, int rank) {
   }
 
   Vec3 sum;
+  hull.box_lo_ = hull.vertices_[0];
+  hull.box_hi_ = hull.vertices_[0];
   for (const Vec3& v : hull.vertices_) {
     sum += v;
+    for (int d = 0; d < 3; ++d) {
+      hull.box_lo_[d] = std::min(hull.box_lo_[d], v[d]);
+      hull.box_hi_[d] = std::max(hull.box_hi_[d], v[d]);
+    }
   }
   hull.centroid_ = sum / static_cast<double>(hull.vertices_.size());
   return hull;
@@ -192,30 +199,27 @@ double Hull::CentroidDistance(const Hull& other) const {
   return Distance(centroid_, other.centroid_);
 }
 
+double Hull::BoundingBoxDistance(const Hull& other) const {
+  Vec3 gap;
+  for (int d = 0; d < 3; ++d) {
+    gap[d] = std::max({0.0, other.box_lo_[d] - box_hi_[d],
+                       box_lo_[d] - other.box_hi_[d]});
+  }
+  return Norm(gap);
+}
+
 void Hull::IntegerBounds(int64_t lo[3], int64_t hi[3]) const {
   for (int d = 0; d < 3; ++d) {
     lo[d] = 0;
     hi[d] = 0;
   }
-  bool first = true;
-  for (const Vec3& v : vertices_) {
-    for (int d = 0; d < rank_; ++d) {
-      const int64_t vlo = static_cast<int64_t>(std::floor(v[d] - kGeomTol));
-      const int64_t vhi = static_cast<int64_t>(std::ceil(v[d] + kGeomTol));
-      if (first) {
-        lo[d] = vlo;
-        hi[d] = vhi;
-      } else {
-        lo[d] = std::min(lo[d], vlo);
-        hi[d] = std::max(hi[d], vhi);
-      }
-    }
-    first = false;
+  for (int d = 0; d < rank_; ++d) {
+    lo[d] = static_cast<int64_t>(std::floor(box_lo_[d] - kGeomTol));
+    hi[d] = static_cast<int64_t>(std::ceil(box_hi_[d] + kGeomTol));
   }
 }
 
-void Hull::RasterizeInto(IndexSet* out, double tol) const {
-  const Shape& shape = out->shape();
+void Hull::ForEachRun(const Shape& shape, double tol, const RunFn& fn) const {
   KONDO_CHECK_EQ(shape.rank(), rank_);
   int64_t lo[3];
   int64_t hi[3];
@@ -224,33 +228,126 @@ void Hull::RasterizeInto(IndexSet* out, double tol) const {
     lo[d] = std::max<int64_t>(lo[d], 0);
     hi[d] = std::min<int64_t>(hi[d], shape.dim(d) - 1);
   }
-  // Dimensions beyond rank_ are degenerate single iterations.
-  for (int d = rank_; d < 3; ++d) {
-    lo[d] = 0;
-    hi[d] = 0;
+  // IntegerBounds leaves dimensions beyond rank_ at [0, 0]: single
+  // iterations.
+  if (lo[0] > hi[0] || lo[1] > hi[1] || lo[2] > hi[2]) {
+    return;  // The hull lies outside the shape.
   }
-  Index index(rank_);
+  auto contains = [this, tol](int64_t x, int64_t y, int64_t z) {
+    return Contains(Vec3(static_cast<double>(x), static_cast<double>(y),
+                         static_cast<double>(z)),
+                    tol);
+  };
+
+  if (rank_ < 3 || affine_rank_ < 3) {
+    // Point-by-point scan, coalescing consecutive hits along z.
+    for (int64_t x = lo[0]; x <= hi[0]; ++x) {
+      for (int64_t y = lo[1]; y <= hi[1]; ++y) {
+        int64_t begin = lo[2];
+        bool open = false;
+        for (int64_t z = lo[2]; z <= hi[2]; ++z) {
+          const bool inside = contains(x, y, z);
+          if (inside && !open) {
+            begin = z;
+          } else if (!inside && open) {
+            fn(x, y, begin, z - 1);
+          }
+          open = inside;
+        }
+        if (open) {
+          fn(x, y, begin, hi[2]);
+        }
+      }
+    }
+    return;
+  }
+
+  // Full-rank polytope: it meets every (x, y) line in one z interval. The
+  // facet planes, moved to ambient coordinates, bound that interval in
+  // O(F) per line. The estimate is widened by kSpanMargin, far above the
+  // rounding of the moved planes, so it covers every point Contains
+  // accepts: a line whose estimate is empty is skipped, and no line is
+  // scanned point by point. Contains alone settles each run: both ends are
+  // confirmed, and the first point past each end is tested, so the points
+  // emitted are exactly those of a per-point scan.
+  constexpr double kSpanMargin = 1e-9;
+  struct Plane {
+    Vec3 normal;
+    double offset;
+  };
+  std::vector<Plane> planes;
+  planes.reserve(hull3d_.facets.size());
+  for (const HullFacet& facet : hull3d_.facets) {
+    const Vec3 normal = basis_[0] * facet.normal.x +
+                        basis_[1] * facet.normal.y +
+                        basis_[2] * facet.normal.z;
+    planes.push_back({normal, facet.offset + Dot(normal, origin_)});
+  }
+  const double bound = tol + kSpanMargin;
+  const double z_min = static_cast<double>(lo[2]);
+  const double z_max = static_cast<double>(hi[2]);
   for (int64_t x = lo[0]; x <= hi[0]; ++x) {
     for (int64_t y = lo[1]; y <= hi[1]; ++y) {
-      for (int64_t z = lo[2]; z <= hi[2]; ++z) {
-        Vec3 p(static_cast<double>(x), static_cast<double>(y),
-               static_cast<double>(z));
-        if (!Contains(p, tol)) {
-          continue;
+      const double px = static_cast<double>(x);
+      const double py = static_cast<double>(y);
+      double zlo = -std::numeric_limits<double>::infinity();
+      double zhi = std::numeric_limits<double>::infinity();
+      for (const Plane& plane : planes) {
+        // Inside this facet: rest + normal.z * z <= bound.
+        const double rest =
+            plane.normal.x * px + plane.normal.y * py - plane.offset;
+        if (plane.normal.z > 0.0) {
+          zhi = std::min(zhi, (bound - rest) / plane.normal.z);
+        } else if (plane.normal.z < 0.0) {
+          zlo = std::max(zlo, (bound - rest) / plane.normal.z);
+        } else if (rest > bound) {
+          zlo = std::numeric_limits<double>::infinity();  // Parallel, outside.
         }
-        index[0] = x;
-        if (rank_ > 1) index[1] = y;
-        if (rank_ > 2) index[2] = z;
-        out->Insert(index);
       }
+      const double clipped_lo = std::max(zlo, z_min);
+      const double clipped_hi = std::min(zhi, z_max);
+      if (clipped_lo > clipped_hi) {
+        continue;
+      }
+      int64_t begin = static_cast<int64_t>(std::ceil(clipped_lo));
+      int64_t end = static_cast<int64_t>(std::floor(clipped_hi));
+      while (begin <= end && !contains(x, y, begin)) ++begin;
+      while (end >= begin && !contains(x, y, end)) --end;
+      if (begin > end) {
+        continue;
+      }
+      while (begin > lo[2] && contains(x, y, begin - 1)) --begin;
+      while (end < hi[2] && contains(x, y, end + 1)) ++end;
+      fn(x, y, begin, end);
     }
   }
 }
 
+void Hull::RasterizeInto(IndexSet* out, double tol) const {
+  const Shape& shape = out->shape();
+  Index index(rank_);
+  ForEachRun(shape, tol,
+             [this, &shape, &index, out](int64_t x, int64_t y, int64_t z_begin,
+                                         int64_t z_end) {
+               index[0] = x;
+               if (rank_ > 1) index[1] = y;
+               if (rank_ > 2) index[2] = z_begin;
+               // z is the last, contiguous dimension of a rank-3 shape;
+               // the runs of a rank < 3 hull are single points.
+               const int64_t first = shape.Linearize(index);
+               for (int64_t k = 0; k <= z_end - z_begin; ++k) {
+                 out->InsertLinear(first + k);
+               }
+             });
+}
+
 int64_t Hull::CountIntegerPoints(const Shape& shape, double tol) const {
-  IndexSet scratch(shape);
-  RasterizeInto(&scratch, tol);
-  return static_cast<int64_t>(scratch.size());
+  int64_t count = 0;
+  ForEachRun(shape, tol,
+             [&count](int64_t, int64_t, int64_t z_begin, int64_t z_end) {
+               count += z_end - z_begin + 1;
+             });
+  return count;
 }
 
 }  // namespace kondo

@@ -2,6 +2,7 @@
 #define KONDO_GEOM_HULL_H_
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "array/index.h"
@@ -58,12 +59,18 @@ class Hull {
   /// Distance between the two hull centroids.
   double CentroidDistance(const Hull& other) const;
 
+  /// Distance between the axis-aligned bounding boxes of the two vertex
+  /// sets: O(1), and never more than MinVertexDistance.
+  double BoundingBoxDistance(const Hull& other) const;
+
   /// Axis-aligned integer bounding box, inclusive: out parameters receive
   /// floor(min)-bounds and ceil(max)-bounds per dimension.
   void IntegerBounds(int64_t lo[3], int64_t hi[3]) const;
 
-  /// Inserts into `out` every integer index of `shape` inside the hull.
-  /// Only the hull's bounding box is scanned.
+  /// Inserts into `out` every integer index of `shape` inside the hull,
+  /// i.e. every index whose point `Contains` accepts. Only the hull's
+  /// bounding box is scanned; a full-rank 3-D hull is scanned one z-run
+  /// per (x, y) line rather than point by point.
   void RasterizeInto(IndexSet* out, double tol = 1e-6) const;
 
   /// Number of integer points of `shape` inside the hull (without
@@ -73,6 +80,14 @@ class Hull {
  private:
   Hull() = default;
 
+  /// Runs of a rasterisation: `fn(x, y, z_begin, z_end)` is called once per
+  /// maximal run [z_begin, z_end] of in-hull integer points on each (x, y)
+  /// line of the clipped bounding box, in ascending (x, y) order. Unused
+  /// coordinates of a rank < 3 hull are 0, so its runs are single points.
+  using RunFn = std::function<void(int64_t x, int64_t y, int64_t z_begin,
+                                   int64_t z_end)>;
+  void ForEachRun(const Shape& shape, double tol, const RunFn& fn) const;
+
   /// Projects `p` into local affine coordinates; `residual` (optional)
   /// receives the distance from `p` to the affine subspace.
   Vec3 ToLocal(const Vec3& p, double* residual) const;
@@ -81,6 +96,8 @@ class Hull {
   int affine_rank_ = 0;
   std::vector<Vec3> vertices_;  // Ambient coordinates.
   Vec3 centroid_;
+  Vec3 box_lo_;  // Per-coordinate minimum and maximum of vertices_.
+  Vec3 box_hi_;
 
   // Affine frame: origin + orthonormal basis vectors (affine_rank_ of them).
   Vec3 origin_;

@@ -79,12 +79,12 @@ StatusOr<MergedCampaign> MergeShardCampaigns(
   }
 
   // Carve the files one at a time, spending the workers *inside* each
-  // file: every hull-merge round's CLOSE-pair scan fans out over the pool
-  // (bit-identical merge order, see Carver::Carve), and so does each
-  // file's rasterisation. Carving files serially keeps every ParallelFor
-  // on the calling thread — a pool task must never start a nested one —
-  // and the scan dominates carve time, so the workers stay busy even on a
-  // single-file program.
+  // file: its cell hulls are built over the pool (stored in cell order,
+  // see Carver::Carve) and its hulls rasterised over the pool. Carving
+  // files serially keeps every ParallelFor on the calling thread — a pool
+  // task must never start a nested one — and cell builds and
+  // rasterisation are most of carve time, so the workers stay busy even
+  // on a single-file program.
   const Carver carver(config.carve);
   merged.per_file_approx.reserve(static_cast<size_t>(files));
   merged.per_file_carve_stats.reserve(static_cast<size_t>(files));

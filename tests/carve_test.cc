@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "array/index_set.h"
@@ -22,6 +24,33 @@ IndexSet FilledRect(const Shape& shape, int64_t x0, int64_t y0, int64_t x1,
     }
   }
   return set;
+}
+
+/// FNV-1a over every hull's vertex bits, then `subset`'s sorted linear ids.
+uint64_t CarveDigest(const CarvedSubset& carved, const IndexSet& subset) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  auto add = [&h](uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  add(static_cast<uint64_t>(carved.num_hulls()));
+  for (const Hull& hull : carved.hulls()) {
+    add(static_cast<uint64_t>(hull.vertices().size()));
+    for (const Vec3& v : hull.vertices()) {
+      for (int d = 0; d < 3; ++d) {
+        const double coord = v[d];
+        uint64_t bits = 0;
+        std::memcpy(&bits, &coord, sizeof(bits));
+        add(bits);
+      }
+    }
+  }
+  for (int64_t id : subset.ToSortedLinearIds()) {
+    add(static_cast<uint64_t>(id));
+  }
+  return h;
 }
 
 // ------------------------------------------------------------- CLOSE(.) --
@@ -62,6 +91,67 @@ TEST(CloseTest, AndModeRequiresBoth) {
   const Hull a = Hull::FromIndices({Index{0, 0}, Index{40, 40}}, 2);
   const Hull b = Hull::FromIndices({Index{80, 80}, Index{90, 90}}, 2);
   EXPECT_FALSE(carver.Close(a, b));
+}
+
+/// CLOSE as Algorithm 2 states it: both distances evaluated in full.
+bool FullClose(const CarveConfig& config, const Hull& a, const Hull& b) {
+  const bool boundary_close =
+      a.MinVertexDistance(b) <= config.boundary_d_thresh;
+  const bool center_close = a.CentroidDistance(b) <= config.center_d_thresh;
+  return config.close_mode == CloseMode::kBoundaryOrCenter
+             ? boundary_close || center_close
+             : boundary_close && center_close;
+}
+
+/// A hull of `count` random integer points within `radius` of a random
+/// centre in [0, 48)^rank.
+Hull RandomHull(Rng& rng, int rank, int count, int64_t radius) {
+  int64_t centre[3] = {0, 0, 0};
+  for (int d = 0; d < rank; ++d) {
+    centre[d] = rng.UniformInt(0, 47);
+  }
+  std::vector<Vec3> points;
+  for (int i = 0; i < count; ++i) {
+    Vec3 p;
+    for (int d = 0; d < rank; ++d) {
+      p[d] = static_cast<double>(centre[d] + rng.UniformInt(-radius, radius));
+    }
+    points.push_back(p);
+  }
+  return Hull::Build(points, rank);
+}
+
+TEST(CloseTest, CheapFirstMatchesFullPredicateOnRandomPairs) {
+  Rng rng(53);
+  int close_pairs = 0;
+  int far_pairs = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    const int rank = trial % 2 == 0 ? 3 : 2;
+    const int a_count = static_cast<int>(rng.UniformInt(1, 30));
+    const Hull a = RandomHull(rng, rank, a_count, rng.UniformInt(0, 8));
+    const int b_count = static_cast<int>(rng.UniformInt(1, 30));
+    const Hull b = RandomHull(rng, rank, b_count, rng.UniformInt(0, 8));
+    CarveConfig config;
+    // Every fourth trial puts a threshold exactly on the pair's distance.
+    config.boundary_d_thresh = trial % 4 == 1
+                                   ? a.MinVertexDistance(b)
+                                   : rng.UniformDouble(0.0, 30.0);
+    config.center_d_thresh = trial % 4 == 3 ? a.CentroidDistance(b)
+                                            : rng.UniformDouble(0.0, 40.0);
+    for (CloseMode mode :
+         {CloseMode::kBoundaryOrCenter, CloseMode::kBoundaryAndCenter}) {
+      config.close_mode = mode;
+      const bool expected = FullClose(config, a, b);
+      EXPECT_EQ(Carver(config).Close(a, b), expected)
+          << "trial=" << trial << " mode=" << static_cast<int>(mode);
+      ++(expected ? close_pairs : far_pairs);
+    }
+    EXPECT_LE(a.BoundingBoxDistance(b), a.MinVertexDistance(b))
+        << "trial=" << trial;
+  }
+  // Both answers occur often enough for the comparison to mean something.
+  EXPECT_GT(close_pairs, 100);
+  EXPECT_GT(far_pairs, 100);
 }
 
 // --------------------------------------------------------------- Carver --
@@ -151,9 +241,9 @@ TEST(CarverTest, RasterizeIsSupersetOfInputProperty) {
 }
 
 TEST(CarverTest, ParallelScanCarveIsBitIdenticalToSerial) {
-  // The executor overload parallelises every merge round's CLOSE-pair
-  // scan; the chosen pair — and therefore every hull, every stat, and the
-  // rasterised result — must match the serial scan exactly.
+  // The executor overload builds the cell hulls over its workers; stored
+  // in cell order, they give the same merge sequence — and therefore every
+  // hull, every stat, and the rasterised result — as the serial overload.
   Rng rng(29);
   CampaignExecutor executor(4);
   for (int trial = 0; trial < 6; ++trial) {
@@ -199,6 +289,49 @@ TEST(CarverTest, ThreeDimensionalCarving) {
   const CarvedSubset carved = carver.Carve(points);
   EXPECT_EQ(carved.num_hulls(), 1);
   EXPECT_EQ(carved.Rasterize().size(), points.size());
+}
+
+TEST(CarverTest, ThreeDimensionalCarveMatchesGoldenDigest) {
+  // Pins the exact output of a small 3-D carve: every hull vertex bit and
+  // every rasterised id. Any change to hull building, the CLOSE scan or
+  // rasterisation that moves a single vertex or point changes the digest.
+  Rng rng(41);
+  const Shape shape{64, 64, 64};
+  IndexSet points(shape);
+  for (int c = 0; c < 9; ++c) {
+    const int64_t cx = rng.UniformInt(8, 55);
+    const int64_t cy = rng.UniformInt(8, 55);
+    const int64_t cz = rng.UniformInt(8, 55);
+    for (int i = 0; i < 120; ++i) {
+      points.Insert(Index{cx + rng.UniformInt(-8, 8),
+                          cy + rng.UniformInt(-8, 8),
+                          cz + rng.UniformInt(-8, 8)});
+    }
+  }
+  // A slanted slab of lattice points on the plane z == x + y + 30.
+  for (int64_t x = 0; x < 16; ++x) {
+    for (int64_t y = 0; y < 16; ++y) {
+      points.Insert(Index{x, y + 40, x + y + 30});
+    }
+  }
+  CarveConfig config;
+  config.cell_size = 8;
+  config.center_d_thresh = 16.0;
+  config.boundary_d_thresh = 6.0;
+  const Carver carver(config);
+  CarveStats stats;
+  const CarvedSubset carved = carver.Carve(points, &stats);
+  const IndexSet subset = carved.Rasterize();
+  EXPECT_EQ(stats.num_cells, 162);
+  EXPECT_EQ(stats.merge_operations, 151);
+  EXPECT_EQ(stats.final_hulls, 11);
+  EXPECT_EQ(subset.size(), 38817u);
+  EXPECT_EQ(CarveDigest(carved, subset), 0x2c3dcce773d4803fULL);
+
+  CampaignExecutor executor(4);
+  const CarvedSubset parallel = carver.Carve(points, executor);
+  EXPECT_EQ(CarveDigest(parallel, Carver::Rasterize(parallel, executor)),
+            CarveDigest(carved, subset));
 }
 
 TEST(CarverTest, CellSizeControlsInitialHulls) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -381,6 +382,145 @@ TEST(HullTest, RasterizeContainsIntegerInputsProperty) {
       EXPECT_TRUE(raster.Contains(index)) << index << " trial=" << trial;
     }
   }
+}
+
+// Rasterisation must give exactly the indices Contains accepts, whichever
+// path (z-runs for full-rank 3-D hulls, point scan otherwise) produces them.
+std::vector<int64_t> ContainsScan(const Hull& hull, const Shape& shape) {
+  std::vector<int64_t> ids;
+  shape.ForEachIndex([&](const Index& index) {
+    if (hull.ContainsIndex(index)) {
+      ids.push_back(shape.Linearize(index));
+    }
+  });
+  return ids;
+}
+
+/// `affine_rank`, when not -1, is the rank the case is meant to exercise.
+void ExpectRasterMatchesContainsScan(const Hull& hull, const Shape& shape,
+                                     const std::string& label,
+                                     int affine_rank = -1) {
+  if (affine_rank >= 0) {
+    EXPECT_EQ(hull.affine_rank(), affine_rank) << label;
+  }
+  IndexSet raster(shape);
+  hull.RasterizeInto(&raster);
+  const std::vector<int64_t> expected = ContainsScan(hull, shape);
+  EXPECT_EQ(raster.ToSortedLinearIds(), expected) << label;
+  EXPECT_EQ(hull.CountIntegerPoints(shape),
+            static_cast<int64_t>(expected.size()))
+      << label;
+}
+
+TEST(HullRasterTest, RandomLatticeHullsMatchContainsScan) {
+  // Integer vertices put lattice points exactly on facets; coordinates
+  // range past the shape on every side, so many hulls are clipped.
+  Rng rng(61);
+  const Shape shape{20, 20, 20};
+  for (int trial = 0; trial < 60; ++trial) {
+    std::vector<Vec3> points;
+    const int count = static_cast<int>(rng.UniformInt(4, 40));
+    const int64_t cx = rng.UniformInt(-4, 23);
+    const int64_t cy = rng.UniformInt(-4, 23);
+    const int64_t cz = rng.UniformInt(-4, 23);
+    const int64_t r = rng.UniformInt(1, 12);
+    for (int i = 0; i < count; ++i) {
+      points.push_back(Vec3(static_cast<double>(cx + rng.UniformInt(-r, r)),
+                            static_cast<double>(cy + rng.UniformInt(-r, r)),
+                            static_cast<double>(cz + rng.UniformInt(-r, r))));
+    }
+    ExpectRasterMatchesContainsScan(Hull::Build(points, 3), shape,
+                                    "trial=" + std::to_string(trial));
+  }
+}
+
+TEST(HullRasterTest, RandomRealHullsMatchContainsScan) {
+  Rng rng(67);
+  const Shape shape{16, 16, 16};
+  for (int trial = 0; trial < 40; ++trial) {
+    std::vector<Vec3> points;
+    for (int i = 0; i < 12; ++i) {
+      points.push_back(Vec3(rng.UniformDouble(-2.0, 17.0),
+                            rng.UniformDouble(-2.0, 17.0),
+                            rng.UniformDouble(-2.0, 17.0)));
+    }
+    ExpectRasterMatchesContainsScan(Hull::Build(points, 3), shape,
+                                    "trial=" + std::to_string(trial));
+  }
+}
+
+TEST(HullRasterTest, ThinSlabsMatchContainsScan) {
+  const Shape shape{24, 24, 24};
+  // Two lattice layers thick, axis-aligned and slanted (x + 2y - z in
+  // [10, 11]): most lines meet the slab in one or two points.
+  std::vector<Vec3> flat;
+  std::vector<Vec3> slanted;
+  for (int64_t x = 0; x < 24; x += 3) {
+    for (int64_t y = 0; y < 24; y += 3) {
+      for (int64_t dz = 0; dz <= 1; ++dz) {
+        flat.push_back(Vec3(static_cast<double>(x), static_cast<double>(y),
+                            static_cast<double>(7 + dz)));
+        slanted.push_back(Vec3(static_cast<double>(x),
+                               static_cast<double>(y),
+                               static_cast<double>(x + 2 * y - 10 - dz)));
+      }
+    }
+  }
+  ExpectRasterMatchesContainsScan(Hull::Build(flat, 3), shape, "flat", 3);
+  ExpectRasterMatchesContainsScan(Hull::Build(slanted, 3), shape, "slanted", 3);
+  // A sliver tetrahedron: lines graze it in single points.
+  ExpectRasterMatchesContainsScan(
+      Hull::Build({Vec3(0, 0, 0), Vec3(20, 1, 3), Vec3(3, 20, 1),
+                   Vec3(8, 7, 5.5)},
+                  3),
+      shape, "sliver", 3);
+}
+
+TEST(HullRasterTest, LatticePolytopesMatchContainsScan) {
+  const Shape shape{12, 12, 12};
+  // Every facet of these passes through many lattice points.
+  ExpectRasterMatchesContainsScan(
+      Hull::Build({Vec3(0, 0, 0), Vec3(9, 0, 0), Vec3(0, 9, 0),
+                   Vec3(0, 0, 9)},
+                  3),
+      shape, "corner tetrahedron", 3);
+  ExpectRasterMatchesContainsScan(
+      Hull::Build({Vec3(5, 5, 0), Vec3(10, 5, 5), Vec3(5, 10, 5),
+                   Vec3(0, 5, 5), Vec3(5, 0, 5), Vec3(5, 5, 10)},
+                  3),
+      shape, "octahedron", 3);
+  // Larger than the shape on every side.
+  ExpectRasterMatchesContainsScan(
+      Hull::Build({Vec3(-30, -30, -30), Vec3(40, -30, -30),
+                   Vec3(-30, 40, -30), Vec3(-30, -30, 40)},
+                  3),
+      shape, "clipped", 3);
+  // Entirely outside the shape.
+  ExpectRasterMatchesContainsScan(
+      Hull::Build({Vec3(20, 20, 20), Vec3(25, 20, 20), Vec3(20, 25, 20),
+                   Vec3(20, 20, 25)},
+                  3),
+      shape, "outside", 3);
+}
+
+TEST(HullRasterTest, DegenerateAffineRanksMatchContainsScan) {
+  const Shape shape{12, 12, 12};
+  ExpectRasterMatchesContainsScan(Hull::Build({Vec3(4, 5, 6)}, 3), shape,
+                                  "point", 0);
+  ExpectRasterMatchesContainsScan(
+      Hull::Build({Vec3(1, 2, 3), Vec3(9, 6, 11)}, 3), shape, "segment", 1);
+  ExpectRasterMatchesContainsScan(
+      Hull::Build({Vec3(2, 2, 0), Vec3(2, 2, 11)}, 3), shape, "z segment", 1);
+  ExpectRasterMatchesContainsScan(
+      Hull::Build({Vec3(0, 0, 1), Vec3(10, 0, 11), Vec3(0, 10, 11),
+                   Vec3(4, 4, 9)},
+                  3),
+      shape, "plane z = x + y + 1", 2);
+  ExpectRasterMatchesContainsScan(
+      Hull::Build({Vec3(0, 3, 0), Vec3(11, 3, 0), Vec3(0, 3, 11),
+                   Vec3(11, 3, 11)},
+                  3),
+      shape, "plane y = 3", 2);
 }
 
 TEST(HullTest, IntegerBounds) {
