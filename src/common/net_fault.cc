@@ -143,9 +143,4 @@ int64_t FaultInjectingNetEnv::faults_injected() const {
   return faults_;
 }
 
-bool IsInjectedNetFault(const Status& status) {
-  return !status.ok() &&
-         status.message().find(kInjectedDrop) != std::string::npos;
-}
-
 }  // namespace kondo

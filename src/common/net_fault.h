@@ -69,10 +69,6 @@ class FaultInjectingNetEnv : public NetEnv {
   int64_t faults_ KONDO_GUARDED_BY(mu_) = 0;
 };
 
-/// True when `status` carries a net-injected fault rather than a real
-/// socket failure.
-bool IsInjectedNetFault(const Status& status);
-
 }  // namespace kondo
 
 #endif  // KONDO_COMMON_NET_FAULT_H_

@@ -18,7 +18,10 @@ namespace kondo {
 namespace {
 
 Status ErrnoError(StatusCode code, const std::string& what) {
-  return Status(code, StrCat(what, ": ", std::strerror(errno)));
+  // Plain concatenation, no stream: Accept reports EMFILE through here
+  // with no descriptor free, and UBSan's first check of a stream's dynamic
+  // type opens a pipe, so it would misreport there.
+  return Status(code, what + ": " + std::strerror(errno));
 }
 
 }  // namespace
@@ -123,9 +126,15 @@ StatusOr<std::unique_ptr<Connection>> ListenSocket::Accept() {
     if (errno == EINTR) {
       continue;
     }
-    // After Shutdown() accept fails (EINVAL on Linux); report it as an
-    // orderly close rather than an IO error so accept loops can exit.
-    return FailedPreconditionError("listener closed");
+    if (errno == EINVAL) {  // After Shutdown(): an orderly close.
+      return FailedPreconditionError("listener closed");
+    }
+    const bool transient = errno == EMFILE || errno == ENFILE ||
+                           errno == ENOBUFS || errno == ENOMEM ||
+                           errno == ECONNABORTED;
+    return ErrnoError(
+        transient ? StatusCode::kResourceExhausted : StatusCode::kInternal,
+        "accept");
   }
 }
 
@@ -136,116 +145,86 @@ void ListenSocket::Shutdown() { ::shutdown(fd_, SHUT_RDWR); }
 
 namespace {
 
-StatusOr<std::unique_ptr<ListenSocket>> ListenUnix(
-    const SocketAddress& address) {
-  sockaddr_un sun;
-  std::memset(&sun, 0, sizeof(sun));
-  sun.sun_family = AF_UNIX;
-  if (address.unix_path.size() >= sizeof(sun.sun_path)) {
-    return InvalidArgumentError(
-        StrCat("unix socket path too long: ", address.unix_path));
-  }
-  std::memcpy(sun.sun_path, address.unix_path.c_str(),
-              address.unix_path.size() + 1);
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return ErrnoError(StatusCode::kInternal, "socket");
-  }
-  std::remove(address.unix_path.c_str());
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&sun), sizeof(sun)) != 0) {
-    const Status status =
-        ErrnoError(StatusCode::kFailedPrecondition,
-                   StrCat("bind ", address.unix_path));
-    ::close(fd);
-    return status;
-  }
-  if (::listen(fd, 64) != 0) {
-    const Status status = ErrnoError(StatusCode::kInternal, "listen");
-    ::close(fd);
-    return status;
-  }
-  return std::make_unique<ListenSocket>(fd, address);
-}
+/// `address` as a socket address: the unix-domain path, or the port on the
+/// loopback interface.
+struct Endpoint {
+  sockaddr_storage storage{};
+  socklen_t length = 0;
 
-StatusOr<std::unique_ptr<ListenSocket>> ListenTcp(
-    const SocketAddress& address) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return ErrnoError(StatusCode::kInternal, "socket");
+  const sockaddr* addr() const {
+    return reinterpret_cast<const sockaddr*>(&storage);
   }
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in sin;
-  std::memset(&sin, 0, sizeof(sin));
-  sin.sin_family = AF_INET;
-  sin.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  sin.sin_port = htons(static_cast<uint16_t>(address.port));
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&sin), sizeof(sin)) != 0) {
-    const Status status = ErrnoError(StatusCode::kFailedPrecondition,
-                                     StrCat("bind port ", address.port));
-    ::close(fd);
-    return status;
+};
+
+StatusOr<Endpoint> ResolveEndpoint(const SocketAddress& address) {
+  Endpoint endpoint;
+  if (address.is_unix()) {
+    auto* sun = reinterpret_cast<sockaddr_un*>(&endpoint.storage);
+    if (address.unix_path.size() >= sizeof(sun->sun_path)) {
+      return InvalidArgumentError(
+          StrCat("unix socket path too long: ", address.unix_path));
+    }
+    sun->sun_family = AF_UNIX;
+    std::memcpy(sun->sun_path, address.unix_path.c_str(),
+                address.unix_path.size() + 1);
+    endpoint.length = sizeof(sockaddr_un);
+  } else {
+    auto* sin = reinterpret_cast<sockaddr_in*>(&endpoint.storage);
+    sin->sin_family = AF_INET;
+    sin->sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    sin->sin_port = htons(static_cast<uint16_t>(address.port));
+    endpoint.length = sizeof(sockaddr_in);
   }
-  if (::listen(fd, 64) != 0) {
-    const Status status = ErrnoError(StatusCode::kInternal, "listen");
-    ::close(fd);
-    return status;
-  }
-  // Read back the kernel-assigned port for port 0 binds.
-  sockaddr_in bound;
-  socklen_t len = sizeof(bound);
-  SocketAddress resolved = address;
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len) == 0) {
-    resolved.port = static_cast<int>(ntohs(bound.sin_port));
-  }
-  return std::make_unique<ListenSocket>(fd, resolved);
+  return endpoint;
 }
 
 class RealNetEnv : public NetEnv {
  public:
   StatusOr<std::unique_ptr<ListenSocket>> Listen(
       const SocketAddress& address) override {
-    return address.is_unix() ? ListenUnix(address) : ListenTcp(address);
+    KONDO_ASSIGN_OR_RETURN(const Endpoint endpoint, ResolveEndpoint(address));
+    const int fd = ::socket(endpoint.storage.ss_family, SOCK_STREAM, 0);
+    if (fd < 0) {
+      return ErrnoError(StatusCode::kInternal, "socket");
+    }
+    if (address.is_unix()) {
+      std::remove(address.unix_path.c_str());
+    } else {
+      const int one = 1;
+      ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+    }
+    Status status = OkStatus();
+    if (::bind(fd, endpoint.addr(), endpoint.length) != 0) {
+      status = ErrnoError(StatusCode::kFailedPrecondition,
+                          StrCat("bind ", address.ToString()));
+    } else if (::listen(fd, 64) != 0) {
+      status = ErrnoError(StatusCode::kInternal, "listen");
+    }
+    if (!status.ok()) {
+      ::close(fd);
+      return status;
+    }
+    // Read back the kernel-assigned port for port 0 binds.
+    SocketAddress resolved = address;
+    sockaddr_in bound{};
+    socklen_t len = sizeof(bound);
+    if (!address.is_unix() &&
+        ::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len) == 0) {
+      resolved.port = static_cast<int>(ntohs(bound.sin_port));
+    }
+    return std::make_unique<ListenSocket>(fd, resolved);
   }
 
   StatusOr<std::unique_ptr<Connection>> Connect(
       const SocketAddress& address) override {
-    if (address.is_unix()) {
-      sockaddr_un sun;
-      std::memset(&sun, 0, sizeof(sun));
-      sun.sun_family = AF_UNIX;
-      if (address.unix_path.size() >= sizeof(sun.sun_path)) {
-        return InvalidArgumentError(
-            StrCat("unix socket path too long: ", address.unix_path));
-      }
-      std::memcpy(sun.sun_path, address.unix_path.c_str(),
-                  address.unix_path.size() + 1);
-      const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-      if (fd < 0) {
-        return ErrnoError(StatusCode::kInternal, "socket");
-      }
-      if (::connect(fd, reinterpret_cast<sockaddr*>(&sun), sizeof(sun)) !=
-          0) {
-        const Status status =
-            ErrnoError(StatusCode::kNotFound,
-                       StrCat("connect ", address.unix_path));
-        ::close(fd);
-        return status;
-      }
-      return std::make_unique<Connection>(fd);
-    }
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    KONDO_ASSIGN_OR_RETURN(const Endpoint endpoint, ResolveEndpoint(address));
+    const int fd = ::socket(endpoint.storage.ss_family, SOCK_STREAM, 0);
     if (fd < 0) {
       return ErrnoError(StatusCode::kInternal, "socket");
     }
-    sockaddr_in sin;
-    std::memset(&sin, 0, sizeof(sin));
-    sin.sin_family = AF_INET;
-    sin.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    sin.sin_port = htons(static_cast<uint16_t>(address.port));
-    if (::connect(fd, reinterpret_cast<sockaddr*>(&sin), sizeof(sin)) != 0) {
-      const Status status = ErrnoError(
-          StatusCode::kNotFound, StrCat("connect 127.0.0.1:", address.port));
+    if (::connect(fd, endpoint.addr(), endpoint.length) != 0) {
+      const Status status = ErrnoError(StatusCode::kNotFound,
+                                       StrCat("connect ", address.ToString()));
       ::close(fd);
       return status;
     }

@@ -66,8 +66,6 @@ class Connection {
   /// Half-closes the write side (the peer's reader sees EOF).
   virtual void ShutdownWrite();
 
-  int fd() const { return fd_; }
-
  protected:
   /// For decorators that forward to a wrapped Connection (fd_ = -1; the
   /// destructor skips the close).
@@ -91,6 +89,9 @@ class ListenSocket {
 
   /// Blocks for the next connection. After Shutdown() every pending and
   /// future Accept returns kFailedPrecondition ("listener closed").
+  /// Transient failures (EMFILE, ENFILE, ENOBUFS, ENOMEM, ECONNABORTED)
+  /// return kResourceExhausted with the errno text: the listener is intact
+  /// and a later Accept may succeed.
   virtual StatusOr<std::unique_ptr<Connection>> Accept();
 
   /// Wakes blocked Accept calls; idempotent. (The accept loop calls this

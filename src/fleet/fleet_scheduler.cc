@@ -53,11 +53,7 @@ StatusOr<std::unique_ptr<Connection>> HandshakeWorker(
   KONDO_RETURN_IF_ERROR(conn->SetRecvTimeout(timeout_micros));
   KONDO_RETURN_IF_ERROR(
       WriteKpcFrame(*conn, KpcKind::kHello, hello.Encode()));
-  KONDO_ASSIGN_OR_RETURN(KpcFrame frame, ReadKpcFrame(*conn));
-  if (frame.kind == KpcKind::kError) {
-    KONDO_ASSIGN_OR_RETURN(KpcError error, KpcError::Decode(frame.payload));
-    return error.ToStatus();
-  }
+  KONDO_ASSIGN_OR_RETURN(KpcFrame frame, ReadKpcReply(*conn));
   if (frame.kind != KpcKind::kHello) {
     return DataLossError(
         StrCat("unexpected handshake frame kind from worker ",
@@ -88,7 +84,7 @@ StatusOr<ShardCampaignResult> RunShardOnWorker(Connection& conn,
   KONDO_RETURN_IF_ERROR(
       WriteKpcFrame(conn, KpcKind::kRunShard, request.Encode()));
   while (true) {
-    KONDO_ASSIGN_OR_RETURN(KpcFrame frame, ReadKpcFrame(conn));
+    KONDO_ASSIGN_OR_RETURN(KpcFrame frame, ReadKpcReply(conn));
     if (frame.kind == KpcKind::kHeartbeat) {
       KONDO_ASSIGN_OR_RETURN(HeartbeatMsg beat,
                              HeartbeatMsg::Decode(frame.payload));
@@ -97,11 +93,6 @@ StatusOr<ShardCampaignResult> RunShardOnWorker(Connection& conn,
                                     " while shard ", s, " is in flight"));
       }
       continue;  // Liveness only; the read re-armed the timeout.
-    }
-    if (frame.kind == KpcKind::kError) {
-      KONDO_ASSIGN_OR_RETURN(KpcError error,
-                             KpcError::Decode(frame.payload));
-      return error.ToStatus();
     }
     if (frame.kind != KpcKind::kShardResult) {
       return DataLossError(

@@ -50,113 +50,50 @@ std::unique_ptr<MultiFileProgram> CreateFleetProgram(const std::string& name,
 }
 
 FleetWorker::FleetWorker(FleetWorkerOptions options)
-    : options_(std::move(options)) {}
+    : options_(std::move(options)),
+      host_(
+          [this](Connection& conn, int64_t id) {
+            return std::make_unique<Session>(this, conn, id);
+          },
+          [](int64_t id, const Status& ended) {
+            if (ended.code() != StatusCode::kOutOfRange) {
+              KONDO_LOG(Warning) << "fleet worker session " << id
+                                 << " dropped: " << ended;
+            }
+          }) {}
 
 FleetWorker::~FleetWorker() { Stop(); }
 
 Status FleetWorker::Start() {
-  {
-    MutexLock lock(mu_);
-    if (started_) {
-      return FailedPreconditionError("fleet worker already started");
-    }
-    started_ = true;
-  }
   KONDO_RETURN_IF_ERROR(EnsureCampaignDirectory(options_.scratch_dir));
-  NetEnv* net = options_.net != nullptr ? options_.net : NetEnv::Default();
-  KONDO_ASSIGN_OR_RETURN(listener_, net->Listen(options_.address));
-  bound_address_ = listener_->address();
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
-  return OkStatus();
+  return host_.Start(options_.net != nullptr ? options_.net : NetEnv::Default(),
+                     options_.address);
 }
 
-void FleetWorker::Stop() {
-  {
-    MutexLock lock(mu_);
-    if (!started_ || stopping_) {
-      return;
-    }
-    stopping_ = true;
-  }
-  if (listener_ != nullptr) {
-    listener_->Shutdown();
-  }
-  if (accept_thread_.joinable()) {
-    accept_thread_.join();
-  }
-  std::list<std::unique_ptr<Session>> sessions;
-  {
-    MutexLock lock(mu_);
-    sessions.swap(sessions_);
-  }
-  for (const std::unique_ptr<Session>& session : sessions) {
-    session->conn->ShutdownRead();
-  }
-  for (const std::unique_ptr<Session>& session : sessions) {
-    if (session->thread.joinable()) {
-      session->thread.join();
-    }
-  }
-}
+void FleetWorker::Stop() { host_.Stop(); }
 
 int64_t FleetWorker::shards_served() const {
   MutexLock lock(mu_);
   return shards_served_;
 }
 
-bool FleetWorker::Stopping() const {
-  MutexLock lock(mu_);
-  return stopping_;
-}
-
-void FleetWorker::AcceptLoop() {
-  while (true) {
-    StatusOr<std::unique_ptr<Connection>> conn = listener_->Accept();
-    if (!conn.ok()) {
-      return;  // Listener shut down (or fatally broken): stop accepting.
-    }
-    auto session = std::make_unique<Session>();
-    session->conn = std::move(*conn);
-    Session* raw = session.get();
-    // Construct the session thread while holding mu_: once the session is
-    // visible in sessions_, its thread member is fully formed, so Stop()
-    // (which drains the list under the same lock) can always join it.
-    MutexLock lock(mu_);
-    if (stopping_) {
-      return;
-    }
-    session->id = next_session_id_++;
-    session->thread = std::thread([this, raw] { SessionLoop(raw); });
-    sessions_.push_back(std::move(session));
-  }
-}
-
-void FleetWorker::SessionLoop(Session* session) {
-  while (true) {
-    StatusOr<KpcFrame> frame = ReadKpcFrame(*session->conn);
-    if (!frame.ok()) {
-      return;  // Orderly EOF or a torn stream: the session is over.
-    }
-    const Status handled = Dispatch(session, *frame);
-    if (!handled.ok()) {
-      KONDO_LOG(Warning) << "fleet worker session " << session->id
-                         << " dropped: " << handled;
-      return;
-    }
-  }
-}
-
-Status FleetWorker::Dispatch(Session* session, const KpcFrame& frame) {
+Status FleetWorker::Session::Handle(const KpcFrame& frame) {
   switch (frame.kind) {
     case KpcKind::kHello:
-      return HandleHello(session, frame);
+      return worker->HandleHello(this, frame);
     case KpcKind::kRunShard:
-      return HandleRunShard(session, frame);
+      return worker->HandleRunShard(this, frame);
     default:
       return InvalidArgumentError(
           StrCat("unexpected frame kind on worker connection: ",
                  static_cast<int>(frame.kind)));
   }
+}
+
+Status FleetWorker::Session::Send(KpcKind kind, std::string_view payload) {
+  MutexLock lock(send_mu);
+  ++frames_sent;
+  return WriteKpcFrame(conn, kind, payload);
 }
 
 Status FleetWorker::HandleHello(Session* session, const KpcFrame& frame) {
@@ -169,11 +106,8 @@ Status FleetWorker::HandleHello(Session* session, const KpcFrame& frame) {
   if (program == nullptr) {
     const Status unknown =
         NotFoundError(StrCat("unknown fleet program: ", hello.program));
-    MutexLock lock(session->send_mu);
-    ++session->frames_sent;
-    KONDO_RETURN_IF_ERROR(WriteKpcFrame(
-        *session->conn, KpcKind::kError,
-        KpcError::FromStatus(unknown).Encode()));
+    KONDO_RETURN_IF_ERROR(session->Send(
+        KpcKind::kError, KpcError::FromStatus(unknown).Encode()));
     return unknown;
   }
 
@@ -192,9 +126,7 @@ Status FleetWorker::HandleHello(Session* session, const KpcFrame& frame) {
   WorkerHelloAck ack;
   ack.program = std::string(session->program->name());
   ack.file_shapes = session->plan.file_shapes;
-  MutexLock lock(session->send_mu);
-  ++session->frames_sent;
-  return WriteKpcFrame(*session->conn, KpcKind::kHello, ack.Encode());
+  return session->Send(KpcKind::kHello, ack.Encode());
 }
 
 Status FleetWorker::HandleRunShard(Session* session, const KpcFrame& frame) {
@@ -207,18 +139,11 @@ Status FleetWorker::HandleRunShard(Session* session, const KpcFrame& frame) {
   if (!result.ok()) {
     // Application failure (scratch IO, bad slices): report it and keep the
     // session — the coordinator decides whether to retire this worker.
-    MutexLock lock(session->send_mu);
-    ++session->frames_sent;
-    return WriteKpcFrame(*session->conn, KpcKind::kError,
+    return session->Send(KpcKind::kError,
                          KpcError::FromStatus(result.status()).Encode());
   }
-  {
-    MutexLock lock(session->send_mu);
-    ++session->frames_sent;
-    KONDO_RETURN_IF_ERROR(WriteKpcFrame(*session->conn,
-                                        KpcKind::kShardResult,
-                                        result->Encode()));
-  }
+  KONDO_RETURN_IF_ERROR(
+      session->Send(KpcKind::kShardResult, result->Encode()));
   MutexLock lock(mu_);
   ++shards_served_;
   return OkStatus();
@@ -263,11 +188,7 @@ StatusOr<ShardResultMsg> FleetWorker::RunAssignedShard(
         HeartbeatMsg beat;
         beat.shard = shard_id;
         beat.sequence = sequence++;
-        MutexLock lock(session->send_mu);
-        ++session->frames_sent;
-        const Status sent = WriteKpcFrame(*session->conn, KpcKind::kHeartbeat,
-                                          beat.Encode());
-        if (!sent.ok()) {
+        if (!session->Send(KpcKind::kHeartbeat, beat.Encode()).ok()) {
           return;  // Peer gone; the result write will surface it.
         }
       }
@@ -312,7 +233,7 @@ StatusOr<ShardResultMsg> FleetWorker::RunAssignedShard(
 
   if (options_.result_stall_micros > 0) {
     InterruptibleSleep(options_.result_stall_micros,
-                       [this] { return Stopping(); });
+                       [this] { return host_.stopping(); });
   }
   return result;
 }

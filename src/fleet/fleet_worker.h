@@ -3,21 +3,19 @@
 
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <memory>
 #include <string>
-#include <thread>
+#include <string_view>
 
 #include "common/env.h"
 #include "common/socket.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "fleet/fleet_protocol.h"
+#include "serve/session_host.h"
 #include "workloads/multi_file_program.h"
 
 namespace kondo {
-
-struct KpcFrame;  // serve/kpc.h — only the .cc needs the full protocol.
 
 /// Instantiates the program a WorkerHello names. The default resolves the
 /// workloads registry: multi-file programs first, then single-file programs
@@ -72,10 +70,11 @@ struct FleetWorkerOptions {
 /// kHeartbeat frames (serialised with the result writes) so the
 /// coordinator can tell busy from dead.
 ///
-/// Threading: one accept thread plus one thread per coordinator session;
-/// each session runs its campaigns inline and owns a short-lived heartbeat
-/// thread per shard. Stop() (idempotent, also run by the destructor) shuts
-/// the listener, wakes blocked sessions, and joins everything.
+/// Threading: coordinator sessions run on a KpcSessionHost (one thread
+/// each, reaped when they end); each session runs its campaigns inline and
+/// owns a short-lived heartbeat thread per shard. Stop() (idempotent, also
+/// run by the destructor) stops the host, which wakes blocked sessions and
+/// joins everything.
 class FleetWorker {
  public:
   explicit FleetWorker(FleetWorkerOptions options);
@@ -91,23 +90,26 @@ class FleetWorker {
   void Stop();
 
   /// The listen address with any port-0 resolved. Valid after Start().
-  const SocketAddress& bound_address() const { return bound_address_; }
+  const SocketAddress& bound_address() const { return host_.bound_address(); }
 
   /// Shard campaigns completed and shipped since Start().
   int64_t shards_served() const KONDO_EXCLUDES(mu_);
 
  private:
-  struct Session {
-    int64_t id = 0;
-    /// Write half is guarded by send_mu — every WriteKpcFrame on this
-    /// connection sits inside a `MutexLock lock(send_mu)` scope (the R5
-    /// lock-order audit verifies all four sites). The read half is not:
-    /// only the session thread calls ReadKpcFrame, concurrently with
-    /// heartbeat writes, which Connection supports by design. That split
-    /// is why this is a comment and not KONDO_PT_GUARDED_BY(send_mu) —
-    /// the annotation would demand the lock for the lock-free reads too.
-    std::unique_ptr<Connection> conn;
-    std::thread thread;  // Constructed under mu_ so Stop() can join it.
+  struct Session : KpcSession {
+    Session(FleetWorker* worker, Connection& conn, int64_t id)
+        : worker(worker), conn(conn), id(id) {}
+    /// Dispatches one request frame; an error drops the session.
+    Status Handle(const KpcFrame& frame) override;
+    /// Writes one frame under send_mu (heartbeats race the session thread).
+    Status Send(KpcKind kind, std::string_view payload);
+
+    FleetWorker* const worker;
+    /// Writes go through Send(), under send_mu. Reads (the host's session
+    /// thread only) take no lock and may overlap heartbeat writes, which
+    /// Connection allows — so no KONDO_PT_GUARDED_BY(send_mu) here.
+    Connection& conn;
+    const int64_t id;
 
     /// Campaign spec from this session's kHello (null until hello'd);
     /// written and read by the session thread only, never under a lock.
@@ -121,11 +123,6 @@ class FleetWorker {
     int64_t frames_sent KONDO_GUARDED_BY(send_mu) = 0;
   };
 
-  void AcceptLoop();
-  void SessionLoop(Session* session);
-
-  /// Dispatches one request frame; a returned error drops the session.
-  Status Dispatch(Session* session, const KpcFrame& frame);
   Status HandleHello(Session* session, const KpcFrame& frame);
   Status HandleRunShard(Session* session, const KpcFrame& frame);
 
@@ -133,19 +130,13 @@ class FleetWorker {
   StatusOr<ShardResultMsg> RunAssignedShard(Session* session,
                                             const RunShardRequest& request);
 
-  bool Stopping() const KONDO_EXCLUDES(mu_);
-
   const FleetWorkerOptions options_;
-  std::unique_ptr<ListenSocket> listener_;
-  SocketAddress bound_address_;
-  std::thread accept_thread_;
 
   mutable Mutex mu_;
-  bool started_ KONDO_GUARDED_BY(mu_) = false;
-  bool stopping_ KONDO_GUARDED_BY(mu_) = false;
-  int64_t next_session_id_ KONDO_GUARDED_BY(mu_) = 1;
   int64_t shards_served_ KONDO_GUARDED_BY(mu_) = 0;
-  std::list<std::unique_ptr<Session>> sessions_ KONDO_GUARDED_BY(mu_);
+
+  /// Declared last: its sessions use everything above.
+  KpcSessionHost host_;
 };
 
 }  // namespace kondo

@@ -14,12 +14,7 @@ StatusOr<std::unique_ptr<KpcClient>> KpcClient::Connect(
 StatusOr<KpcFrame> KpcClient::RoundTrip(KpcKind kind, std::string_view payload,
                                         KpcKind want) {
   KONDO_RETURN_IF_ERROR(WriteKpcFrame(*conn_, kind, payload));
-  KONDO_ASSIGN_OR_RETURN(KpcFrame frame, ReadKpcFrame(*conn_));
-  if (frame.kind == KpcKind::kError) {
-    KONDO_ASSIGN_OR_RETURN(const KpcError error,
-                           KpcError::Decode(frame.payload));
-    return error.ToStatus();
-  }
+  KONDO_ASSIGN_OR_RETURN(KpcFrame frame, ReadKpcReply(*conn_));
   if (frame.kind != want) {
     return DataLossError("unexpected response kind " +
                          std::to_string(static_cast<int>(frame.kind)));
@@ -54,12 +49,7 @@ StatusOr<QueryResult> KpcClient::QueryProvenance(const QueryRequest& request) {
       WriteKpcFrame(*conn_, KpcKind::kQueryRequest, request.Encode()));
   QueryResult result;
   while (true) {
-    KONDO_ASSIGN_OR_RETURN(const KpcFrame frame, ReadKpcFrame(*conn_));
-    if (frame.kind == KpcKind::kError) {
-      KONDO_ASSIGN_OR_RETURN(const KpcError error,
-                             KpcError::Decode(frame.payload));
-      return error.ToStatus();
-    }
+    KONDO_ASSIGN_OR_RETURN(const KpcFrame frame, ReadKpcReply(*conn_));
     if (frame.kind == KpcKind::kEventBatch) {
       KONDO_ASSIGN_OR_RETURN(EventBatch batch,
                              EventBatch::Decode(frame.payload));

@@ -173,6 +173,15 @@ StatusOr<KpcFrame> ReadKpcFrame(Connection& conn) {
   return frame;
 }
 
+StatusOr<KpcFrame> ReadKpcReply(Connection& conn) {
+  KONDO_ASSIGN_OR_RETURN(KpcFrame frame, ReadKpcFrame(conn));
+  if (frame.kind != KpcKind::kError) {
+    return frame;
+  }
+  KONDO_ASSIGN_OR_RETURN(const KpcError error, KpcError::Decode(frame.payload));
+  return error.ToStatus();
+}
+
 // ---------------------------------------------------------------------------
 // Verb payloads.
 
@@ -421,30 +430,29 @@ Status ReadVerbLatency(KpcCursor* cur, VerbLatency* v) {
   return OkStatus();
 }
 
+using Snapshot = ServeStatsSnapshot;
+
+/// ServeStatsSnapshot's scalar counters, in wire order.
+constexpr int64_t Snapshot::*kStatsCounters[] = {
+    &Snapshot::cache_hits, &Snapshot::cache_misses, &Snapshot::cache_evictions,
+    &Snapshot::cache_stale_evictions, &Snapshot::cache_entries,
+    &Snapshot::cache_bytes, &Snapshot::cache_capacity_bytes,
+    &Snapshot::sessions_accepted, &Snapshot::sessions_active,
+    &Snapshot::requests_total, &Snapshot::protocol_errors,
+    &Snapshot::campaigns_submitted, &Snapshot::campaigns_rejected,
+    &Snapshot::campaigns_completed, &Snapshot::campaigns_failed,
+    &Snapshot::campaign_queue_depth, &Snapshot::campaign_inflight,
+    &Snapshot::lineage_bytes_written, &Snapshot::stores_open,
+    &Snapshot::stores_reopened,
+};
+
 }  // namespace
 
 std::string ServeStatsSnapshot::Encode() const {
   std::string out;
-  KpcAppendI64(cache_hits, &out);
-  KpcAppendI64(cache_misses, &out);
-  KpcAppendI64(cache_evictions, &out);
-  KpcAppendI64(cache_stale_evictions, &out);
-  KpcAppendI64(cache_entries, &out);
-  KpcAppendI64(cache_bytes, &out);
-  KpcAppendI64(cache_capacity_bytes, &out);
-  KpcAppendI64(sessions_accepted, &out);
-  KpcAppendI64(sessions_active, &out);
-  KpcAppendI64(requests_total, &out);
-  KpcAppendI64(protocol_errors, &out);
-  KpcAppendI64(campaigns_submitted, &out);
-  KpcAppendI64(campaigns_rejected, &out);
-  KpcAppendI64(campaigns_completed, &out);
-  KpcAppendI64(campaigns_failed, &out);
-  KpcAppendI64(campaign_queue_depth, &out);
-  KpcAppendI64(campaign_inflight, &out);
-  KpcAppendI64(lineage_bytes_written, &out);
-  KpcAppendI64(stores_open, &out);
-  KpcAppendI64(stores_reopened, &out);
+  for (int64_t Snapshot::*counter : kStatsCounters) {
+    KpcAppendI64(this->*counter, &out);
+  }
   for (int v = 0; v < kKpcVerbCount; ++v) {
     AppendVerbLatency(verbs[v], &out);
   }
@@ -455,26 +463,9 @@ StatusOr<ServeStatsSnapshot> ServeStatsSnapshot::Decode(
     std::string_view payload) {
   ServeStatsSnapshot s;
   KpcCursor cur(payload);
-  KONDO_RETURN_IF_ERROR(cur.ReadI64(&s.cache_hits));
-  KONDO_RETURN_IF_ERROR(cur.ReadI64(&s.cache_misses));
-  KONDO_RETURN_IF_ERROR(cur.ReadI64(&s.cache_evictions));
-  KONDO_RETURN_IF_ERROR(cur.ReadI64(&s.cache_stale_evictions));
-  KONDO_RETURN_IF_ERROR(cur.ReadI64(&s.cache_entries));
-  KONDO_RETURN_IF_ERROR(cur.ReadI64(&s.cache_bytes));
-  KONDO_RETURN_IF_ERROR(cur.ReadI64(&s.cache_capacity_bytes));
-  KONDO_RETURN_IF_ERROR(cur.ReadI64(&s.sessions_accepted));
-  KONDO_RETURN_IF_ERROR(cur.ReadI64(&s.sessions_active));
-  KONDO_RETURN_IF_ERROR(cur.ReadI64(&s.requests_total));
-  KONDO_RETURN_IF_ERROR(cur.ReadI64(&s.protocol_errors));
-  KONDO_RETURN_IF_ERROR(cur.ReadI64(&s.campaigns_submitted));
-  KONDO_RETURN_IF_ERROR(cur.ReadI64(&s.campaigns_rejected));
-  KONDO_RETURN_IF_ERROR(cur.ReadI64(&s.campaigns_completed));
-  KONDO_RETURN_IF_ERROR(cur.ReadI64(&s.campaigns_failed));
-  KONDO_RETURN_IF_ERROR(cur.ReadI64(&s.campaign_queue_depth));
-  KONDO_RETURN_IF_ERROR(cur.ReadI64(&s.campaign_inflight));
-  KONDO_RETURN_IF_ERROR(cur.ReadI64(&s.lineage_bytes_written));
-  KONDO_RETURN_IF_ERROR(cur.ReadI64(&s.stores_open));
-  KONDO_RETURN_IF_ERROR(cur.ReadI64(&s.stores_reopened));
+  for (int64_t Snapshot::*counter : kStatsCounters) {
+    KONDO_RETURN_IF_ERROR(cur.ReadI64(&(s.*counter)));
+  }
   for (int v = 0; v < kKpcVerbCount; ++v) {
     KONDO_RETURN_IF_ERROR(ReadVerbLatency(&cur, &s.verbs[v]));
   }

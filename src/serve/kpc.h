@@ -76,6 +76,10 @@ Status WriteKpcFrame(Connection& conn, KpcKind kind,
 /// should be dropped.
 StatusOr<KpcFrame> ReadKpcFrame(Connection& conn);
 
+/// ReadKpcFrame for the requesting side: a kError frame comes back as the
+/// Status it carries, every other frame as-is.
+StatusOr<KpcFrame> ReadKpcReply(Connection& conn);
+
 // ---------------------------------------------------------------------------
 // Payload primitives.
 

@@ -31,47 +31,33 @@ int EffectiveJobs(int jobs) {
 
 KondoServer::KondoServer(ServeOptions options)
     : options_(std::move(options)),
-      artifacts_(options_.pool_root, options_.cache_bytes) {}
+      artifacts_(options_.pool_root, options_.cache_bytes),
+      workers_(EffectiveJobs(options_.jobs)),
+      host_(
+          [this](Connection& conn, int64_t /*id*/) {
+            MutexLock lock(stats_mu_);
+            ++counters_.sessions_accepted;
+            ++counters_.sessions_active;
+            return std::make_unique<Session>(this, conn);
+          },
+          [this](int64_t /*id*/, const Status& ended) {
+            // kOutOfRange is the client hanging up between requests;
+            // anything else is a torn or corrupt stream or a failed write.
+            MutexLock lock(stats_mu_);
+            if (ended.code() != StatusCode::kOutOfRange) {
+              ++counters_.protocol_errors;
+            }
+            --counters_.sessions_active;
+          }) {}
 
 KondoServer::~KondoServer() { Stop(); }
 
 Status KondoServer::Start() {
-  {
-    MutexLock lock(state_mu_);
-    if (started_) {
-      return Status(StatusCode::kFailedPrecondition, "server already started");
-    }
-    started_ = true;
-  }
-  workers_ = std::make_unique<ThreadPool>(EffectiveJobs(options_.jobs));
-  KONDO_ASSIGN_OR_RETURN(listener_,
-                         NetEnv::Default()->Listen(options_.address));
-  bound_address_ = listener_->address();
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
-  return OkStatus();
+  return host_.Start(NetEnv::Default(), options_.address);
 }
 
 void KondoServer::Stop() {
-  {
-    MutexLock lock(state_mu_);
-    if (!started_ || stopping_) return;
-    stopping_ = true;
-  }
-  // Unblock the accept loop, then the session reads.
-  listener_->Shutdown();
-  accept_thread_.join();
-  {
-    MutexLock lock(sessions_mu_);
-    for (const auto& session : sessions_) {
-      session->conn->ShutdownRead();
-    }
-  }
-  // The sessions list is stable now: only the (joined) accept thread added
-  // to it, so joining outside the lock is safe — and necessary, since a
-  // session's final bookkeeping takes sessions-adjacent mutexes.
-  for (const auto& session : sessions_) {
-    if (session->thread.joinable()) session->thread.join();
-  }
+  host_.Stop();
   // Drain every accepted campaign: no job outlives the server.
   std::vector<JobHandle> jobs;
   {
@@ -81,88 +67,39 @@ void KondoServer::Stop() {
   for (const JobHandle& job : jobs) {
     job.Wait();
   }
-  workers_.reset();
-  listener_.reset();
 }
 
-void KondoServer::AcceptLoop() {
-  while (true) {
-    StatusOr<std::unique_ptr<Connection>> conn = listener_->Accept();
-    if (!conn.ok()) {
-      // Listener shut down (orderly) or irrecoverably failed; either way
-      // the accept loop is done.
-      return;
-    }
-    auto session = std::make_unique<Session>();
-    session->conn = std::move(*conn);
-    Session* raw = session.get();
-    {
-      MutexLock lock(stats_mu_);
-      ++counters_.sessions_accepted;
-      ++counters_.sessions_active;
-    }
-    {
-      MutexLock lock(sessions_mu_);
-      sessions_.push_back(std::move(session));
-    }
-    raw->thread = std::thread([this, raw] { SessionLoop(raw); });
+Status KondoServer::Session::Handle(const KpcFrame& frame) {
+  {
+    MutexLock lock(server->stats_mu_);
+    ++server->counters_.requests_total;
   }
-}
-
-void KondoServer::SessionLoop(Session* session) {
-  while (true) {
-    StatusOr<KpcFrame> frame = ReadKpcFrame(*session->conn);
-    if (!frame.ok()) {
-      // kOutOfRange is the client hanging up between requests; anything
-      // else is a torn or corrupt stream.
-      if (frame.status().code() != StatusCode::kOutOfRange) {
-        MutexLock lock(stats_mu_);
-        ++counters_.protocol_errors;
-      }
-      break;
-    }
-    {
-      MutexLock lock(stats_mu_);
-      ++counters_.requests_total;
-    }
-    if (!Dispatch(session, *frame).ok()) {
-      MutexLock lock(stats_mu_);
-      ++counters_.protocol_errors;
-      break;
-    }
-  }
-  session->conn->ShutdownWrite();
-  MutexLock lock(stats_mu_);
-  --counters_.sessions_active;
-}
-
-Status KondoServer::Dispatch(Session* session, const KpcFrame& frame) {
   Stopwatch stopwatch;
   int verb;
   Status status;
   switch (frame.kind) {
     case KpcKind::kFetchSubsetRequest:
       verb = kVerbFetchSubset;
-      status = HandleFetchSubset(*session->conn, frame);
+      status = server->HandleFetchSubset(conn, frame);
       break;
     case KpcKind::kQueryRequest:
       verb = kVerbQuery;
-      status = HandleQuery(*session->conn, frame);
+      status = server->HandleQuery(conn, frame);
       break;
     case KpcKind::kSubmitRequest:
       verb = kVerbSubmit;
-      status = HandleSubmit(session, frame);
+      status = server->HandleSubmit(this, frame);
       break;
     case KpcKind::kStatsRequest:
       verb = kVerbStats;
-      status = HandleStats(*session->conn);
+      status = server->HandleStats(conn);
       break;
     default:
       return Status(StatusCode::kDataLoss,
                     "unexpected frame kind " +
                         std::to_string(static_cast<int>(frame.kind)));
   }
-  RecordLatency(verb, stopwatch.ElapsedMicros());
+  server->RecordLatency(verb, stopwatch.ElapsedMicros());
   return status;
 }
 
@@ -233,7 +170,7 @@ Status KondoServer::HandleSubmit(Session* session, const KpcFrame& frame) {
                          SubmitRequest::Decode(frame.payload));
   std::shared_ptr<Program> program = CreateProgram(request.program);
   if (program == nullptr) {
-    return WriteError(*session->conn,
+    return WriteError(session->conn,
                       Status(StatusCode::kNotFound,
                              "unknown program: " + request.program));
   }
@@ -282,7 +219,7 @@ Status KondoServer::HandleSubmit(Session* session, const KpcFrame& frame) {
       job_id = next_job_id_++;
     }
     response.job_id = job_id;
-    JobHandle job = workers_->SubmitJob(
+    JobHandle job = workers_.SubmitJob(
         [this, program, job_id, config] {
           RunCampaignJob(program, job_id, config);
         });
@@ -290,7 +227,7 @@ Status KondoServer::HandleSubmit(Session* session, const KpcFrame& frame) {
     MutexLock lock(jobs_mu_);
     all_jobs_.push_back(std::move(job));
   }
-  return WriteKpcFrame(*session->conn, KpcKind::kSubmitResponse,
+  return WriteKpcFrame(session->conn, KpcKind::kSubmitResponse,
                        response.Encode());
 }
 

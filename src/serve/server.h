@@ -2,10 +2,8 @@
 #define KONDO_SERVE_SERVER_H_
 
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/socket.h"
@@ -15,6 +13,7 @@
 #include "exec/thread_pool.h"
 #include "serve/artifact_pool.h"
 #include "serve/kpc.h"
+#include "serve/session_host.h"
 #include "workloads/program.h"
 
 namespace kondo {
@@ -59,10 +58,10 @@ struct ServeOptions {
 /// KEL2 store pool, submit-campaign onto a shared ThreadPool behind
 /// admission control, and stats.
 ///
-/// Threading: one accept thread plus one thread per live session; campaign
-/// jobs run on the shared worker pool. Stop() (idempotent, also run by the
-/// destructor) shuts the listener, drains every session, and waits for
-/// every accepted campaign job — no job outlives the server.
+/// Threading: sessions run on a KpcSessionHost (one thread each, reaped
+/// when they end); campaign jobs run on the shared worker pool. Stop()
+/// (idempotent, also run by the destructor) stops the host, then waits
+/// for every accepted campaign job — no job outlives the server.
 class KondoServer {
  public:
   explicit KondoServer(ServeOptions options);
@@ -71,7 +70,7 @@ class KondoServer {
   KondoServer(const KondoServer&) = delete;
   KondoServer& operator=(const KondoServer&) = delete;
 
-  /// Binds, listens, and starts the accept loop.
+  /// Binds, listens, and starts accepting.
   Status Start();
 
   /// Stops accepting, drains sessions and campaign jobs, joins all
@@ -79,27 +78,24 @@ class KondoServer {
   void Stop();
 
   /// The listen address with any port-0 resolved. Valid after Start().
-  const SocketAddress& bound_address() const { return bound_address_; }
+  const SocketAddress& bound_address() const { return host_.bound_address(); }
 
   /// Point-in-time counters (the same snapshot the stats verb serves).
   ServeStatsSnapshot Stats() const KONDO_EXCLUDES(stats_mu_);
 
  private:
-  struct Session {
-    std::unique_ptr<Connection> conn;
-    std::thread thread;
+  struct Session : KpcSession {
+    Session(KondoServer* server, Connection& conn)
+        : server(server), conn(conn) {}
+    /// Dispatches one request frame to its verb handler.
+    Status Handle(const KpcFrame& frame) override;
+
+    KondoServer* const server;
+    Connection& conn;
     /// Campaigns this session submitted that may still be outstanding.
     /// Only the session's own thread touches this (admission runs on it).
     std::vector<JobHandle> jobs;
   };
-
-  void AcceptLoop();
-  void SessionLoop(Session* session);
-
-  /// Dispatches one request frame. A returned error means the connection
-  /// is unusable (protocol violation or write failure) and must drop;
-  /// application errors have already been written as kError frames.
-  Status Dispatch(Session* session, const KpcFrame& frame);
 
   Status HandleFetchSubset(Connection& conn, const KpcFrame& frame);
   Status HandleQuery(Connection& conn, const KpcFrame& frame);
@@ -118,17 +114,7 @@ class KondoServer {
 
   const ServeOptions options_;
   ArtifactPool artifacts_;
-  std::unique_ptr<ThreadPool> workers_;
-  std::unique_ptr<ListenSocket> listener_;
-  SocketAddress bound_address_;
-  std::thread accept_thread_;
-
-  mutable Mutex state_mu_;
-  bool started_ KONDO_GUARDED_BY(state_mu_) = false;
-  bool stopping_ KONDO_GUARDED_BY(state_mu_) = false;
-
-  mutable Mutex sessions_mu_;
-  std::list<std::unique_ptr<Session>> sessions_ KONDO_GUARDED_BY(sessions_mu_);
+  ThreadPool workers_;
 
   /// Every accepted campaign's handle, kept so Stop() can prove drain.
   mutable Mutex jobs_mu_;
@@ -137,6 +123,9 @@ class KondoServer {
 
   mutable Mutex stats_mu_;
   ServeStatsSnapshot counters_ KONDO_GUARDED_BY(stats_mu_);
+
+  /// Declared last: its sessions use everything above.
+  KpcSessionHost host_;
 };
 
 }  // namespace kondo

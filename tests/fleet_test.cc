@@ -22,6 +22,7 @@
 #include "fleet/fleet_worker.h"
 #include "provenance/crc32.h"
 #include "provenance/persist.h"
+#include "serve/kpc.h"
 #include "shard/shard_campaign.h"
 #include "shard/shard_manifest.h"
 #include "shard/shard_plan.h"
@@ -227,6 +228,64 @@ TEST(FleetCampaignTest, MergedResultIsByteIdenticalAtEveryWorkerCount) {
       worker->Stop();
     }
   }
+}
+
+/// Descriptors this process holds open: coordinator-side connections and
+/// the in-process workers alike.
+int OpenDescriptors() {
+  int count = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    static_cast<void>(entry);
+    ++count;
+  }
+  return count;
+}
+
+TEST(FleetWorkerTest, FinishedCoordinatorSessionsAreReaped) {
+  const std::unique_ptr<MultiFileProgram> program = TestProgram();
+  const KondoConfig config = ShortCampaignConfig(19);
+
+  ShardOptions local;
+  local.shards = 4;
+  local.output_dir = TempDir("reapbase");
+  const StatusOr<ShardedRunResult> baseline =
+      RunShardedCampaign(*program, config, local);
+  ASSERT_TRUE(baseline.ok()) << baseline.status();
+  const std::string reference = ReadFileBytes(baseline->merged_lineage_path);
+
+  const std::string dir = TempDir("reap");
+  ASSERT_TRUE(EnsureCampaignDirectory(dir).ok());
+  std::vector<std::unique_ptr<FleetWorker>> workers = StartWorkers(dir, 1);
+  WorkerHello hello;
+  hello.program = "STORM";
+  hello.extent = kExtent;
+  const int before = OpenDescriptors();
+  for (int i = 0; i < 100; ++i) {
+    StatusOr<std::unique_ptr<Connection>> conn =
+        NetEnv::Default()->Connect(workers[0]->bound_address());
+    ASSERT_TRUE(conn.ok()) << conn.status();
+    ASSERT_TRUE(WriteKpcFrame(**conn, KpcKind::kHello, hello.Encode()).ok());
+    const StatusOr<KpcFrame> ack = ReadKpcFrame(**conn);
+    ASSERT_TRUE(ack.ok()) << "hello " << i << ": " << ack.status();
+    EXPECT_EQ(ack->kind, KpcKind::kHello);
+  }
+  // Ended sessions are reaped at the next accept; only the last few may
+  // still hold their worker-side descriptor.
+  EXPECT_LE(OpenDescriptors() - before, 8);
+
+  // The worker that served (and reaped) them still runs a campaign.
+  FleetOptions options;
+  options.shards = 4;
+  options.output_dir = dir + "/campaign";
+  options.workers = Endpoints(workers);
+  options.program_extent = kExtent;
+  const StatusOr<ShardedRunResult> fleet =
+      RunFleetCampaign(*program, config, options);
+  ASSERT_TRUE(fleet.ok()) << fleet.status();
+  ASSERT_TRUE(fleet->complete);
+  EXPECT_EQ(ReadFileBytes(fleet->merged_lineage_path), reference);
+  workers[0]->Stop();
 }
 
 TEST(FleetCampaignTest, KilledWorkerConnectionIsReDispatched) {

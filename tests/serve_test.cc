@@ -4,10 +4,16 @@
 // identity, stale-fingerprint invalidation, campaign admission control,
 // and clean shutdown with jobs still pending.
 
+#include <fcntl.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
+#include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -26,6 +32,7 @@
 #include "serve/client.h"
 #include "serve/kpc.h"
 #include "serve/server.h"
+#include "serve/session_host.h"
 #include "serve/subset_cache.h"
 
 namespace kondo {
@@ -843,6 +850,164 @@ TEST_F(ServeTest, StopIsIdempotentAndDestructorSafe) {
   server_->Stop();
   server_->Stop();     // Second stop is a no-op.
   server_.reset();     // Destructor after explicit stop is safe too.
+}
+
+/// Descriptors this process holds open: test clients and the in-process
+/// server alike.
+int OpenDescriptors() {
+  int count = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    static_cast<void>(entry);
+    ++count;
+  }
+  return count;
+}
+
+TEST_F(ServeTest, SequentialClientsDoNotLeakDescriptors) {
+  StartServer(ServeOptions{});
+  const int before = OpenDescriptors();
+  for (int i = 0; i < 300; ++i) {
+    auto client = Client();
+    ASSERT_NE(client, nullptr);
+    const StatusOr<ServeStatsSnapshot> stats = client->Stats();
+    ASSERT_TRUE(stats.ok()) << "cycle " << i << ": " << stats.status();
+  }
+  // Ended sessions are reaped at the next accept; only the last few may
+  // still hold their server-side descriptor.
+  EXPECT_LE(OpenDescriptors() - before, 8);
+  EXPECT_EQ(server_->Stats().sessions_accepted, 300);
+}
+
+/// Lowers the soft RLIMIT_NOFILE and restores the original on every exit
+/// path: the rest of the binary runs in this same process.
+class ScopedDescriptorLimit {
+ public:
+  explicit ScopedDescriptorLimit(rlim_t soft) {
+    EXPECT_EQ(getrlimit(RLIMIT_NOFILE, &saved_), 0);
+    rlimit lowered = saved_;
+    lowered.rlim_cur = soft;
+    EXPECT_EQ(setrlimit(RLIMIT_NOFILE, &lowered), 0);
+  }
+  ~ScopedDescriptorLimit() { EXPECT_EQ(setrlimit(RLIMIT_NOFILE, &saved_), 0); }
+
+  ScopedDescriptorLimit(const ScopedDescriptorLimit&) = delete;
+  ScopedDescriptorLimit& operator=(const ScopedDescriptorLimit&) = delete;
+
+ private:
+  rlimit saved_{};
+};
+
+/// The descriptor number the next open() would return.
+int LowestFreeDescriptor() {
+  const int fd = open("/dev/null", O_RDONLY);
+  EXPECT_GE(fd, 0);
+  close(fd);
+  return fd;
+}
+
+/// Sends a stats request on a raw connection and waits up to
+/// `timeout_micros` for the reply frame.
+StatusOr<KpcFrame> RawStats(Connection& conn, int64_t timeout_micros) {
+  KONDO_RETURN_IF_ERROR(conn.SetRecvTimeout(timeout_micros));
+  KONDO_RETURN_IF_ERROR(WriteKpcFrame(conn, KpcKind::kStatsRequest, ""));
+  return ReadKpcFrame(conn);
+}
+
+TEST_F(ServeTest, AcceptSurvivesDescriptorExhaustion) {
+  StartServer(ServeOptions{});
+  // A live session, so the server has nothing to reap while starved.
+  auto held = Client();
+  ASSERT_NE(held, nullptr);
+  ASSERT_TRUE(held->Stats().ok());
+
+  std::unique_ptr<Connection> starved;
+  {
+    // Room for exactly one more descriptor, which the client socket
+    // takes. Linux reserves a blocked accept's descriptor up front, so the
+    // server may still accept this connection; its next accept, at the
+    // latest, fails with EMFILE.
+    ScopedDescriptorLimit limit(
+        static_cast<rlim_t>(LowestFreeDescriptor()) + 1);
+    StatusOr<std::unique_ptr<Connection>> conn =
+        NetEnv::Default()->Connect(server_->bound_address());
+    ASSERT_TRUE(conn.ok()) << conn.status();
+    starved = std::move(*conn);
+    ASSERT_TRUE(
+        WriteKpcFrame(*starved, KpcKind::kStatsRequest, std::string()).ok());
+    // Let the accept loop run into the exhausted table.
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  }
+  held.reset();  // Ends a session; its descriptor can be reaped.
+
+  // The accept loop survived: the starved connection's request and a new
+  // connection's request are both answered.
+  ASSERT_TRUE(starved->SetRecvTimeout(5'000'000).ok());
+  const StatusOr<KpcFrame> late = ReadKpcFrame(*starved);
+  ASSERT_TRUE(late.ok()) << late.status();
+  EXPECT_EQ(late->kind, KpcKind::kStatsResponse);
+  StatusOr<std::unique_ptr<Connection>> fresh =
+      NetEnv::Default()->Connect(server_->bound_address());
+  ASSERT_TRUE(fresh.ok()) << fresh.status();
+  const StatusOr<KpcFrame> reply = RawStats(**fresh, 5'000'000);
+  ASSERT_TRUE(reply.ok()) << reply.status();
+  EXPECT_EQ(reply->kind, KpcKind::kStatsResponse);
+}
+
+/// A NetEnv whose listener fails every Accept the way a full descriptor
+/// table does: transiently, and on Linux still after Shutdown(). After
+/// three failures past Shutdown() it reports "listener closed", so a host
+/// that ignored Stop() ends in bounded time instead of hanging the test.
+class ExhaustedNetEnv : public NetEnv {
+ public:
+  StatusOr<std::unique_ptr<ListenSocket>> Listen(
+      const SocketAddress& address) override {
+    return std::unique_ptr<ListenSocket>(new Listener(this, address));
+  }
+  StatusOr<std::unique_ptr<Connection>> Connect(
+      const SocketAddress& /*address*/) override {
+    return UnimplementedError("connect");
+  }
+
+  std::atomic<int> accepts{0};
+  std::atomic<int> accepts_after_shutdown{0};
+
+ private:
+  class Listener : public ListenSocket {
+   public:
+    Listener(ExhaustedNetEnv* env, const SocketAddress& address)
+        : ListenSocket(address), env_(env) {}
+
+    StatusOr<std::unique_ptr<Connection>> Accept() override {
+      ++env_->accepts;
+      if (shut_down_.load() && ++env_->accepts_after_shutdown > 3) {
+        return FailedPreconditionError("listener closed");
+      }
+      return ResourceExhaustedError("accept: Too many open files");
+    }
+
+    void Shutdown() override { shut_down_.store(true); }
+
+   private:
+    ExhaustedNetEnv* const env_;
+    std::atomic<bool> shut_down_{false};
+  };
+};
+
+TEST(KpcSessionHostTest, StopEndsTransientAcceptRetries) {
+  ExhaustedNetEnv net;
+  KpcSessionHost host(
+      [](Connection& /*conn*/, int64_t /*id*/) {
+        return std::unique_ptr<KpcSession>();
+      },
+      [](int64_t /*id*/, const Status& /*ended*/) {});
+  ASSERT_TRUE(host.Start(&net, SocketAddress{}).ok());
+  while (net.accepts.load() < 2) {  // Retrying already.
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  host.Stop();
+  // At most the accept in flight when Stop() shut the listener.
+  EXPECT_LE(net.accepts_after_shutdown.load(), 1);
 }
 
 }  // namespace

@@ -1281,6 +1281,31 @@ volatile std::sig_atomic_t g_serve_stop = 0;
 
 void ServeSignalHandler(int /*signum*/) { g_serve_stop = 1; }
 
+/// Runs a daemon (`kondo serve`, `kondo worker`) in the foreground: starts
+/// it, prints "<label> <address> (<detail>)", serves until SIGTERM or
+/// SIGINT, then stops it. Returns false, with the error printed, if the
+/// daemon does not start.
+template <typename Daemon>
+bool RunDaemonUntilSignal(Daemon& daemon, const char* label,
+                         const std::string& detail) {
+  const Status started = daemon.Start();
+  if (!started.ok()) {
+    std::fprintf(stderr, "%s\n", started.ToString().c_str());
+    return false;
+  }
+  std::printf("%s %s (%s)\n", label,
+              daemon.bound_address().ToString().c_str(), detail.c_str());
+  std::fflush(stdout);
+  g_serve_stop = 0;
+  std::signal(SIGTERM, ServeSignalHandler);
+  std::signal(SIGINT, ServeSignalHandler);
+  while (g_serve_stop == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+  daemon.Stop();
+  return true;
+}
+
 int CmdServe(std::vector<std::string> args) {
   ServeOptions options;
   if (!AddressFrom(&args, &options.address)) {
@@ -1312,24 +1337,11 @@ int CmdServe(std::vector<std::string> args) {
   }
 
   KondoServer server(options);
-  const Status started = server.Start();
-  if (!started.ok()) {
-    std::fprintf(stderr, "%s\n", started.ToString().c_str());
+  if (!RunDaemonUntilSignal(
+          server, "listening on",
+          StrCat("pool ", options.pool_root, ", ", options.jobs, " jobs"))) {
     return 1;
   }
-  std::printf("listening on %s (pool %s, %d jobs)\n",
-              server.bound_address().ToString().c_str(),
-              options.pool_root.c_str(), options.jobs);
-  std::fflush(stdout);
-
-  g_serve_stop = 0;
-  std::signal(SIGTERM, ServeSignalHandler);
-  std::signal(SIGINT, ServeSignalHandler);
-  while (g_serve_stop == 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-  server.Stop();
-
   const ServeStatsSnapshot stats = server.Stats();
   std::printf("shutdown: %lld sessions, %lld requests, cache %lld/%lld "
               "hit/miss, campaigns %lld completed %lld failed %lld "
@@ -1363,23 +1375,11 @@ int CmdWorker(std::vector<std::string> args) {
   options.jobs = jobs;
 
   FleetWorker worker(options);
-  const Status started = worker.Start();
-  if (!started.ok()) {
-    std::fprintf(stderr, "%s\n", started.ToString().c_str());
+  if (!RunDaemonUntilSignal(worker, "worker listening on",
+                            StrCat("scratch ", options.scratch_dir, ", ",
+                                   options.jobs, " jobs"))) {
     return 1;
   }
-  std::printf("worker listening on %s (scratch %s, %d jobs)\n",
-              worker.bound_address().ToString().c_str(),
-              options.scratch_dir.c_str(), options.jobs);
-  std::fflush(stdout);
-
-  g_serve_stop = 0;
-  std::signal(SIGTERM, ServeSignalHandler);
-  std::signal(SIGINT, ServeSignalHandler);
-  while (g_serve_stop == 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-  worker.Stop();
   std::printf("worker shutdown: %lld shard(s) served\n",
               static_cast<long long>(worker.shards_served()));
   return 0;
