@@ -7,6 +7,7 @@
 #include <array>
 #include <cstdint>
 #include <cstdio>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -255,6 +256,103 @@ TEST(CliTest, ArgumentErrorPrintsPerCommandUsage) {
   EXPECT_EQ(prov.exit_code, 2);
   EXPECT_NE(prov.output.find("provenance compact"), std::string::npos);
   EXPECT_EQ(prov.output.find("kondo debloat"), std::string::npos);
+}
+
+// ------------------------------------------------------- argument errors --
+
+/// True when `output` lists at least one synopsis line ("  kondo ...") and
+/// every one of them belongs to `command`.
+bool ShowsOnlySynopsisOf(const std::string& output,
+                         const std::string& command) {
+  const std::string own = "  kondo " + command;
+  int own_lines = 0;
+  std::istringstream lines(output);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("  kondo ", 0) != 0) {
+      continue;
+    }
+    if (line != own && line.rfind(own + " ", 0) != 0) {
+      return false;
+    }
+    ++own_lines;
+  }
+  return own_lines > 0;
+}
+
+TEST(CliTest, EveryArgumentErrorPrintsOnlyItsCommandsSynopsis) {
+  // Real fixtures, so each call below is wrong only in its arguments.
+  const std::string kdf = TempPath("cli_args.kdf");
+  const std::string kdp = TempPath("cli_args.kdp");
+  const std::string kcs = TempPath("cli_args.kcs");
+  const std::string kel2 = TempPath("cli_args.kel2");
+  ASSERT_EQ(RunCli("make-data LDC " + kdf).exit_code, 0);
+  ASSERT_EQ(RunCli("debloat LDC --data " + kdf + " --out " + kdp +
+                   " --max-iter 50")
+                .exit_code,
+            0);
+  ASSERT_EQ(RunCli("fuzz LDC --out " + kcs + " --max-iter 50").exit_code, 0);
+  WriteKel2Fixture(kel2);
+  const std::string sock = " --socket /tmp/kondo_cli_none.sock";
+
+  struct Row {
+    std::string args;
+    std::string command;
+  };
+  const std::vector<Row> rows = {
+      // One bad call per command and subcommand.
+      {"programs extra", "programs"},
+      {"spec", "spec"},
+      {"make-data LDC", "make-data"},
+      {"inspect " + kdf + " " + kdp, "inspect"},
+      {"debloat LDC --data " + kdf, "debloat"},
+      {"replay LDC " + kdp, "replay"},
+      {"evaluate", "evaluate"},
+      {"fuzz LDC", "fuzz"},
+      {"carve LDC", "carve"},
+      {"repack " + kdp, "repack"},
+      {"provenance compact " + kel2, "provenance compact"},
+      {"provenance query " + kel2, "provenance query"},
+      {"provenance stats", "provenance stats"},
+      {"serve", "serve"},
+      {"worker", "worker"},
+      {"client fetch main.kdp" + sock, "client fetch"},
+      {"client query " + kel2 + sock, "client query"},
+      {"client submit" + sock, "client submit"},
+      {"client stats extra" + sock, "client stats"},
+      {"blast" + sock, "blast"},
+      // Garbage numbers, stray flags and missing arguments.
+      {"make-data LDC " + TempPath("cli_args_seed.kdf") + " --seed abc",
+       "make-data"},
+      {"make-data LDC " + TempPath("cli_args_seed.kdf") + " --seed 7x",
+       "make-data"},
+      {"carve LDC --state " + kcs + " --center abc", "carve"},
+      {"carve LDC --state " + kcs + " --boundary 1.5.2", "carve"},
+      {"replay LDC " + kdp + " 1 --bogus", "replay"},
+      {"replay LDC " + kdp + " 1 abc", "replay"},
+      {"evaluate LDC --max-evals 10 --bogus", "evaluate"},
+      {"inspect", "inspect"},
+  };
+  for (const Row& row : rows) {
+    const CommandResult result = RunCli(row.args);
+    EXPECT_EQ(result.exit_code, 2) << row.args << "\n" << result.output;
+    EXPECT_TRUE(ShowsOnlySynopsisOf(result.output, row.command))
+        << row.args << "\n" << result.output;
+  }
+}
+
+TEST(CliTest, StrictNumbersKeepLegalValues) {
+  // `--seed 0` is a seed, and a leading '-' on a parameter is a sign.
+  const std::string kdf = TempPath("cli_seed0.kdf");
+  const std::string kdp = TempPath("cli_seed0.kdp");
+  ASSERT_EQ(RunCli("make-data LDC " + kdf + " --seed 0").exit_code, 0);
+  ASSERT_EQ(RunCli("debloat LDC --data " + kdf + " --out " + kdp +
+                   " --max-iter 50 --seed 0")
+                .exit_code,
+            0);
+  const CommandResult replay = RunCli("replay LDC " + kdp + " 1 -3");
+  EXPECT_EQ(replay.exit_code, 0) << replay.output;
+  EXPECT_NE(replay.output.find("replay: OK"), std::string::npos)
+      << replay.output;
 }
 
 TEST(CliTest, ProvenanceCompactQueryStatsFlow) {

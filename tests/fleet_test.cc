@@ -310,7 +310,7 @@ TEST(FleetCampaignTest, KilledWorkerConnectionIsReDispatched) {
   // shard must be re-dispatched to the surviving worker.
   NetFaultPlan plan;
   plan.drop_connection = 0;
-  plan.drop_after_writes = 2;
+  plan.drop_after_writes = 1;
   plan.short_frame_bytes = 5;
   FaultInjectingNetEnv net(NetEnv::Default(), plan);
 

@@ -1,35 +1,6 @@
 // kondo — command-line front end for the Kondo data-debloating library.
-//
-//   kondo programs
-//   kondo spec <Kondofile>
-//   kondo make-data <program> <out.kdf> [--chunked] [--seed N]
-//   kondo inspect <file.kdf|file.kdp>
-//   kondo debloat <program> --data <in.kdf> --out <out.kdp>
-//                 [--seed N] [--audited] [--max-iter N] [--max-evals N]
-//                 [--jobs N] [--shards N] [--shard-dir DIR]
-//                 [--workers N | --connect ADDR ...] [--plan-weights KEL2]
-//   kondo debloat <multi-file-program> --out <dir>
-//                 [--seed N] [--max-iter N] [--max-evals N]
-//                 [--jobs N] [--shards N] [--shard-dir DIR]
-//                 [--workers N | --connect ADDR ...] [--plan-weights KEL2]
-//   kondo replay <program> <in.kdp> <param>... [--remote <orig.kdf>]
-//       [--fetch-retries <n>] [--fetch-backoff-ms <ms>]
-//   kondo evaluate <program> [--seed N] [--map] [--jobs N] [--shards N]
-//                 [--max-evals N]
-//   kondo fuzz <program> --out <state.kcs> [--seed N] [--max-iter N]
-//               [--max-evals N] [--resume <state.kcs>] [--jobs N]
-//               [--shards N]
-//   kondo carve <program> --state <state.kcs> [--center X] [--boundary X]
-//   kondo repack <pkg.kdp> --data <updated.kdp> [--out <out.kdp>] [--jobs N]
-//   kondo provenance compact <in.kel2> <out.kel2> [--block N]
-//   kondo provenance query <store> --range A:B [--file F] [--runs]
-//   kondo provenance stats <store>
-//   kondo serve (--socket PATH | --port N) [--pool DIR] [--jobs N]
-//               [--cache-mb N] [--max-inflight N] [--queue N]
-//   kondo worker (--socket PATH | --port N) [--scratch DIR] [--jobs N]
-//   kondo client fetch|query|submit|stats ... (--socket PATH | --port N)
-//   kondo blast --artifact A (--socket PATH | --port N) [--clients N]
-//               [--requests N] [--range A:B]
+// Every command is one row of kCommands (bottom of the file); running
+// `kondo` with no arguments prints the synopsis of each.
 
 #include <sys/stat.h>
 #include <sys/types.h>
@@ -39,11 +10,12 @@
 #include <algorithm>
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -85,127 +57,47 @@
 namespace kondo::cli {
 namespace {
 
-/// Per-command usage lines. Argument errors print only the offending
-/// command's synopsis; the bare `kondo` invocation prints them all.
-struct CommandHelp {
-  const char* name;
-  const char* usage;
-};
-
-constexpr CommandHelp kCommandHelp[] = {
-    {"programs", "  kondo programs\n"},
-    {"spec", "  kondo spec <Kondofile>\n"},
-    {"make-data",
-     "  kondo make-data <program> <out.kdf> [--chunked] [--seed N]\n"},
-    {"inspect", "  kondo inspect <file.kdf|file.kdp>\n"},
-    {"debloat",
-     "  kondo debloat <program> --data <in.kdf> --out <out.kdp>\n"
-     "                [--seed N] [--audited] [--max-iter N] [--max-evals N]\n"
-     "                [--jobs N] [--shards N] [--shard-dir DIR]\n"
-     "                [--workers N | --connect ADDR ...]\n"
-     "                [--plan-weights KEL2]\n"
-     "  kondo debloat <multi-file-program> --out <dir>\n"
-     "                [--seed N] [--max-iter N] [--max-evals N] [--jobs N]\n"
-     "                [--shards N] [--shard-dir DIR]\n"
-     "                [--workers N | --connect ADDR ...]\n"
-     "                [--plan-weights KEL2]\n"},
-    {"replay",
-     "  kondo replay <program> <in.kdp> <param>... [--remote <orig.kdf>]\n"
-     "      [--fetch-retries <n>] [--fetch-backoff-ms <ms>]\n"},
-    {"evaluate",
-     "  kondo evaluate <program> [--seed N] [--map] [--jobs N]\n"
-     "                 [--shards N] [--max-evals N]\n"},
-    {"fuzz",
-     "  kondo fuzz <program> --out <state.kcs> [--seed N]\n"
-     "              [--max-iter N] [--max-evals N] [--resume <state.kcs>]\n"
-     "              [--jobs N] [--shards N]\n"},
-    {"carve",
-     "  kondo carve <program> --state <state.kcs> [--center X]\n"
-     "              [--boundary X]\n"},
-    {"repack",
-     "  kondo repack <pkg.kdp> --data <updated.kdp> [--out <out.kdp>]\n"
-     "               [--jobs N]\n"},
-    {"provenance",
-     "  kondo provenance compact <in.kel2> <out.kel2> [--block N]\n"
-     "  kondo provenance query <store> --range A:B [--file F] [--runs]\n"
-     "  kondo provenance stats <store>\n"},
-    {"serve",
-     "  kondo serve (--socket PATH | --port N) [--pool DIR] [--jobs N]\n"
-     "              [--cache-mb N] [--max-inflight N] [--queue N]\n"},
-    {"client",
-     "  kondo client fetch <artifact> --range A:B (--socket P | --port N)\n"
-     "  kondo client query <store> --range A:B [--file F] [--runs]\n"
-     "               (--socket PATH | --port N)\n"
-     "  kondo client submit <program> [--seed N] [--max-evals N]\n"
-     "               [--max-iter N] (--socket PATH | --port N)\n"
-     "  kondo client stats (--socket PATH | --port N)\n"},
-    {"blast",
-     "  kondo blast --artifact A (--socket PATH | --port N) [--clients N]\n"
-     "              [--requests N] [--range A:B]\n"},
-    {"worker",
-     "  kondo worker (--socket PATH | --port N) [--scratch DIR] [--jobs N]\n"},
-};
-
-int Usage() {
-  std::fprintf(stderr, "usage:\n");
-  for (const CommandHelp& help : kCommandHelp) {
-    std::fprintf(stderr, "%s", help.usage);
-  }
-  return 2;
+/// `--jobs N` (worker threads; default the hardware concurrency). Output
+/// is bit-identical at every setting; only wall-clock time changes.
+int JobsFlag(Args& args) {
+  const int64_t jobs = args.PositiveInt("--jobs").value_or(HardwareThreads());
+  return ClampJobs(static_cast<int>(std::min<int64_t>(jobs, 1 << 20)));
 }
 
-/// Argument error for a recognised command: print just that command's
-/// synopsis.
-int UsageFor(const char* name) {
-  for (const CommandHelp& help : kCommandHelp) {
-    if (std::strcmp(help.name, name) == 0) {
-      std::fprintf(stderr, "usage:\n%s", help.usage);
-      return 2;
+/// The campaign flags of debloat, evaluate and fuzz. A command reads the
+/// ones it declares; the rest keep these defaults.
+struct CampaignFlags {
+  explicit CampaignFlags(Args& args)
+      : seed(args.Uint64("--seed").value_or(1)),
+        jobs(JobsFlag(args)),
+        shards(static_cast<int>(std::min<int64_t>(
+            args.PositiveInt("--shards").value_or(1), 1 << 20))),
+        max_evals(args.PositiveInt("--max-evals").value_or(0)),
+        max_iter(args.PositiveInt("--max-iter").value_or(0)) {}
+
+  void ApplyTo(KondoConfig* config) const {
+    config->rng_seed = seed;
+    config->jobs = jobs;
+    config->shards = shards;
+    config->fuzz.max_evals = max_evals;
+    if (max_iter > 0) {
+      config->fuzz.max_iter = static_cast<int>(max_iter);
     }
   }
-  return Usage();
-}
 
-/// `--jobs N` (campaign worker threads). Defaults to the hardware
-/// concurrency; explicit values must be positive integers (then clamped to
-/// a sane range). Results are bit-identical across settings — only
-/// wall-clock time changes. Returns false on a malformed value.
-bool JobsFrom(std::vector<std::string>* args, int* jobs) {
-  int64_t value = 0;
-  switch (TakePositiveInt(args, "--jobs", &value)) {
-    case FlagParse::kAbsent:
-      *jobs = ClampJobs(HardwareThreads());
-      return true;
-    case FlagParse::kOk:
-      *jobs = ClampJobs(static_cast<int>(std::min<int64_t>(value, 1 << 20)));
-      return true;
-    case FlagParse::kBad:
-      return false;
+  uint64_t seed;      // Campaign seeds are never zero by default.
+  int jobs;
+  int shards;         // 1 = unsharded; the merged result is bit-identical.
+  int64_t max_evals;  // Deterministic evaluation budget; 0 = unlimited.
+  int64_t max_iter;   // Schedule iteration cap; 0 = the config default.
+};
+
+StatusOr<std::unique_ptr<Program>> FindProgram(const std::string& name) {
+  std::unique_ptr<Program> program = CreateProgram(name);
+  if (program == nullptr) {
+    return NotFoundError(StrCat("unknown program: ", name));
   }
-  return false;
-}
-
-/// `--shards N` (campaign shards; default 1 = unsharded). The merged
-/// result is bit-identical at every setting.
-bool ShardsFrom(std::vector<std::string>* args, int* shards) {
-  int64_t value = 1;
-  if (TakePositiveInt(args, "--shards", &value) == FlagParse::kBad) {
-    return false;
-  }
-  *shards = static_cast<int>(std::min<int64_t>(value, 1 << 20));
-  return true;
-}
-
-/// `--max-evals N` (deterministic evaluation budget; 0 = unlimited).
-bool MaxEvalsFrom(std::vector<std::string>* args, int64_t* max_evals) {
-  *max_evals = 0;
-  return TakePositiveInt(args, "--max-evals", max_evals) != FlagParse::kBad;
-}
-
-/// `--max-iter N` (schedule iteration cap; 0 = keep the config default).
-bool MaxIterFrom(std::vector<std::string>* args, int64_t* max_iter) {
-  *max_iter = 0;
-  return TakePositiveInt(args, "--max-iter", max_iter) != FlagParse::kBad;
+  return program;
 }
 
 /// Which stopping criterion ended a campaign, for run reports.
@@ -225,49 +117,42 @@ const char* StopReason(const FuzzStats& stats) {
 /// Packs `array` to `path` and prints the summary every debloat shares:
 /// what was kept, the package size against the dense original, and how the
 /// chunks were coded.
-int WritePackage(const std::string& path, const DebloatedArray& array,
-                 const PackOptions& options) {
-  StatusOr<PackStats> stats = WriteKdpFile(path, array, options);
-  if (!stats.ok()) {
-    std::fprintf(stderr, "%s\n", stats.status().ToString().c_str());
-    return 1;
-  }
+Status WritePackage(const std::string& path, const DebloatedArray& array,
+                    int jobs) {
+  PackOptions options;
+  options.jobs = jobs;
+  KONDO_ASSIGN_OR_RETURN(const PackStats stats,
+                         WriteKdpFile(path, array, options));
   const int64_t original = array.OriginalPayloadBytes();
-  const double smaller = 100.0 * (1.0 - static_cast<double>(stats->file_bytes) /
+  const double smaller = 100.0 * (1.0 - static_cast<double>(stats.file_bytes) /
                                             static_cast<double>(original));
   std::printf("wrote %s: %lld of %lld elements retained, %lld -> %lld "
               "bytes (%.1f%% smaller)\n",
               path.c_str(), static_cast<long long>(array.retained_count()),
               static_cast<long long>(array.shape().NumElements()),
               static_cast<long long>(original),
-              static_cast<long long>(stats->file_bytes), smaller);
+              static_cast<long long>(stats.file_bytes), smaller);
   std::printf("packed: %lld chunks (%lld holes, %lld coded, %lld raw), "
               "%lld -> %lld payload bytes\n",
-              static_cast<long long>(stats->total_chunks),
-              static_cast<long long>(stats->hole_chunks),
-              static_cast<long long>(stats->coded_chunks),
-              static_cast<long long>(stats->raw_chunks),
-              static_cast<long long>(stats->decoded_bytes),
-              static_cast<long long>(stats->encoded_bytes));
-  return 0;
+              static_cast<long long>(stats.total_chunks),
+              static_cast<long long>(stats.hole_chunks),
+              static_cast<long long>(stats.coded_chunks),
+              static_cast<long long>(stats.raw_chunks),
+              static_cast<long long>(stats.decoded_bytes),
+              static_cast<long long>(stats.encoded_bytes));
+  return OkStatus();
 }
 
-/// Opens the KDP package at `path` and decodes it whole, printing the
-/// failure (which names a damaged chunk) on error.
+/// Opens the KDP package at `path` and decodes it whole; a failure names
+/// the damaged chunk.
 StatusOr<DebloatedArray> UnpackFile(const std::string& path, int jobs) {
-  StatusOr<std::unique_ptr<PackReader>> reader = PackReader::Open(path);
-  if (!reader.ok()) {
-    std::fprintf(stderr, "%s\n", reader.status().ToString().c_str());
-    return reader.status();
-  }
-  StatusOr<DebloatedArray> array = (*reader)->Unpack(nullptr, jobs);
-  if (!array.ok()) {
-    std::fprintf(stderr, "%s\n", array.status().ToString().c_str());
-  }
-  return array;
+  KONDO_ASSIGN_OR_RETURN(const std::unique_ptr<PackReader> reader,
+                         PackReader::Open(path));
+  return reader->Unpack(nullptr, jobs);
 }
 
-int CmdPrograms() {
+Status CmdPrograms(Args& args) {
+  KONDO_RETURN_IF_ERROR(args.Positionals(0).status());
   std::printf("%-7s %-8s %-12s %s\n", "name", "params", "data", "description");
   for (const std::string& name : AllProgramNames()) {
     const std::unique_ptr<Program> program = CreateProgram(name);
@@ -293,71 +178,57 @@ int CmdPrograms() {
                 program->param_space().num_params(), program->num_files(),
                 shapes.c_str());
   }
-  return 0;
+  return OkStatus();
 }
 
-int CmdSpec(const std::string& path) {
-  std::ifstream in(path);
+Status CmdSpec(Args& args) {
+  KONDO_ASSIGN_OR_RETURN(const std::vector<std::string> pos,
+                         args.Positionals(1));
+  std::ifstream in(pos[0]);
   if (!in) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return 1;
+    return NotFoundError(StrCat("cannot open ", pos[0]));
   }
   std::stringstream buffer;
   buffer << in.rdbuf();
-  StatusOr<ContainerSpec> spec = ParseContainerSpec(buffer.str());
-  if (!spec.ok()) {
-    std::fprintf(stderr, "parse error: %s\n",
-                 spec.status().ToString().c_str());
-    return 1;
-  }
-  std::printf("base image: %s\n", spec->base_image.c_str());
-  std::printf("run steps:  %zu\n", spec->run_steps.size());
-  for (const AddInstruction& add : spec->adds) {
+  KONDO_ASSIGN_OR_RETURN(const ContainerSpec spec,
+                         ParseContainerSpec(buffer.str()));
+  std::printf("base image: %s\n", spec.base_image.c_str());
+  std::printf("run steps:  %zu\n", spec.run_steps.size());
+  for (const AddInstruction& add : spec.adds) {
     std::printf("add:        %s -> %s\n", add.source.c_str(),
                 add.destination.c_str());
   }
-  std::printf("theta:      %s\n", spec->params.ToString().c_str());
-  std::printf("entrypoint: %s\n", spec->entrypoint.c_str());
-  return 0;
+  std::printf("theta:      %s\n", spec.params.ToString().c_str());
+  std::printf("entrypoint: %s\n", spec.entrypoint.c_str());
+  return OkStatus();
 }
 
-int CmdMakeData(std::vector<std::string> args) {
-  const bool chunked = TakeFlag(&args, "--chunked");
-  const uint64_t seed = SeedFrom(&args);
-  if (args.size() != 2) {
-    return UsageFor("make-data");
-  }
-  const std::unique_ptr<Program> program = CreateProgram(args[0]);
-  if (program == nullptr) {
-    std::fprintf(stderr, "unknown program: %s\n", args[0].c_str());
-    return 1;
-  }
+Status CmdMakeData(Args& args) {
+  const bool chunked = args.Has("--chunked");
+  const uint64_t seed = args.Uint64("--seed").value_or(1);
+  KONDO_ASSIGN_OR_RETURN(const std::vector<std::string> pos,
+                         args.Positionals(2));
+  KONDO_ASSIGN_OR_RETURN(const std::unique_ptr<Program> program,
+                         FindProgram(pos[0]));
   DataArray array(program->data_shape(), DType::kFloat128);
   array.FillPattern(seed);
   std::vector<int64_t> chunk_dims(
       static_cast<size_t>(program->rank()),
       std::max<int64_t>(2, program->data_shape().dim(0) / 16));
-  const Status status = WriteKdfFile(
-      args[1], array, chunked ? LayoutKind::kChunked : LayoutKind::kRowMajor,
-      chunk_dims);
-  if (!status.ok()) {
-    std::fprintf(stderr, "%s\n", status.ToString().c_str());
-    return 1;
-  }
-  std::printf("wrote %s: shape %s, %s layout\n", args[1].c_str(),
+  KONDO_RETURN_IF_ERROR(WriteKdfFile(
+      pos[1], array, chunked ? LayoutKind::kChunked : LayoutKind::kRowMajor,
+      chunk_dims));
+  std::printf("wrote %s: shape %s, %s layout\n", pos[1].c_str(),
               program->data_shape().ToString().c_str(),
               chunked ? "chunked" : "row-major");
-  return 0;
+  return OkStatus();
 }
 
 /// Prints a KDP package's shape, retention, chunk coding and fingerprint.
-int InspectPackage(const std::string& path) {
-  StatusOr<std::unique_ptr<PackReader>> reader = PackReader::Open(path);
-  if (!reader.ok()) {
-    std::fprintf(stderr, "%s\n", reader.status().ToString().c_str());
-    return 1;
-  }
-  const KdpManifest& manifest = (*reader)->manifest();
+Status InspectPackage(const std::string& path) {
+  KONDO_ASSIGN_OR_RETURN(const std::unique_ptr<PackReader> reader,
+                         PackReader::Open(path));
+  const KdpManifest& manifest = reader->manifest();
   int64_t holes = 0, raw = 0, coded = 0;
   int64_t encoded = 0, decoded = 0;
   for (const KdpChunkInfo& info : manifest.chunks) {
@@ -383,7 +254,7 @@ int InspectPackage(const std::string& path) {
     chunk_dims += std::to_string(manifest.chunk_dims[d]);
   }
   const int64_t elements = manifest.shape.NumElements();
-  const int64_t retained = (*reader)->retained_count();
+  const int64_t retained = reader->retained_count();
   std::printf("debloated array (KDP v%d)\n", kKdpVersion);
   std::printf("shape:     %s\n", manifest.shape.ToString().c_str());
   std::printf("dtype:     %s\n",
@@ -401,40 +272,38 @@ int InspectPackage(const std::string& path) {
   std::printf("bytes:     %lld decoded -> %lld encoded, %lld on disk\n",
               static_cast<long long>(decoded),
               static_cast<long long>(encoded),
-              static_cast<long long>((*reader)->FileBytes()));
-  std::printf("fingerprint: %08x\n", (*reader)->pack_fingerprint());
-  return 0;
+              static_cast<long long>(reader->FileBytes()));
+  std::printf("fingerprint: %08x\n", reader->pack_fingerprint());
+  return OkStatus();
 }
 
-int CmdInspect(const std::string& path) {
+Status CmdInspect(Args& args) {
+  KONDO_ASSIGN_OR_RETURN(const std::vector<std::string> pos,
+                         args.Positionals(1));
+  const std::string& path = pos[0];
   if (path.size() > 4 && path.substr(path.size() - 4) == ".kdp") {
     return InspectPackage(path);
   }
-  StatusOr<KdfReader> reader = KdfReader::Open(path);
-  if (!reader.ok()) {
-    std::fprintf(stderr, "%s\n", reader.status().ToString().c_str());
-    return 1;
-  }
+  KONDO_ASSIGN_OR_RETURN(const KdfReader reader, KdfReader::Open(path));
   std::printf("data array (KDF)\n");
-  std::printf("shape:   %s\n", reader->shape().ToString().c_str());
+  std::printf("shape:   %s\n", reader.shape().ToString().c_str());
   std::printf("dtype:   %s\n",
-              std::string(DTypeName(reader->header().dtype)).c_str());
+              std::string(DTypeName(reader.header().dtype)).c_str());
   std::printf("layout:  %s\n",
-              reader->header().layout_kind == LayoutKind::kChunked
+              reader.header().layout_kind == LayoutKind::kChunked
                   ? "chunked"
                   : "row-major");
   std::printf("bytes:   %lld (header %lld + payload)\n",
-              static_cast<long long>(reader->FileBytes()),
-              static_cast<long long>(reader->payload_offset()));
-  return 0;
+              static_cast<long long>(reader.FileBytes()),
+              static_cast<long long>(reader.payload_offset()));
+  return OkStatus();
 }
 
-/// Fleet flags pulled off `kondo debloat`: either spawn `--workers N`
-/// local worker processes under the campaign directory, or attach to
-/// externally started workers via repeatable `--connect ADDR` (all-digit
-/// ADDR = loopback TCP port, anything else = unix-domain socket path).
-/// `--plan-weights KEL2` steers the planner from a prior campaign's
-/// lineage store and also applies to purely local sharded runs.
+/// Fleet flags of `kondo debloat`: either spawn `--workers N` local worker
+/// processes under the campaign directory, or attach to externally started
+/// workers via repeatable `--connect ADDR`. `--plan-weights KEL2` steers
+/// the planner from a prior campaign's lineage store and also applies to
+/// purely local sharded runs.
 struct FleetCliOptions {
   int spawn_workers = 0;
   std::vector<SocketAddress> connect;
@@ -442,36 +311,6 @@ struct FleetCliOptions {
 
   bool active() const { return spawn_workers > 0 || !connect.empty(); }
 };
-
-bool FleetFrom(std::vector<std::string>* args, FleetCliOptions* fleet) {
-  int64_t workers = 0;
-  if (TakePositiveInt(args, "--workers", &workers) == FlagParse::kBad) {
-    return false;
-  }
-  fleet->spawn_workers = static_cast<int>(std::min<int64_t>(workers, 256));
-  for (std::string addr = TakeFlagValue(args, "--connect"); !addr.empty();
-       addr = TakeFlagValue(args, "--connect")) {
-    SocketAddress endpoint;
-    if (addr.find_first_not_of("0123456789") == std::string::npos) {
-      const long long port = std::atoll(addr.c_str());
-      if (port < 1 || port > 65535) {
-        std::fprintf(stderr, "invalid --connect port (want 1..65535): %s\n",
-                     addr.c_str());
-        return false;
-      }
-      endpoint.port = static_cast<int>(port);
-    } else {
-      endpoint.unix_path = addr;
-    }
-    fleet->connect.push_back(endpoint);
-  }
-  fleet->plan_weights_path = TakeFlagValue(args, "--plan-weights");
-  if (fleet->spawn_workers > 0 && !fleet->connect.empty()) {
-    std::fprintf(stderr, "--workers and --connect are exclusive\n");
-    return false;
-  }
-  return true;
-}
 
 /// Resolves `--plan-weights KEL2` into planner weights over `program`'s
 /// file geometry (empty path = empty weights = element-count balancing).
@@ -604,155 +443,122 @@ StatusOr<ShardedRunResult> RunShardedFromCli(const MultiFileProgram& program,
   return result;
 }
 
+/// True, after saying so, when a sharded campaign stopped before every
+/// shard was fuzzed (a rerun continues it).
+bool Paused(const ShardedRunResult& run) {
+  if (!run.complete) {
+    std::printf("campaign paused: %d of %d shards fuzzed; rerun to "
+                "continue\n",
+                run.shards_fuzzed_now, run.shards_total);
+  }
+  return !run.complete;
+}
+
 /// Multi-file debloat: one campaign over Θ (optionally sharded), one
 /// synthesised source array + `<file>.kdp` package per data file under
 /// `out_dir`.
-int CmdDebloatMultiFile(std::unique_ptr<MultiFileProgram> program,
+Status DebloatMultiFile(const MultiFileProgram& program,
                         const std::string& out_dir,
-                        const std::string& shard_dir, uint64_t seed, int jobs,
-                        int shards, int64_t max_evals, int64_t max_iter,
+                        const std::string& shard_dir,
+                        const CampaignFlags& flags,
                         const FleetCliOptions& fleet) {
   KondoConfig config;
-  config.rng_seed = seed;
-  config.jobs = jobs;
-  config.shards = shards;
-  config.fuzz.max_evals = max_evals;
-  if (max_iter > 0) {
-    config.fuzz.max_iter = static_cast<int>(max_iter);
-  }
-
+  flags.ApplyTo(&config);
   MultiKondoResult result;
   if (!shard_dir.empty()) {
-    StatusOr<ShardedRunResult> sharded =
-        RunShardedFromCli(*program, config, shard_dir, shards, fleet);
-    if (!sharded.ok()) {
-      std::fprintf(stderr, "%s\n", sharded.status().ToString().c_str());
-      return 1;
+    KONDO_ASSIGN_OR_RETURN(
+        ShardedRunResult sharded,
+        RunShardedFromCli(program, config, shard_dir, flags.shards, fleet));
+    if (Paused(sharded)) {
+      return OkStatus();
     }
-    if (!sharded->complete) {
-      std::printf("campaign paused: %d of %d shards fuzzed; rerun to "
-                  "continue\n",
-                  sharded->shards_fuzzed_now, sharded->shards_total);
-      return 0;
-    }
-    result.fuzz_stats = sharded->merged.fuzz_stats;
-    result.per_file_discovered = std::move(sharded->merged.per_file_discovered);
-    result.per_file_approx = std::move(sharded->merged.per_file_approx);
+    result.fuzz_stats = sharded.merged.fuzz_stats;
+    result.per_file_discovered = std::move(sharded.merged.per_file_discovered);
+    result.per_file_approx = std::move(sharded.merged.per_file_approx);
     result.per_file_carve_stats =
-        std::move(sharded->merged.per_file_carve_stats);
-    std::printf("lineage: %s\n", sharded->merged_lineage_path.c_str());
+        std::move(sharded.merged.per_file_carve_stats);
+    std::printf("lineage: %s\n", sharded.merged_lineage_path.c_str());
   } else {
-    result = RunMultiFileKondo(*program, config);
+    result = RunMultiFileKondo(program, config);
   }
   std::printf("fuzz:  %d evaluations (%d useful), stopped by %s\n",
               result.fuzz_stats.evaluations,
               result.fuzz_stats.useful_evaluations,
               StopReason(result.fuzz_stats));
 
-  if (Status status = EnsureCampaignDirectory(out_dir); !status.ok()) {
-    std::fprintf(stderr, "%s\n", status.ToString().c_str());
-    return 1;
-  }
-  for (int f = 0; f < program->num_files(); ++f) {
-    DataArray array(program->file_shape(f), DType::kFloat128);
-    array.FillPattern(seed + static_cast<uint64_t>(f));
+  KONDO_RETURN_IF_ERROR(EnsureCampaignDirectory(out_dir));
+  for (int f = 0; f < program.num_files(); ++f) {
+    DataArray array(program.file_shape(f), DType::kFloat128);
+    array.FillPattern(flags.seed + static_cast<uint64_t>(f));
     DebloatedArray debloated =
         PackageDebloated(array, result.per_file_approx[static_cast<size_t>(f)]);
-    const std::string file_name(program->file_name(f));
+    const std::string file_name(program.file_name(f));
     std::printf("%s: %d hulls carved\n", file_name.c_str(),
                 result.per_file_carve_stats[static_cast<size_t>(f)]
                     .final_hulls);
-    PackOptions pack_options;
-    pack_options.jobs = jobs;
-    if (int rc = WritePackage(out_dir + "/" + file_name + ".kdp", debloated,
-                              pack_options);
-        rc != 0) {
-      return rc;
-    }
+    KONDO_RETURN_IF_ERROR(WritePackage(out_dir + "/" + file_name + ".kdp",
+                                       debloated, flags.jobs));
   }
-  return 0;
+  return OkStatus();
 }
 
-int CmdDebloat(std::vector<std::string> args) {
-  const std::string data_path = TakeFlagValue(&args, "--data");
-  const std::string out_path = TakeFlagValue(&args, "--out");
-  const std::string shard_dir = TakeFlagValue(&args, "--shard-dir");
-  const bool audited = TakeFlag(&args, "--audited");
-  const uint64_t seed = SeedFrom(&args);
-  int jobs = 0;
-  int shards = 1;
-  int64_t max_evals = 0;
-  int64_t max_iter = 0;
+Status CmdDebloat(Args& args) {
+  const std::string data_path = args.Value("--data");
+  const std::string out_path = args.Required("--out");
+  const std::string shard_dir = args.Value("--shard-dir");
+  const bool audited = args.Has("--audited");
+  const CampaignFlags flags(args);
   FleetCliOptions fleet;
-  if (!JobsFrom(&args, &jobs) || !ShardsFrom(&args, &shards) ||
-      !MaxEvalsFrom(&args, &max_evals) || !MaxIterFrom(&args, &max_iter) ||
-      !FleetFrom(&args, &fleet) || args.size() != 1 || out_path.empty()) {
-    return UsageFor("debloat");
+  fleet.spawn_workers = static_cast<int>(
+      std::min<int64_t>(args.PositiveInt("--workers").value_or(0), 256));
+  fleet.connect = args.Endpoints("--connect");
+  fleet.plan_weights_path = args.Value("--plan-weights");
+  KONDO_ASSIGN_OR_RETURN(const std::vector<std::string> pos,
+                         args.Positionals(1));
+  if (fleet.spawn_workers > 0 && !fleet.connect.empty()) {
+    return args.Fail("--workers and --connect are exclusive");
   }
   if (fleet.active() && shard_dir.empty()) {
-    std::fprintf(stderr,
-                 "--workers/--connect need --shard-dir (the campaign "
-                 "directory is the fleet's source of truth)\n");
-    return UsageFor("debloat");
+    return args.Fail(
+        "--workers/--connect need --shard-dir (the campaign directory is "
+        "the fleet's source of truth)");
   }
-
-  if (std::unique_ptr<MultiFileProgram> multi =
-          CreateMultiFileProgram(args[0]);
+  if (const std::unique_ptr<MultiFileProgram> multi =
+          CreateMultiFileProgram(pos[0]);
       multi != nullptr) {
     if (!data_path.empty() || audited) {
-      return UsageFor("debloat");
+      return args.Fail("a multi-file program takes no --data or --audited");
     }
-    return CmdDebloatMultiFile(std::move(multi), out_path, shard_dir, seed,
-                               jobs, shards, max_evals, max_iter, fleet);
+    return DebloatMultiFile(*multi, out_path, shard_dir, flags, fleet);
   }
-
-  std::unique_ptr<Program> program = CreateProgram(args[0]);
-  if (program == nullptr) {
-    std::fprintf(stderr, "unknown program: %s\n", args[0].c_str());
-    return 1;
-  }
+  KONDO_ASSIGN_OR_RETURN(std::unique_ptr<Program> program,
+                         FindProgram(pos[0]));
   if (data_path.empty()) {
-    return UsageFor("debloat");
+    return args.Fail("missing --data");
+  }
+  const bool sharded = flags.shards > 1 || !shard_dir.empty();
+  if (audited && sharded) {
+    return args.Fail("--audited and --shards/--shard-dir are exclusive");
   }
 
   KondoConfig config = ScaledKondoConfig(program->data_shape());
-  config.rng_seed = seed;
-  config.jobs = jobs;
-  config.shards = shards;
-  config.fuzz.max_evals = max_evals;
-  if (max_iter > 0) {
-    config.fuzz.max_iter = static_cast<int>(max_iter);
-  }
-
+  flags.ApplyTo(&config);
   IndexSet approx(program->data_shape());
-  if (shards > 1 || !shard_dir.empty()) {
+  FuzzStats fuzz;
+  int hulls = 0;
+  if (sharded) {
     // The chunk-range splitter partitions the single file; the merged
     // result is bit-identical to the unsharded pipeline.
-    if (audited) {
-      std::fprintf(stderr,
-                   "--audited and --shards/--shard-dir are exclusive\n");
-      return UsageFor("debloat");
-    }
     const SingleFileProgramAdapter adapter(std::move(program));
-    StatusOr<ShardedRunResult> sharded =
-        RunShardedFromCli(adapter, config, shard_dir, shards, fleet);
-    if (!sharded.ok()) {
-      std::fprintf(stderr, "%s\n", sharded.status().ToString().c_str());
-      return 1;
+    KONDO_ASSIGN_OR_RETURN(
+        ShardedRunResult run,
+        RunShardedFromCli(adapter, config, shard_dir, flags.shards, fleet));
+    if (Paused(run)) {
+      return OkStatus();
     }
-    if (!sharded->complete) {
-      std::printf("campaign paused: %d of %d shards fuzzed; rerun to "
-                  "continue\n",
-                  sharded->shards_fuzzed_now, sharded->shards_total);
-      return 0;
-    }
-    approx = std::move(sharded->merged.per_file_approx[0]);
-    std::printf("fuzz:  %d evaluations (%d useful), %d hulls carved, "
-                "stopped by %s\n",
-                sharded->merged.fuzz_stats.evaluations,
-                sharded->merged.fuzz_stats.useful_evaluations,
-                sharded->merged.per_file_carve_stats[0].final_hulls,
-                StopReason(sharded->merged.fuzz_stats));
+    approx = std::move(run.merged.per_file_approx[0]);
+    fuzz = run.merged.fuzz_stats;
+    hulls = run.merged.per_file_carve_stats[0].final_hulls;
   } else {
     KondoPipeline pipeline(config);
     const KondoResult result =
@@ -761,104 +567,77 @@ int CmdDebloat(std::vector<std::string> args) {
                       program->param_space(), program->data_shape())
                 : pipeline.Run(*program);
     approx = result.approx;
-    std::printf("fuzz:  %d evaluations (%d useful), %d hulls carved, "
-                "stopped by %s\n",
-                result.fuzz.stats.evaluations,
-                result.fuzz.stats.useful_evaluations,
-                result.carve_stats.final_hulls, StopReason(result.fuzz.stats));
+    fuzz = result.fuzz.stats;
+    hulls = result.carve_stats.final_hulls;
   }
+  std::printf("fuzz:  %d evaluations (%d useful), %d hulls carved, "
+              "stopped by %s\n",
+              fuzz.evaluations, fuzz.useful_evaluations, hulls,
+              StopReason(fuzz));
 
-  StatusOr<KdfReader> reader = KdfReader::Open(data_path);
-  if (!reader.ok()) {
-    std::fprintf(stderr, "%s\n", reader.status().ToString().c_str());
-    return 1;
-  }
-  StatusOr<DataArray> array = reader->ReadAll();
-  if (!array.ok()) {
-    std::fprintf(stderr, "%s\n", array.status().ToString().c_str());
-    return 1;
-  }
-  PackOptions pack_options;
-  pack_options.jobs = jobs;
-  return WritePackage(out_path, PackageDebloated(*array, approx),
-                      pack_options);
+  KONDO_ASSIGN_OR_RETURN(KdfReader reader, KdfReader::Open(data_path));
+  KONDO_ASSIGN_OR_RETURN(const DataArray array, reader.ReadAll());
+  return WritePackage(out_path, PackageDebloated(array, approx), flags.jobs);
 }
 
-int CmdRepack(std::vector<std::string> args) {
-  const std::string data_path = TakeFlagValue(&args, "--data");
-  std::string out_path = TakeFlagValue(&args, "--out");
-  int jobs = 0;
-  if (!JobsFrom(&args, &jobs) || args.size() != 1 || data_path.empty()) {
-    return UsageFor("repack");
-  }
+Status CmdRepack(Args& args) {
+  const std::string data_path = args.Required("--data");
+  std::string out_path = args.Value("--out");
+  const int jobs = JobsFlag(args);
+  KONDO_ASSIGN_OR_RETURN(const std::vector<std::string> pos,
+                         args.Positionals(1));
   if (out_path.empty()) {
-    out_path = args[0];  // In-place repack (atomic tmp+rename commit).
+    out_path = pos[0];  // In-place repack (atomic tmp+rename commit).
   }
-  StatusOr<DebloatedArray> updated = UnpackFile(data_path, jobs);
-  if (!updated.ok()) {
-    return 1;
-  }
+  KONDO_ASSIGN_OR_RETURN(const DebloatedArray updated,
+                         UnpackFile(data_path, jobs));
   PackOptions options;
   options.jobs = jobs;
-  StatusOr<PackStats> stats =
-      RepackKdpFile(args[0], out_path, *updated, options);
-  if (!stats.ok()) {
-    std::fprintf(stderr, "%s\n", stats.status().ToString().c_str());
-    return 1;
-  }
+  KONDO_ASSIGN_OR_RETURN(const PackStats stats,
+                         RepackKdpFile(pos[0], out_path, updated, options));
   std::printf("repacked %s -> %s: %lld of %lld chunks reused, %lld "
               "re-encoded, %lld bytes on disk\n",
-              args[0].c_str(), out_path.c_str(),
-              static_cast<long long>(stats->chunks_reused),
-              static_cast<long long>(stats->total_chunks),
-              static_cast<long long>(stats->chunks_reencoded),
-              static_cast<long long>(stats->file_bytes));
-  return 0;
+              pos[0].c_str(), out_path.c_str(),
+              static_cast<long long>(stats.chunks_reused),
+              static_cast<long long>(stats.total_chunks),
+              static_cast<long long>(stats.chunks_reencoded),
+              static_cast<long long>(stats.file_bytes));
+  return OkStatus();
 }
 
-int CmdReplay(std::vector<std::string> args) {
-  const std::string remote_path = TakeFlagValue(&args, "--remote");
-  int64_t fetch_retries = 0;
-  int64_t fetch_backoff_ms = 0;
-  if (TakePositiveInt(&args, "--fetch-retries", &fetch_retries) ==
-          FlagParse::kBad ||
-      TakePositiveInt(&args, "--fetch-backoff-ms", &fetch_backoff_ms) ==
-          FlagParse::kBad) {
-    return UsageFor("replay");
-  }
-  if (args.size() < 3) {
-    return UsageFor("replay");
-  }
-  const std::unique_ptr<Program> program = CreateProgram(args[0]);
-  if (program == nullptr) {
-    std::fprintf(stderr, "unknown program: %s\n", args[0].c_str());
-    return 1;
-  }
-  StatusOr<DebloatedArray> array = UnpackFile(args[1], /*jobs=*/1);
-  if (!array.ok()) {
-    return 1;
-  }
+Status CmdReplay(Args& args) {
+  const std::string remote_path = args.Value("--remote");
+  // Clamped so that huge values cannot overflow the arithmetic below.
+  FetchPolicy policy;
+  policy.max_attempts = 1 + static_cast<int>(std::min<int64_t>(
+                                args.PositiveInt("--fetch-retries").value_or(0),
+                                1 << 20));
+  policy.backoff_micros =
+      std::min<int64_t>(args.PositiveInt("--fetch-backoff-ms").value_or(0),
+                        int64_t{1} << 40) *
+      1000;
+  KONDO_ASSIGN_OR_RETURN(const std::vector<std::string> pos,
+                         args.Positionals(3, SIZE_MAX));
   ParamValue v;
-  for (size_t i = 2; i < args.size(); ++i) {
-    v.push_back(std::atof(args[i].c_str()));
+  for (size_t i = 2; i < pos.size(); ++i) {
+    double value = 0;
+    if (!ParseDouble(pos[i], &value)) {
+      return args.Fail(StrCat("invalid parameter value: ", pos[i]));
+    }
+    v.push_back(value);
   }
+  KONDO_ASSIGN_OR_RETURN(const std::unique_ptr<Program> program,
+                         FindProgram(pos[0]));
+  KONDO_ASSIGN_OR_RETURN(DebloatedArray array, UnpackFile(pos[1], 1));
   if (static_cast<int>(v.size()) != program->param_space().num_params()) {
-    std::fprintf(stderr, "expected %d parameters\n",
-                 program->param_space().num_params());
-    return 1;
+    return InvalidArgumentError(StrCat(
+        "expected ", program->param_space().num_params(), " parameters"));
   }
 
   if (!remote_path.empty()) {
-    StatusOr<std::unique_ptr<KdfRemoteSource>> remote =
-        KdfRemoteSource::Open(remote_path);
-    if (!remote.ok()) {
-      std::fprintf(stderr, "%s\n", remote.status().ToString().c_str());
-      return 1;
-    }
-    FetchPolicy policy;
-    policy.max_attempts = 1 + static_cast<int>(fetch_retries);
-    policy.backoff_micros = fetch_backoff_ms * 1000;
-    FetchingRuntime runtime(*std::move(array), *std::move(remote), policy);
+    KONDO_ASSIGN_OR_RETURN(std::unique_ptr<KdfRemoteSource> remote,
+                           KdfRemoteSource::Open(remote_path));
+    FetchingRuntime runtime(std::move(array), std::move(remote), policy);
     const Status status = runtime.ReplayRun(*program, v);
     std::printf("replay: %s (%lld local hits, %lld remote fetches, %lld "
                 "bytes pulled, %lld retries, %lld fetch failures)\n",
@@ -868,90 +647,74 @@ int CmdReplay(std::vector<std::string> args) {
                 static_cast<long long>(runtime.stats().bytes_fetched),
                 static_cast<long long>(runtime.stats().fetch_retries),
                 static_cast<long long>(runtime.stats().fetch_failures));
-    return status.ok() ? 0 : 1;
+    return status;
   }
 
-  DebloatRuntime runtime(*std::move(array));
+  DebloatRuntime runtime(std::move(array));
   const Status status = runtime.ReplayRun(*program, v);
   std::printf("replay: %s (%lld reads, %lld misses)\n",
               status.ToString().c_str(),
               static_cast<long long>(runtime.stats().reads),
               static_cast<long long>(runtime.stats().misses));
-  return status.ok() ? 0 : 1;
+  return status;
 }
 
 /// Multi-file evaluate: runs the (optionally sharded) multi-file pipeline
 /// and scores each file's approximation against its enumerated ground
 /// truth.
-int CmdEvaluateMultiFile(std::unique_ptr<MultiFileProgram> program,
-                         uint64_t seed, int jobs, int shards,
-                         int64_t max_evals) {
+Status EvaluateMultiFile(const MultiFileProgram& program,
+                         const CampaignFlags& flags) {
   KondoConfig config;
-  config.rng_seed = seed;
-  config.jobs = jobs;
-  config.shards = shards;
-  config.fuzz.max_evals = max_evals;
-  const MultiKondoResult result = RunMultiFileKondo(*program, config);
+  flags.ApplyTo(&config);
+  const MultiKondoResult result = RunMultiFileKondo(program, config);
   std::printf("fuzz:  %d evaluations (%d useful) in %d iterations, "
               "stopped by %s\n",
               result.fuzz_stats.evaluations,
               result.fuzz_stats.useful_evaluations, result.fuzz_stats.iterations,
               StopReason(result.fuzz_stats));
-  const MultiIndexSets truths = program->GroundTruths();
-  for (int f = 0; f < program->num_files(); ++f) {
+  const MultiIndexSets truths = program.GroundTruths();
+  for (int f = 0; f < program.num_files(); ++f) {
     const IndexSet& approx = result.per_file_approx[static_cast<size_t>(f)];
     const AccuracyMetrics metrics =
         ComputeAccuracy(truths[static_cast<size_t>(f)], approx);
     std::printf("%-12s precision %.3f  recall %.3f  bloat %.1f%%  "
                 "(%d hulls)\n",
-                std::string(program->file_name(f)).c_str(), metrics.precision,
+                std::string(program.file_name(f)).c_str(), metrics.precision,
                 metrics.recall,
-                100.0 * BloatFraction(program->file_shape(f), approx),
+                100.0 * BloatFraction(program.file_shape(f), approx),
                 result.per_file_carve_stats[static_cast<size_t>(f)]
                     .final_hulls);
   }
-  return 0;
+  return OkStatus();
 }
 
-int CmdEvaluate(std::vector<std::string> args) {
-  const uint64_t seed = SeedFrom(&args);
-  const bool map = TakeFlag(&args, "--map");
-  int jobs = 0;
-  int shards = 1;
-  int64_t max_evals = 0;
-  if (!JobsFrom(&args, &jobs) || !ShardsFrom(&args, &shards) ||
-      !MaxEvalsFrom(&args, &max_evals) || args.size() != 1) {
-    return UsageFor("evaluate");
-  }
-  if (std::unique_ptr<MultiFileProgram> multi =
-          CreateMultiFileProgram(args[0]);
+Status CmdEvaluate(Args& args) {
+  const CampaignFlags flags(args);
+  const bool map = args.Has("--map");
+  KONDO_ASSIGN_OR_RETURN(const std::vector<std::string> pos,
+                         args.Positionals(1));
+  if (const std::unique_ptr<MultiFileProgram> multi =
+          CreateMultiFileProgram(pos[0]);
       multi != nullptr) {
-    return CmdEvaluateMultiFile(std::move(multi), seed, jobs, shards,
-                                max_evals);
+    return EvaluateMultiFile(*multi, flags);
   }
-  std::unique_ptr<Program> program = CreateProgram(args[0]);
-  if (program == nullptr) {
-    std::fprintf(stderr, "unknown program: %s\n", args[0].c_str());
-    return 1;
-  }
+  KONDO_ASSIGN_OR_RETURN(std::unique_ptr<Program> program,
+                         FindProgram(pos[0]));
   KondoConfig config = ScaledKondoConfig(program->data_shape());
-  config.rng_seed = seed;
-  config.jobs = jobs;
-  config.fuzz.max_evals = max_evals;
-  if (shards > 1) {
+  flags.ApplyTo(&config);
+  const IndexSet truth = program->GroundTruth();
+  const Shape shape = program->data_shape();
+  if (flags.shards > 1) {
     // Route through the chunk-range splitter; the merged approximation is
     // bit-identical to the unsharded pipeline's.
-    const IndexSet truth = program->GroundTruth();
-    const Shape shape = program->data_shape();
     const SingleFileProgramAdapter adapter(std::move(program));
-    config.shards = shards;
     const MultiKondoResult result = RunMultiFileKondo(adapter, config);
     const IndexSet& approx = result.per_file_approx[0];
     const AccuracyMetrics metrics = ComputeAccuracy(truth, approx);
     std::printf("fuzz:  %d evaluations (%d useful) across %d shards, "
                 "stopped by %s\n",
                 result.fuzz_stats.evaluations,
-                result.fuzz_stats.useful_evaluations, shards,
+                result.fuzz_stats.useful_evaluations, flags.shards,
                 StopReason(result.fuzz_stats));
     std::printf("precision %.3f  recall %.3f  bloat %.1f%%  (%d hulls)\n",
                 metrics.precision, metrics.recall,
@@ -960,203 +723,134 @@ int CmdEvaluate(std::vector<std::string> args) {
     if (map) {
       std::printf("%s", RenderComparison(truth, approx).c_str());
     }
-    return 0;
+    return OkStatus();
   }
   const KondoResult result = KondoPipeline(config).Run(*program);
-  const AccuracyMetrics metrics =
-      ComputeAccuracy(program->GroundTruth(), result.approx);
+  const AccuracyMetrics metrics = ComputeAccuracy(truth, result.approx);
   std::printf("%s", FormatCampaignReport(result, metrics).c_str());
   std::printf("bloat identified: %.1f%%\n",
-              100.0 * BloatFraction(program->data_shape(), result.approx));
+              100.0 * BloatFraction(shape, result.approx));
   if (map) {
-    std::printf("%s",
-                RenderComparison(program->GroundTruth(), result.approx)
-                    .c_str());
+    std::printf("%s", RenderComparison(truth, result.approx).c_str());
   }
-  return 0;
+  return OkStatus();
 }
 
-int CmdFuzz(std::vector<std::string> args) {
-  const std::string out_path = TakeFlagValue(&args, "--out");
-  const std::string resume_path = TakeFlagValue(&args, "--resume");
-  const uint64_t seed = SeedFrom(&args);
-  int jobs = 0;
-  int shards = 1;
-  int64_t max_evals = 0;
-  int64_t max_iter = 0;
-  if (!JobsFrom(&args, &jobs) || !ShardsFrom(&args, &shards) ||
-      !MaxEvalsFrom(&args, &max_evals) || !MaxIterFrom(&args, &max_iter) ||
-      args.size() != 1 || out_path.empty()) {
-    return UsageFor("fuzz");
-  }
-  std::unique_ptr<Program> program = CreateProgram(args[0]);
-  if (program == nullptr) {
-    std::fprintf(stderr, "unknown program: %s\n", args[0].c_str());
-    return 1;
-  }
+Status CmdFuzz(Args& args) {
+  const std::string out_path = args.Required("--out");
+  const std::string resume_path = args.Value("--resume");
+  const CampaignFlags flags(args);
+  KONDO_ASSIGN_OR_RETURN(const std::vector<std::string> pos,
+                         args.Positionals(1));
+  KONDO_ASSIGN_OR_RETURN(std::unique_ptr<Program> program,
+                         FindProgram(pos[0]));
   const Shape shape = program->data_shape();
   KondoConfig config = ScaledKondoConfig(shape);
-  config.rng_seed = seed;
-  config.jobs = jobs;
-  config.fuzz.max_evals = max_evals;
-  if (max_iter > 0) {
-    config.fuzz.max_iter = static_cast<int>(max_iter);
-  }
+  flags.ApplyTo(&config);
 
   FuzzResult result;
-  if (shards > 1) {
+  if (flags.shards > 1) {
     // Sharded campaign (in memory): the merge reconstitutes the exact
     // serial FuzzResult — seeds from the replicated schedule, discovered
     // set as the union over the shard partition.
     const SingleFileProgramAdapter adapter(std::move(program));
     ShardOptions options;
-    options.shards = shards;
-    StatusOr<ShardedRunResult> sharded =
-        RunShardedCampaign(adapter, config, options);
-    if (!sharded.ok()) {
-      std::fprintf(stderr, "%s\n", sharded.status().ToString().c_str());
-      return 1;
-    }
-    result.discovered = std::move(sharded->merged.per_file_discovered[0]);
-    result.seeds = std::move(sharded->merged.seeds);
-    result.stats = sharded->merged.fuzz_stats;
+    options.shards = flags.shards;
+    KONDO_ASSIGN_OR_RETURN(ShardedRunResult sharded,
+                           RunShardedCampaign(adapter, config, options));
+    result.discovered = std::move(sharded.merged.per_file_discovered[0]);
+    result.seeds = std::move(sharded.merged.seeds);
+    result.stats = sharded.merged.fuzz_stats;
   } else {
-    CampaignExecutor executor(jobs);
-    FuzzSchedule schedule(program->param_space(), shape, config.fuzz, seed);
+    CampaignExecutor executor(flags.jobs);
+    FuzzSchedule schedule(program->param_space(), shape, config.fuzz,
+                          flags.seed);
     result = schedule.Run(executor, MakeCandidateTest(*program));
   }
   CampaignState state = MakeCampaignState(shape, result);
 
   if (!resume_path.empty()) {
-    StatusOr<CampaignState> previous = LoadCampaignState(resume_path);
-    if (!previous.ok()) {
-      std::fprintf(stderr, "%s\n", previous.status().ToString().c_str());
-      return 1;
-    }
-    MergeCampaignState(&*previous, state);
-    state = *std::move(previous);
+    KONDO_ASSIGN_OR_RETURN(CampaignState previous,
+                           LoadCampaignState(resume_path));
+    MergeCampaignState(&previous, state);
+    state = std::move(previous);
   }
-  if (Status status = SaveCampaignState(out_path, state); !status.ok()) {
-    std::fprintf(stderr, "%s\n", status.ToString().c_str());
-    return 1;
-  }
+  KONDO_RETURN_IF_ERROR(SaveCampaignState(out_path, state));
   std::printf("campaign: %d evaluations this run (stopped by %s); state now "
               "holds %zu seeds and %zu discovered offsets -> %s\n",
               result.stats.evaluations, StopReason(result.stats),
               state.seeds.size(), state.discovered.size(), out_path.c_str());
-  return 0;
+  return OkStatus();
 }
 
-int CmdCarve(std::vector<std::string> args) {
-  const std::string state_path = TakeFlagValue(&args, "--state");
-  const std::string center = TakeFlagValue(&args, "--center");
-  const std::string boundary = TakeFlagValue(&args, "--boundary");
-  if (args.size() != 1 || state_path.empty()) {
-    return UsageFor("carve");
-  }
-  const std::unique_ptr<Program> program = CreateProgram(args[0]);
-  if (program == nullptr) {
-    std::fprintf(stderr, "unknown program: %s\n", args[0].c_str());
-    return 1;
-  }
-  StatusOr<CampaignState> state = LoadCampaignState(state_path);
-  if (!state.ok()) {
-    std::fprintf(stderr, "%s\n", state.status().ToString().c_str());
-    return 1;
-  }
-  if (!(state->shape == program->data_shape())) {
-    std::fprintf(stderr, "campaign shape %s does not match program %s\n",
-                 state->shape.ToString().c_str(),
-                 program->data_shape().ToString().c_str());
-    return 1;
+Status CmdCarve(Args& args) {
+  const std::string state_path = args.Required("--state");
+  const std::optional<double> center = args.Double("--center");
+  const std::optional<double> boundary = args.Double("--boundary");
+  KONDO_ASSIGN_OR_RETURN(const std::vector<std::string> pos,
+                         args.Positionals(1));
+  KONDO_ASSIGN_OR_RETURN(const std::unique_ptr<Program> program,
+                         FindProgram(pos[0]));
+  KONDO_ASSIGN_OR_RETURN(const CampaignState state,
+                         LoadCampaignState(state_path));
+  if (!(state.shape == program->data_shape())) {
+    return FailedPreconditionError(
+        StrCat("campaign shape ", state.shape.ToString(),
+               " does not match program ", program->data_shape().ToString()));
   }
   CarveConfig config = ScaledKondoConfig(program->data_shape()).carve;
-  if (!center.empty()) {
-    config.center_d_thresh = std::atof(center.c_str());
-  }
-  if (!boundary.empty()) {
-    config.boundary_d_thresh = std::atof(boundary.c_str());
-  }
+  config.center_d_thresh = center.value_or(config.center_d_thresh);
+  config.boundary_d_thresh = boundary.value_or(config.boundary_d_thresh);
   CarveStats stats;
   const IndexSet approx =
-      Carver(config).Carve(state->discovered, &stats).Rasterize();
+      Carver(config).Carve(state.discovered, &stats).Rasterize();
   const AccuracyMetrics metrics =
       ComputeAccuracy(program->GroundTruth(), approx);
   std::printf("carved %d hulls from %zu discovered offsets (%d merges)\n",
-              stats.final_hulls, state->discovered.size(),
+              stats.final_hulls, state.discovered.size(),
               stats.merge_operations);
   std::printf("precision %.3f, recall %.3f, subset %lld of %lld\n",
               metrics.precision, metrics.recall,
               static_cast<long long>(metrics.approx_size),
               static_cast<long long>(
                   program->data_shape().NumElements()));
-  return 0;
+  return OkStatus();
 }
 
 // ---------------------------------------------------------- provenance --
 
-int CmdProvenanceCompact(std::vector<std::string> args) {
-  const std::string block = TakeFlagValue(&args, "--block");
-  if (args.size() != 2) {
-    return UsageFor("provenance");
-  }
+Status CmdCompact(Args& args) {
   Kel2WriterOptions options;
-  if (!block.empty()) {
-    if (!ParseInt64(block, &options.events_per_block) ||
-        options.events_per_block <= 0) {
-      std::fprintf(stderr, "invalid --block value: %s\n", block.c_str());
-      return 1;
-    }
-  }
-  StatusOr<CompactStats> stats =
-      CompactLineageStore(args[0], args[1], options);
-  if (!stats.ok()) {
-    std::fprintf(stderr, "%s\n", stats.status().ToString().c_str());
-    return 1;
-  }
+  options.events_per_block =
+      args.PositiveInt("--block").value_or(options.events_per_block);
+  KONDO_ASSIGN_OR_RETURN(const std::vector<std::string> pos,
+                         args.Positionals(2));
+  KONDO_ASSIGN_OR_RETURN(const CompactStats stats,
+                         CompactLineageStore(pos[0], pos[1], options));
   std::printf("compacted %s -> %s: %lld events in %lld blocks, "
               "%lld -> %lld bytes (input/output %.2fx)\n",
-              args[0].c_str(), args[1].c_str(),
-              static_cast<long long>(stats->events),
-              static_cast<long long>(stats->blocks),
-              static_cast<long long>(stats->input_bytes),
-              static_cast<long long>(stats->output_bytes), stats->Ratio());
-  return 0;
+              pos[0].c_str(), pos[1].c_str(),
+              static_cast<long long>(stats.events),
+              static_cast<long long>(stats.blocks),
+              static_cast<long long>(stats.input_bytes),
+              static_cast<long long>(stats.output_bytes), stats.Ratio());
+  return OkStatus();
 }
 
-int CmdProvenanceQuery(std::vector<std::string> args) {
-  const std::string range = TakeFlagValue(&args, "--range");
-  const std::string file = TakeFlagValue(&args, "--file");
-  const bool runs_only = TakeFlag(&args, "--runs");
-  if (args.size() != 1 || range.empty()) {
-    return UsageFor("provenance");
-  }
+Status CmdQuery(Args& args) {
+  const std::string range = args.Required("--range");
+  const int64_t file_id = args.Int64("--file").value_or(1);
+  const bool runs_only = args.Has("--runs");
+  KONDO_ASSIGN_OR_RETURN(const std::vector<std::string> pos,
+                         args.Positionals(1));
   int64_t begin = 0, end = 0;
-  if (!ParseRange(range, &begin, &end)) {
-    std::fprintf(stderr, "invalid --range (want A:B with A < B): %s\n",
-                 range.c_str());
-    return 1;
-  }
-  int64_t file_id = 1;
-  if (!file.empty() && !ParseInt64(file, &file_id)) {
-    std::fprintf(stderr, "invalid --file value: %s\n", file.c_str());
-    return 1;
-  }
-
-  StatusOr<Kel2Reader> reader = Kel2Reader::Open(args[0]);
-  if (!reader.ok()) {
-    std::fprintf(stderr, "%s\n", reader.status().ToString().c_str());
-    return 1;
-  }
-  ProvenanceQuery query(&*reader);
-  StatusOr<std::vector<Event>> events =
-      query.EventsOverlapping(file_id, begin, end);
-  if (!events.ok()) {
-    std::fprintf(stderr, "%s\n", events.status().ToString().c_str());
-    return 1;
-  }
+  KONDO_RETURN_IF_ERROR(ParseRange(range, &begin, &end));
+  KONDO_ASSIGN_OR_RETURN(Kel2Reader reader, Kel2Reader::Open(pos[0]));
+  ProvenanceQuery query(&reader);
+  KONDO_ASSIGN_OR_RETURN(const std::vector<Event> events,
+                         query.EventsOverlapping(file_id, begin, end));
   std::vector<int64_t> pids;
-  for (const Event& event : *events) {
+  for (const Event& event : events) {
     pids.push_back(event.id.pid);
     if (!runs_only) {
       std::printf("%s\n", event.ToString().c_str());
@@ -1172,110 +866,55 @@ int CmdProvenanceQuery(std::vector<std::string> args) {
   const ProvenanceQueryStats& stats = query.stats();
   std::printf("%zu events, %zu runs in [%lld,%lld) — decoded %lld of %lld "
               "blocks (%lld skipped in-situ)\n",
-              events->size(), pids.size(), static_cast<long long>(begin),
+              events.size(), pids.size(), static_cast<long long>(begin),
               static_cast<long long>(end),
               static_cast<long long>(stats.blocks_decoded),
-              static_cast<long long>(reader->NumBlocks()),
+              static_cast<long long>(reader.NumBlocks()),
               static_cast<long long>(stats.blocks_skipped));
-  return 0;
+  return OkStatus();
 }
 
-int CmdProvenanceStats(const std::string& path) {
-  StatusOr<int64_t> file_bytes = FileSizeBytes(path);
-  if (!file_bytes.ok()) {
-    std::fprintf(stderr, "%s\n", file_bytes.status().ToString().c_str());
-    return 1;
-  }
-  StatusOr<Kel2Reader> reader = Kel2Reader::Open(path);
-  if (!reader.ok()) {
-    std::fprintf(stderr, "%s\n", reader.status().ToString().c_str());
-    return 1;
-  }
+Status CmdStoreStats(Args& args) {
+  KONDO_ASSIGN_OR_RETURN(const std::vector<std::string> pos,
+                         args.Positionals(1));
+  KONDO_ASSIGN_OR_RETURN(const int64_t file_bytes, FileSizeBytes(pos[0]));
+  KONDO_ASSIGN_OR_RETURN(Kel2Reader reader, Kel2Reader::Open(pos[0]));
   std::printf("KEL2 store: %lld events in %lld blocks, %lld bytes\n",
-              static_cast<long long>(reader->NumEvents()),
-              static_cast<long long>(reader->NumBlocks()),
-              static_cast<long long>(*file_bytes));
-  if (reader->NumEvents() > 0) {
+              static_cast<long long>(reader.NumEvents()),
+              static_cast<long long>(reader.NumBlocks()),
+              static_cast<long long>(file_bytes));
+  if (reader.NumEvents() > 0) {
     std::printf("density:    %.2f bytes/event (%.2fx smaller than 40-byte "
                 "fixed-width records)\n",
-                static_cast<double>(reader->BlockBytes()) /
-                    static_cast<double>(reader->NumEvents()),
-                40.0 * static_cast<double>(reader->NumEvents()) /
-                    static_cast<double>(reader->BlockBytes()));
+                static_cast<double>(reader.BlockBytes()) /
+                    static_cast<double>(reader.NumEvents()),
+                40.0 * static_cast<double>(reader.NumEvents()) /
+                    static_cast<double>(reader.BlockBytes()));
   }
   // Distinct file ids come from the decoded events: a block's descriptor
   // range [min_file_id, max_file_id] may span ids no event carries.
   std::set<int64_t> file_ids;
-  for (size_t b = 0; b < reader->blocks().size(); ++b) {
-    StatusOr<std::vector<Event>> events = reader->DecodeBlock(b);
-    if (!events.ok()) {
-      std::fprintf(stderr, "%s\n", events.status().ToString().c_str());
-      return 1;
-    }
-    for (const Event& event : *events) {
+  for (size_t b = 0; b < reader.blocks().size(); ++b) {
+    KONDO_ASSIGN_OR_RETURN(const std::vector<Event> events,
+                           reader.DecodeBlock(b));
+    for (const Event& event : events) {
       file_ids.insert(event.id.file_id);
     }
   }
-  ProvenanceQuery query(&*reader);
+  ProvenanceQuery query(&reader);
   for (int64_t file_id : file_ids) {
-    StatusOr<std::map<int64_t, int64_t>> coverage =
-        query.PerRunCoverage(file_id);
-    if (!coverage.ok()) {
-      std::fprintf(stderr, "%s\n", coverage.status().ToString().c_str());
-      return 1;
-    }
-    for (const auto& [pid, bytes] : *coverage) {
+    KONDO_ASSIGN_OR_RETURN(const auto coverage, query.PerRunCoverage(file_id));
+    for (const auto& [pid, bytes] : coverage) {
       std::printf("file %lld run %lld: %lld distinct bytes accessed\n",
                   static_cast<long long>(file_id),
                   static_cast<long long>(pid),
                   static_cast<long long>(bytes));
     }
   }
-  return 0;
+  return OkStatus();
 }
 
-int CmdProvenance(std::vector<std::string> args) {
-  if (args.empty()) {
-    return UsageFor("provenance");
-  }
-  const std::string sub = args[0];
-  args.erase(args.begin());
-  if (sub == "compact") {
-    return CmdProvenanceCompact(std::move(args));
-  }
-  if (sub == "query") {
-    return CmdProvenanceQuery(std::move(args));
-  }
-  if (sub == "stats" && args.size() == 1) {
-    return CmdProvenanceStats(args[0]);
-  }
-  return UsageFor("provenance");
-}
-
-/// Outcome of pulling `--socket PATH` / `--port N` out of an argument
-/// list. Exactly one must be given; a malformed port is a usage error.
-bool AddressFrom(std::vector<std::string>* args, SocketAddress* address) {
-  const std::string socket_path = TakeFlagValue(args, "--socket");
-  int64_t port = 0;
-  if (TakePositiveInt(args, "--port", &port) == FlagParse::kBad) {
-    return false;
-  }
-  if (socket_path.empty() == (port == 0)) {
-    std::fprintf(stderr, "want exactly one of --socket PATH or --port N\n");
-    return false;
-  }
-  if (!socket_path.empty()) {
-    address->unix_path = socket_path;
-  } else {
-    if (port > 65535) {
-      std::fprintf(stderr, "invalid --port value (want 1..65535): %lld\n",
-                   static_cast<long long>(port));
-      return false;
-    }
-    address->port = static_cast<int>(port);
-  }
-  return true;
-}
+// ------------------------------------------------------- serve and fleet --
 
 volatile std::sig_atomic_t g_serve_stop = 0;
 
@@ -1283,16 +922,11 @@ void ServeSignalHandler(int /*signum*/) { g_serve_stop = 1; }
 
 /// Runs a daemon (`kondo serve`, `kondo worker`) in the foreground: starts
 /// it, prints "<label> <address> (<detail>)", serves until SIGTERM or
-/// SIGINT, then stops it. Returns false, with the error printed, if the
-/// daemon does not start.
+/// SIGINT, then stops it.
 template <typename Daemon>
-bool RunDaemonUntilSignal(Daemon& daemon, const char* label,
-                         const std::string& detail) {
-  const Status started = daemon.Start();
-  if (!started.ok()) {
-    std::fprintf(stderr, "%s\n", started.ToString().c_str());
-    return false;
-  }
+Status RunDaemonUntilSignal(Daemon& daemon, const char* label,
+                            const std::string& detail) {
+  KONDO_RETURN_IF_ERROR(daemon.Start());
   std::printf("%s %s (%s)\n", label,
               daemon.bound_address().ToString().c_str(), detail.c_str());
   std::fflush(stdout);
@@ -1303,45 +937,29 @@ bool RunDaemonUntilSignal(Daemon& daemon, const char* label,
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
   daemon.Stop();
-  return true;
+  return OkStatus();
 }
 
-int CmdServe(std::vector<std::string> args) {
+Status CmdServe(Args& args) {
   ServeOptions options;
-  if (!AddressFrom(&args, &options.address)) {
-    return UsageFor("serve");
-  }
-  const std::string pool = TakeFlagValue(&args, "--pool");
-  if (!pool.empty()) {
+  options.address = args.Address();
+  if (const std::string pool = args.Value("--pool"); !pool.empty()) {
     options.pool_root = pool;
   }
-  int jobs = 0;
-  if (!JobsFrom(&args, &jobs)) {
-    return UsageFor("serve");
+  options.jobs = JobsFlag(args);
+  if (const std::optional<int64_t> mb = args.PositiveInt("--cache-mb")) {
+    options.cache_bytes = std::min<int64_t>(*mb, int64_t{1} << 40) << 20;
   }
-  options.jobs = jobs;
-  int64_t cache_mb = 0, max_inflight = 0, queue = 0;
-  if (TakePositiveInt(&args, "--cache-mb", &cache_mb) == FlagParse::kBad ||
-      TakePositiveInt(&args, "--max-inflight", &max_inflight) ==
-          FlagParse::kBad ||
-      TakePositiveInt(&args, "--queue", &queue) == FlagParse::kBad) {
-    return UsageFor("serve");
-  }
-  if (cache_mb > 0) options.cache_bytes = cache_mb << 20;
-  if (max_inflight > 0) {
-    options.max_inflight = static_cast<int>(max_inflight);
-  }
-  if (queue > 0) options.queue_capacity = static_cast<int>(queue);
-  if (!args.empty()) {
-    return UsageFor("serve");
-  }
+  options.max_inflight = static_cast<int>(
+      args.PositiveInt("--max-inflight").value_or(options.max_inflight));
+  options.queue_capacity = static_cast<int>(
+      args.PositiveInt("--queue").value_or(options.queue_capacity));
+  KONDO_RETURN_IF_ERROR(args.Positionals(0).status());
 
   KondoServer server(options);
-  if (!RunDaemonUntilSignal(
-          server, "listening on",
-          StrCat("pool ", options.pool_root, ", ", options.jobs, " jobs"))) {
-    return 1;
-  }
+  KONDO_RETURN_IF_ERROR(RunDaemonUntilSignal(
+      server, "listening on",
+      StrCat("pool ", options.pool_root, ", ", options.jobs, " jobs")));
   const ServeStatsSnapshot stats = server.Stats();
   std::printf("shutdown: %lld sessions, %lld requests, cache %lld/%lld "
               "hit/miss, campaigns %lld completed %lld failed %lld "
@@ -1353,67 +971,48 @@ int CmdServe(std::vector<std::string> args) {
               static_cast<long long>(stats.campaigns_completed),
               static_cast<long long>(stats.campaigns_failed),
               static_cast<long long>(stats.campaigns_rejected));
-  return 0;
+  return OkStatus();
 }
 
 /// A fleet worker process: binds, serves shard campaigns until SIGTERM or
 /// SIGINT, then drains and reports. `debloat --workers N` spawns exactly
 /// this command; operators run it by hand for `--connect` fleets.
-int CmdWorker(std::vector<std::string> args) {
+Status CmdWorker(Args& args) {
   FleetWorkerOptions options;
-  if (!AddressFrom(&args, &options.address)) {
-    return UsageFor("worker");
-  }
-  const std::string scratch = TakeFlagValue(&args, "--scratch");
-  if (!scratch.empty()) {
+  options.address = args.Address();
+  if (const std::string scratch = args.Value("--scratch"); !scratch.empty()) {
     options.scratch_dir = scratch;
   }
-  int jobs = 0;
-  if (!JobsFrom(&args, &jobs) || !args.empty()) {
-    return UsageFor("worker");
-  }
-  options.jobs = jobs;
+  options.jobs = JobsFlag(args);
+  KONDO_RETURN_IF_ERROR(args.Positionals(0).status());
 
   FleetWorker worker(options);
-  if (!RunDaemonUntilSignal(worker, "worker listening on",
-                            StrCat("scratch ", options.scratch_dir, ", ",
-                                   options.jobs, " jobs"))) {
-    return 1;
-  }
+  KONDO_RETURN_IF_ERROR(RunDaemonUntilSignal(
+      worker, "worker listening on",
+      StrCat("scratch ", options.scratch_dir, ", ", options.jobs, " jobs")));
   std::printf("worker shutdown: %lld shard(s) served\n",
               static_cast<long long>(worker.shards_served()));
-  return 0;
+  return OkStatus();
 }
 
-int CmdClientFetch(std::vector<std::string> args) {
-  SocketAddress address;
-  const std::string range = TakeFlagValue(&args, "--range");
-  if (!AddressFrom(&args, &address) || args.size() != 1 || range.empty()) {
-    return UsageFor("client");
-  }
+Status CmdFetch(Args& args) {
+  const SocketAddress address = args.Address();
+  const std::string range = args.Required("--range");
+  KONDO_ASSIGN_OR_RETURN(const std::vector<std::string> pos,
+                         args.Positionals(1));
   FetchSubsetRequest request;
-  request.artifact = args[0];
-  if (!ParseRange(range, &request.begin, &request.end)) {
-    std::fprintf(stderr, "invalid --range (want A:B with A < B): %s\n",
-                 range.c_str());
-    return 1;
-  }
-  StatusOr<std::unique_ptr<KpcClient>> client = KpcClient::Connect(address);
-  if (!client.ok()) {
-    std::fprintf(stderr, "%s\n", client.status().ToString().c_str());
-    return 1;
-  }
-  StatusOr<FetchSubsetResponse> response = (*client)->FetchSubset(request);
-  if (!response.ok()) {
-    std::fprintf(stderr, "%s\n", response.status().ToString().c_str());
-    return 1;
-  }
+  request.artifact = pos[0];
+  KONDO_RETURN_IF_ERROR(ParseRange(range, &request.begin, &request.end));
+  KONDO_ASSIGN_OR_RETURN(const std::unique_ptr<KpcClient> client,
+                         KpcClient::Connect(address));
+  KONDO_ASSIGN_OR_RETURN(const FetchSubsetResponse response,
+                         client->FetchSubset(request));
   size_t value_pos = 0;
-  for (size_t i = 0; i < response->present.size(); ++i) {
+  for (size_t i = 0; i < response.present.size(); ++i) {
     const long long linear = static_cast<long long>(request.begin) +
                              static_cast<long long>(i);
-    if (response->present[i] != 0) {
-      std::printf("%lld: %.17g\n", linear, response->values[value_pos++]);
+    if (response.present[i] != 0) {
+      std::printf("%lld: %.17g\n", linear, response.values[value_pos++]);
     } else {
       std::printf("%lld: (null)\n", linear);
     }
@@ -1422,139 +1021,106 @@ int CmdClientFetch(std::vector<std::string> args) {
               "(fingerprint %lld bytes crc %08x)\n",
               static_cast<long long>(request.begin),
               static_cast<long long>(request.end), request.artifact.c_str(),
-              response->values.size(), response->present.size(),
-              static_cast<long long>(response->fingerprint_bytes),
-              response->fingerprint_crc);
-  return 0;
+              response.values.size(), response.present.size(),
+              static_cast<long long>(response.fingerprint_bytes),
+              response.fingerprint_crc);
+  return OkStatus();
 }
 
-int CmdClientQuery(std::vector<std::string> args) {
-  SocketAddress address;
-  const std::string range = TakeFlagValue(&args, "--range");
-  const std::string file = TakeFlagValue(&args, "--file");
-  const bool runs_only = TakeFlag(&args, "--runs");
-  if (!AddressFrom(&args, &address) || args.size() != 1 || range.empty()) {
-    return UsageFor("client");
-  }
+Status CmdRemoteQuery(Args& args) {
+  const SocketAddress address = args.Address();
+  const std::string range = args.Required("--range");
   QueryRequest request;
-  request.store = args[0];
-  request.runs_only = runs_only ? 1 : 0;
-  if (!ParseRange(range, &request.begin, &request.end)) {
-    std::fprintf(stderr, "invalid --range (want A:B with A < B): %s\n",
-                 range.c_str());
-    return 1;
-  }
-  if (!file.empty() && !ParseInt64(file, &request.file_id)) {
-    std::fprintf(stderr, "invalid --file value: %s\n", file.c_str());
-    return 1;
-  }
-  StatusOr<std::unique_ptr<KpcClient>> client = KpcClient::Connect(address);
-  if (!client.ok()) {
-    std::fprintf(stderr, "%s\n", client.status().ToString().c_str());
-    return 1;
-  }
-  StatusOr<QueryResult> result = (*client)->QueryProvenance(request);
-  if (!result.ok()) {
-    std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
-    return 1;
-  }
-  for (const Event& event : result->events) {
+  request.file_id = args.Int64("--file").value_or(request.file_id);
+  request.runs_only = args.Has("--runs") ? 1 : 0;
+  KONDO_ASSIGN_OR_RETURN(const std::vector<std::string> pos,
+                         args.Positionals(1));
+  request.store = pos[0];
+  KONDO_RETURN_IF_ERROR(ParseRange(range, &request.begin, &request.end));
+  KONDO_ASSIGN_OR_RETURN(const std::unique_ptr<KpcClient> client,
+                         KpcClient::Connect(address));
+  KONDO_ASSIGN_OR_RETURN(const QueryResult result,
+                         client->QueryProvenance(request));
+  for (const Event& event : result.events) {
     std::printf("%s\n", event.ToString().c_str());
   }
-  if (runs_only) {
-    for (int64_t pid : result->done.runs) {
+  if (request.runs_only != 0) {
+    for (int64_t pid : result.done.runs) {
       std::printf("%lld\n", static_cast<long long>(pid));
     }
   }
   std::printf("%lld events, %zu runs in [%lld,%lld) — decoded %lld of %lld "
               "blocks (%lld skipped in-situ)\n",
-              static_cast<long long>(result->done.events_total),
-              result->done.runs.size(),
+              static_cast<long long>(result.done.events_total),
+              result.done.runs.size(),
               static_cast<long long>(request.begin),
               static_cast<long long>(request.end),
-              static_cast<long long>(result->done.blocks_decoded),
-              static_cast<long long>(result->done.blocks_considered),
-              static_cast<long long>(result->done.blocks_skipped));
-  return 0;
+              static_cast<long long>(result.done.blocks_decoded),
+              static_cast<long long>(result.done.blocks_considered),
+              static_cast<long long>(result.done.blocks_skipped));
+  return OkStatus();
 }
 
-int CmdClientSubmit(std::vector<std::string> args) {
-  SocketAddress address;
+Status CmdSubmit(Args& args) {
   SubmitRequest request;
-  request.seed = static_cast<int64_t>(SeedFrom(&args));
-  if (!MaxEvalsFrom(&args, &request.max_evals) ||
-      !MaxIterFrom(&args, &request.max_iter) ||
-      !AddressFrom(&args, &address) || args.size() != 1) {
-    return UsageFor("client");
-  }
-  request.program = args[0];
-  StatusOr<std::unique_ptr<KpcClient>> client = KpcClient::Connect(address);
-  if (!client.ok()) {
-    std::fprintf(stderr, "%s\n", client.status().ToString().c_str());
-    return 1;
-  }
-  StatusOr<SubmitResponse> response = (*client)->SubmitCampaign(request);
-  if (!response.ok()) {
-    std::fprintf(stderr, "%s\n", response.status().ToString().c_str());
-    return 1;
-  }
-  if (response->accepted == 0) {
-    std::fprintf(stderr, "rejected: %s (queue depth %lld)\n",
-                 response->message.c_str(),
-                 static_cast<long long>(response->queue_depth));
-    return 1;
+  request.seed = static_cast<int64_t>(args.Uint64("--seed").value_or(1));
+  request.max_evals = args.PositiveInt("--max-evals").value_or(0);
+  request.max_iter = args.PositiveInt("--max-iter").value_or(0);
+  const SocketAddress address = args.Address();
+  KONDO_ASSIGN_OR_RETURN(const std::vector<std::string> pos,
+                         args.Positionals(1));
+  request.program = pos[0];
+  KONDO_ASSIGN_OR_RETURN(const std::unique_ptr<KpcClient> client,
+                         KpcClient::Connect(address));
+  KONDO_ASSIGN_OR_RETURN(const SubmitResponse response,
+                         client->SubmitCampaign(request));
+  if (response.accepted == 0) {
+    return ResourceExhaustedError(
+        StrCat("rejected: ", response.message, " (queue depth ",
+               response.queue_depth, ")"));
   }
   std::printf("accepted job %lld (queue depth %lld)\n",
-              static_cast<long long>(response->job_id),
-              static_cast<long long>(response->queue_depth));
-  return 0;
+              static_cast<long long>(response.job_id),
+              static_cast<long long>(response.queue_depth));
+  return OkStatus();
 }
 
-int CmdClientStats(std::vector<std::string> args) {
-  SocketAddress address;
-  if (!AddressFrom(&args, &address) || !args.empty()) {
-    return UsageFor("client");
-  }
-  StatusOr<std::unique_ptr<KpcClient>> client = KpcClient::Connect(address);
-  if (!client.ok()) {
-    std::fprintf(stderr, "%s\n", client.status().ToString().c_str());
-    return 1;
-  }
-  StatusOr<ServeStatsSnapshot> stats = (*client)->Stats();
-  if (!stats.ok()) {
-    std::fprintf(stderr, "%s\n", stats.status().ToString().c_str());
-    return 1;
-  }
+Status CmdServerStats(Args& args) {
+  const SocketAddress address = args.Address();
+  KONDO_RETURN_IF_ERROR(args.Positionals(0).status());
+  KONDO_ASSIGN_OR_RETURN(const std::unique_ptr<KpcClient> client,
+                         KpcClient::Connect(address));
+  KONDO_ASSIGN_OR_RETURN(const ServeStatsSnapshot stats, client->Stats());
   std::printf("cache: %lld hits, %lld misses, %lld evictions (%lld stale), "
               "%lld entries, %lld of %lld bytes\n",
-              static_cast<long long>(stats->cache_hits),
-              static_cast<long long>(stats->cache_misses),
-              static_cast<long long>(stats->cache_evictions),
-              static_cast<long long>(stats->cache_stale_evictions),
-              static_cast<long long>(stats->cache_entries),
-              static_cast<long long>(stats->cache_bytes),
-              static_cast<long long>(stats->cache_capacity_bytes));
+              static_cast<long long>(stats.cache_hits),
+              static_cast<long long>(stats.cache_misses),
+              static_cast<long long>(stats.cache_evictions),
+              static_cast<long long>(stats.cache_stale_evictions),
+              static_cast<long long>(stats.cache_entries),
+              static_cast<long long>(stats.cache_bytes),
+              static_cast<long long>(stats.cache_capacity_bytes));
   std::printf("sessions: %lld accepted, %lld active, %lld requests, "
               "%lld protocol errors\n",
-              static_cast<long long>(stats->sessions_accepted),
-              static_cast<long long>(stats->sessions_active),
-              static_cast<long long>(stats->requests_total),
-              static_cast<long long>(stats->protocol_errors));
+              static_cast<long long>(stats.sessions_accepted),
+              static_cast<long long>(stats.sessions_active),
+              static_cast<long long>(stats.requests_total),
+              static_cast<long long>(stats.protocol_errors));
   std::printf("campaigns: %lld submitted, %lld rejected, %lld completed, "
               "%lld failed, queue %lld, in-flight %lld, %lld lineage "
               "bytes\n",
-              static_cast<long long>(stats->campaigns_submitted),
-              static_cast<long long>(stats->campaigns_rejected),
-              static_cast<long long>(stats->campaigns_completed),
-              static_cast<long long>(stats->campaigns_failed),
-              static_cast<long long>(stats->campaign_queue_depth),
-              static_cast<long long>(stats->campaign_inflight),
-              static_cast<long long>(stats->lineage_bytes_written));
+              static_cast<long long>(stats.campaigns_submitted),
+              static_cast<long long>(stats.campaigns_rejected),
+              static_cast<long long>(stats.campaigns_completed),
+              static_cast<long long>(stats.campaigns_failed),
+              static_cast<long long>(stats.campaign_queue_depth),
+              static_cast<long long>(stats.campaign_inflight),
+              static_cast<long long>(stats.lineage_bytes_written));
   std::printf("stores: %lld open, %lld reopened\n",
-              static_cast<long long>(stats->stores_open),
-              static_cast<long long>(stats->stores_reopened));
+              static_cast<long long>(stats.stores_open),
+              static_cast<long long>(stats.stores_reopened));
   for (int verb = 0; verb < kKpcVerbCount; ++verb) {
-    const VerbLatency& latency = stats->verbs[verb];
+    const VerbLatency& latency = stats.verbs[verb];
     if (latency.count == 0) continue;
     std::printf("%s: %lld requests, mean %.1f us, max %lld us\n",
                 KpcVerbName(verb), static_cast<long long>(latency.count),
@@ -1562,55 +1128,23 @@ int CmdClientStats(std::vector<std::string> args) {
                     static_cast<double>(latency.count),
                 static_cast<long long>(latency.max_micros));
   }
-  return 0;
+  return OkStatus();
 }
 
-int CmdClient(std::vector<std::string> args) {
-  if (args.empty()) {
-    return UsageFor("client");
-  }
-  const std::string sub = args[0];
-  args.erase(args.begin());
-  if (sub == "fetch") {
-    return CmdClientFetch(std::move(args));
-  }
-  if (sub == "query") {
-    return CmdClientQuery(std::move(args));
-  }
-  if (sub == "submit") {
-    return CmdClientSubmit(std::move(args));
-  }
-  if (sub == "stats") {
-    return CmdClientStats(std::move(args));
-  }
-  return UsageFor("client");
-}
-
-int CmdBlast(std::vector<std::string> args) {
+Status CmdBlast(Args& args) {
   BlastOptions options;
-  const std::string artifact = TakeFlagValue(&args, "--artifact");
-  const std::string range = TakeFlagValue(&args, "--range");
-  int64_t clients = 0, requests = 0;
-  if (!AddressFrom(&args, &options.address) || artifact.empty() ||
-      TakePositiveInt(&args, "--clients", &clients) == FlagParse::kBad ||
-      TakePositiveInt(&args, "--requests", &requests) == FlagParse::kBad ||
-      !args.empty()) {
-    return UsageFor("blast");
+  options.address = args.Address();
+  options.artifact = args.Required("--artifact");
+  const std::string range = args.Value("--range");
+  options.clients = static_cast<int>(
+      args.PositiveInt("--clients").value_or(options.clients));
+  options.requests = static_cast<int>(
+      args.PositiveInt("--requests").value_or(options.requests));
+  KONDO_RETURN_IF_ERROR(args.Positionals(0).status());
+  if (!range.empty()) {
+    KONDO_RETURN_IF_ERROR(ParseRange(range, &options.begin, &options.end));
   }
-  options.artifact = artifact;
-  if (clients > 0) options.clients = static_cast<int>(clients);
-  if (requests > 0) options.requests = static_cast<int>(requests);
-  if (!range.empty() &&
-      !ParseRange(range, &options.begin, &options.end)) {
-    std::fprintf(stderr, "invalid --range (want A:B with A < B): %s\n",
-                 range.c_str());
-    return 1;
-  }
-  StatusOr<BlastReport> report = RunBlast(options);
-  if (!report.ok()) {
-    std::fprintf(stderr, "%s\n", report.status().ToString().c_str());
-    return 1;
-  }
+  KONDO_ASSIGN_OR_RETURN(const BlastReport report, RunBlast(options));
   std::printf("%d clients x %d requests against %s [%lld,%lld)\n",
               options.clients, options.requests, options.artifact.c_str(),
               static_cast<long long>(options.begin),
@@ -1618,70 +1152,146 @@ int CmdBlast(std::vector<std::string> args) {
   std::printf("%lld ok, %lld failed in %.3fs — %.0f req/s, %lld bytes, "
               "latency p50/p90/p99/max %lld/%lld/%lld/%lld us, "
               "responses %s\n",
-              static_cast<long long>(report->ok_requests),
-              static_cast<long long>(report->failed_requests),
-              report->elapsed_seconds, report->throughput_rps,
-              static_cast<long long>(report->bytes_received),
-              static_cast<long long>(report->p50_micros),
-              static_cast<long long>(report->p90_micros),
-              static_cast<long long>(report->p99_micros),
-              static_cast<long long>(report->max_micros),
-              report->responses_identical ? "identical" : "DIVERGENT");
-  return report->failed_requests == 0 && report->responses_identical ? 0 : 1;
+              static_cast<long long>(report.ok_requests),
+              static_cast<long long>(report.failed_requests),
+              report.elapsed_seconds, report.throughput_rps,
+              static_cast<long long>(report.bytes_received),
+              static_cast<long long>(report.p50_micros),
+              static_cast<long long>(report.p90_micros),
+              static_cast<long long>(report.p99_micros),
+              static_cast<long long>(report.max_micros),
+              report.responses_identical ? "identical" : "DIVERGENT");
+  if (report.failed_requests != 0 || !report.responses_identical) {
+    return InternalError("blast saw failed or divergent responses");
+  }
+  return OkStatus();
+}
+
+// -------------------------------------------------------- command table --
+
+/// One `kondo` command: its name (two words for a subcommand), the
+/// synopsis printed after `kondo <name>`, the flags it accepts (an Args
+/// declaration: a trailing '=' marks a flag that takes a value), and its
+/// body. Argument errors exit 2 with the synopsis; other errors exit 1.
+struct Command {
+  const char* name;
+  const char* synopsis;
+  const char* flags;
+  Status (*run)(Args& args);
+};
+
+constexpr Command kCommands[] = {
+    {"programs", "", "", CmdPrograms},
+    {"spec", "<Kondofile>", "", CmdSpec},
+    {"make-data", "<program> <out.kdf> [--chunked] [--seed N]",
+     "--chunked --seed=", CmdMakeData},
+    {"inspect", "<file.kdf|file.kdp>", "", CmdInspect},
+    {"debloat",
+     "<program> --data <in.kdf> --out <out.kdp>\n"
+     "                [--seed N] [--audited] [--max-iter N] [--max-evals N]\n"
+     "                [--jobs N] [--shards N] [--shard-dir DIR]\n"
+     "                [--workers N | --connect ADDR ...]\n"
+     "                [--plan-weights KEL2]\n"
+     "  kondo debloat <multi-file-program> --out <dir>\n"
+     "                [--seed N] [--max-iter N] [--max-evals N] [--jobs N]\n"
+     "                [--shards N] [--shard-dir DIR]\n"
+     "                [--workers N | --connect ADDR ...]\n"
+     "                [--plan-weights KEL2]",
+     "--data= --out= --shard-dir= --audited --seed= --max-iter= --max-evals= "
+     "--jobs= --shards= --workers= --connect= --plan-weights=",
+     CmdDebloat},
+    {"replay",
+     "<program> <in.kdp> <param>... [--remote <orig.kdf>]\n"
+     "      [--fetch-retries <n>] [--fetch-backoff-ms <ms>]",
+     "--remote= --fetch-retries= --fetch-backoff-ms=", CmdReplay},
+    {"evaluate",
+     "<program> [--seed N] [--map] [--jobs N]\n"
+     "                 [--shards N] [--max-evals N]",
+     "--seed= --map --jobs= --shards= --max-evals=", CmdEvaluate},
+    {"fuzz",
+     "<program> --out <state.kcs> [--seed N]\n"
+     "              [--max-iter N] [--max-evals N] [--resume <state.kcs>]\n"
+     "              [--jobs N] [--shards N]",
+     "--out= --resume= --seed= --max-iter= --max-evals= --jobs= --shards=",
+     CmdFuzz},
+    {"carve",
+     "<program> --state <state.kcs> [--center X]\n"
+     "              [--boundary X]",
+     "--state= --center= --boundary=", CmdCarve},
+    {"repack",
+     "<pkg.kdp> --data <updated.kdp> [--out <out.kdp>]\n"
+     "               [--jobs N]",
+     "--data= --out= --jobs=", CmdRepack},
+    {"provenance compact", "<in.kel2> <out.kel2> [--block N]", "--block=",
+     CmdCompact},
+    {"provenance query", "<store> --range A:B [--file F] [--runs]",
+     "--range= --file= --runs", CmdQuery},
+    {"provenance stats", "<store>", "", CmdStoreStats},
+    {"serve",
+     "(--socket PATH | --port N) [--pool DIR] [--jobs N]\n"
+     "              [--cache-mb N] [--max-inflight N] [--queue N]",
+     "--socket= --port= --pool= --jobs= --cache-mb= --max-inflight= --queue=",
+     CmdServe},
+    {"client fetch", "<artifact> --range A:B (--socket P | --port N)",
+     "--range= --socket= --port=", CmdFetch},
+    {"client query",
+     "<store> --range A:B [--file F] [--runs]\n"
+     "               (--socket PATH | --port N)",
+     "--range= --file= --runs --socket= --port=", CmdRemoteQuery},
+    {"client submit",
+     "<program> [--seed N] [--max-evals N]\n"
+     "               [--max-iter N] (--socket PATH | --port N)",
+     "--seed= --max-evals= --max-iter= --socket= --port=", CmdSubmit},
+    {"client stats", "(--socket PATH | --port N)", "--socket= --port=",
+     CmdServerStats},
+    {"blast",
+     "--artifact A (--socket PATH | --port N) [--clients N]\n"
+     "              [--requests N] [--range A:B]",
+     "--artifact= --socket= --port= --clients= --requests= --range=",
+     CmdBlast},
+    {"worker", "(--socket PATH | --port N) [--scratch DIR] [--jobs N]",
+     "--socket= --port= --scratch= --jobs=", CmdWorker},
+};
+
+/// Prints the synopsis of the command `name`, of every subcommand of the
+/// group `name` (`provenance`), or, when `name` is neither, of every
+/// command. Returns the argument-error exit code.
+int Usage(const std::string& name) {
+  const auto matches = [&](const Command& command) {
+    return name == command.name || StartsWith(command.name, name + " ");
+  };
+  const bool known =
+      std::any_of(std::begin(kCommands), std::end(kCommands), matches);
+  std::fprintf(stderr, "usage:\n");
+  for (const Command& command : kCommands) {
+    if (!known || matches(command)) {
+      std::fprintf(stderr, "  kondo %s%s%s\n", command.name,
+                   *command.synopsis == '\0' ? "" : " ", command.synopsis);
+    }
+  }
+  return 2;
 }
 
 int Main(int argc, char** argv) {
-  if (argc < 2) {
-    return Usage();
+  const std::vector<std::string> words(argv + 1, argv + argc);
+  for (const Command& command : kCommands) {
+    const std::vector<std::string> name = StrSplit(command.name, ' ');
+    if (words.size() < name.size() ||
+        !std::equal(name.begin(), name.end(), words.begin())) {
+      continue;
+    }
+    Args args(std::vector<std::string>(
+                  words.begin() + static_cast<int64_t>(name.size()),
+                  words.end()),
+              command.flags);
+    const Status status = command.run(args);
+    if (status.ok()) {
+      return 0;
+    }
+    std::fprintf(stderr, "%s\n", status.ToString().c_str());
+    return args.failed() ? Usage(command.name) : 1;
   }
-  const std::string command = argv[1];
-  std::vector<std::string> args(argv + 2, argv + argc);
-  if (command == "programs" && args.empty()) {
-    return CmdPrograms();
-  }
-  if (command == "spec" && args.size() == 1) {
-    return CmdSpec(args[0]);
-  }
-  if (command == "make-data") {
-    return CmdMakeData(std::move(args));
-  }
-  if (command == "inspect" && args.size() == 1) {
-    return CmdInspect(args[0]);
-  }
-  if (command == "debloat") {
-    return CmdDebloat(std::move(args));
-  }
-  if (command == "replay") {
-    return CmdReplay(std::move(args));
-  }
-  if (command == "evaluate") {
-    return CmdEvaluate(std::move(args));
-  }
-  if (command == "fuzz") {
-    return CmdFuzz(std::move(args));
-  }
-  if (command == "carve") {
-    return CmdCarve(std::move(args));
-  }
-  if (command == "repack") {
-    return CmdRepack(std::move(args));
-  }
-  if (command == "provenance") {
-    return CmdProvenance(std::move(args));
-  }
-  if (command == "serve") {
-    return CmdServe(std::move(args));
-  }
-  if (command == "worker") {
-    return CmdWorker(std::move(args));
-  }
-  if (command == "client") {
-    return CmdClient(std::move(args));
-  }
-  if (command == "blast") {
-    return CmdBlast(std::move(args));
-  }
-  return Usage();
+  return Usage(words.empty() ? "" : words[0]);
 }
 
 }  // namespace
