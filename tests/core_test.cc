@@ -9,6 +9,7 @@
 #include "core/kondo.h"
 #include "core/metrics.h"
 #include "core/runtime.h"
+#include "workloads/real_app_programs.h"
 #include "workloads/registry.h"
 
 namespace kondo {
@@ -264,6 +265,61 @@ TEST(KondoPipelineTest, AuditedTestProducesSameSubset) {
   // Identical RNG seed => identical campaign => identical subset.
   EXPECT_EQ(audited.approx.size(), fast.approx.size());
   EXPECT_EQ(audited.fuzz.discovered.size(), fast.fuzz.discovered.size());
+}
+
+// FNV-1a over the ascending linear ids of `set`.
+uint64_t IdsDigest(const IndexSet& set) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (int64_t id : set.ToSortedLinearIds()) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (static_cast<uint64_t>(id) >> (8 * b)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+struct PipelineDigests {
+  size_t discovered_size;
+  uint64_t discovered;
+  size_t approx_size;
+  uint64_t approx;
+};
+
+PipelineDigests RunForDigests(const Program& program, int jobs) {
+  KondoConfig config = ScaledKondoConfig(program.data_shape());
+  config.rng_seed = 20240501;
+  config.jobs = jobs;
+  const KondoResult result = KondoPipeline(config).Run(program);
+  return {result.fuzz.discovered.size(), IdsDigest(result.fuzz.discovered),
+          result.approx.size(), IdsDigest(result.approx)};
+}
+
+// Pins the exact I_Θ the fuzz campaign discovers and the exact I'_Θ the
+// carver rasterises, at jobs 1 and jobs 4. Any change to IndexSet's
+// representation, the schedule or rasterisation that moves one id fails.
+TEST(KondoPipelineTest, DiscoveredAndApproxIdsMatchGoldenDigests) {
+  struct Case {
+    std::unique_ptr<Program> program;
+    PipelineDigests golden;
+  };
+  Case cases[] = {
+      {CreateProgram("PRL3D", 64),
+       {220256, 0x9b1d11a7c6c83790ULL, 247431, 0x0fa9fa9a89aecb2eULL}},
+      {std::make_unique<ArdProgram>(32),
+       {33946, 0x9d0c80fd5dd1863dULL, 46045, 0x7dc5b4edde004a6aULL}},
+  };
+  for (const Case& c : cases) {
+    for (int jobs : {1, 4}) {
+      SCOPED_TRACE(std::string(c.program->name()) + " jobs " +
+                   std::to_string(jobs));
+      const PipelineDigests got = RunForDigests(*c.program, jobs);
+      EXPECT_EQ(got.discovered_size, c.golden.discovered_size);
+      EXPECT_EQ(got.discovered, c.golden.discovered);
+      EXPECT_EQ(got.approx_size, c.golden.approx_size);
+      EXPECT_EQ(got.approx, c.golden.approx);
+    }
+  }
 }
 
 // --------------------------------------------------------------- Runtime --
