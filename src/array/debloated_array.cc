@@ -1,5 +1,6 @@
 #include "array/debloated_array.h"
 
+#include <algorithm>
 #include <bit>
 
 #include "common/logging.h"
@@ -14,10 +15,21 @@ DebloatedArray DebloatedArray::FromDataArray(const DataArray& array,
   result.dtype_ = array.dtype();
   const int64_t n = result.shape_.NumElements();
   result.bitmap_.assign(static_cast<size_t>((n + 63) / 64), 0);
-  for (int64_t id : retained.ToSortedLinearIds()) {
-    result.bitmap_[static_cast<size_t>(id / 64)] |= uint64_t{1} << (id % 64);
-    result.packed_values_.push_back(array.AtLinear(id));
-  }
+  result.packed_values_.reserve(retained.size());
+  retained.ForEachRun([&result, &array](int64_t begin, int64_t end) {
+    for (int64_t id = begin; id < end; ++id) {
+      result.packed_values_.push_back(array.AtLinear(id));
+    }
+    // Set bits [begin, end) a word at a time.
+    while (begin < end) {
+      const int64_t bit = begin % 64;
+      const int64_t count = std::min<int64_t>(64 - bit, end - begin);
+      const uint64_t ones =
+          count == 64 ? ~uint64_t{0} : (uint64_t{1} << count) - 1;
+      result.bitmap_[static_cast<size_t>(begin / 64)] |= ones << bit;
+      begin += count;
+    }
+  });
   result.retained_count_ = static_cast<int64_t>(result.packed_values_.size());
   result.RebuildRankDirectory();
   return result;

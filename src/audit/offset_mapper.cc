@@ -5,7 +5,9 @@
 namespace kondo {
 
 IndexSet OffsetMapper::IndicesForRanges(const IntervalSet& ranges) const {
-  IndexSet result(layout_->shape());
+  // A row-major layout yields ascending ids, which the builder appends in
+  // order; a chunked layout's are sorted once in Build().
+  IndexSet::Builder result(layout_->shape());
   std::vector<Index> scratch;
   for (const Interval& range : ranges.ToIntervals()) {
     scratch.clear();
@@ -15,7 +17,7 @@ IndexSet OffsetMapper::IndicesForRanges(const IntervalSet& ranges) const {
       result.Insert(index);
     }
   }
-  return result;
+  return result.Build();
 }
 
 IntervalSet OffsetMapper::RangesForIndices(const IndexSet& indices) const {

@@ -121,16 +121,14 @@ AflResult AflFuzzer::Run() {
       return false;
     }
     ++result.valid_execs;
-    bool new_coverage = false;
-    program_.Execute(*v, [&result, &new_coverage](const Index& index) {
-      // The per-index "if" instrumentation: a newly true branch == a newly
-      // covered index.
-      if (!result.coverage.Contains(index)) {
-        result.coverage.Insert(index);
-        new_coverage = true;
-      }
-    });
-    return new_coverage;
+    // The per-index "if" instrumentation: a newly true branch == a newly
+    // covered index.
+    const IndexSet accessed = program_.AccessSet(*v);
+    if (accessed.IsSubsetOf(result.coverage)) {
+      return false;
+    }
+    result.coverage.Union(accessed);
+    return true;
   };
 
   // Execute the starting corpus.

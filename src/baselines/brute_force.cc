@@ -63,8 +63,7 @@ BruteForceResult RunBruteForce(const Program& program,
         config.shuffled ? order[static_cast<size_t>(k)] : k;
     const ParamValue v = DecodeValuation(space, ordinal);
     BusyWaitMicros(config.exec_overhead_micros);
-    program.Execute(
-        v, [&result](const Index& index) { result.discovered.Insert(index); });
+    result.discovered.Union(program.AccessSet(v));
     ++result.runs;
   }
 

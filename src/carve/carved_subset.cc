@@ -12,9 +12,13 @@ bool CarvedSubset::Contains(const Index& index) const {
 }
 
 IndexSet CarvedSubset::Rasterize() const {
+  // Each hull's runs arrive in ascending order into a set of its own; the
+  // per-hull sets are then merged.
   IndexSet result(shape_);
   for (const Hull& hull : hulls_) {
-    hull.RasterizeInto(&result);
+    IndexSet points(shape_);
+    hull.RasterizeInto(&points);
+    result.Union(points);
   }
   return result;
 }

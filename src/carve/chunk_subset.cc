@@ -37,7 +37,7 @@ IndexSet ChunkAlignedSubset(const IndexSet& subset,
   const int rank = shape.rank();
   const std::vector<int64_t> touched = TouchedChunks(subset, layout);
 
-  IndexSet aligned(shape);
+  IndexSet::Builder aligned(shape);
   for (int64_t chunk_linear : touched) {
     // Decode the chunk coordinate (row-major over the grid).
     Index chunk_coord(rank);
@@ -74,6 +74,7 @@ IndexSet ChunkAlignedSubset(const IndexSet& subset,
     }
   }
 
+  IndexSet result = aligned.Build();
   if (stats != nullptr) {
     int64_t total_chunks = 1;
     for (int d = 0; d < rank; ++d) {
@@ -82,9 +83,9 @@ IndexSet ChunkAlignedSubset(const IndexSet& subset,
     stats->total_chunks = total_chunks;
     stats->retained_chunks = static_cast<int64_t>(touched.size());
     stats->subset_elements = static_cast<int64_t>(subset.size());
-    stats->chunk_aligned_elements = static_cast<int64_t>(aligned.size());
+    stats->chunk_aligned_elements = static_cast<int64_t>(result.size());
   }
-  return aligned;
+  return result;
 }
 
 int64_t ChunkSubsetPayloadBytes(int64_t retained_chunks,

@@ -1,5 +1,6 @@
 #include "common/interval_set.h"
 
+#include <algorithm>
 #include <sstream>
 
 namespace kondo {
@@ -10,6 +11,16 @@ std::ostream& operator<<(std::ostream& os, const Interval& interval) {
 
 void IntervalSet::Add(int64_t begin, int64_t end) {
   if (end <= begin) {
+    return;
+  }
+  // In-order fast path: at or past the last interval's start, only the
+  // last interval can absorb [begin, end) and nothing follows it.
+  if (intervals_.empty() || begin >= intervals_.rbegin()->first) {
+    if (!intervals_.empty() && begin <= intervals_.rbegin()->second) {
+      intervals_.rbegin()->second = std::max(intervals_.rbegin()->second, end);
+    } else {
+      intervals_.emplace_hint(intervals_.end(), begin, end);
+    }
     return;
   }
   // Find the first interval whose begin is > `begin`, then step back to

@@ -28,17 +28,17 @@ HybridOutcome RunHybridKondoAfl(const Program& program,
   });
   outcome.afl = std::move(afl);
 
-  IndexSet combined = outcome.kondo.fuzz.discovered;
-  outcome.afl.coverage.ForEach(
-      [&outcome, &combined](const Index& index) {
-        if (!combined.Contains(index)) {
-          ++outcome.afl_new_offsets;
-          combined.Insert(index);
-          if (!outcome.kondo.carved.Contains(index)) {
-            ++outcome.repaired_offsets;
-          }
-        }
-      });
+  const IndexSet& discovered = outcome.kondo.fuzz.discovered;
+  outcome.afl.coverage.ForEach([&outcome, &discovered](const Index& index) {
+    if (!discovered.Contains(index)) {
+      ++outcome.afl_new_offsets;
+      if (!outcome.kondo.carved.Contains(index)) {
+        ++outcome.repaired_offsets;
+      }
+    }
+  });
+  IndexSet combined = discovered;
+  combined.Union(outcome.afl.coverage);
 
   Carver carver(kondo_config.carve);
   outcome.combined_approx = carver.Carve(combined).Rasterize();

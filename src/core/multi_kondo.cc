@@ -53,21 +53,27 @@ MultiKondoResult RunMultiFileKondo(const MultiFileProgram& program,
   // so the per-file unions match the serial campaign bit-for-bit.
   const CandidateTestFn test = [&program, &offsets, &combined_shape,
                                 &file_shapes](const TestCandidate& candidate) {
-    CandidateResult result;
-    result.accessed = IndexSet(combined_shape);
-    result.per_file.reserve(file_shapes.size());
+    IndexSet::Builder accessed(combined_shape);
+    std::vector<IndexSet::Builder> per_file;
+    per_file.reserve(file_shapes.size());
     for (const Shape& shape : file_shapes) {
-      result.per_file.emplace_back(shape);
+      per_file.emplace_back(shape);
     }
     program.Execute(candidate.value, [&](int file, const Index& index) {
       const Shape& shape = file_shapes[static_cast<size_t>(file)];
       if (!shape.Contains(index)) {
         return;
       }
-      result.per_file[static_cast<size_t>(file)].Insert(index);
-      result.accessed.InsertLinear(offsets[static_cast<size_t>(file)] +
-                                   shape.Linearize(index));
+      const int64_t linear = shape.Linearize(index);
+      per_file[static_cast<size_t>(file)].InsertLinear(linear);
+      accessed.InsertLinear(offsets[static_cast<size_t>(file)] + linear);
     });
+    CandidateResult result;
+    result.accessed = accessed.Build();
+    result.per_file.reserve(per_file.size());
+    for (IndexSet::Builder& builder : per_file) {
+      result.per_file.push_back(builder.Build());
+    }
     return result;
   };
 

@@ -67,7 +67,9 @@ StatusOr<CampaignState> LoadCampaignState(const std::string& path) {
 
   CampaignState state;
   state.shape = Shape(dims);
-  state.discovered = IndexSet(state.shape);
+  // `I` lines go through a builder: a shuffled or hostile file must not hit
+  // IndexSet's out-of-order insert path once per line.
+  IndexSet::Builder discovered(state.shape);
   const int64_t num_elements = state.shape.NumElements();
   while (std::getline(in, line)) {
     if (line.empty()) {
@@ -91,11 +93,12 @@ StatusOr<CampaignState> LoadCampaignState(const std::string& path) {
       if (!(fields >> id) || id < 0 || id >= num_elements) {
         return DataLossError("bad discovered id in campaign state: " + line);
       }
-      state.discovered.InsertLinear(id);
+      discovered.InsertLinear(id);
     } else {
       return DataLossError("unknown campaign state line: " + line);
     }
   }
+  state.discovered = discovered.Build();
   return state;
 }
 

@@ -16,6 +16,11 @@ namespace {
 /// stagnation stop fires mid-batch.
 constexpr int64_t kBatchOvercommit = 2;
 
+// `fresh` is merged into `discovered` once it holds more than 1/16 of
+// discovered's runs: each merge then copies I_Θ for at least |I_Θ|/16 new
+// runs, while merging tests into `fresh` stays a small copy.
+constexpr size_t kFreshRunsPerMerge = 16;
+
 }  // namespace
 
 FuzzSchedule::FuzzSchedule(ParamSpace space, Shape shape, FuzzConfig config,
@@ -70,6 +75,12 @@ FuzzResult FuzzSchedule::Run(CampaignExecutor& executor,
                              const FuzzObserver& observer) {
   FuzzResult result;
   result.discovered = IndexSet(shape_);
+  // I_Θ = discovered ∪ fresh. The ids a test finds that no earlier test did
+  // collect in the small, disjoint `fresh` set and merge into `discovered`
+  // in bulk: merging into I_Θ costs O(its runs), and a campaign whose I_v
+  // are scattered (ARD's one-t slices) would otherwise pay that per test.
+  // Finding a test's new ids is a galloping Difference against I_Θ's runs.
+  IndexSet fresh(shape_);
   Stopwatch stopwatch;
 
   // jobs=1 keeps the window at 1: zero speculation, exactly the serial loop.
@@ -211,9 +222,15 @@ FuzzResult FuzzSchedule::Run(CampaignExecutor& executor,
         ++result.stats.useful_evaluations;
       }
 
-      const size_t before = result.discovered.size();
-      result.discovered.Union(outcome.accessed);
-      if (result.discovered.size() > before) {
+      const size_t before = fresh.size();
+      fresh.Union(outcome.accessed.Difference(result.discovered));
+      const bool grew = fresh.size() > before;
+      if (fresh.num_runs() * kFreshRunsPerMerge >
+          result.discovered.num_runs()) {
+        result.discovered.Union(fresh);
+        fresh = IndexSet(shape_);
+      }
+      if (grew) {
         new_itr = 0;
       } else {
         ++new_itr;
@@ -226,7 +243,8 @@ FuzzResult FuzzSchedule::Run(CampaignExecutor& executor,
       }
       result.seeds.push_back(Seed{candidate.value, useful});
       if (observer != nullptr) {
-        observer(itr, candidate.value, useful, result.discovered.size());
+        observer(itr, candidate.value, useful,
+                 result.discovered.size() + fresh.size());
       }
 
       for (ParamValue& mutated : Mutate(candidate.value, useful)) {
@@ -239,6 +257,7 @@ FuzzResult FuzzSchedule::Run(CampaignExecutor& executor,
     }
   }
 
+  result.discovered.Union(fresh);
   result.stats.iterations = itr;
   result.stats.final_epsilon = epsilon_;
   result.stats.elapsed_seconds = stopwatch.ElapsedSeconds();

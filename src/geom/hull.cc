@@ -335,9 +335,7 @@ void Hull::RasterizeInto(IndexSet* out, double tol) const {
                // z is the last, contiguous dimension of a rank-3 shape;
                // the runs of a rank < 3 hull are single points.
                const int64_t first = shape.Linearize(index);
-               for (int64_t k = 0; k <= z_end - z_begin; ++k) {
-                 out->InsertLinear(first + k);
-               }
+               out->InsertRun(first, first + (z_end - z_begin) + 1);
              });
 }
 

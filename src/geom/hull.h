@@ -70,7 +70,8 @@ class Hull {
   /// Inserts into `out` every integer index of `shape` inside the hull,
   /// i.e. every index whose point `Contains` accepts. Only the hull's
   /// bounding box is scanned; a full-rank 3-D hull is scanned one z-run
-  /// per (x, y) line rather than point by point.
+  /// per (x, y) line rather than point by point. Runs are inserted whole
+  /// and in ascending id order, so filling an empty `out` costs O(1) each.
   void RasterizeInto(IndexSet* out, double tol = 1e-6) const;
 
   /// Number of integer points of `shape` inside the hull (without

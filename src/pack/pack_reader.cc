@@ -305,7 +305,7 @@ StatusOr<DebloatedArray> PackReader::Unpack(ThreadPool* pool, int jobs) {
   // Serial scatter: IndexSet is not thread-safe, and the decode above is
   // where the time goes.
   DataArray data(shape(), dtype());
-  IndexSet retained(shape());
+  IndexSet::Builder retained(shape());
   const int64_t elem_size = DTypeSize(dtype());
   for (int64_t c = 0; c < n; ++c) {
     const std::string& payload = payloads[static_cast<size_t>(c)];
@@ -325,7 +325,7 @@ StatusOr<DebloatedArray> PackReader::Unpack(ThreadPool* pool, int jobs) {
       ++local;
     });
   }
-  return DebloatedArray::FromDataArray(data, retained);
+  return DebloatedArray::FromDataArray(data, retained.Build());
 }
 
 StatusOr<std::string> PackReader::ReadEncodedChunk(int64_t chunk) const {

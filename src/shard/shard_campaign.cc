@@ -28,19 +28,16 @@ std::shared_ptr<EventLog> CanonicalLineageLog(
   auto log = std::make_shared<EventLog>();
   bool any = false;
   for (size_t f = 0; f < per_file.size(); ++f) {
-    IntervalSet ranges;
-    for (int64_t id : per_file[f].ToSortedLinearIds()) {
-      ranges.Add(id * kLineageElemBytes, (id + 1) * kLineageElemBytes);
-    }
-    for (const Interval& range : ranges.ToIntervals()) {
+    // The set's runs are maximal, so each maps to one coalesced range.
+    per_file[f].ForEachRun([&](int64_t begin, int64_t end) {
       Event event;
       event.id = EventId{1 + seq, static_cast<int64_t>(f) + 1};
       event.type = EventType::kPread;
-      event.offset = range.begin;
-      event.size = range.length();
+      event.offset = begin * kLineageElemBytes;
+      event.size = (end - begin) * kLineageElemBytes;
       log->Record(event);
       any = true;
-    }
+    });
   }
   return any ? log : nullptr;
 }
@@ -65,11 +62,11 @@ StatusOr<ShardCampaignResult> RunShardCampaign(
   const CandidateTestFn test = [&program, &file_shapes, &offsets,
                                 &combined_shape, &owned,
                                 build_logs](const TestCandidate& candidate) {
-    CandidateResult result;
-    result.accessed = IndexSet(combined_shape);
-    result.per_file.reserve(file_shapes.size());
+    IndexSet::Builder accessed(combined_shape);
+    std::vector<IndexSet::Builder> per_file;
+    per_file.reserve(file_shapes.size());
     for (const Shape& shape : file_shapes) {
-      result.per_file.emplace_back(shape);
+      per_file.emplace_back(shape);
     }
     program.Execute(candidate.value, [&](int file, const Index& index) {
       const Shape& shape = file_shapes[static_cast<size_t>(file)];
@@ -81,13 +78,18 @@ StatusOr<ShardCampaignResult> RunShardCampaign(
       // what the schedule's stopping criteria consume, and it must match
       // the unsharded campaign's trajectory exactly for every shard to
       // replay identical decisions.
-      result.accessed.InsertLinear(offsets[static_cast<size_t>(file)] +
-                                   linear);
+      accessed.InsertLinear(offsets[static_cast<size_t>(file)] + linear);
       // Collection is restricted to the shard's own slices.
       if (owned[static_cast<size_t>(file)].Contains(linear)) {
-        result.per_file[static_cast<size_t>(file)].InsertLinear(linear);
+        per_file[static_cast<size_t>(file)].InsertLinear(linear);
       }
     });
+    CandidateResult result;
+    result.accessed = accessed.Build();
+    result.per_file.reserve(per_file.size());
+    for (IndexSet::Builder& builder : per_file) {
+      result.per_file.push_back(builder.Build());
+    }
     if (build_logs) {
       result.log = CanonicalLineageLog(result.per_file, candidate.seq);
     }
@@ -218,9 +220,12 @@ StatusOr<ShardCampaignResult> DecodeShardState(
   }
 
   ShardCampaignResult result;
-  result.per_file.reserve(file_shapes.size());
+  // `I` lines go through builders: a reordered or hostile file must not
+  // hit IndexSet's out-of-order insert path once per line.
+  std::vector<IndexSet::Builder> per_file;
+  per_file.reserve(file_shapes.size());
   for (const Shape& shape : file_shapes) {
-    result.per_file.emplace_back(shape);
+    per_file.emplace_back(shape);
   }
   while (std::getline(in, line)) {
     if (line.empty()) {
@@ -276,10 +281,14 @@ StatusOr<ShardCampaignResult> DecodeShardState(
           id >= file_shapes[file].NumElements()) {
         return DataLossError("bad discovered id in shard state: " + line);
       }
-      result.per_file[file].InsertLinear(id);
+      per_file[file].InsertLinear(id);
     } else {
       return DataLossError("unknown shard state line: " + line);
     }
+  }
+  result.per_file.reserve(per_file.size());
+  for (IndexSet::Builder& builder : per_file) {
+    result.per_file.push_back(builder.Build());
   }
   return result;
 }

@@ -75,7 +75,7 @@ const IndexSet& CsProgram::GroundTruth() const {
     // read while both coordinates are <= n-2; k >= 2 overshoots (2*sy >=
     // 1.5n), so the accessed positions are (0, 0) plus every (sx, sy) with
     // sx <= n-2 — dilated by the cross stencil.
-    IndexSet gt(shape_);
+    IndexSet::Builder gt(shape_);
     const ReadFn insert = [&gt](const Index& index) { gt.Insert(index); };
     cross_.Apply(shape_, Index{0, 0}, insert);
     for (int64_t y = 3 * n_ / 4; y <= n_ - 2; ++y) {
@@ -83,7 +83,7 @@ const IndexSet& CsProgram::GroundTruth() const {
         cross_.Apply(shape_, Index{x, y}, insert);
       }
     }
-    ground_truth_cache_ = std::move(gt);
+    ground_truth_cache_ = gt.Build();
     ground_truth_ready_ = true;
   }
   return ground_truth_cache_;

@@ -9,14 +9,19 @@
 namespace kondo {
 
 MultiIndexSets MultiFileProgram::AccessSets(const ParamValue& v) const {
-  MultiIndexSets sets;
-  sets.reserve(static_cast<size_t>(num_files()));
+  std::vector<IndexSet::Builder> builders;
+  builders.reserve(static_cast<size_t>(num_files()));
   for (int f = 0; f < num_files(); ++f) {
-    sets.emplace_back(file_shape(f));
+    builders.emplace_back(file_shape(f));
   }
-  Execute(v, [&sets](int file, const Index& index) {
-    sets[static_cast<size_t>(file)].Insert(index);
+  Execute(v, [&builders](int file, const Index& index) {
+    builders[static_cast<size_t>(file)].Insert(index);
   });
+  MultiIndexSets sets;
+  sets.reserve(builders.size());
+  for (IndexSet::Builder& builder : builders) {
+    sets.push_back(builder.Build());
+  }
   return sets;
 }
 
@@ -50,9 +55,10 @@ MultiIndexSets MultiFileProgram::GroundTruths(
       v[static_cast<size_t>(i)] =
           static_cast<double>(cur[static_cast<size_t>(i)]);
     }
-    Execute(v, [&truths](int file, const Index& index) {
-      truths[static_cast<size_t>(file)].Insert(index);
-    });
+    const MultiIndexSets sets = AccessSets(v);
+    for (size_t f = 0; f < sets.size(); ++f) {
+      truths[f].Union(sets[f]);
+    }
     int d = m - 1;
     while (d >= 0 &&
            ++cur[static_cast<size_t>(d)] > hi[static_cast<size_t>(d)]) {

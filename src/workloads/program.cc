@@ -8,9 +8,9 @@
 namespace kondo {
 
 IndexSet Program::AccessSet(const ParamValue& v) const {
-  IndexSet result(data_shape());
+  IndexSet::Builder result(data_shape());
   Execute(v, [&result](const Index& index) { result.Insert(index); });
-  return result;
+  return result.Build();
 }
 
 Status Program::ExecuteOnFile(const ParamValue& v, TracedFile& file) const {
@@ -48,6 +48,8 @@ IndexSet Program::GroundTruthByEnumeration(
       << "Θ too large to enumerate for " << name()
       << "; override GroundTruth()";
 
+  // Each run's I_v is built on its own and merged: after the first few
+  // runs most are already contained, which Union detects without copying.
   IndexSet result(data_shape());
   // Odometer over the integer grid of Θ.
   const int m = space.num_params();
@@ -62,7 +64,7 @@ IndexSet Program::GroundTruthByEnumeration(
     for (int i = 0; i < m; ++i) {
       v[i] = static_cast<double>(cur[i]);
     }
-    Execute(v, [&result](const Index& index) { result.Insert(index); });
+    result.Union(AccessSet(v));
     int d = m - 1;
     while (d >= 0 && ++cur[d] > hi[d]) {
       cur[d] = lo[d];

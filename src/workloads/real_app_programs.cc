@@ -36,9 +36,8 @@ const IndexSet& ArdProgram::GroundTruth() const {
     IndexSet gt(shape_);
     for (int64_t x = 0; x < w_max_; ++x) {
       for (int64_t y = 0; y < h_max_; ++y) {
-        for (int64_t t = 0; t < t_max_; ++t) {
-          gt.Insert(Index{x, y, t});
-        }
+        const int64_t first = shape_.Linearize(Index{x, y, 0});
+        gt.InsertRun(first, first + t_max_);
       }
     }
     ground_truth_cache_ = std::move(gt);
@@ -79,9 +78,8 @@ const IndexSet& MsiProgram::GroundTruth() const {
     IndexSet gt(shape_);
     for (int64_t x = 0; x < nx_; ++x) {
       for (int64_t y = 0; y < ny_; ++y) {
-        for (int64_t z = z_lo_; z <= z_hi_; ++z) {
-          gt.Insert(Index{x, y, z});
-        }
+        const int64_t first = shape_.Linearize(Index{x, y, 0});
+        gt.InsertRun(first + z_lo_, first + z_hi_ + 1);
       }
     }
     ground_truth_cache_ = std::move(gt);

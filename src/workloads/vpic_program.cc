@@ -65,13 +65,13 @@ const IndexSet& VpicProgram::GroundTruth() const {
   if (!ground_truth_ready_) {
     // The loosest supported run per slab reads everything with energy >=
     // min_threshold; tighter thresholds read subsets of that.
-    IndexSet gt(shape_);
+    IndexSet::Builder gt(shape_);
     shape_.ForEachIndex([this, &gt](const Index& index) {
       if (EnergyAt(index) >= static_cast<double>(min_threshold_)) {
         gt.Insert(index);
       }
     });
-    ground_truth_cache_ = std::move(gt);
+    ground_truth_cache_ = gt.Build();
     ground_truth_ready_ = true;
   }
   return ground_truth_cache_;

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <set>
 #include <tuple>
 #include <vector>
 
@@ -191,6 +194,265 @@ TEST(IndexSetTest, ForEachVisitsEveryMember) {
     ++count;
   });
   EXPECT_EQ(count, 2);
+}
+
+TEST(IndexSetTest, TouchingRunsCoalesce) {
+  const Shape shape{10};
+  IndexSet set(shape);
+  set.InsertRun(5, 8);
+  set.InsertRun(0, 3);
+  set.InsertRun(3, 5);  // Touches both neighbours.
+  EXPECT_EQ(set.num_runs(), 1u);
+  EXPECT_EQ(set.size(), 8u);
+  set.InsertLinear(9);  // The last id.
+  set.InsertLinear(8);  // Bridges to it.
+  set.InsertLinear(0);  // Duplicate of the first id.
+  set.InsertRun(2, 2);  // Empty run.
+  EXPECT_EQ(set.num_runs(), 1u);
+  EXPECT_EQ(set.size(), 10u);
+
+  IndexSet low(shape);
+  low.InsertRun(0, 4);
+  IndexSet high(shape);
+  high.InsertRun(4, 6);
+  low.Union(high);  // `high` starts where `low` ends.
+  EXPECT_EQ(low.num_runs(), 1u);
+  EXPECT_EQ(low.size(), 6u);
+}
+
+TEST(IndexSetTest, SetOperationsRejectDifferentShapes) {
+  IndexSet a(Shape{4, 4});
+  IndexSet b(Shape{2, 8});
+  a.InsertLinear(3);
+  b.InsertLinear(3);
+  EXPECT_DEATH(a.IntersectionSize(b), "shapes differ");
+  EXPECT_DEATH(a.IsSubsetOf(b), "shapes differ");
+  EXPECT_DEATH(a.Union(b), "Check failed");
+  // An empty set of any shape (or none) is exempt.
+  const IndexSet empty(Shape{3});
+  EXPECT_EQ(a.IntersectionSize(empty), 0);
+  EXPECT_EQ(empty.IntersectionSize(a), 0);
+  EXPECT_TRUE(empty.IsSubsetOf(a));
+  EXPECT_FALSE(a.IsSubsetOf(IndexSet()));
+}
+
+// ------------------------------------------ IndexSet against std::set --
+
+std::vector<int64_t> Ids(const std::set<int64_t>& model) {
+  return std::vector<int64_t>(model.begin(), model.end());
+}
+
+// Checks every observer of `set` against the model.
+void ExpectMatchesModel(const IndexSet& set, const std::set<int64_t>& model) {
+  const Shape& shape = set.shape();
+  EXPECT_EQ(set.size(), model.size());
+  EXPECT_EQ(set.empty(), model.empty());
+  EXPECT_EQ(set.ToSortedLinearIds(), Ids(model));
+
+  std::vector<int64_t> visited;
+  set.ForEach([&visited, &shape](const Index& index) {
+    visited.push_back(shape.Linearize(index));
+  });
+  EXPECT_EQ(visited, Ids(model));
+
+  // Runs come ascending, non-empty and maximal (a gap between neighbours).
+  std::vector<int64_t> from_runs;
+  int64_t previous_end = -1;
+  set.ForEachRun([&](int64_t begin, int64_t end) {
+    EXPECT_LT(begin, end);
+    EXPECT_GT(begin, previous_end);
+    previous_end = end;
+    for (int64_t id = begin; id < end; ++id) {
+      from_runs.push_back(id);
+    }
+  });
+  EXPECT_EQ(from_runs, Ids(model));
+
+  for (int64_t id = 0; id < shape.NumElements(); ++id) {
+    ASSERT_EQ(set.ContainsLinear(id), model.count(id) > 0) << "id " << id;
+    ASSERT_EQ(set.Contains(shape.Delinearize(id)), model.count(id) > 0);
+  }
+}
+
+Shape RandomShape(Rng& rng) {
+  const int rank = static_cast<int>(rng.UniformInt(1, 3));
+  std::vector<int64_t> dims;
+  for (int d = 0; d < rank; ++d) {
+    dims.push_back(rng.UniformInt(1, rank == 1 ? 300 : 12));
+  }
+  return Shape(dims);
+}
+
+// Applies `ops` random inserts, in random order and with clustered ids so
+// that runs form, touch and overlap, to `set`, `builder` and `model` alike.
+void RandomInserts(Rng& rng, int ops, IndexSet* set,
+                   IndexSet::Builder* builder, std::set<int64_t>* model) {
+  const Shape& shape = set->shape();
+  const int64_t n = shape.NumElements();
+  int64_t cursor = rng.UniformInt(0, n - 1);
+  for (int op = 0; op < ops; ++op) {
+    // Mostly near the previous insert (ascending or not), sometimes far.
+    cursor = rng.Bernoulli(0.2)
+                 ? rng.UniformInt(0, n - 1)
+                 : std::clamp<int64_t>(cursor + rng.UniformInt(-3, 4), 0,
+                                       n - 1);
+    switch (rng.UniformInt(0, 3)) {
+      case 0: {  // Insert, sometimes one step out of bounds.
+        Index index = shape.Delinearize(cursor);
+        const int d = static_cast<int>(rng.UniformInt(0, shape.rank() - 1));
+        if (rng.Bernoulli(0.1)) {
+          index[d] = rng.Bernoulli(0.5) ? -1 : shape.dim(d);
+        }
+        set->Insert(index);
+        builder->Insert(index);
+        if (shape.Contains(index)) {
+          model->insert(shape.Linearize(index));
+        }
+        break;
+      }
+      case 1:
+        set->InsertLinear(cursor);
+        builder->InsertLinear(cursor);
+        model->insert(cursor);
+        break;
+      default: {
+        const int64_t end = std::min(n, cursor + rng.UniformInt(0, 9));
+        set->InsertRun(cursor, end);
+        builder->InsertRun(cursor, end);
+        for (int64_t id = cursor; id < end; ++id) {
+          model->insert(id);
+        }
+        break;
+      }
+    }
+  }
+}
+
+TEST(IndexSetModelTest, InsertAndBuilderMatchStdSet) {
+  for (uint64_t seed = 1; seed <= 24; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    const Shape shape = RandomShape(rng);
+    IndexSet set(shape);
+    IndexSet::Builder builder(shape);
+    std::set<int64_t> model;
+    // The first and last ids, then random order.
+    set.InsertLinear(shape.NumElements() - 1);
+    builder.InsertLinear(shape.NumElements() - 1);
+    model.insert(shape.NumElements() - 1);
+    RandomInserts(rng, static_cast<int>(rng.UniformInt(0, 400)), &set,
+                  &builder, &model);
+    set.InsertLinear(0);
+    builder.InsertLinear(0);
+    model.insert(0);
+    ExpectMatchesModel(set, model);
+    const IndexSet built = builder.Build();
+    EXPECT_EQ(built.shape(), shape);
+    ExpectMatchesModel(built, model);
+    // Build() leaves the builder empty and reusable.
+    EXPECT_TRUE(builder.Build().empty());
+  }
+}
+
+TEST(IndexSetModelTest, BuilderCoalescesLongDuplicateStreams) {
+  // Far more pending runs than the coalescing threshold, nearly all
+  // duplicates: the result is still exact.
+  const Shape shape{64, 64};
+  Rng rng(7);
+  IndexSet::Builder builder(shape);
+  std::set<int64_t> model;
+  for (int i = 0; i < 300000; ++i) {
+    const int64_t id = rng.UniformInt(0, 1023) * 4;
+    builder.InsertLinear(id);
+    model.insert(id);
+  }
+  ExpectMatchesModel(builder.Build(), model);
+}
+
+TEST(IndexSetModelTest, SetOperationsMatchStdSet) {
+  for (uint64_t seed = 1; seed <= 24; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(100 + seed);
+    const Shape shape = RandomShape(rng);
+    const int64_t n = shape.NumElements();
+    auto random_set = [&rng, &shape](std::set<int64_t>* model) {
+      IndexSet set(shape);
+      IndexSet::Builder unused(shape);
+      RandomInserts(rng, static_cast<int>(rng.UniformInt(0, 200)), &set,
+                    &unused, model);
+      return set;
+    };
+    std::set<int64_t> a_model;
+    std::set<int64_t> b_model;
+    const IndexSet a = random_set(&a_model);
+    const IndexSet b = random_set(&b_model);
+
+    std::set<int64_t> common;
+    std::set_intersection(a_model.begin(), a_model.end(), b_model.begin(),
+                          b_model.end(), std::inserter(common, common.end()));
+    EXPECT_EQ(a.IntersectionSize(b), static_cast<int64_t>(common.size()));
+    EXPECT_EQ(b.IntersectionSize(a), static_cast<int64_t>(common.size()));
+    EXPECT_EQ(a.IsSubsetOf(b), std::includes(b_model.begin(), b_model.end(),
+                                             a_model.begin(), a_model.end()));
+    EXPECT_EQ(b.IsSubsetOf(a), std::includes(a_model.begin(), a_model.end(),
+                                             b_model.begin(), b_model.end()));
+    EXPECT_TRUE(a.IsSubsetOf(a));
+
+    std::set<int64_t> a_minus_b;
+    std::set_difference(a_model.begin(), a_model.end(), b_model.begin(),
+                        b_model.end(),
+                        std::inserter(a_minus_b, a_minus_b.end()));
+    ExpectMatchesModel(a.Difference(b), a_minus_b);
+    EXPECT_TRUE(a.Difference(a).empty());
+    ExpectMatchesModel(a.Difference(IndexSet()), a_model);
+
+    // Union into a default-constructed set adopts the shape.
+    IndexSet adopted;
+    adopted.Union(a);
+    if (!a.empty()) {
+      EXPECT_EQ(adopted.shape(), shape);
+    }
+    ExpectMatchesModel(adopted.empty() ? a : adopted, a_model);
+
+    // A general union.
+    IndexSet merged = a;
+    merged.Union(b);
+    std::set<int64_t> merged_model = a_model;
+    merged_model.insert(b_model.begin(), b_model.end());
+    ExpectMatchesModel(merged, merged_model);
+
+    // A contained other: every second member of `merged`.
+    IndexSet contained(shape);
+    int k = 0;
+    for (int64_t id : merged_model) {
+      if (k++ % 2 == 0) {
+        contained.InsertLinear(id);
+      }
+    }
+    EXPECT_TRUE(contained.IsSubsetOf(merged));
+    IndexSet unchanged = merged;
+    unchanged.Union(contained);
+    ExpectMatchesModel(unchanged, merged_model);
+
+    // A disjoint other: every id `merged` lacks.
+    IndexSet disjoint(shape);
+    for (int64_t id = 0; id < n; ++id) {
+      if (merged_model.count(id) == 0) {
+        disjoint.InsertLinear(id);
+      }
+    }
+    EXPECT_EQ(merged.IntersectionSize(disjoint), 0);
+    IndexSet full = merged;
+    full.Union(disjoint);
+    EXPECT_EQ(full.num_runs(), 1u);
+    std::set<int64_t> all;
+    for (int64_t id = 0; id < n; ++id) {
+      all.insert(id);
+    }
+    ExpectMatchesModel(full, all);
+    disjoint.Union(merged);
+    ExpectMatchesModel(disjoint, all);
+  }
 }
 
 // ----------------------------------------------------------------- DType --

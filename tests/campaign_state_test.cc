@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <string>
+#include <vector>
 
+#include "common/rng.h"
 #include "core/debloat_test.h"
 #include "fuzz/campaign_state.h"
 #include "workloads/registry.h"
@@ -37,6 +40,44 @@ TEST(CampaignStateTest, RoundTrip) {
   EXPECT_DOUBLE_EQ(loaded->seeds[1].value[1], -2.5);
   EXPECT_EQ(loaded->discovered.size(), 2u);
   EXPECT_TRUE(loaded->discovered.Contains(Index{1, 2}));
+}
+
+TEST(CampaignStateTest, ShuffledIdLinesLoadToTheSameState) {
+  CampaignState state = SmallCampaign();
+  state.shape = Shape{64, 64};
+  state.discovered = IndexSet(state.shape);
+  Rng rng(5);
+  for (int i = 0; i < 3000; ++i) {
+    state.discovered.InsertLinear(rng.UniformInt(0, 64 * 64 - 1));
+  }
+  const std::string path = TempPath("shuffled.kcs");
+  ASSERT_TRUE(SaveCampaignState(path, state).ok());
+
+  // Keep the header and seed lines; shuffle the `I` lines and repeat some.
+  std::ifstream in(path);
+  std::vector<std::string> head;
+  std::vector<std::string> ids;
+  for (std::string line; std::getline(in, line);) {
+    (line.rfind("I ", 0) == 0 ? ids : head).push_back(line);
+  }
+  in.close();
+  ASSERT_EQ(ids.size(), state.discovered.size());
+  ids.insert(ids.end(), ids.begin(), ids.begin() + 500);
+  rng.Shuffle(ids);
+  std::ofstream out(path, std::ios::trunc);
+  for (const std::vector<std::string>* lines : {&head, &ids}) {
+    for (const std::string& line : *lines) {
+      out << line << "\n";
+    }
+  }
+  out.close();
+
+  StatusOr<CampaignState> loaded = LoadCampaignState(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(loaded->shape, state.shape);
+  EXPECT_EQ(loaded->seeds.size(), state.seeds.size());
+  EXPECT_EQ(loaded->discovered.ToSortedLinearIds(),
+            state.discovered.ToSortedLinearIds());
 }
 
 TEST(CampaignStateTest, DoublePrecisionPreserved) {

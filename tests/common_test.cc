@@ -303,6 +303,31 @@ TEST(IntervalSetTest, UnionMergesSets) {
   EXPECT_EQ(a.ToString(), "[0,15) [20,25)");
 }
 
+TEST(IntervalSetTest, InOrderAndShuffledAddsAgree) {
+  // Ascending adds take the append fast path (extend the last interval or
+  // add one after it); the same adds shuffled take the general path.
+  Rng rng(17);
+  for (int trial = 0; trial < 20; ++trial) {
+    std::vector<Interval> adds;
+    int64_t begin = 0;
+    for (int i = 0; i < 60; ++i) {
+      begin += rng.UniformInt(0, 6);  // Repeats, overlaps, touches, gaps.
+      adds.push_back(Interval{begin, begin + rng.UniformInt(0, 8)});
+    }
+    IntervalSet in_order;
+    for (const Interval& add : adds) {
+      in_order.Add(add);
+    }
+    rng.Shuffle(adds);
+    IntervalSet shuffled;
+    for (const Interval& add : adds) {
+      shuffled.Add(add);
+    }
+    EXPECT_EQ(in_order, shuffled) << in_order.ToString() << " vs "
+                                  << shuffled.ToString();
+  }
+}
+
 TEST(IntervalSetTest, RandomizedAgainstBruteForce) {
   Rng rng(99);
   for (int trial = 0; trial < 20; ++trial) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "array/kdf_file.h"
@@ -12,6 +13,7 @@
 #include "core/kondo.h"
 #include "fuzz/fuzz_schedule.h"
 #include "geom/hull.h"
+#include "workloads/real_app_programs.h"
 #include "workloads/registry.h"
 
 namespace kondo {
@@ -43,6 +45,40 @@ TEST(FuzzObserverTest, SeesEveryEvaluationInOrder) {
     EXPECT_LE(discovered_sizes[i - 1], discovered_sizes[i]);
   }
   EXPECT_EQ(discovered_sizes.back(), result.discovered.size());
+}
+
+TEST(FuzzObserverTest, DiscoveredSizeIsExactAfterEveryTest) {
+  // The schedule stages new ids apart from I_Θ and merges them in bulk;
+  // the size it reports after each test must still be |∪ I_v| so far.
+  // ARD's one-t slices leave I_Θ fragmented into many runs, so most of its
+  // tests are staged rather than merged.
+  std::vector<std::unique_ptr<Program>> programs;
+  programs.push_back(CreateProgram("CS", 64));
+  programs.push_back(std::make_unique<ArdProgram>(32));
+  for (const std::unique_ptr<Program>& program : programs) {
+    SCOPED_TRACE(std::string(program->name()));
+    FuzzConfig config;
+    config.max_iter = 400;
+    FuzzSchedule schedule(program->param_space(), program->data_shape(),
+                          config, 5);
+    const DebloatTestFn test = MakeDebloatTest(*program);
+    IndexSet reference(program->data_shape());
+    std::vector<size_t> expected;
+    std::vector<size_t> reported;
+    const FuzzResult result = schedule.Run(
+        [&](const ParamValue& v) {
+          IndexSet accessed = test(v);
+          reference.Union(accessed);
+          expected.push_back(reference.size());
+          return accessed;
+        },
+        [&](int, const ParamValue&, bool, size_t discovered) {
+          reported.push_back(discovered);
+        });
+    EXPECT_EQ(reported, expected);
+    EXPECT_EQ(result.discovered.ToSortedLinearIds(),
+              reference.ToSortedLinearIds());
+  }
 }
 
 TEST(FuzzObserverTest, NullObserverIsAllowed) {
