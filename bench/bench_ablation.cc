@@ -21,7 +21,9 @@
 #include "core/ensemble.h"
 #include "core/hybrid.h"
 #include "core/metrics.h"
-#include "core/remote_fetch.h"
+#include "core/runtime.h"
+#include "pack/pack_reader.h"
+#include "pack/pack_writer.h"
 
 namespace kondo {
 namespace {
@@ -147,8 +149,12 @@ void AblateRemoteFetch() {
   StatusOr<std::unique_ptr<KdfRemoteSource>> remote =
       KdfRemoteSource::Open(registry);
   KONDO_CHECK(remote.ok());
-  FetchingRuntime runtime(PackageDebloated(array, result.approx),
-                          *std::move(remote));
+  const std::string package = "/tmp/kondo_bench_debloated.kdp";
+  KONDO_CHECK(
+      WriteKdpFile(package, PackageDebloated(array, result.approx)).ok());
+  StatusOr<std::unique_ptr<PackReader>> reader = PackReader::Open(package);
+  KONDO_CHECK(reader.ok());
+  DebloatRuntime runtime(*std::move(reader), *std::move(remote));
 
   Rng rng(4);
   int64_t runs = 0;
@@ -160,10 +166,11 @@ void AblateRemoteFetch() {
   std::printf("replayed %lld sampled runs with 0 failures: %lld local hits, "
               "%lld remote fetches (%lld bytes pulled)\n\n",
               static_cast<long long>(runs),
-              static_cast<long long>(runtime.stats().local_hits),
+              static_cast<long long>(runtime.stats().hits),
               static_cast<long long>(runtime.stats().remote_fetches),
               static_cast<long long>(runtime.stats().bytes_fetched));
   std::remove(registry.c_str());
+  std::remove(package.c_str());
 }
 
 void AblateInvariantBaseline() {

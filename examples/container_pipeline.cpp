@@ -116,15 +116,12 @@ int main(int argc, char** argv) {
   std::printf("--- user-end replay ---\n");
   StatusOr<std::unique_ptr<PackReader>> reader =
       PackReader::Open(debloated_path);
-  StatusOr<DebloatedArray> shipped =
-      reader.ok() ? (*reader)->Unpack()
-                  : StatusOr<DebloatedArray>(reader.status());
-  if (!shipped.ok()) {
+  if (!reader.ok()) {
     std::fprintf(stderr, "read error: %s\n",
-                 shipped.status().ToString().c_str());
+                 reader.status().ToString().c_str());
     return 1;
   }
-  DebloatRuntime runtime(*std::move(shipped));
+  DebloatRuntime runtime(*std::move(reader));
 
   // The CMD run advertised in the spec (inside Θ).
   const Status in_theta = runtime.ReplayRun(*program, {24.0, 30.0});

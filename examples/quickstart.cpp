@@ -6,18 +6,25 @@
 //
 // Steps: instantiate the program, run the Kondo pipeline (fuzz -> carve),
 // compare the approximated subset against the ground truth, package the
-// debloated data file, and replay a run at the "user end".
+// debloated data file as a KDP package, and replay a run at the "user end".
+//
+// Usage: quickstart [workdir]
 
 #include <cstdio>
+#include <memory>
+#include <string>
 
 #include "array/data_array.h"
 #include "core/kondo.h"
 #include "core/metrics.h"
 #include "core/runtime.h"
+#include "pack/pack_reader.h"
+#include "pack/pack_writer.h"
 #include "workloads/registry.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace kondo;
+  const std::string workdir = argc > 1 ? argv[1] : "/tmp";
 
   // The containerized application: Listing 1's cross-stencil walk over a
   // 128x128 array with Θ = (stepX, stepY) ∈ [0,127]^2.
@@ -57,7 +64,17 @@ int main() {
               static_cast<long long>(debloated.OriginalPayloadBytes()),
               static_cast<long long>(debloated.DebloatedPayloadBytes()));
 
-  DebloatRuntime runtime(std::move(debloated));
+  const std::string package_path = workdir + "/quickstart.kdp";
+  StatusOr<PackStats> packed = WriteKdpFile(package_path, debloated);
+  StatusOr<std::unique_ptr<PackReader>> package =
+      packed.ok() ? PackReader::Open(package_path)
+                  : StatusOr<std::unique_ptr<PackReader>>(packed.status());
+  if (!package.ok()) {
+    std::fprintf(stderr, "package error: %s\n",
+                 package.status().ToString().c_str());
+    return 1;
+  }
+  DebloatRuntime runtime(*std::move(package));
   const Status replay = runtime.ReplayRun(*program, ParamValue{1.0, 2.0});
   std::printf("replay:  stepX=1 stepY=2 -> %s (%lld reads, %lld misses)\n",
               replay.ToString().c_str(),

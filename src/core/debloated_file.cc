@@ -8,15 +8,20 @@
 namespace kondo {
 
 StatusOr<VirtualDebloatedFile> VirtualDebloatedFile::Create(
-    DebloatedArray array, LayoutKind layout_kind,
+    DebloatRuntime runtime, LayoutKind layout_kind,
     std::vector<int64_t> chunk_dims) {
+  const Shape& shape = runtime.package().shape();
   KdfHeader header;
-  header.dtype = array.dtype();
+  header.dtype = runtime.package().dtype();
   header.layout_kind = layout_kind;
-  header.shape = array.shape();
+  header.shape = shape;
   if (layout_kind == LayoutKind::kChunked) {
-    if (static_cast<int>(chunk_dims.size()) != array.shape().rank()) {
+    if (static_cast<int>(chunk_dims.size()) != shape.rank()) {
       return InvalidArgumentError("chunk_dims rank mismatch");
+    }
+    if (std::any_of(chunk_dims.begin(), chunk_dims.end(),
+                    [](int64_t c) { return c < 1; })) {
+      return InvalidArgumentError("chunk_dims must be positive");
     }
     header.chunk_dims = chunk_dims;
   }
@@ -26,7 +31,7 @@ StatusOr<VirtualDebloatedFile> VirtualDebloatedFile::Create(
   // exactly (re-execution re-parses the self-describing metadata).
   std::string header_bytes;
   header_bytes.append("KDF1", 4);
-  header_bytes.push_back(static_cast<char>(array.shape().rank()));
+  header_bytes.push_back(static_cast<char>(shape.rank()));
   header_bytes.push_back(static_cast<char>(header.dtype));
   header_bytes.push_back(static_cast<char>(header.layout_kind));
   header_bytes.push_back(0);
@@ -35,22 +40,22 @@ StatusOr<VirtualDebloatedFile> VirtualDebloatedFile::Create(
     std::memcpy(buf, &value, 8);
     header_bytes.append(buf, 8);
   };
-  for (int d = 0; d < array.shape().rank(); ++d) {
-    append_i64(array.shape().dim(d));
+  for (int d = 0; d < shape.rank(); ++d) {
+    append_i64(shape.dim(d));
   }
   if (layout_kind == LayoutKind::kChunked) {
     for (int64_t c : header.chunk_dims) {
       append_i64(c);
     }
   }
-  return VirtualDebloatedFile(std::move(array), std::move(layout),
+  return VirtualDebloatedFile(std::move(runtime), std::move(layout),
                               std::move(header_bytes));
 }
 
-VirtualDebloatedFile::VirtualDebloatedFile(DebloatedArray array,
+VirtualDebloatedFile::VirtualDebloatedFile(DebloatRuntime runtime,
                                            std::unique_ptr<Layout> layout,
                                            std::string header_bytes)
-    : array_(std::move(array)),
+    : runtime_(std::move(runtime)),
       layout_(std::move(layout)),
       header_bytes_(std::move(header_bytes)),
       payload_offset_(static_cast<int64_t>(header_bytes_.size())) {}
@@ -65,10 +70,11 @@ StatusOr<int64_t> VirtualDebloatedFile::ReadRaw(int64_t offset, int64_t size,
     return InvalidArgumentError("negative offset or size");
   }
   ++stats_.reads;
-  const int64_t end = std::min(offset + size, FileBytes());
-  if (offset >= end) {
+  if (offset >= FileBytes()) {
     return 0;
   }
+  // Clamped as a length: `offset + size` may overflow.
+  const int64_t end = offset + std::min(size, FileBytes() - offset);
 
   int64_t cursor = offset;
   // Header bytes.
@@ -86,14 +92,17 @@ StatusOr<int64_t> VirtualDebloatedFile::ReadRaw(int64_t offset, int64_t size,
     const int64_t chunk_end =
         std::min(end, payload_offset_ + element_start + elem);
     if (index.ok()) {
-      StatusOr<double> value = array_.At(*index);
+      StatusOr<double> value = runtime_.Read(*index);
       if (!value.ok()) {
+        if (value.status().code() != StatusCode::kDataMissing) {
+          return value.status();
+        }
         ++stats_.missing_range_hits;
         return DataMissingError(
             "pread range touches debloated (Null) element " +
             index->ToString());
       }
-      EncodeElement(*value, array_.dtype(), element_buf);
+      EncodeElement(*value, runtime_.package().dtype(), element_buf);
     } else {
       std::memset(element_buf, 0, sizeof(element_buf));  // Chunk padding.
     }
@@ -108,7 +117,7 @@ StatusOr<int64_t> VirtualDebloatedFile::ReadRaw(int64_t offset, int64_t size,
 
 Status VirtualDebloatedFile::ReplayRun(const Program& program,
                                        const ParamValue& v) {
-  if (!(program.data_shape() == array_.shape())) {
+  if (!(program.data_shape() == runtime_.package().shape())) {
     return InvalidArgumentError("program shape does not match payload");
   }
   Status first_error = OkStatus();

@@ -1,9 +1,6 @@
 #include "core/remote_fetch.h"
 
-#include <algorithm>
-
 #include "common/stopwatch.h"
-#include "common/strings.h"
 
 namespace kondo {
 
@@ -20,74 +17,6 @@ StatusOr<double> KdfRemoteSource::Fetch(const Index& index) {
   KONDO_ASSIGN_OR_RETURN(double value, reader_.ReadElement(index));
   bytes_fetched_ += reader_.layout().element_size();
   return value;
-}
-
-StatusOr<double> FetchingRuntime::Read(const Index& index) {
-  StatusOr<double> local = local_.Read(index);
-  if (local.ok()) {
-    ++stats_.local_hits;
-    return local;
-  }
-  if (local.status().code() != StatusCode::kDataMissing ||
-      remote_ == nullptr) {
-    ++stats_.hard_misses;
-    return local;
-  }
-  // Missing locally: consult the fetch cache, then the remote source.
-  const int64_t linear = local_array().shape().Linearize(index);
-  if (auto it = fetched_cache_.find(linear); it != fetched_cache_.end()) {
-    ++stats_.local_hits;
-    return it->second;
-  }
-  if (stats_.degraded) {
-    ++stats_.hard_misses;
-    return DataMissingError(
-        StrCat("data missing (remote fetching degraded after ",
-               consecutive_failures_, " consecutive fetch failures)"));
-  }
-  const int max_attempts = std::max(1, policy_.max_attempts);
-  StatusOr<double> fetched = remote_->Fetch(index);
-  int attempt = 1;
-  while (!fetched.ok() && attempt < max_attempts) {
-    if (policy_.backoff_micros > 0) {
-      BusyWaitMicros(policy_.backoff_micros << (attempt - 1));
-    }
-    ++attempt;
-    ++stats_.fetch_retries;
-    fetched = remote_->Fetch(index);
-  }
-  if (!fetched.ok()) {
-    ++stats_.hard_misses;
-    ++stats_.fetch_failures;
-    ++consecutive_failures_;
-    if (policy_.degrade_after > 0 &&
-        consecutive_failures_ >= policy_.degrade_after) {
-      stats_.degraded = true;
-    }
-    // Surface the paper's data-missing error, not the transport error: to
-    // the program, an unfetchable element is indistinguishable from a
-    // debloated one.
-    return DataMissingError(StrCat("data missing and remote fetch failed (",
-                                   attempt, " attempts): ",
-                                   fetched.status().message()));
-  }
-  consecutive_failures_ = 0;
-  ++stats_.remote_fetches;
-  stats_.bytes_fetched = remote_->bytes_fetched();
-  fetched_cache_.emplace(linear, *fetched);
-  return fetched;
-}
-
-Status FetchingRuntime::ReplayRun(const Program& program,
-                                  const ParamValue& v) {
-  Status first_error = OkStatus();
-  program.Execute(v, [this, &first_error](const Index& index) {
-    StatusOr<double> value = Read(index);
-    if (!value.ok() && first_error.ok()) {
-      first_error = value.status();
-    }
-  });
-  return first_error;
 }
 
 }  // namespace kondo

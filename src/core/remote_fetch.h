@@ -4,12 +4,10 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 
 #include "array/index.h"
 #include "array/kdf_file.h"
 #include "common/statusor.h"
-#include "core/runtime.h"
 
 namespace kondo {
 
@@ -54,20 +52,9 @@ class KdfRemoteSource final : public RemoteSource {
   int64_t fetch_count_ = 0;
 };
 
-/// Statistics of a fetching runtime session.
-struct FetchStats {
-  int64_t local_hits = 0;     // Served from the debloated payload.
-  int64_t remote_fetches = 0; // Pulled from the remote source.
-  int64_t hard_misses = 0;    // Remote also failed: data-missing surfaced.
-  int64_t bytes_fetched = 0;
-  int64_t fetch_retries = 0;  // Re-issued requests after transient failures.
-  int64_t fetch_failures = 0; // Elements whose fetch exhausted every attempt.
-  bool degraded = false;      // Remote disabled after repeated failures.
-};
-
-/// Failure policy of a fetching runtime: how hard to try the remote source
-/// before surfacing the paper's data-missing error, and when to stop
-/// bothering the remote entirely.
+/// Failure policy of the runtime's remote fallback: how hard to try the
+/// remote source before surfacing the paper's data-missing error, and when
+/// to stop bothering the remote entirely.
 struct FetchPolicy {
   /// Fetch attempts per missing element (>= 1). Attempt k > 1 busy-waits
   /// `backoff_micros << (k - 2)` first (exponential backoff).
@@ -80,45 +67,6 @@ struct FetchPolicy {
   /// dead server). 0 disables degradation. A successful fetch resets the
   /// consecutive count.
   int degrade_after = 0;
-};
-
-/// A user-end runtime that serves reads from the debloated payload and
-/// falls back to a remote source for Null indices, caching fetched values
-/// so each missing element is pulled at most once. With a remote source
-/// attached, Kondo reaches effective recall 1 at the cost of a few
-/// round-trips (the paper's proposed path to 100% recall, Section VI).
-class FetchingRuntime {
- public:
-  /// `remote` may be null: the runtime then degrades to plain debloated
-  /// behaviour (data-missing on Null access).
-  FetchingRuntime(DebloatedArray array, std::unique_ptr<RemoteSource> remote)
-      : FetchingRuntime(std::move(array), std::move(remote), FetchPolicy{}) {}
-
-  /// As above, with an explicit failure policy (retries, backoff, degraded
-  /// mode) for flaky remotes.
-  FetchingRuntime(DebloatedArray array, std::unique_ptr<RemoteSource> remote,
-                  const FetchPolicy& policy)
-      : local_(std::move(array)),
-        remote_(std::move(remote)),
-        policy_(policy) {}
-
-  const FetchStats& stats() const { return stats_; }
-  const DebloatedArray& local_array() const { return local_.array(); }
-
-  /// Serves one element read: local payload first, then the remote source.
-  StatusOr<double> Read(const Index& index);
-
-  /// Replays a full program run. With a working remote source this always
-  /// succeeds for in-shape accesses.
-  Status ReplayRun(const Program& program, const ParamValue& v);
-
- private:
-  DebloatRuntime local_;
-  std::unique_ptr<RemoteSource> remote_;
-  FetchPolicy policy_;
-  int consecutive_failures_ = 0;
-  std::unordered_map<int64_t, double> fetched_cache_;
-  FetchStats stats_;
 };
 
 }  // namespace kondo

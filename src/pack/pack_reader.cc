@@ -233,15 +233,15 @@ StatusOr<std::shared_ptr<const std::string>> PackReader::DecodedChunk(
 
 StatusOr<double> PackReader::ReadElement(const Index& index) {
   if (!shape().Contains(index)) {
-    return OutOfRangeError("index out of range for packed array of shape " +
-                           shape().ToString());
+    return OutOfRangeError("index out of bounds");
   }
   const int64_t chunk = grid_.ChunkOfIndex(index);
   KONDO_ASSIGN_OR_RETURN(std::shared_ptr<const std::string> payload,
                          DecodedChunk(chunk));
   const int64_t local = grid_.LocalPosition(index);
   if (!BitmapTest(*payload, local)) {
-    return DataMissingError("element was debloated away (Null)");
+    return DataMissingError("access to debloated (Null) index " +
+                            index.ToString());
   }
   const int64_t bitmap_bytes = KdpBitmapBytes(grid_.ChunkElements(chunk));
   const int64_t packed = BitmapRank(*payload, local);

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <string>
 
 #include "array/data_array.h"
@@ -9,6 +10,7 @@
 #include "core/kondo.h"
 #include "core/metrics.h"
 #include "core/runtime.h"
+#include "pack_fixture.h"
 #include "workloads/real_app_programs.h"
 #include "workloads/registry.h"
 
@@ -332,7 +334,7 @@ TEST(RuntimeTest, ServesRetainedReadsAndRaisesDataMissing) {
   });
   IndexSet retained(shape);
   retained.Insert(Index{1, 1});
-  DebloatRuntime runtime(PackageDebloated(array, retained));
+  DebloatRuntime runtime(PackForTest(PackageDebloated(array, retained)));
 
   StatusOr<double> hit = runtime.Read(Index{1, 1});
   ASSERT_TRUE(hit.ok());
@@ -352,7 +354,7 @@ TEST(RuntimeTest, ReplaySupportedRunSucceeds) {
   array.FillPattern(8);
   // Retain the full ground truth: every supported run must replay cleanly.
   DebloatRuntime runtime(
-      PackageDebloated(array, program->GroundTruth()));
+      PackForTest(PackageDebloated(array, program->GroundTruth())));
   EXPECT_TRUE(runtime.ReplayRun(*program, {1.0, 3.0}).ok());
   EXPECT_TRUE(runtime.ReplayRun(*program, {0.0, 1.0}).ok());
   EXPECT_EQ(runtime.stats().misses, 0);
@@ -363,7 +365,7 @@ TEST(RuntimeTest, ReplayOutsideSubsetRaisesAndLogs) {
   DataArray array(program->data_shape(), DType::kFloat64);
   // Retain nothing: every access misses.
   DebloatRuntime runtime(
-      PackageDebloated(array, IndexSet(program->data_shape())));
+      PackForTest(PackageDebloated(array, IndexSet(program->data_shape()))));
   const Status status = runtime.ReplayRun(*program, {1.0, 1.0});
   EXPECT_EQ(status.code(), StatusCode::kDataMissing);
   EXPECT_GT(runtime.stats().misses, 0);
@@ -373,11 +375,30 @@ TEST(RuntimeTest, ReplayOutsideSubsetRaisesAndLogs) {
 
 TEST(RuntimeTest, ResetStatsClears) {
   DataArray array(Shape{4, 4}, DType::kFloat64);
-  DebloatRuntime runtime(PackageDebloated(array, IndexSet(array.shape())));
+  DebloatRuntime runtime(
+      PackForTest(PackageDebloated(array, IndexSet(array.shape()))));
   (void)runtime.Read(Index{0, 0});
   runtime.ResetStats();
   EXPECT_EQ(runtime.stats().reads, 0);
   EXPECT_TRUE(runtime.missing_log().empty());
+}
+
+TEST(RuntimeTest, ReplayDecodesOnlyTheChunksItTouches) {
+  std::unique_ptr<Program> program = CreateProgram("LDC");
+  DataArray array(program->data_shape(), DType::kFloat64);
+  array.FillPattern(5);
+  DebloatRuntime runtime(
+      PackForTest(PackageDebloated(array, program->GroundTruth())));
+  const ParamValue v = {3.0, 4.0};
+  std::set<int64_t> touched;
+  program->Execute(v, [&](const Index& index) {
+    touched.insert(runtime.package().grid().ChunkOfIndex(index));
+  });
+  ASSERT_TRUE(runtime.ReplayRun(*program, v).ok());
+  EXPECT_EQ(runtime.package().stats().chunks_decoded,
+            static_cast<int64_t>(touched.size()));
+  EXPECT_LT(static_cast<int64_t>(touched.size()),
+            runtime.package().grid().num_chunks());
 }
 
 }  // namespace

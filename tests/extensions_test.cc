@@ -14,7 +14,8 @@
 #include "core/hybrid.h"
 #include "core/kondo.h"
 #include "core/metrics.h"
-#include "core/remote_fetch.h"
+#include "core/runtime.h"
+#include "pack_fixture.h"
 #include "provenance/kel2_reader.h"
 #include "provenance/kel2_writer.h"
 #include "workloads/registry.h"
@@ -35,19 +36,23 @@ class RemoteFetchTest : public ::testing::Test {
     array_ = std::make_unique<DataArray>(program_->data_shape(),
                                          DType::kFloat64);
     array_->FillPattern(11);
-    registry_path_ = TempPath("registry.kdf");
+    // Unique per test case: ctest -j runs the cases as concurrent processes.
+    registry_path_ = TempPath(
+        std::string("registry_") +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+        ".kdf");
     ASSERT_TRUE(WriteKdfFile(registry_path_, *array_).ok());
   }
 
-  /// A debloated array retaining only indices with even x.
-  DebloatedArray HalfRetained() {
+  /// A package retaining only indices with even x.
+  std::unique_ptr<PackReader> HalfRetained() {
     IndexSet retained(program_->data_shape());
     program_->data_shape().ForEachIndex([&retained](const Index& index) {
       if (index[0] % 2 == 0) {
         retained.Insert(index);
       }
     });
-    return DebloatedArray::FromDataArray(*array_, retained);
+    return PackForTest(DebloatedArray::FromDataArray(*array_, retained));
   }
 
   std::unique_ptr<Program> program_;
@@ -59,11 +64,11 @@ TEST_F(RemoteFetchTest, LocalHitsDoNotFetch) {
   StatusOr<std::unique_ptr<KdfRemoteSource>> remote =
       KdfRemoteSource::Open(registry_path_);
   ASSERT_TRUE(remote.ok());
-  FetchingRuntime runtime(HalfRetained(), *std::move(remote));
+  DebloatRuntime runtime(HalfRetained(), *std::move(remote));
   StatusOr<double> value = runtime.Read(Index{2, 3});
   ASSERT_TRUE(value.ok());
   EXPECT_DOUBLE_EQ(*value, array_->At(Index{2, 3}));
-  EXPECT_EQ(runtime.stats().local_hits, 1);
+  EXPECT_EQ(runtime.stats().hits, 1);
   EXPECT_EQ(runtime.stats().remote_fetches, 0);
 }
 
@@ -71,7 +76,7 @@ TEST_F(RemoteFetchTest, MissFetchesFromRemote) {
   StatusOr<std::unique_ptr<KdfRemoteSource>> remote =
       KdfRemoteSource::Open(registry_path_);
   ASSERT_TRUE(remote.ok());
-  FetchingRuntime runtime(HalfRetained(), *std::move(remote));
+  DebloatRuntime runtime(HalfRetained(), *std::move(remote));
   StatusOr<double> value = runtime.Read(Index{3, 5});  // Odd x: Null.
   ASSERT_TRUE(value.ok());
   EXPECT_DOUBLE_EQ(*value, array_->At(Index{3, 5}));
@@ -83,7 +88,7 @@ TEST_F(RemoteFetchTest, FetchedElementsAreCached) {
   StatusOr<std::unique_ptr<KdfRemoteSource>> remote =
       KdfRemoteSource::Open(registry_path_);
   ASSERT_TRUE(remote.ok());
-  FetchingRuntime runtime(HalfRetained(), *std::move(remote));
+  DebloatRuntime runtime(HalfRetained(), *std::move(remote));
   ASSERT_TRUE(runtime.Read(Index{3, 5}).ok());
   ASSERT_TRUE(runtime.Read(Index{3, 5}).ok());
   ASSERT_TRUE(runtime.Read(Index{3, 5}).ok());
@@ -91,17 +96,17 @@ TEST_F(RemoteFetchTest, FetchedElementsAreCached) {
 }
 
 TEST_F(RemoteFetchTest, NullRemoteDegradesToDataMissing) {
-  FetchingRuntime runtime(HalfRetained(), nullptr);
+  DebloatRuntime runtime(HalfRetained(), nullptr);
   StatusOr<double> value = runtime.Read(Index{3, 5});
   EXPECT_EQ(value.status().code(), StatusCode::kDataMissing);
-  EXPECT_EQ(runtime.stats().hard_misses, 1);
+  EXPECT_EQ(runtime.stats().misses, 1);
 }
 
 TEST_F(RemoteFetchTest, OutOfBoundsIsNotFetched) {
   StatusOr<std::unique_ptr<KdfRemoteSource>> remote =
       KdfRemoteSource::Open(registry_path_);
   ASSERT_TRUE(remote.ok());
-  FetchingRuntime runtime(HalfRetained(), *std::move(remote));
+  DebloatRuntime runtime(HalfRetained(), *std::move(remote));
   StatusOr<double> value = runtime.Read(Index{99, 99});
   EXPECT_EQ(value.status().code(), StatusCode::kOutOfRange);
   EXPECT_EQ(runtime.stats().remote_fetches, 0);
@@ -113,10 +118,10 @@ TEST_F(RemoteFetchTest, ReplayReachesEffectiveRecallOne) {
   StatusOr<std::unique_ptr<KdfRemoteSource>> remote =
       KdfRemoteSource::Open(registry_path_);
   ASSERT_TRUE(remote.ok());
-  FetchingRuntime runtime(HalfRetained(), *std::move(remote));
+  DebloatRuntime runtime(HalfRetained(), *std::move(remote));
   EXPECT_TRUE(runtime.ReplayRun(*program_, {1.0, 1.0}).ok());
   EXPECT_TRUE(runtime.ReplayRun(*program_, {3.0, 7.0}).ok());
-  EXPECT_EQ(runtime.stats().hard_misses, 0);
+  EXPECT_EQ(runtime.stats().misses, 0);
   EXPECT_GT(runtime.stats().remote_fetches, 0);
 }
 

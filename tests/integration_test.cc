@@ -17,6 +17,7 @@
 #include "core/runtime.h"
 #include "pack/pack_reader.h"
 #include "pack/pack_writer.h"
+#include "pack_fixture.h"
 #include "workloads/registry.h"
 
 namespace kondo {
@@ -71,9 +72,7 @@ CMD [1, 2, /app/grid.kdf]
   StatusOr<std::unique_ptr<PackReader>> reader =
       PackReader::Open(debloated_path);
   ASSERT_TRUE(reader.ok()) << reader.status();
-  StatusOr<DebloatedArray> shipped = (*reader)->Unpack();
-  ASSERT_TRUE(shipped.ok()) << shipped.status();
-  DebloatRuntime runtime(*std::move(shipped));
+  DebloatRuntime runtime(*std::move(reader));
   const Status replay = runtime.ReplayRun(*program, {1.0, 2.0});
   if (!replay.ok()) {
     EXPECT_EQ(replay.code(), StatusCode::kDataMissing);
@@ -124,7 +123,7 @@ TEST(IntegrationTest, DebloatedReplayFailsLoudlyOutsideTheta) {
       MakeDebloatTest(*full), narrow_theta, full->data_shape());
 
   DataArray array(full->data_shape(), DType::kFloat64);
-  DebloatRuntime runtime(PackageDebloated(array, result.approx));
+  DebloatRuntime runtime(PackForTest(PackageDebloated(array, result.approx)));
   // In-Θ replay works.
   EXPECT_TRUE(runtime.ReplayRun(*full, {10.0, 12.0}).ok());
   // Out-of-Θ replay (ring extent 28 ⇒ reads far outside the carved frame)

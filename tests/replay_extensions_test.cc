@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <memory>
 
@@ -10,6 +11,7 @@
 #include "core/debloated_file.h"
 #include "core/ensemble.h"
 #include "core/metrics.h"
+#include "pack_fixture.h"
 #include "workloads/registry.h"
 #include "workloads/vpic_program.h"
 
@@ -17,6 +19,11 @@ namespace kondo {
 namespace {
 
 // --------------------------------------------------- VirtualDebloatedFile --
+
+/// A runtime over `array` packed as a KDP package.
+DebloatRuntime PackedRuntime(const DebloatedArray& array) {
+  return DebloatRuntime(PackForTest(array));
+}
 
 class VirtualDebloatedFileTest : public ::testing::Test {
  protected:
@@ -42,7 +49,7 @@ class VirtualDebloatedFileTest : public ::testing::Test {
 
 TEST_F(VirtualDebloatedFileTest, HeaderBytesMatchRealKdfFile) {
   StatusOr<VirtualDebloatedFile> vfile =
-      VirtualDebloatedFile::Create(debloated_);
+      VirtualDebloatedFile::Create(PackedRuntime(debloated_));
   ASSERT_TRUE(vfile.ok());
   // Write the original as a real KDF file and compare header bytes.
   const std::string path = ::testing::TempDir() + "/vfile_ref.kdf";
@@ -63,7 +70,7 @@ TEST_F(VirtualDebloatedFileTest, HeaderBytesMatchRealKdfFile) {
 
 TEST_F(VirtualDebloatedFileTest, RetainedRangeReplaysOriginalBytes) {
   StatusOr<VirtualDebloatedFile> vfile =
-      VirtualDebloatedFile::Create(debloated_);
+      VirtualDebloatedFile::Create(PackedRuntime(debloated_));
   ASSERT_TRUE(vfile.ok());
   // Row 2 (retained): elements (2,0)..(2,7), 64 bytes.
   const int64_t offset = vfile->payload_offset() + 2 * 8 * 8;
@@ -80,7 +87,7 @@ TEST_F(VirtualDebloatedFileTest, RetainedRangeReplaysOriginalBytes) {
 
 TEST_F(VirtualDebloatedFileTest, NullRangeRaisesDataMissing) {
   StatusOr<VirtualDebloatedFile> vfile =
-      VirtualDebloatedFile::Create(debloated_);
+      VirtualDebloatedFile::Create(PackedRuntime(debloated_));
   ASSERT_TRUE(vfile.ok());
   // Row 6 is debloated.
   const int64_t offset = vfile->payload_offset() + 6 * 8 * 8;
@@ -92,7 +99,7 @@ TEST_F(VirtualDebloatedFileTest, NullRangeRaisesDataMissing) {
 
 TEST_F(VirtualDebloatedFileTest, PartialElementReadWorks) {
   StatusOr<VirtualDebloatedFile> vfile =
-      VirtualDebloatedFile::Create(debloated_);
+      VirtualDebloatedFile::Create(PackedRuntime(debloated_));
   ASSERT_TRUE(vfile.ok());
   // 4 bytes straddling elements (0,0) and (0,1): offset mid-element.
   char buf[8];
@@ -112,7 +119,7 @@ TEST_F(VirtualDebloatedFileTest, PartialElementReadWorks) {
 
 TEST_F(VirtualDebloatedFileTest, ShortReadAtEof) {
   StatusOr<VirtualDebloatedFile> vfile =
-      VirtualDebloatedFile::Create(debloated_);
+      VirtualDebloatedFile::Create(PackedRuntime(debloated_));
   ASSERT_TRUE(vfile.ok());
   char buf[64];
   // The last row is Null, so read the end of a *retained* region instead:
@@ -122,14 +129,33 @@ TEST_F(VirtualDebloatedFileTest, ShortReadAtEof) {
   EXPECT_EQ(*n, 0);
 }
 
+TEST_F(VirtualDebloatedFileTest, HugeOffsetOrSizeClampsWithoutOverflow) {
+  StatusOr<VirtualDebloatedFile> vfile =
+      VirtualDebloatedFile::Create(PackedRuntime(debloated_));
+  ASSERT_TRUE(vfile.ok());
+  char buf[8];
+  StatusOr<int64_t> n = vfile->ReadRaw(vfile->FileBytes(), INT64_MAX, buf);
+  ASSERT_TRUE(n.ok()) << n.status();
+  EXPECT_EQ(*n, 0);
+  n = vfile->ReadRaw(INT64_MAX, 1, buf);
+  ASSERT_TRUE(n.ok()) << n.status();
+  EXPECT_EQ(*n, 0);
+}
+
+TEST_F(VirtualDebloatedFileTest, NonPositiveChunkDimsAreInvalid) {
+  StatusOr<VirtualDebloatedFile> vfile = VirtualDebloatedFile::Create(
+      PackedRuntime(debloated_), LayoutKind::kChunked, {0, 4});
+  EXPECT_EQ(vfile.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST_F(VirtualDebloatedFileTest, ChunkedPaddingReadsAsZero) {
   DataArray array(Shape{3, 3}, DType::kFloat64);
   array.FillWith([](const Index&) { return 7.0; });
   IndexSet all(array.shape());
   array.shape().ForEachIndex([&all](const Index& i) { all.Insert(i); });
   StatusOr<VirtualDebloatedFile> vfile = VirtualDebloatedFile::Create(
-      DebloatedArray::FromDataArray(array, all), LayoutKind::kChunked,
-      {2, 2});
+      PackedRuntime(DebloatedArray::FromDataArray(array, all)),
+      LayoutKind::kChunked, {2, 2});
   ASSERT_TRUE(vfile.ok());
   // Read the whole payload: padding slots must be zero, elements 7.0.
   const int64_t payload = vfile->FileBytes() - vfile->payload_offset();
@@ -154,7 +180,8 @@ TEST(VirtualDebloatedFileReplayTest, SupportedRunReplaysViaByteReads) {
   DataArray array(program->data_shape(), DType::kFloat64);
   array.FillPattern(3);
   StatusOr<VirtualDebloatedFile> vfile = VirtualDebloatedFile::Create(
-      DebloatedArray::FromDataArray(array, program->GroundTruth()));
+      PackedRuntime(DebloatedArray::FromDataArray(array,
+                                                  program->GroundTruth())));
   ASSERT_TRUE(vfile.ok());
   EXPECT_TRUE(vfile->ReplayRun(*program, {2.0, 3.0}).ok());
   EXPECT_EQ(vfile->stats().missing_range_hits, 0);
@@ -166,7 +193,8 @@ TEST(VirtualDebloatedFileReplayTest, UnsupportedRunRaisesDataMissing) {
   DataArray array(program->data_shape(), DType::kFloat64);
   // Retain nothing: every byte range misses.
   StatusOr<VirtualDebloatedFile> vfile = VirtualDebloatedFile::Create(
-      DebloatedArray::FromDataArray(array, IndexSet(array.shape())));
+      PackedRuntime(DebloatedArray::FromDataArray(array,
+                                                  IndexSet(array.shape()))));
   ASSERT_TRUE(vfile.ok());
   const Status status = vfile->ReplayRun(*program, {10.0, 10.0});
   EXPECT_EQ(status.code(), StatusCode::kDataMissing);

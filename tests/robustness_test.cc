@@ -24,8 +24,9 @@
 #include "array/kdf_file.h"
 #include "common/env.h"
 #include "core/debloat_test.h"
-#include "core/remote_fetch.h"
+#include "core/runtime.h"
 #include "fuzz/fuzz_schedule.h"
+#include "pack_fixture.h"
 #include "provenance/kel2_reader.h"
 #include "provenance/kel2_writer.h"
 #include "shard/shard_campaign.h"
@@ -638,15 +639,15 @@ class FetchPolicyTest : public ::testing::Test {
     ASSERT_TRUE(WriteKdfFile(registry_path_, *array_).ok());
   }
 
-  /// A debloated array retaining only even-x indices: odd-x reads miss.
-  DebloatedArray HalfRetained() {
+  /// A package retaining only even-x indices: odd-x reads miss.
+  std::unique_ptr<PackReader> HalfRetained() {
     IndexSet retained(program_->data_shape());
     program_->data_shape().ForEachIndex([&retained](const Index& index) {
       if (index[0] % 2 == 0) {
         retained.Insert(index);
       }
     });
-    return DebloatedArray::FromDataArray(*array_, retained);
+    return PackForTest(DebloatedArray::FromDataArray(*array_, retained));
   }
 
   std::unique_ptr<FlakyRemoteSource> FlakyRemote(int fail_first) {
@@ -665,13 +666,13 @@ class FetchPolicyTest : public ::testing::Test {
 TEST_F(FetchPolicyTest, RetriesRecoverTransientRemoteFailures) {
   FetchPolicy policy;
   policy.max_attempts = 2;
-  FetchingRuntime runtime(HalfRetained(), FlakyRemote(/*fail_first=*/1),
-                          policy);
+  DebloatRuntime runtime(HalfRetained(), FlakyRemote(/*fail_first=*/1),
+                         policy);
   EXPECT_TRUE(runtime.ReplayRun(*program_, {1.0, 1.0}).ok());
   EXPECT_GT(runtime.stats().remote_fetches, 0);
   EXPECT_GT(runtime.stats().fetch_retries, 0);
   EXPECT_EQ(runtime.stats().fetch_failures, 0);
-  EXPECT_EQ(runtime.stats().hard_misses, 0);
+  EXPECT_EQ(runtime.stats().misses, 0);
   EXPECT_FALSE(runtime.stats().degraded);
 }
 
@@ -680,7 +681,7 @@ TEST_F(FetchPolicyTest, ExhaustionSurfacesDataMissingWithoutAborting) {
   policy.max_attempts = 3;
   std::unique_ptr<FlakyRemoteSource> remote = FlakyRemote(1 << 20);
   const FlakyRemoteSource* raw = remote.get();
-  FetchingRuntime runtime(HalfRetained(), std::move(remote), policy);
+  DebloatRuntime runtime(HalfRetained(), std::move(remote), policy);
 
   const StatusOr<double> value = runtime.Read(Index{3, 5});  // Odd x: Null.
   EXPECT_EQ(value.status().code(), StatusCode::kDataMissing)
@@ -690,7 +691,7 @@ TEST_F(FetchPolicyTest, ExhaustionSurfacesDataMissingWithoutAborting) {
   EXPECT_EQ(raw->calls(), 3);
   EXPECT_EQ(runtime.stats().fetch_retries, 2);
   EXPECT_EQ(runtime.stats().fetch_failures, 1);
-  EXPECT_EQ(runtime.stats().hard_misses, 1);
+  EXPECT_EQ(runtime.stats().misses, 1);
 
   // A whole-run replay degrades to per-element data-missing errors, never
   // an abort; the first error is surfaced, and the stats carry the toll.
@@ -710,7 +711,7 @@ TEST_F(FetchPolicyTest, ConsecutiveFailuresTripDegradedMode) {
   policy.degrade_after = 2;
   std::unique_ptr<FlakyRemoteSource> remote = FlakyRemote(1 << 20);
   const FlakyRemoteSource* raw = remote.get();
-  FetchingRuntime runtime(HalfRetained(), std::move(remote), policy);
+  DebloatRuntime runtime(HalfRetained(), std::move(remote), policy);
 
   EXPECT_FALSE(runtime.Read(Index{1, 0}).ok());
   EXPECT_FALSE(runtime.stats().degraded);

@@ -143,14 +143,6 @@ Status WritePackage(const std::string& path, const DebloatedArray& array,
   return OkStatus();
 }
 
-/// Opens the KDP package at `path` and decodes it whole; a failure names
-/// the damaged chunk.
-StatusOr<DebloatedArray> UnpackFile(const std::string& path, int jobs) {
-  KONDO_ASSIGN_OR_RETURN(const std::unique_ptr<PackReader> reader,
-                         PackReader::Open(path));
-  return reader->Unpack(nullptr, jobs);
-}
-
 Status CmdPrograms(Args& args) {
   KONDO_RETURN_IF_ERROR(args.Positionals(0).status());
   std::printf("%-7s %-8s %-12s %s\n", "name", "params", "data", "description");
@@ -589,8 +581,11 @@ Status CmdRepack(Args& args) {
   if (out_path.empty()) {
     out_path = pos[0];  // In-place repack (atomic tmp+rename commit).
   }
+  // Decodes --data whole; a failure names the damaged chunk.
+  KONDO_ASSIGN_OR_RETURN(const std::unique_ptr<PackReader> data,
+                         PackReader::Open(data_path));
   KONDO_ASSIGN_OR_RETURN(const DebloatedArray updated,
-                         UnpackFile(data_path, jobs));
+                         data->Unpack(nullptr, jobs));
   PackOptions options;
   options.jobs = jobs;
   KONDO_ASSIGN_OR_RETURN(const PackStats stats,
@@ -628,34 +623,35 @@ Status CmdReplay(Args& args) {
   }
   KONDO_ASSIGN_OR_RETURN(const std::unique_ptr<Program> program,
                          FindProgram(pos[0]));
-  KONDO_ASSIGN_OR_RETURN(DebloatedArray array, UnpackFile(pos[1], 1));
+  KONDO_ASSIGN_OR_RETURN(std::unique_ptr<PackReader> package,
+                         PackReader::Open(pos[1]));
   if (static_cast<int>(v.size()) != program->param_space().num_params()) {
     return InvalidArgumentError(StrCat(
         "expected ", program->param_space().num_params(), " parameters"));
   }
-
+  std::unique_ptr<RemoteSource> remote;
   if (!remote_path.empty()) {
-    KONDO_ASSIGN_OR_RETURN(std::unique_ptr<KdfRemoteSource> remote,
-                           KdfRemoteSource::Open(remote_path));
-    FetchingRuntime runtime(std::move(array), std::move(remote), policy);
-    const Status status = runtime.ReplayRun(*program, v);
+    KONDO_ASSIGN_OR_RETURN(remote, KdfRemoteSource::Open(remote_path));
+  }
+
+  DebloatRuntime runtime(std::move(package), std::move(remote), policy);
+  const Status status = runtime.ReplayRun(*program, v);
+  const RuntimeStats& stats = runtime.stats();
+  if (!remote_path.empty()) {
     std::printf("replay: %s (%lld local hits, %lld remote fetches, %lld "
                 "bytes pulled, %lld retries, %lld fetch failures)\n",
                 status.ToString().c_str(),
-                static_cast<long long>(runtime.stats().local_hits),
-                static_cast<long long>(runtime.stats().remote_fetches),
-                static_cast<long long>(runtime.stats().bytes_fetched),
-                static_cast<long long>(runtime.stats().fetch_retries),
-                static_cast<long long>(runtime.stats().fetch_failures));
-    return status;
+                static_cast<long long>(stats.hits),
+                static_cast<long long>(stats.remote_fetches),
+                static_cast<long long>(stats.bytes_fetched),
+                static_cast<long long>(stats.fetch_retries),
+                static_cast<long long>(stats.fetch_failures));
+  } else {
+    std::printf("replay: %s (%lld reads, %lld misses)\n",
+                status.ToString().c_str(),
+                static_cast<long long>(stats.reads),
+                static_cast<long long>(stats.misses));
   }
-
-  DebloatRuntime runtime(std::move(array));
-  const Status status = runtime.ReplayRun(*program, v);
-  std::printf("replay: %s (%lld reads, %lld misses)\n",
-              status.ToString().c_str(),
-              static_cast<long long>(runtime.stats().reads),
-              static_cast<long long>(runtime.stats().misses));
   return status;
 }
 
