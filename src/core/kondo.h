@@ -27,9 +27,9 @@ struct KondoConfig {
   /// offsets, carved hulls) to `jobs = 1`; only wall-clock time changes.
   int jobs = 1;
 
-  /// Campaign shards for multi-file runs (src/shard/). `shards > 1` routes
-  /// RunMultiFileKondo through the sharded scheduler; the merged result is
-  /// bit-identical to `shards = 1` at every jobs setting.
+  /// Campaign shards for multi-file runs (src/shard/): RunMultiFileKondo
+  /// runs this many; the merged result is bit-identical to `shards = 1`
+  /// at every jobs setting.
   int shards = 1;
 };
 

@@ -1,33 +1,23 @@
 #ifndef KONDO_CORE_MULTI_KONDO_H_
 #define KONDO_CORE_MULTI_KONDO_H_
 
-#include <vector>
-
-#include "carve/carver.h"
 #include "core/kondo.h"
-#include "fuzz/fuzz_schedule.h"
+#include "shard/merge_stage.h"
 #include "workloads/multi_file_program.h"
 
 namespace kondo {
-
-/// Result of a multi-file Kondo campaign: one fuzz campaign over Θ, one
-/// carved subset per data file.
-struct MultiKondoResult {
-  FuzzStats fuzz_stats;
-  /// Raw fuzz-discovered index subsets, one per file.
-  MultiIndexSets per_file_discovered;
-  /// Carved + rasterised approximations `I'_Θ`, one per file.
-  MultiIndexSets per_file_approx;
-  std::vector<CarveStats> per_file_carve_stats;
-};
 
 /// Runs Kondo on a multi-file application (footnote 1 / Section VI): the
 /// fuzz schedule executes each seed once — a seed is *useful* when it
 /// accesses any of the files, and progress tracking spans all files — and
 /// the Carver then runs independently per file, since each self-describing
 /// file is its own index space.
-MultiKondoResult RunMultiFileKondo(const MultiFileProgram& program,
-                                   const KondoConfig& config);
+///
+/// This is the in-memory shard engine (RunShardedCampaign) with
+/// `max(1, config.shards)` shards; the result is bit-identical at every
+/// shard and jobs setting.
+MergedCampaign RunMultiFileKondo(const MultiFileProgram& program,
+                                 const KondoConfig& config);
 
 }  // namespace kondo
 

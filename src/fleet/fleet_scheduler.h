@@ -60,12 +60,10 @@ struct FleetOptions {
 };
 
 /// Distributes a sharded campaign over remote workers and merges the
-/// results bit-identically to the local RunShardedCampaign:
+/// results bit-identically to the local RunShardedCampaign. Both run the
+/// same campaign-directory lifecycle (CampaignDirectory: plan, manifest
+/// load-or-create, resume re-verification, merge); what the fleet adds is:
 ///
-///  * plans shards (weighted or uniform) and reconciles the plan against
-///    the campaign directory's manifest exactly like the local scheduler —
-///    including demoting fuzzed shards whose artefacts fail
-///    LoadVerifiedShard re-verification;
 ///  * handshakes every worker (kHello), failing any whose echoed file
 ///    geometry disagrees with the plan;
 ///  * dispatches pending shards over the surviving workers, one in flight
@@ -75,10 +73,7 @@ struct FleetOptions {
 ///    resume path applies to damaged artefacts;
 ///  * commits each result through CommitShardResult (fingerprint-verified,
 ///    duplicate-tolerant) and records progress in the manifest after every
-///    state change, so a coordinator crash resumes losslessly;
-///  * merges through the shard-count-invariant MergeShardCampaigns /
-///    MergeShardLineageStores, making merged.kel2 byte-identical to the
-///    single-process campaign at any worker count and failure schedule.
+///    state change, so a coordinator crash resumes losslessly.
 ///
 /// Fails (preserving manifest progress) when every worker is lost with
 /// shards still pending, or when one shard exhausts `max_dispatches`.

@@ -10,11 +10,8 @@
 #include "common/strings.h"
 #include "core/kondo.h"
 #include "exec/campaign_executor.h"
-#include "provenance/crc32.h"
-#include "provenance/persist.h"
 #include "serve/kpc.h"
 #include "shard/shard_campaign.h"
-#include "shard/shard_manifest.h"
 #include "shard/shard_scheduler.h"
 #include "workloads/registry.h"
 
@@ -201,35 +198,21 @@ StatusOr<ShardResultMsg> FleetWorker::RunAssignedShard(
     }
   };
 
-  Kel2WriterOptions sink_options;
-  sink_options.env = options_.env;
-  StatusOr<CampaignLineageSink> sink =
-      CampaignLineageSink::Create(lineage_path, sink_options);
-  if (!sink.ok()) {
-    finish_heartbeat();
-    return sink.status();
-  }
   KondoConfig config;
   config.fuzz = session->fuzz;
   config.rng_seed = session->rng_seed;
   config.jobs = options_.jobs;
   CampaignExecutor executor(options_.jobs);
-  StatusOr<ShardCampaignResult> run = RunShardCampaign(
-      *session->program, plan, shard, config, executor, sink->persister());
-  const Status sealed = run.ok() ? sink->Close() : run.status();
+  StatusOr<SealedShard> sealed =
+      RunSealedShard(*session->program, plan, shard, config, executor,
+                     lineage_path, options_.env);
   finish_heartbeat();
-  KONDO_RETURN_IF_ERROR(sealed);
-
-  std::string kel2;
-  KONDO_RETURN_IF_ERROR(ReadFileToString(lineage_path, &kel2));
-  ShardArtifactInfo info;
-  info.lineage_bytes = static_cast<int64_t>(kel2.size());
-  info.lineage_crc = Crc32(kel2.data(), kel2.size());
+  KONDO_RETURN_IF_ERROR(sealed.status());
 
   ShardResultMsg result;
   result.shard = request.shard;
-  result.kss = EncodeShardState(request.shard, *run, info);
-  result.kel2 = std::move(kel2);
+  result.kss = EncodeShardState(request.shard, sealed->result, sealed->info);
+  result.kel2 = std::move(sealed->kel2);
 
   if (options_.result_stall_micros > 0) {
     InterruptibleSleep(options_.result_stall_micros,

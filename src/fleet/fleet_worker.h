@@ -65,7 +65,7 @@ struct FleetWorkerOptions {
 
 /// A fleet worker process body: listens for a coordinator, answers the
 /// kHello handshake, and serves kRunShard assignments — each one a full
-/// RunShardCampaign whose sealed KSS + KEL2 bytes stream back in a
+/// RunSealedShard whose sealed KSS + KEL2 bytes stream back in a
 /// kShardResult frame. While a campaign runs, a heartbeat thread writes
 /// kHeartbeat frames (serialised with the result writes) so the
 /// coordinator can tell busy from dead.

@@ -15,15 +15,15 @@
 
 namespace kondo {
 
-/// The deterministic fold of a sharded campaign — structurally the
-/// multi-file pipeline's output (core converts it to MultiKondoResult; the
-/// struct is redeclared here so src/shard/ stays below src/core/ in the
-/// layering).
+/// The deterministic fold of a sharded campaign: the multi-file pipeline's
+/// output (one fuzz campaign over Θ, one carved subset per file).
 struct MergedCampaign {
   FuzzStats fuzz_stats;
   /// The (shard-invariant) seed scatter, taken from shard 0's replay.
   std::vector<Seed> seeds;
+  /// Raw fuzz-discovered index subsets, one per file.
   std::vector<IndexSet> per_file_discovered;
+  /// Carved + rasterised approximations `I'_Θ`, one per file.
   std::vector<IndexSet> per_file_approx;
   std::vector<CarveStats> per_file_carve_stats;
 };
@@ -39,8 +39,7 @@ struct MergedCampaign {
 ///    round's CLOSE-pair scan parallelised over `executor` — and
 ///    rasterises each file's hulls in parallel (never nesting ParallelFor
 ///    inside a pool task).
-/// The output is bit-identical to the unsharded RunMultiFileKondo at every
-/// shard and jobs setting.
+/// The output is bit-identical at every shard and jobs setting.
 StatusOr<MergedCampaign> MergeShardCampaigns(
     const ShardPlan& plan,
     const std::vector<ShardCampaignResult>& shard_results,

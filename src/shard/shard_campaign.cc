@@ -11,6 +11,7 @@
 #include "common/strings.h"
 #include "exec/result_collector.h"
 #include "provenance/crc32.h"
+#include "provenance/persist.h"
 #include "shard/shard_manifest.h"
 
 namespace kondo {
@@ -121,6 +122,28 @@ StatusOr<ShardArtifactInfo> HashFileArtifact(const std::string& path) {
   info.lineage_bytes = static_cast<int64_t>(content.size());
   info.lineage_crc = Crc32(content.data(), content.size());
   return info;
+}
+
+StatusOr<SealedShard> RunSealedShard(const MultiFileProgram& program,
+                                     const ShardPlan& plan, const Shard& shard,
+                                     const KondoConfig& config,
+                                     CampaignExecutor& executor,
+                                     const std::string& lineage_path,
+                                     Env* env) {
+  Kel2WriterOptions sink_options;
+  sink_options.env = env;
+  KONDO_ASSIGN_OR_RETURN(
+      CampaignLineageSink sink,
+      CampaignLineageSink::Create(lineage_path, sink_options));
+  SealedShard sealed;
+  KONDO_ASSIGN_OR_RETURN(sealed.result,
+                         RunShardCampaign(program, plan, shard, config,
+                                          executor, sink.persister()));
+  KONDO_RETURN_IF_ERROR(sink.Close());
+  KONDO_RETURN_IF_ERROR(ReadFileToString(lineage_path, &sealed.kel2));
+  sealed.info.lineage_bytes = static_cast<int64_t>(sealed.kel2.size());
+  sealed.info.lineage_crc = Crc32(sealed.kel2.data(), sealed.kel2.size());
+  return sealed;
 }
 
 std::string EncodeShardState(int shard, const ShardCampaignResult& result,

@@ -10,35 +10,25 @@
 #include "common/logging.h"
 #include "common/strings.h"
 #include "exec/thread_pool.h"
-#include "provenance/persist.h"
-#include "shard/shard_campaign.h"
 
 namespace kondo {
 namespace {
 
-bool FileExists(const std::string& path) {
-  struct stat st;
-  return ::stat(path.c_str(), &st) == 0;
-}
-
-std::string JoinPath(const std::string& dir, const std::string& name) {
-  return dir + "/" + name;
-}
-
-}  // namespace
-
-StatusOr<ShardCampaignResult> LoadVerifiedShard(const std::string& dir,
-                                                int s,
-                                                const ShardPlan& plan) {
+/// Loads shard `s`'s sealed artefacts from `campaign`'s directory and
+/// re-verifies them: the KSS checksum trailer plus the KEL2 store's
+/// whole-file byte/CRC fingerprint against the KSS `A` line. A non-OK
+/// status describes the damage.
+StatusOr<ShardCampaignResult> LoadVerifiedShard(
+    const CampaignDirectory& campaign, int s) {
   ShardArtifactInfo expected;
   KONDO_ASSIGN_OR_RETURN(
       ShardCampaignResult loaded,
-      LoadShardState(dir + "/" + ShardStateFileName(s), s, plan.file_shapes,
-                     &expected));
+      LoadShardState(campaign.PathOf(ShardStateFileName(s)), s,
+                     campaign.plan.file_shapes, &expected));
   if (expected.lineage_bytes >= 0) {
     KONDO_ASSIGN_OR_RETURN(
         ShardArtifactInfo actual,
-        HashFileArtifact(dir + "/" + ShardLineageFileName(s)));
+        HashFileArtifact(campaign.PathOf(ShardLineageFileName(s))));
     if (actual.lineage_bytes != expected.lineage_bytes ||
         actual.lineage_crc != expected.lineage_crc) {
       return DataLossError(
@@ -50,12 +40,16 @@ StatusOr<ShardCampaignResult> LoadVerifiedShard(const std::string& dir,
   return loaded;
 }
 
+}  // namespace
+
 Status EnsureCampaignDirectory(const std::string& path) {
+  Env* env = Env::Default();
   std::string prefix;
   for (const std::string& piece : StrSplit(path, '/')) {
     prefix += piece;
-    if (!prefix.empty() && !FileExists(prefix) &&
-        ::mkdir(prefix.c_str(), 0755) != 0 && !FileExists(prefix)) {
+    if (!prefix.empty() && env->GetFileKind(prefix) == FileKind::kMissing &&
+        ::mkdir(prefix.c_str(), 0755) != 0 &&
+        env->GetFileKind(prefix) == FileKind::kMissing) {
       return InternalError("cannot create campaign directory: " + prefix);
     }
     prefix += '/';
@@ -63,79 +57,124 @@ Status EnsureCampaignDirectory(const std::string& path) {
   return OkStatus();
 }
 
-StatusOr<ShardedRunResult> RunShardedCampaign(const MultiFileProgram& program,
-                                              const KondoConfig& config,
-                                              const ShardOptions& options) {
+StatusOr<CampaignDirectory> CampaignDirectory::Open(
+    const MultiFileProgram& program, uint64_t rng_seed, int shards,
+    const PlanWeights& weights, const std::string& dir, Env* env) {
+  CampaignDirectory c;
+  c.dir = dir;
+  c.env = env != nullptr ? env : Env::Default();
   std::vector<Shape> file_shapes;
   file_shapes.reserve(static_cast<size_t>(program.num_files()));
   for (int f = 0; f < program.num_files(); ++f) {
     file_shapes.push_back(program.file_shape(f));
   }
-  KONDO_ASSIGN_OR_RETURN(
-      ShardPlan plan,
-      PlanShards(file_shapes, options.shards, options.plan_weights));
+  KONDO_ASSIGN_OR_RETURN(c.plan, PlanShards(file_shapes, shards, weights));
+  c.manifest = MakeShardManifest(c.plan, rng_seed);
+  c.results.resize(static_cast<size_t>(c.plan.num_shards()));
 
-  const bool persistent = !options.output_dir.empty();
-  ShardManifest manifest = MakeShardManifest(plan, config.rng_seed);
-  std::string manifest_path;
-  if (persistent) {
-    KONDO_RETURN_IF_ERROR(EnsureCampaignDirectory(options.output_dir));
-    manifest_path = JoinPath(options.output_dir, kShardManifestFileName);
-    if (FileExists(manifest_path)) {
-      KONDO_ASSIGN_OR_RETURN(manifest, LoadShardManifest(manifest_path));
-      KONDO_RETURN_IF_ERROR(
-          CheckManifestMatchesPlan(manifest, plan, config.rng_seed));
+  if (c.persistent()) {
+    KONDO_RETURN_IF_ERROR(EnsureCampaignDirectory(dir));
+    const std::string manifest_path = c.PathOf(kShardManifestFileName);
+    if (c.env->GetFileKind(manifest_path) == FileKind::kMissing) {
+      KONDO_RETURN_IF_ERROR(c.SaveManifest());
     } else {
-      KONDO_RETURN_IF_ERROR(SaveShardManifest(manifest_path, manifest));
+      KONDO_ASSIGN_OR_RETURN(c.manifest, LoadShardManifest(manifest_path));
+      KONDO_RETURN_IF_ERROR(
+          CheckManifestMatchesPlan(c.manifest, c.plan, rng_seed));
     }
-  }
 
-  std::vector<ShardCampaignResult> results(
-      static_cast<size_t>(plan.num_shards()));
-  std::vector<char> have(static_cast<size_t>(plan.num_shards()), 0);
-
-  // Resume verification: a manifest may claim a shard is fuzzed while the
-  // artefacts on disk are damaged (a crash after the state commit cannot
-  // tear them — commits are atomic — but operators truncate disks and flip
-  // bits). Re-verify every fuzzed shard's KSS checksum and its KEL2
-  // fingerprint before trusting it; damaged shards are demoted to pending
-  // and re-run instead of poisoning the merge.
-  if (persistent) {
+    // A manifest may claim a shard is fuzzed while its artefacts are
+    // damaged (commits are atomic, so a crash cannot tear them — but
+    // operators truncate disks and flip bits). Re-verify every fuzzed
+    // shard before trusting it; a damaged one is demoted to pending and
+    // re-run, the same rule the fleet applies to a lost worker.
     bool demoted = false;
-    for (int s = 0; s < manifest.num_shards(); ++s) {
-      if (manifest.statuses[static_cast<size_t>(s)] != ShardStatus::kFuzzed) {
+    for (int s = 0; s < c.manifest.num_shards(); ++s) {
+      ShardStatus& status = c.manifest.statuses[static_cast<size_t>(s)];
+      if (status != ShardStatus::kFuzzed) {
         continue;
       }
-      StatusOr<ShardCampaignResult> loaded =
-          LoadVerifiedShard(options.output_dir, s, plan);
+      StatusOr<ShardCampaignResult> loaded = LoadVerifiedShard(c, s);
       if (!loaded.ok()) {
         KONDO_LOG(Warning) << "shard " << s
                            << " failed resume verification, re-running: "
                            << loaded.status();
-        manifest.statuses[static_cast<size_t>(s)] = ShardStatus::kPending;
-        manifest.merged = false;
+        status = ShardStatus::kPending;
+        c.manifest.merged = false;
         demoted = true;
         continue;
       }
-      results[static_cast<size_t>(s)] = std::move(*loaded);
-      have[static_cast<size_t>(s)] = 1;
+      c.results[static_cast<size_t>(s)] = std::move(*loaded);
     }
     if (demoted) {
-      KONDO_RETURN_IF_ERROR(
-          SaveShardManifest(manifest_path, manifest, options.env));
+      KONDO_RETURN_IF_ERROR(c.SaveManifest());
     }
   }
 
-  std::vector<int> pending;
-  for (int s = 0; s < manifest.num_shards(); ++s) {
-    if (manifest.statuses[static_cast<size_t>(s)] == ShardStatus::kPending) {
-      pending.push_back(s);
+  for (int s = 0; s < c.manifest.num_shards(); ++s) {
+    if (c.manifest.statuses[static_cast<size_t>(s)] == ShardStatus::kPending) {
+      c.pending.push_back(s);
     }
   }
+  return c;
+}
+
+std::string CampaignDirectory::PathOf(const std::string& name) const {
+  return dir + "/" + name;
+}
+
+Status CampaignDirectory::SaveManifest() const {
+  if (!persistent()) {
+    return OkStatus();
+  }
+  return SaveShardManifest(PathOf(kShardManifestFileName), manifest, env);
+}
+
+StatusOr<ShardedRunResult> CampaignDirectory::Finish(const KondoConfig& config,
+                                                     int shards_fuzzed_now) {
+  ShardedRunResult out;
+  out.shards_total = plan.num_shards();
+  out.shards_fuzzed_now = shards_fuzzed_now;
+  if (!manifest.AllFuzzed()) {
+    return out;  // Paced invocation: more shards remain for a later run.
+  }
+
+  // Every shard's result is in memory: Open() loaded the ones fuzzed by
+  // earlier invocations, and the caller recorded the ones it ran.
+  CampaignExecutor merge_executor(ClampJobs(config.jobs));
+  KONDO_ASSIGN_OR_RETURN(
+      out.merged, MergeShardCampaigns(plan, results, config, merge_executor));
+  if (persistent()) {
+    std::vector<std::string> shard_paths;
+    shard_paths.reserve(static_cast<size_t>(plan.num_shards()));
+    for (int s = 0; s < plan.num_shards(); ++s) {
+      shard_paths.push_back(PathOf(ShardLineageFileName(s)));
+    }
+    out.merged_lineage_path = PathOf(kMergedLineageFileName);
+    Kel2WriterOptions merge_options;
+    merge_options.env = env;
+    KONDO_RETURN_IF_ERROR(MergeShardLineageStores(
+        shard_paths, out.merged_lineage_path, merge_options));
+    manifest.merged = true;
+    KONDO_RETURN_IF_ERROR(SaveManifest());
+  }
+  out.complete = true;
+  return out;
+}
+
+StatusOr<ShardedRunResult> RunShardedCampaign(const MultiFileProgram& program,
+                                              const KondoConfig& config,
+                                              const ShardOptions& options) {
+  KONDO_ASSIGN_OR_RETURN(
+      CampaignDirectory campaign,
+      CampaignDirectory::Open(program, config.rng_seed, options.shards,
+                              options.plan_weights, options.output_dir,
+                              options.env));
+
   // Pacing only makes sense with a campaign directory to resume from; an
   // in-memory campaign always runs every shard.
-  std::vector<int> to_run = pending;
-  if (persistent && options.max_shards_this_run > 0 &&
+  std::vector<int> to_run = campaign.pending;
+  if (campaign.persistent() && options.max_shards_this_run > 0 &&
       static_cast<size_t>(options.max_shards_this_run) < to_run.size()) {
     to_run.resize(static_cast<size_t>(options.max_shards_this_run));
   }
@@ -145,47 +184,31 @@ StatusOr<ShardedRunResult> RunShardedCampaign(const MultiFileProgram& program,
 
   const auto run_one = [&](size_t slot, CampaignExecutor& executor) {
     const int s = to_run[slot];
-    const Shard& shard = plan.shards[static_cast<size_t>(s)];
-    if (persistent) {
-      const std::string lineage_path =
-          JoinPath(options.output_dir, ShardLineageFileName(s));
-      Kel2WriterOptions sink_options;
-      sink_options.env = options.env;
-      StatusOr<CampaignLineageSink> sink =
-          CampaignLineageSink::Create(lineage_path, sink_options);
-      if (!sink.ok()) {
-        run_statuses[slot] = sink.status();
-        return;
-      }
-      StatusOr<ShardCampaignResult> run = RunShardCampaign(
-          program, plan, shard, config, executor, sink->persister());
-      Status status = run.ok() ? sink->Close() : run.status();
-      if (status.ok()) {
-        // Fingerprint the sealed store and commit the shard's state last:
-        // the KSS (with its embedded fingerprint) only exists once every
-        // artefact it vouches for is durable.
-        StatusOr<ShardArtifactInfo> info = HashFileArtifact(lineage_path);
-        status = info.ok()
-                     ? SaveShardState(JoinPath(options.output_dir,
-                                               ShardStateFileName(s)),
-                                      s, *run, *info, options.env)
-                     : info.status();
-      }
-      if (!status.ok()) {
-        run_statuses[slot] = status;
-        return;
-      }
-      results[static_cast<size_t>(s)] = std::move(*run);
-    } else {
+    const Shard& shard = campaign.plan.shards[static_cast<size_t>(s)];
+    ShardCampaignResult& result = campaign.results[static_cast<size_t>(s)];
+    if (!campaign.persistent()) {
       StatusOr<ShardCampaignResult> run =
-          RunShardCampaign(program, plan, shard, config, executor);
-      if (!run.ok()) {
-        run_statuses[slot] = run.status();
-        return;
+          RunShardCampaign(program, campaign.plan, shard, config, executor);
+      if (run.ok()) {
+        result = std::move(*run);
       }
-      results[static_cast<size_t>(s)] = std::move(*run);
+      run_statuses[slot] = run.status();
+      return;
     }
-    have[static_cast<size_t>(s)] = 1;
+    // The shard's state (with the store's fingerprint) is committed last:
+    // it only exists once every artefact it vouches for is durable.
+    StatusOr<SealedShard> sealed = RunSealedShard(
+        program, campaign.plan, shard, config, executor,
+        campaign.PathOf(ShardLineageFileName(s)), campaign.env);
+    Status status = sealed.status();
+    if (status.ok()) {
+      status = SaveShardState(campaign.PathOf(ShardStateFileName(s)), s,
+                              sealed->result, sealed->info, campaign.env);
+    }
+    if (status.ok()) {
+      result = std::move(sealed->result);
+    }
+    run_statuses[slot] = status;
   };
 
   if (jobs <= 1 || to_run.size() <= 1) {
@@ -223,53 +246,12 @@ StatusOr<ShardedRunResult> RunShardedCampaign(const MultiFileProgram& program,
   }
 
   for (int s : to_run) {
-    manifest.statuses[static_cast<size_t>(s)] = ShardStatus::kFuzzed;
+    campaign.manifest.statuses[static_cast<size_t>(s)] = ShardStatus::kFuzzed;
   }
-  if (persistent && !to_run.empty()) {
-    KONDO_RETURN_IF_ERROR(
-        SaveShardManifest(manifest_path, manifest, options.env));
+  if (!to_run.empty()) {
+    KONDO_RETURN_IF_ERROR(campaign.SaveManifest());
   }
-
-  ShardedRunResult out;
-  out.shards_total = plan.num_shards();
-  out.shards_fuzzed_now = static_cast<int>(to_run.size());
-  if (!manifest.AllFuzzed()) {
-    return out;  // Paced invocation: more shards remain for a later run.
-  }
-
-  // Shards fuzzed by *earlier* invocations are merged from their state
-  // files; shards fuzzed just now are merged from memory.
-  for (int s = 0; s < plan.num_shards(); ++s) {
-    if (!have[static_cast<size_t>(s)]) {
-      KONDO_ASSIGN_OR_RETURN(
-          results[static_cast<size_t>(s)],
-          LoadShardState(JoinPath(options.output_dir, ShardStateFileName(s)),
-                         s, plan.file_shapes));
-    }
-  }
-
-  CampaignExecutor merge_executor(jobs);
-  KONDO_ASSIGN_OR_RETURN(
-      out.merged, MergeShardCampaigns(plan, results, config, merge_executor));
-  if (persistent) {
-    std::vector<std::string> shard_paths;
-    shard_paths.reserve(static_cast<size_t>(plan.num_shards()));
-    for (int s = 0; s < plan.num_shards(); ++s) {
-      shard_paths.push_back(
-          JoinPath(options.output_dir, ShardLineageFileName(s)));
-    }
-    out.merged_lineage_path =
-        JoinPath(options.output_dir, kMergedLineageFileName);
-    Kel2WriterOptions merge_options;
-    merge_options.env = options.env;
-    KONDO_RETURN_IF_ERROR(MergeShardLineageStores(
-        shard_paths, out.merged_lineage_path, merge_options));
-    manifest.merged = true;
-    KONDO_RETURN_IF_ERROR(
-        SaveShardManifest(manifest_path, manifest, options.env));
-  }
-  out.complete = true;
-  return out;
+  return campaign.Finish(config, static_cast<int>(to_run.size()));
 }
 
 }  // namespace kondo

@@ -1,6 +1,7 @@
 #ifndef KONDO_SHARD_SHARD_SCHEDULER_H_
 #define KONDO_SHARD_SHARD_SCHEDULER_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -8,6 +9,7 @@
 #include "common/statusor.h"
 #include "core/kondo.h"
 #include "shard/merge_stage.h"
+#include "shard/shard_campaign.h"
 #include "shard/shard_manifest.h"
 #include "shard/shard_plan.h"
 #include "workloads/multi_file_program.h"
@@ -46,14 +48,58 @@ struct ShardOptions {
 
 /// Outcome of one scheduler invocation.
 struct ShardedRunResult {
-  /// Valid only when `complete`: the merged campaign, bit-identical to the
-  /// unsharded RunMultiFileKondo output.
+  /// Valid only when `complete`: the merged campaign, bit-identical at
+  /// every shard, jobs and worker count.
   MergedCampaign merged;
   bool complete = false;
   int shards_fuzzed_now = 0;  // Shards campaigned by this invocation.
   int shards_total = 0;
   /// Path of the merged KEL2 store ("" in in-memory mode).
   std::string merged_lineage_path;
+};
+
+/// One invocation's view of a campaign directory — the lifecycle the local
+/// scheduler and the fleet coordinator share. Open() plans the shards,
+/// loads or creates the manifest, and re-verifies every fuzzed shard;
+/// the caller runs `pending` shards, records each in `results` and
+/// `manifest`, and calls Finish(). With an empty `dir` the campaign lives
+/// in memory: a fresh all-pending manifest, nothing on disk.
+struct CampaignDirectory {
+  std::string dir;
+  Env* env = nullptr;
+  ShardPlan plan;
+  ShardManifest manifest;
+  /// One per shard. Open() fills every fuzzed shard; the caller fills the
+  /// shards it runs.
+  std::vector<ShardCampaignResult> results;
+  /// Shards still to fuzz, ascending.
+  std::vector<int> pending;
+
+  /// Plans `shards` shards over `program`'s files (steered by `weights`),
+  /// creates `dir`, and loads its manifest — creating it through `env`
+  /// when missing, rejecting one that describes another plan or seed.
+  /// Every shard the manifest calls fuzzed is re-verified (KSS checksum
+  /// plus the KEL2 fingerprint recorded in it) and loaded; a damaged one
+  /// is demoted to pending and re-run instead of poisoning the merge.
+  static StatusOr<CampaignDirectory> Open(const MultiFileProgram& program,
+                                          uint64_t rng_seed, int shards,
+                                          const PlanWeights& weights,
+                                          const std::string& dir, Env* env);
+
+  bool persistent() const { return !dir.empty(); }
+
+  /// `dir`/`name`.
+  std::string PathOf(const std::string& name) const;
+
+  /// Commits the manifest atomically through `env`; a no-op in memory.
+  Status SaveManifest() const;
+
+  /// Paced invocation (some shard still pending): reports progress only.
+  /// Otherwise merges the campaign (MergeShardCampaigns), merges the
+  /// per-shard lineage stores into merged.kel2, and records the manifest
+  /// as merged.
+  StatusOr<ShardedRunResult> Finish(const KondoConfig& config,
+                                    int shards_fuzzed_now);
 };
 
 /// Plans shards, runs one full fuzz campaign per shard, and merges.
@@ -79,16 +125,6 @@ StatusOr<ShardedRunResult> RunShardedCampaign(const MultiFileProgram& program,
 /// this for its campaign directory; exposed for callers (the CLI) that
 /// write sibling artefacts into the same tree.
 Status EnsureCampaignDirectory(const std::string& path);
-
-/// Loads shard `s`'s sealed artefacts from campaign directory `dir` and
-/// re-verifies them: the KSS checksum trailer plus the KEL2 store's
-/// whole-file byte/CRC fingerprint against the KSS `A` line. A non-OK
-/// status describes the damage; the caller demotes the shard to pending
-/// and re-runs it. The local resume path and the fleet coordinator share
-/// this rule — a crashed *worker* is handled exactly like a damaged
-/// on-disk shard.
-StatusOr<ShardCampaignResult> LoadVerifiedShard(const std::string& dir,
-                                                int s, const ShardPlan& plan);
 
 }  // namespace kondo
 

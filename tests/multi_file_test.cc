@@ -65,7 +65,7 @@ TEST(MultiKondoTest, CarvesEachFileIndependently) {
   StormTrackProgram program(64, 16);
   KondoConfig config;
   config.rng_seed = 3;
-  const MultiKondoResult result = RunMultiFileKondo(program, config);
+  const MergedCampaign result = RunMultiFileKondo(program, config);
   ASSERT_EQ(result.per_file_approx.size(), 2u);
 
   const MultiIndexSets truths = program.GroundTruths();
@@ -83,7 +83,7 @@ TEST(MultiKondoTest, DiscoveredSubsetsAreWithinApprox) {
   StormTrackProgram program(64, 16);
   KondoConfig config;
   config.rng_seed = 9;
-  const MultiKondoResult result = RunMultiFileKondo(program, config);
+  const MergedCampaign result = RunMultiFileKondo(program, config);
   for (size_t f = 0; f < 2; ++f) {
     EXPECT_TRUE(result.per_file_discovered[f].IsSubsetOf(
         result.per_file_approx[f]))
@@ -95,8 +95,8 @@ TEST(MultiKondoTest, DeterministicUnderSeed) {
   StormTrackProgram program(32, 8);
   KondoConfig config;
   config.rng_seed = 77;
-  const MultiKondoResult a = RunMultiFileKondo(program, config);
-  const MultiKondoResult b = RunMultiFileKondo(program, config);
+  const MergedCampaign a = RunMultiFileKondo(program, config);
+  const MergedCampaign b = RunMultiFileKondo(program, config);
   for (size_t f = 0; f < 2; ++f) {
     EXPECT_EQ(a.per_file_approx[f].size(), b.per_file_approx[f].size());
   }

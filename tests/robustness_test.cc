@@ -470,6 +470,48 @@ TEST(CrashSweepTest, ResumeFromEveryCrashPointYieldsIdenticalMergedStore) {
   }
 }
 
+// The campaign's first write is its manifest, and it goes through the
+// injected env like every other artefact: a crash there publishes no
+// manifest, and a plain rerun starts the campaign afresh.
+TEST(CrashSweepTest, CrashWritingTheFirstManifestLeavesNoneAndResumes) {
+  const StormTrackProgram program(16, 4);
+  KondoConfig config;
+  config.rng_seed = 17;
+  config.jobs = 1;
+  config.fuzz.max_evals = 60;
+
+  ShardOptions reference_options;
+  reference_options.shards = 2;
+  reference_options.output_dir = TempDir("first_op_ref");
+  const StatusOr<ShardedRunResult> reference =
+      RunShardedCampaign(program, config, reference_options);
+  ASSERT_TRUE(reference.ok()) << reference.status();
+  ASSERT_TRUE(reference->complete);
+
+  FaultPlan plan;
+  plan.seed = FaultSeed();
+  plan.crash_at_op = 0;
+  FaultInjectingEnv env(Env::Default(), plan);
+  ShardOptions crashed = reference_options;
+  crashed.output_dir = TempDir("first_op");
+  crashed.env = &env;
+  const StatusOr<ShardedRunResult> broken =
+      RunShardedCampaign(program, config, crashed);
+  EXPECT_FALSE(broken.ok());
+  EXPECT_TRUE(env.crashed());
+  EXPECT_FALSE(std::filesystem::exists(crashed.output_dir + "/" +
+                                       kShardManifestFileName));
+
+  ShardOptions resume = crashed;
+  resume.env = nullptr;
+  const StatusOr<ShardedRunResult> resumed =
+      RunShardedCampaign(program, config, resume);
+  ASSERT_TRUE(resumed.ok()) << resumed.status();
+  ASSERT_TRUE(resumed->complete);
+  EXPECT_EQ(ReadFileBytes(resumed->merged_lineage_path),
+            ReadFileBytes(reference->merged_lineage_path));
+}
+
 // -------------------------------------------------- retry and quarantine --
 
 /// Wraps the real debloat test with injected failures keyed on candidate

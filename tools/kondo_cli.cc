@@ -456,7 +456,7 @@ Status DebloatMultiFile(const MultiFileProgram& program,
                         const FleetCliOptions& fleet) {
   KondoConfig config;
   flags.ApplyTo(&config);
-  MultiKondoResult result;
+  MergedCampaign result;
   if (!shard_dir.empty()) {
     KONDO_ASSIGN_OR_RETURN(
         ShardedRunResult sharded,
@@ -464,11 +464,7 @@ Status DebloatMultiFile(const MultiFileProgram& program,
     if (Paused(sharded)) {
       return OkStatus();
     }
-    result.fuzz_stats = sharded.merged.fuzz_stats;
-    result.per_file_discovered = std::move(sharded.merged.per_file_discovered);
-    result.per_file_approx = std::move(sharded.merged.per_file_approx);
-    result.per_file_carve_stats =
-        std::move(sharded.merged.per_file_carve_stats);
+    result = std::move(sharded.merged);
     std::printf("lineage: %s\n", sharded.merged_lineage_path.c_str());
   } else {
     result = RunMultiFileKondo(program, config);
@@ -662,7 +658,7 @@ Status EvaluateMultiFile(const MultiFileProgram& program,
                          const CampaignFlags& flags) {
   KondoConfig config;
   flags.ApplyTo(&config);
-  const MultiKondoResult result = RunMultiFileKondo(program, config);
+  const MergedCampaign result = RunMultiFileKondo(program, config);
   std::printf("fuzz:  %d evaluations (%d useful) in %d iterations, "
               "stopped by %s\n",
               result.fuzz_stats.evaluations,
@@ -704,7 +700,7 @@ Status CmdEvaluate(Args& args) {
     // Route through the chunk-range splitter; the merged approximation is
     // bit-identical to the unsharded pipeline's.
     const SingleFileProgramAdapter adapter(std::move(program));
-    const MultiKondoResult result = RunMultiFileKondo(adapter, config);
+    const MergedCampaign result = RunMultiFileKondo(adapter, config);
     const IndexSet& approx = result.per_file_approx[0];
     const AccuracyMetrics metrics = ComputeAccuracy(truth, approx);
     std::printf("fuzz:  %d evaluations (%d useful) across %d shards, "
@@ -750,13 +746,10 @@ Status CmdFuzz(Args& args) {
     // serial FuzzResult — seeds from the replicated schedule, discovered
     // set as the union over the shard partition.
     const SingleFileProgramAdapter adapter(std::move(program));
-    ShardOptions options;
-    options.shards = flags.shards;
-    KONDO_ASSIGN_OR_RETURN(ShardedRunResult sharded,
-                           RunShardedCampaign(adapter, config, options));
-    result.discovered = std::move(sharded.merged.per_file_discovered[0]);
-    result.seeds = std::move(sharded.merged.seeds);
-    result.stats = sharded.merged.fuzz_stats;
+    MergedCampaign merged = RunMultiFileKondo(adapter, config);
+    result.discovered = std::move(merged.per_file_discovered[0]);
+    result.seeds = std::move(merged.seeds);
+    result.stats = merged.fuzz_stats;
   } else {
     CampaignExecutor executor(flags.jobs);
     FuzzSchedule schedule(program->param_space(), shape, config.fuzz,
