@@ -1,28 +1,83 @@
 #include "array/kdf_file.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cstring>
+#include <limits>
+#include <string_view>
 #include <utility>
 
+#include "common/byte_codec.h"
 #include "common/logging.h"
+#include "common/strings.h"
 
 namespace kondo {
 namespace {
 
 constexpr char kMagic[4] = {'K', 'D', 'F', '1'};
 
-void AppendI64(std::string* out, int64_t value) {
-  char buf[8];
-  std::memcpy(buf, &value, 8);
-  out->append(buf, 8);
-}
+/// The largest header a u8 rank can declare: fixed prefix + two dim vectors.
+constexpr size_t kMaxKdfHeaderBytes = 8 + 16 * 255;
 
-int64_t ReadI64(const char* buf) {
-  int64_t value = 0;
-  std::memcpy(&value, buf, 8);
-  return value;
+/// Parses the header at the start of `bytes`, a prefix of a `file_bytes`-
+/// byte file, and checks that the payload it declares fits in the file.
+StatusOr<KdfHeader> DecodeKdfHeader(std::string_view bytes,
+                                    int64_t file_bytes) {
+  ByteCursor cur(bytes, "KDF header");
+  const char* magic = nullptr;
+  uint8_t rank = 0;
+  uint8_t dtype_raw = 0;
+  uint8_t layout_raw = 0;
+  uint8_t reserved = 0;
+  if (!cur.ReadBytes(sizeof(kMagic), &magic).ok() ||
+      std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
+    return DataLossError("not a KDF file");
+  }
+  KONDO_RETURN_IF_ERROR(cur.ReadU8(&rank));
+  KONDO_RETURN_IF_ERROR(cur.ReadU8(&dtype_raw));
+  KONDO_RETURN_IF_ERROR(cur.ReadU8(&layout_raw));
+  KONDO_RETURN_IF_ERROR(cur.ReadU8(&reserved));
+  if (!IsValidDType(dtype_raw) || layout_raw > 1) {
+    return DataLossError("corrupt KDF header: bad dtype or layout");
+  }
+  KdfHeader header;
+  header.dtype = static_cast<DType>(dtype_raw);
+  header.layout_kind = static_cast<LayoutKind>(layout_raw);
+  std::vector<int64_t> dims(rank);
+  for (int64_t& dim : dims) {
+    KONDO_RETURN_IF_ERROR(cur.ReadI64(&dim));
+  }
+  KONDO_ASSIGN_OR_RETURN(header.shape, DecodeShape(dims, "KDF dims"));
+
+  // Extents as stored: the chunked layout pads every edge chunk.
+  std::vector<int64_t> stored = dims;
+  if (header.layout_kind == LayoutKind::kChunked) {
+    header.chunk_dims.resize(rank);
+    for (size_t d = 0; d < dims.size(); ++d) {
+      int64_t& chunk = header.chunk_dims[d];
+      KONDO_RETURN_IF_ERROR(cur.ReadI64(&chunk));
+      if (chunk <= 0) {
+        return DataLossError(StrCat("KDF chunk dims: non-positive dim ",
+                                    chunk));
+      }
+      const int64_t grid = (dims[d] - 1) / chunk + 1;
+      if (grid > std::numeric_limits<int64_t>::max() / chunk) {
+        return DataLossError("KDF chunk dims: padded extent overflows int64");
+      }
+      stored[d] = grid * chunk;
+    }
+  }
+  KONDO_ASSIGN_OR_RETURN(const Shape stored_shape,
+                         DecodeShape(stored, "KDF payload"));
+  const int64_t payload_room = file_bytes - header.HeaderBytes();
+  if (stored_shape.NumElements() > payload_room / DTypeSize(header.dtype)) {
+    return DataLossError(StrCat("KDF payload: ", stored_shape.NumElements(),
+                                " elements exceed the ", file_bytes,
+                                "-byte file"));
+  }
+  return header;
 }
 
 }  // namespace
@@ -37,6 +92,23 @@ int64_t KdfHeader::HeaderBytes() const {
 
 std::unique_ptr<Layout> KdfHeader::MakeFileLayout() const {
   return MakeLayout(layout_kind, shape, dtype, chunk_dims);
+}
+
+std::string EncodeKdfHeader(const KdfHeader& header) {
+  std::string bytes(kMagic, sizeof(kMagic));
+  AppendU8(static_cast<uint8_t>(header.shape.rank()), &bytes);
+  AppendU8(static_cast<uint8_t>(header.dtype), &bytes);
+  AppendU8(static_cast<uint8_t>(header.layout_kind), &bytes);
+  AppendU8(0, &bytes);  // reserved
+  for (int64_t dim : header.shape.dims()) {
+    AppendI64(dim, &bytes);
+  }
+  if (header.layout_kind == LayoutKind::kChunked) {
+    for (int64_t chunk : header.chunk_dims) {
+      AppendI64(chunk, &bytes);
+    }
+  }
+  return bytes;
 }
 
 void EncodeElement(double value, DType dtype, char* buf) {
@@ -109,21 +181,7 @@ Status WriteKdfFile(const std::string& path, const DataArray& array,
     return InvalidArgumentError("chunk_dims rank mismatch");
   }
 
-  std::string bytes;
-  bytes.append(kMagic, 4);
-  bytes.push_back(static_cast<char>(array.shape().rank()));
-  bytes.push_back(static_cast<char>(header.dtype));
-  bytes.push_back(static_cast<char>(header.layout_kind));
-  bytes.push_back(0);  // reserved
-  for (int d = 0; d < array.shape().rank(); ++d) {
-    AppendI64(&bytes, array.shape().dim(d));
-  }
-  if (layout_kind == LayoutKind::kChunked) {
-    for (int64_t c : header.chunk_dims) {
-      AppendI64(&bytes, c);
-    }
-  }
-
+  std::string bytes = EncodeKdfHeader(header);
   std::unique_ptr<Layout> layout = header.MakeFileLayout();
   const int64_t payload_bytes = layout->PayloadBytes();
   std::string payload(static_cast<size_t>(payload_bytes), '\0');
@@ -187,50 +245,20 @@ StatusOr<KdfReader> KdfReader::Open(const std::string& path) {
   if (fd < 0) {
     return NotFoundError("cannot open " + path);
   }
-  char fixed[8];
-  if (::pread(fd, fixed, 8, 0) != 8 || std::memcmp(fixed, kMagic, 4) != 0) {
+  char buf[kMaxKdfHeaderBytes];
+  const ssize_t got = ::pread(fd, buf, sizeof(buf), 0);
+  struct stat st;
+  StatusOr<KdfHeader> header = DataLossError("cannot read the KDF header");
+  if (got >= 0 && ::fstat(fd, &st) == 0) {
+    header = DecodeKdfHeader(std::string_view(buf, static_cast<size_t>(got)),
+                             static_cast<int64_t>(st.st_size));
+  }
+  if (!header.ok()) {
     ::close(fd);
-    return DataLossError("not a KDF file: " + path);
+    return Status(header.status().code(),
+                  StrCat(header.status().message(), ": ", path));
   }
-  const int rank = static_cast<int>(fixed[4]);
-  const uint8_t dtype_raw = static_cast<uint8_t>(fixed[5]);
-  const uint8_t layout_raw = static_cast<uint8_t>(fixed[6]);
-  if (rank < 1 || rank > kMaxRank || !IsValidDType(dtype_raw) ||
-      layout_raw > 1) {
-    ::close(fd);
-    return DataLossError("corrupt KDF header: " + path);
-  }
-  KdfHeader header;
-  header.dtype = static_cast<DType>(dtype_raw);
-  header.layout_kind = static_cast<LayoutKind>(layout_raw);
-
-  const int extra_vecs = header.layout_kind == LayoutKind::kChunked ? 2 : 1;
-  std::vector<char> buf(static_cast<size_t>(8 * rank * extra_vecs));
-  if (::pread(fd, buf.data(), buf.size(), 8) !=
-      static_cast<ssize_t>(buf.size())) {
-    ::close(fd);
-    return DataLossError("truncated KDF header: " + path);
-  }
-  std::vector<int64_t> dims(rank);
-  for (int d = 0; d < rank; ++d) {
-    dims[d] = ReadI64(buf.data() + 8 * d);
-    if (dims[d] <= 0) {
-      ::close(fd);
-      return DataLossError("corrupt KDF dims: " + path);
-    }
-  }
-  header.shape = Shape(dims);
-  if (header.layout_kind == LayoutKind::kChunked) {
-    header.chunk_dims.resize(rank);
-    for (int d = 0; d < rank; ++d) {
-      header.chunk_dims[d] = ReadI64(buf.data() + 8 * (rank + d));
-      if (header.chunk_dims[d] <= 0) {
-        ::close(fd);
-        return DataLossError("corrupt KDF chunk dims: " + path);
-      }
-    }
-  }
-  return KdfReader(fd, std::move(header));
+  return KdfReader(fd, *std::move(header));
 }
 
 int64_t KdfReader::FileBytes() const {

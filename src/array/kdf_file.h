@@ -34,6 +34,11 @@ struct KdfHeader {
   std::unique_ptr<Layout> MakeFileLayout() const;
 };
 
+/// Serialises `header` (magic through chunk_dims). The one KDF header
+/// encoder: WriteKdfFile and the re-execution view of a debloated package
+/// (core/debloated_file.h) both emit it.
+std::string EncodeKdfHeader(const KdfHeader& header);
+
 /// Serialises one element value at `buf` (DTypeSize(dtype) bytes).
 void EncodeElement(double value, DType dtype, char* buf);
 

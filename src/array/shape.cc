@@ -1,8 +1,10 @@
 #include "array/shape.h"
 
+#include <limits>
 #include <sstream>
 
 #include "common/logging.h"
+#include "common/strings.h"
 
 namespace kondo {
 
@@ -74,6 +76,25 @@ std::ostream& operator<<(std::ostream& os, const Shape& shape) {
     os << shape.dim(d);
   }
   return os;
+}
+
+StatusOr<Shape> DecodeShape(const std::vector<int64_t>& dims,
+                            std::string_view what) {
+  if (dims.empty() || dims.size() > static_cast<size_t>(kMaxRank)) {
+    return DataLossError(
+        StrCat(what, ": rank ", dims.size(), " outside 1..", kMaxRank));
+  }
+  int64_t elements = 1;
+  for (int64_t dim : dims) {
+    if (dim <= 0) {
+      return DataLossError(StrCat(what, ": non-positive dim ", dim));
+    }
+    if (elements > std::numeric_limits<int64_t>::max() / dim) {
+      return DataLossError(StrCat(what, ": element count overflows int64"));
+    }
+    elements *= dim;
+  }
+  return Shape(dims);
 }
 
 }  // namespace kondo

@@ -5,9 +5,11 @@
 #include <initializer_list>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "array/index.h"
+#include "common/statusor.h"
 
 namespace kondo {
 
@@ -59,6 +61,12 @@ class Shape {
 };
 
 std::ostream& operator<<(std::ostream& os, const Shape& shape);
+
+/// The one check of extents decoded from untrusted bytes (a file header, a
+/// manifest line, a wire payload): rank 1..kMaxRank, every dim > 0 and an
+/// element count that fits int64. kDataLoss prefixed with `what` otherwise.
+StatusOr<Shape> DecodeShape(const std::vector<int64_t>& dims,
+                            std::string_view what);
 
 }  // namespace kondo
 

@@ -2,8 +2,8 @@
 
 #include <limits>
 
+#include "common/byte_codec.h"
 #include "common/strings.h"
-#include "serve/kpc.h"
 
 namespace kondo {
 namespace {
@@ -13,7 +13,7 @@ namespace {
 /// one shard a million ways.
 constexpr uint32_t kMaxWireCount = 1u << 20;
 
-Status ReadCount(KpcCursor& cursor, const char* what, uint32_t* count) {
+Status ReadCount(ByteCursor& cursor, const char* what, uint32_t* count) {
   KONDO_RETURN_IF_ERROR(cursor.ReadU32(count));
   if (*count > kMaxWireCount) {
     return DataLossError(StrCat("implausible ", what, " count: ", *count));
@@ -21,7 +21,7 @@ Status ReadCount(KpcCursor& cursor, const char* what, uint32_t* count) {
   return OkStatus();
 }
 
-Status ReadShardId(KpcCursor& cursor, int* shard) {
+Status ReadShardId(ByteCursor& cursor, int* shard) {
   int64_t value = 0;
   KONDO_RETURN_IF_ERROR(cursor.ReadI64(&value));
   if (value < 0 || value > std::numeric_limits<int>::max()) {
@@ -35,32 +35,32 @@ Status ReadShardId(KpcCursor& cursor, int* shard) {
 
 std::string WorkerHello::Encode() const {
   std::string out;
-  KpcAppendString(program, &out);
-  KpcAppendI64(extent, &out);
-  KpcAppendI64(static_cast<int64_t>(rng_seed), &out);
-  KpcAppendI64(fuzz.stop_iter, &out);
-  KpcAppendI64(fuzz.max_iter, &out);
-  KpcAppendF64(fuzz.diameter, &out);
-  KpcAppendI64(fuzz.u_reps, &out);
-  KpcAppendI64(fuzz.n_reps, &out);
-  KpcAppendF64(fuzz.u_dist.lo, &out);
-  KpcAppendF64(fuzz.u_dist.hi, &out);
-  KpcAppendF64(fuzz.n_dist.lo, &out);
-  KpcAppendF64(fuzz.n_dist.hi, &out);
-  KpcAppendI64(fuzz.restart, &out);
-  KpcAppendI64(fuzz.decay_iter, &out);
-  KpcAppendF64(fuzz.decay, &out);
-  KpcAppendF64(fuzz.epsilon0, &out);
-  KpcAppendI64(fuzz.init_seeds, &out);
-  KpcAppendF64(fuzz.max_seconds, &out);
-  KpcAppendI64(fuzz.max_evals, &out);
-  KpcAppendI64(fuzz.test_max_attempts, &out);
-  KpcAppendI64(fuzz.test_backoff_micros, &out);
+  AppendString(program, &out);
+  AppendI64(extent, &out);
+  AppendI64(static_cast<int64_t>(rng_seed), &out);
+  AppendI64(fuzz.stop_iter, &out);
+  AppendI64(fuzz.max_iter, &out);
+  AppendF64(fuzz.diameter, &out);
+  AppendI64(fuzz.u_reps, &out);
+  AppendI64(fuzz.n_reps, &out);
+  AppendF64(fuzz.u_dist.lo, &out);
+  AppendF64(fuzz.u_dist.hi, &out);
+  AppendF64(fuzz.n_dist.lo, &out);
+  AppendF64(fuzz.n_dist.hi, &out);
+  AppendI64(fuzz.restart, &out);
+  AppendI64(fuzz.decay_iter, &out);
+  AppendF64(fuzz.decay, &out);
+  AppendF64(fuzz.epsilon0, &out);
+  AppendI64(fuzz.init_seeds, &out);
+  AppendF64(fuzz.max_seconds, &out);
+  AppendI64(fuzz.max_evals, &out);
+  AppendI64(fuzz.test_max_attempts, &out);
+  AppendI64(fuzz.test_backoff_micros, &out);
   return out;
 }
 
 StatusOr<WorkerHello> WorkerHello::Decode(std::string_view payload) {
-  KpcCursor cursor(payload);
+  ByteCursor cursor(payload, "fleet payload");
   WorkerHello hello;
   KONDO_RETURN_IF_ERROR(cursor.ReadString(&hello.program));
   KONDO_RETURN_IF_ERROR(cursor.ReadI64(&hello.extent));
@@ -97,19 +97,19 @@ StatusOr<WorkerHello> WorkerHello::Decode(std::string_view payload) {
 
 std::string WorkerHelloAck::Encode() const {
   std::string out;
-  KpcAppendString(program, &out);
-  KpcAppendU32(static_cast<uint32_t>(file_shapes.size()), &out);
+  AppendString(program, &out);
+  AppendU32(static_cast<uint32_t>(file_shapes.size()), &out);
   for (const Shape& shape : file_shapes) {
-    KpcAppendU32(static_cast<uint32_t>(shape.rank()), &out);
+    AppendU32(static_cast<uint32_t>(shape.rank()), &out);
     for (int d = 0; d < shape.rank(); ++d) {
-      KpcAppendI64(shape.dim(d), &out);
+      AppendI64(shape.dim(d), &out);
     }
   }
   return out;
 }
 
 StatusOr<WorkerHelloAck> WorkerHelloAck::Decode(std::string_view payload) {
-  KpcCursor cursor(payload);
+  ByteCursor cursor(payload, "fleet payload");
   WorkerHelloAck ack;
   KONDO_RETURN_IF_ERROR(cursor.ReadString(&ack.program));
   uint32_t files = 0;
@@ -118,17 +118,16 @@ StatusOr<WorkerHelloAck> WorkerHelloAck::Decode(std::string_view payload) {
   for (uint32_t f = 0; f < files; ++f) {
     uint32_t rank = 0;
     KONDO_RETURN_IF_ERROR(cursor.ReadU32(&rank));
-    if (rank == 0 || rank > 3) {
-      return DataLossError(StrCat("bad file rank on the wire: ", rank));
+    if (rank > cursor.remaining() / 8) {  // 8 payload bytes per dim.
+      return DataLossError(StrCat("file rank ", rank, " overruns the ",
+                                  cursor.remaining(), "-byte payload"));
     }
     std::vector<int64_t> dims(rank);
     for (int64_t& dim : dims) {
       KONDO_RETURN_IF_ERROR(cursor.ReadI64(&dim));
-      if (dim <= 0) {
-        return DataLossError(StrCat("bad file dim on the wire: ", dim));
-      }
     }
-    ack.file_shapes.emplace_back(dims);
+    KONDO_ASSIGN_OR_RETURN(Shape shape, DecodeShape(dims, "fleet file shape"));
+    ack.file_shapes.push_back(std::move(shape));
   }
   KONDO_RETURN_IF_ERROR(cursor.Done());
   return ack;
@@ -136,18 +135,18 @@ StatusOr<WorkerHelloAck> WorkerHelloAck::Decode(std::string_view payload) {
 
 std::string RunShardRequest::Encode() const {
   std::string out;
-  KpcAppendI64(shard, &out);
-  KpcAppendU32(static_cast<uint32_t>(slices.size()), &out);
+  AppendI64(shard, &out);
+  AppendU32(static_cast<uint32_t>(slices.size()), &out);
   for (const ShardSlice& slice : slices) {
-    KpcAppendI64(slice.file, &out);
-    KpcAppendI64(slice.begin, &out);
-    KpcAppendI64(slice.end, &out);
+    AppendI64(slice.file, &out);
+    AppendI64(slice.begin, &out);
+    AppendI64(slice.end, &out);
   }
   return out;
 }
 
 StatusOr<RunShardRequest> RunShardRequest::Decode(std::string_view payload) {
-  KpcCursor cursor(payload);
+  ByteCursor cursor(payload, "fleet payload");
   RunShardRequest request;
   KONDO_RETURN_IF_ERROR(ReadShardId(cursor, &request.shard));
   uint32_t slices = 0;
@@ -171,13 +170,13 @@ StatusOr<RunShardRequest> RunShardRequest::Decode(std::string_view payload) {
 
 std::string HeartbeatMsg::Encode() const {
   std::string out;
-  KpcAppendI64(shard, &out);
-  KpcAppendI64(sequence, &out);
+  AppendI64(shard, &out);
+  AppendI64(sequence, &out);
   return out;
 }
 
 StatusOr<HeartbeatMsg> HeartbeatMsg::Decode(std::string_view payload) {
-  KpcCursor cursor(payload);
+  ByteCursor cursor(payload, "fleet payload");
   HeartbeatMsg heartbeat;
   KONDO_RETURN_IF_ERROR(ReadShardId(cursor, &heartbeat.shard));
   KONDO_RETURN_IF_ERROR(cursor.ReadI64(&heartbeat.sequence));
@@ -187,14 +186,14 @@ StatusOr<HeartbeatMsg> HeartbeatMsg::Decode(std::string_view payload) {
 
 std::string ShardResultMsg::Encode() const {
   std::string out;
-  KpcAppendI64(shard, &out);
-  KpcAppendString(kss, &out);
-  KpcAppendString(kel2, &out);
+  AppendI64(shard, &out);
+  AppendString(kss, &out);
+  AppendString(kel2, &out);
   return out;
 }
 
 StatusOr<ShardResultMsg> ShardResultMsg::Decode(std::string_view payload) {
-  KpcCursor cursor(payload);
+  ByteCursor cursor(payload, "fleet payload");
   ShardResultMsg result;
   KONDO_RETURN_IF_ERROR(ReadShardId(cursor, &result.shard));
   KONDO_RETURN_IF_ERROR(cursor.ReadString(&result.kss));

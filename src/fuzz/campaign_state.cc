@@ -55,18 +55,18 @@ StatusOr<CampaignState> LoadCampaignState(const std::string& path) {
   std::string magic;
   int rank = 0;
   header >> magic >> rank;
-  if (magic != "KCS1" || rank < 1 || rank > kMaxRank) {
-    return DataLossError("bad campaign state header: " + path);
+  std::vector<int64_t> dims;
+  for (int64_t dim = 0;
+       static_cast<int>(dims.size()) < rank && header >> dim;) {
+    dims.push_back(dim);
   }
-  std::vector<int64_t> dims(static_cast<size_t>(rank));
-  for (int64_t& dim : dims) {
-    if (!(header >> dim) || dim <= 0) {
-      return DataLossError("bad campaign state dims: " + path);
-    }
+  if (magic != "KCS1" || static_cast<int>(dims.size()) != rank) {
+    return DataLossError("bad campaign state header: " + path);
   }
 
   CampaignState state;
-  state.shape = Shape(dims);
+  KONDO_ASSIGN_OR_RETURN(state.shape,
+                         DecodeShape(dims, "campaign state dims " + path));
   // `I` lines go through a builder: a shuffled or hostile file must not hit
   // IndexSet's out-of-order insert path once per line.
   IndexSet::Builder discovered(state.shape);

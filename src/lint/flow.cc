@@ -151,7 +151,7 @@ bool IsGuardType(const std::string& text) {
 
 bool IsCursorReadName(const std::string& text) {
   return text == "ReadU16" || text == "ReadU32" || text == "ReadU64" ||
-         text == "ReadVarint";
+         text == "ReadI64" || text == "ReadVarint";
 }
 
 std::string Qualify(const std::string& scope, const std::string& expr) {

@@ -2,8 +2,8 @@
 
 #include <cstring>
 
+#include "common/byte_codec.h"
 #include "common/status.h"
-#include "provenance/varint.h"
 
 namespace kondo {
 namespace {
@@ -123,24 +123,20 @@ StatusOr<std::string> DecodeChunkPayload(KdpCodec codec, DType dtype,
     }
     return encoded;
   }
-  if (static_cast<int64_t>(encoded.size()) < bitmap_bytes) {
-    return DataLossError("KDP chunk: truncated bitmap");
-  }
-
+  ByteCursor reader(encoded, "KDP chunk");
+  const char* bitmap = nullptr;
+  KONDO_RETURN_IF_ERROR(
+      reader.ReadBytes(static_cast<size_t>(bitmap_bytes), &bitmap));
   std::string out;
   out.reserve(static_cast<size_t>(decoded_bytes));
-  out.append(encoded.data(), static_cast<size_t>(bitmap_bytes));
+  out.append(bitmap, static_cast<size_t>(bitmap_bytes));
 
   if (codec == KdpCodec::kDeltaVarint) {
-    VarintReader reader(encoded.data() + bitmap_bytes,
-                        encoded.size() - static_cast<size_t>(bitmap_bytes));
     int64_t previous = 0;
     char buf[8];
     for (int64_t i = 0; i < values; ++i) {
       int64_t delta = 0;
-      if (!reader.NextSigned(&delta)) {
-        return DataLossError("KDP chunk: truncated delta-varint stream");
-      }
+      KONDO_RETURN_IF_ERROR(reader.ReadSignedVarint(&delta));
       previous += delta;
       if (elem_size == 4) {
         const int32_t v = static_cast<int32_t>(previous);
@@ -151,10 +147,7 @@ StatusOr<std::string> DecodeChunkPayload(KdpCodec codec, DType dtype,
         out.append(buf, 8);
       }
     }
-    if (!reader.AtEnd()) {
-      return DataLossError("KDP chunk: trailing bytes after the value "
-                           "stream");
-    }
+    KONDO_RETURN_IF_ERROR(reader.Done());
     return out;
   }
 
@@ -165,39 +158,24 @@ StatusOr<std::string> DecodeChunkPayload(KdpCodec codec, DType dtype,
   const int64_t plane_bytes = values * elem_size;
   std::string planes;
   planes.reserve(static_cast<size_t>(plane_bytes));
-  VarintReader reader(encoded.data() + bitmap_bytes,
-                      encoded.size() - static_cast<size_t>(bitmap_bytes));
   while (static_cast<int64_t>(planes.size()) < plane_bytes) {
     uint64_t control = 0;
-    if (!reader.Next(&control)) {
-      return DataLossError("KDP chunk: truncated byte-plane stream");
-    }
+    KONDO_RETURN_IF_ERROR(reader.ReadVarint(&control));
     const uint64_t count = control >> 1;
     if (count == 0 ||
         count > static_cast<uint64_t>(plane_bytes) - planes.size()) {
       return DataLossError("KDP chunk: invalid byte-plane run");
     }
+    const char* run = nullptr;
     if ((control & 1) != 0) {  // Repeat run: one byte, `count` copies.
-      uint8_t byte = 0;
-      if (!reader.NextByte(&byte)) {
-        return DataLossError("KDP chunk: truncated byte-plane repeat run");
-      }
-      planes.append(static_cast<size_t>(count), static_cast<char>(byte));
+      KONDO_RETURN_IF_ERROR(reader.ReadBytes(1, &run));
+      planes.append(static_cast<size_t>(count), *run);
     } else {  // Literal run: `count` verbatim bytes.
-      for (uint64_t i = 0; i < count; ++i) {
-        uint8_t byte = 0;
-        if (!reader.NextByte(&byte)) {
-          return DataLossError("KDP chunk: truncated byte-plane literal "
-                               "run");
-        }
-        planes.push_back(static_cast<char>(byte));
-      }
+      KONDO_RETURN_IF_ERROR(reader.ReadBytes(static_cast<size_t>(count), &run));
+      planes.append(run, static_cast<size_t>(count));
     }
   }
-  if (!reader.AtEnd()) {
-    return DataLossError("KDP chunk: trailing bytes after the plane "
-                         "stream");
-  }
+  KONDO_RETURN_IF_ERROR(reader.Done());
   out.resize(static_cast<size_t>(decoded_bytes));
   char* value_base = out.data() + bitmap_bytes;
   for (int64_t plane = 0; plane < elem_size; ++plane) {

@@ -10,8 +10,8 @@
 
 namespace kondo {
 
-/// Per-chunk codecs for the KDP payload (reusing the KEL2 codec kit:
-/// LEB128 varints, zigzag deltas, CRC32 — src/provenance/).
+/// Per-chunk codecs for the KDP payload (LEB128 varints and zigzag deltas
+/// from common/byte_codec.h, CRC32 from provenance/crc32.h).
 ///
 /// A chunk's DECODED payload is always `bitmap_bytes` membership bytes
 /// (LSB-first bits over the chunk's in-bounds elements) followed by the

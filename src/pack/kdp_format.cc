@@ -1,37 +1,20 @@
 #include "pack/kdp_format.h"
 
 #include <algorithm>
-#include <cstring>
 #include <utility>
 
+#include "common/byte_codec.h"
 #include "common/status.h"
 #include "provenance/crc32.h"
 
 namespace kondo {
 namespace {
 
-void AppendI64(std::string* out, int64_t value) {
-  char buf[8];
-  std::memcpy(buf, &value, 8);
-  out->append(buf, 8);
-}
-
-void AppendU32(std::string* out, uint32_t value) {
-  char buf[4];
-  std::memcpy(buf, &value, 4);
-  out->append(buf, 4);
-}
-
-int64_t ReadI64(const char* buf) {
-  int64_t value = 0;
-  std::memcpy(&value, buf, 8);
-  return value;
-}
-
-uint32_t ReadU32(const char* buf) {
-  uint32_t value = 0;
-  std::memcpy(&value, buf, 4);
-  return value;
+/// True when the cursor's next four bytes are `magic` (consumed either way).
+bool ReadMagic(ByteCursor& cur, const char (&magic)[4]) {
+  const char* p = nullptr;
+  return cur.ReadBytes(4, &p).ok() &&
+         std::string_view(p, 4) == std::string_view(magic, 4);
 }
 
 }  // namespace
@@ -59,7 +42,7 @@ KdpChunkGrid::KdpChunkGrid(Shape shape, std::vector<int64_t> chunk_dims)
   grid_dims_.resize(chunk_dims_.size());
   for (size_t d = 0; d < chunk_dims_.size(); ++d) {
     const int64_t dim = shape_.dim(static_cast<int>(d));
-    grid_dims_[d] = (dim + chunk_dims_[d] - 1) / chunk_dims_[d];
+    grid_dims_[d] = (dim - 1) / chunk_dims_[d] + 1;  // Cannot overflow.
     num_chunks_ *= grid_dims_[d];
   }
 }
@@ -118,17 +101,16 @@ int64_t KdpChunkGrid::LocalPosition(const Index& index) const {
 }
 
 std::string EncodeKdpHeader(const KdpManifest& manifest) {
-  std::string bytes;
-  bytes.append(kKdpMagic, 4);
-  bytes.push_back(static_cast<char>(kKdpVersion));
-  bytes.push_back(static_cast<char>(manifest.dtype));
-  bytes.push_back(static_cast<char>(manifest.shape.rank()));
-  bytes.push_back(0);  // reserved
-  for (int d = 0; d < manifest.shape.rank(); ++d) {
-    AppendI64(&bytes, manifest.shape.dim(d));
+  std::string bytes(kKdpMagic, 4);
+  AppendU8(kKdpVersion, &bytes);
+  AppendU8(static_cast<uint8_t>(manifest.dtype), &bytes);
+  AppendU8(static_cast<uint8_t>(manifest.shape.rank()), &bytes);
+  AppendU8(0, &bytes);  // reserved
+  for (int64_t dim : manifest.shape.dims()) {
+    AppendI64(dim, &bytes);
   }
-  for (int d = 0; d < manifest.shape.rank(); ++d) {
-    AppendI64(&bytes, manifest.chunk_dims[static_cast<size_t>(d)]);
+  for (int64_t chunk : manifest.chunk_dims) {
+    AppendI64(chunk, &bytes);
   }
   return bytes;
 }
@@ -137,11 +119,11 @@ std::string EncodeKdpManifest(const KdpManifest& manifest) {
   std::string bytes;
   bytes.reserve(static_cast<size_t>(manifest.ManifestBytes()));
   for (const KdpChunkInfo& info : manifest.chunks) {
-    bytes.push_back(static_cast<char>(info.codec));
-    AppendI64(&bytes, info.offset);
-    AppendI64(&bytes, info.encoded_bytes);
-    AppendI64(&bytes, info.decoded_bytes);
-    AppendU32(&bytes, info.crc32);
+    AppendU8(static_cast<uint8_t>(info.codec), &bytes);
+    AppendI64(info.offset, &bytes);
+    AppendI64(info.encoded_bytes, &bytes);
+    AppendI64(info.decoded_bytes, &bytes);
+    AppendU32(info.crc32, &bytes);
   }
   return bytes;
 }
@@ -149,68 +131,73 @@ std::string EncodeKdpManifest(const KdpManifest& manifest) {
 std::string EncodeKdpTrailer(int64_t manifest_offset, int64_t num_chunks,
                              uint32_t file_crc) {
   std::string bytes;
-  AppendI64(&bytes, manifest_offset);
-  AppendI64(&bytes, num_chunks);
-  AppendU32(&bytes, file_crc);
+  AppendI64(manifest_offset, &bytes);
+  AppendI64(num_chunks, &bytes);
+  AppendU32(file_crc, &bytes);
   bytes.append(kKdpTrailerMagic, 4);
   return bytes;
 }
 
-StatusOr<KdpTrailer> DecodeKdpTrailer(const std::string& tail,
+StatusOr<KdpTrailer> DecodeKdpTrailer(std::string_view tail,
                                       int64_t file_bytes) {
-  if (static_cast<int64_t>(tail.size()) != kKdpTrailerBytes) {
-    return DataLossError("KDP trailer: short read");
-  }
-  if (std::memcmp(tail.data() + 20, kKdpTrailerMagic, 4) != 0) {
+  ByteCursor cur(tail, "KDP trailer");
+  KdpTrailer trailer;
+  KONDO_RETURN_IF_ERROR(cur.ReadI64(&trailer.manifest_offset));
+  KONDO_RETURN_IF_ERROR(cur.ReadI64(&trailer.num_chunks));
+  KONDO_RETURN_IF_ERROR(cur.ReadU32(&trailer.file_crc));
+  if (!ReadMagic(cur, kKdpTrailerMagic)) {
     return DataLossError("KDP trailer: bad magic (truncated or not a KDP "
                          "file)");
   }
-  KdpTrailer trailer;
-  trailer.manifest_offset = ReadI64(tail.data());
-  trailer.num_chunks = ReadI64(tail.data() + 8);
-  trailer.file_crc = ReadU32(tail.data() + 16);
+  KONDO_RETURN_IF_ERROR(cur.Done());
+  // Bound the chunk count before multiplying by it.
+  const int64_t manifest_room = file_bytes - kKdpTrailerBytes;
   if (trailer.num_chunks < 0 || trailer.manifest_offset < 0 ||
-      trailer.manifest_offset + trailer.num_chunks * kKdpManifestEntryBytes +
-          kKdpTrailerBytes != file_bytes) {
+      trailer.num_chunks > manifest_room / kKdpManifestEntryBytes ||
+      trailer.manifest_offset !=
+          manifest_room - trailer.num_chunks * kKdpManifestEntryBytes) {
     return DataLossError("KDP trailer: manifest location inconsistent with "
                          "file size");
   }
   return trailer;
 }
 
-StatusOr<KdpManifest> DecodeKdpManifest(const std::string& header,
-                                        const std::string& manifest,
+StatusOr<KdpManifest> DecodeKdpManifest(std::string_view header,
+                                        std::string_view manifest,
                                         const KdpTrailer& trailer) {
-  if (header.size() < 8 || std::memcmp(header.data(), kKdpMagic, 4) != 0) {
+  ByteCursor cur(header, "KDP header");
+  if (!ReadMagic(cur, kKdpMagic)) {
     return DataLossError("KDP header: bad magic");
   }
-  const uint8_t version = static_cast<uint8_t>(header[4]);
+  uint8_t version = 0;
+  uint8_t dtype_raw = 0;
+  uint8_t rank = 0;
+  uint8_t reserved = 0;
+  KONDO_RETURN_IF_ERROR(cur.ReadU8(&version));
+  KONDO_RETURN_IF_ERROR(cur.ReadU8(&dtype_raw));
+  KONDO_RETURN_IF_ERROR(cur.ReadU8(&rank));
+  KONDO_RETURN_IF_ERROR(cur.ReadU8(&reserved));
   if (version != kKdpVersion) {
     return DataLossError("KDP header: unsupported version " +
                          std::to_string(version));
   }
-  const uint8_t dtype_raw = static_cast<uint8_t>(header[5]);
-  const int rank = static_cast<uint8_t>(header[6]);
-  if (!IsValidDType(dtype_raw) || rank < 1 || rank > kMaxRank) {
-    return DataLossError("KDP header: bad dtype or rank");
+  if (!IsValidDType(dtype_raw)) {
+    return DataLossError("KDP header: bad dtype");
   }
   KdpManifest result;
   result.dtype = static_cast<DType>(dtype_raw);
-  if (static_cast<int64_t>(header.size()) < 8 + 16 * rank) {
-    return DataLossError("KDP header: truncated dims");
+  std::vector<int64_t> dims(rank);
+  for (int64_t& dim : dims) {
+    KONDO_RETURN_IF_ERROR(cur.ReadI64(&dim));
   }
-  std::vector<int64_t> dims(static_cast<size_t>(rank));
-  result.chunk_dims.resize(static_cast<size_t>(rank));
-  for (int d = 0; d < rank; ++d) {
-    dims[static_cast<size_t>(d)] = ReadI64(header.data() + 8 + 8 * d);
-    result.chunk_dims[static_cast<size_t>(d)] =
-        ReadI64(header.data() + 8 + 8 * (rank + d));
-    if (dims[static_cast<size_t>(d)] <= 0 ||
-        result.chunk_dims[static_cast<size_t>(d)] <= 0) {
-      return DataLossError("KDP header: non-positive dim or chunk dim");
+  KONDO_ASSIGN_OR_RETURN(result.shape, DecodeShape(dims, "KDP header dims"));
+  result.chunk_dims.resize(rank);
+  for (int64_t& chunk : result.chunk_dims) {
+    KONDO_RETURN_IF_ERROR(cur.ReadI64(&chunk));
+    if (chunk <= 0) {
+      return DataLossError("KDP header: non-positive chunk dim");
     }
   }
-  result.shape = Shape(dims);
 
   const int64_t header_bytes = result.HeaderBytes();
   if (trailer.manifest_offset < header_bytes) {
@@ -228,7 +215,7 @@ StatusOr<KdpManifest> DecodeKdpManifest(const std::string& header,
     return DataLossError("KDP manifest: short read");
   }
 
-  uint32_t crc = Crc32(header.data(), header.size());
+  uint32_t crc = Crc32(header.data(), static_cast<size_t>(header_bytes));
   crc = Crc32Update(crc, manifest.data(), manifest.size());
   if (crc != trailer.file_crc) {
     return DataLossError("KDP manifest: file CRC mismatch (corrupt header "
@@ -237,20 +224,21 @@ StatusOr<KdpManifest> DecodeKdpManifest(const std::string& header,
 
   const int64_t payload_bytes = trailer.manifest_offset - header_bytes;
   int64_t next_offset = 0;
+  ByteCursor entries(manifest, "KDP manifest");
   result.chunks.resize(static_cast<size_t>(trailer.num_chunks));
   for (int64_t c = 0; c < trailer.num_chunks; ++c) {
-    const char* entry = manifest.data() + c * kKdpManifestEntryBytes;
     KdpChunkInfo& info = result.chunks[static_cast<size_t>(c)];
-    const uint8_t codec_raw = static_cast<uint8_t>(entry[0]);
+    uint8_t codec_raw = 0;
+    KONDO_RETURN_IF_ERROR(entries.ReadU8(&codec_raw));
+    KONDO_RETURN_IF_ERROR(entries.ReadI64(&info.offset));
+    KONDO_RETURN_IF_ERROR(entries.ReadI64(&info.encoded_bytes));
+    KONDO_RETURN_IF_ERROR(entries.ReadI64(&info.decoded_bytes));
+    KONDO_RETURN_IF_ERROR(entries.ReadU32(&info.crc32));
     if (!IsValidKdpCodec(codec_raw)) {
       return DataLossError("KDP manifest: chunk " + std::to_string(c) +
                            ": unknown codec " + std::to_string(codec_raw));
     }
     info.codec = static_cast<KdpCodec>(codec_raw);
-    info.offset = ReadI64(entry + 1);
-    info.encoded_bytes = ReadI64(entry + 9);
-    info.decoded_bytes = ReadI64(entry + 17);
-    info.crc32 = ReadU32(entry + 25);
     if (info.codec == KdpCodec::kHole) {
       if (info.encoded_bytes != 0 || info.decoded_bytes != 0) {
         return DataLossError("KDP manifest: chunk " + std::to_string(c) +
@@ -260,7 +248,7 @@ StatusOr<KdpManifest> DecodeKdpManifest(const std::string& header,
     }
     if (info.encoded_bytes <= 0 || info.decoded_bytes <= 0 ||
         info.offset != next_offset ||
-        info.offset + info.encoded_bytes > payload_bytes) {
+        info.encoded_bytes > payload_bytes - info.offset) {
       return DataLossError("KDP manifest: chunk " + std::to_string(c) +
                            ": payload bounds out of order or past the "
                            "manifest");

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "array/dtype.h"
@@ -37,6 +38,8 @@ inline constexpr char kKdpTrailerMagic[4] = {'K', 'D', 'P', 'E'};
 inline constexpr uint8_t kKdpVersion = 1;
 inline constexpr int64_t kKdpTrailerBytes = 8 + 8 + 4 + 4;
 inline constexpr int64_t kKdpManifestEntryBytes = 1 + 8 + 8 + 8 + 4;
+/// The largest header a u8 rank can declare.
+inline constexpr int64_t kKdpMaxHeaderBytes = 8 + 16 * 255;
 
 /// Per-chunk codec ids as stored in the manifest.
 enum class KdpCodec : uint8_t {
@@ -169,15 +172,17 @@ struct KdpTrailer {
 /// Parses the trailer from the file's last kKdpTrailerBytes bytes and
 /// bounds-checks it against the file size. kDataLoss on bad magic or an
 /// inconsistent manifest location.
-StatusOr<KdpTrailer> DecodeKdpTrailer(const std::string& tail,
+StatusOr<KdpTrailer> DecodeKdpTrailer(std::string_view tail,
                                       int64_t file_bytes);
 
 /// Parses and validates the header and manifest sections against the
 /// trailer: magic, version, dtype, dims, per-chunk table (codec validity,
-/// payload bounds, offset monotonicity) and the file CRC. kDataLoss on any
-/// structural or checksum mismatch.
-StatusOr<KdpManifest> DecodeKdpManifest(const std::string& header,
-                                        const std::string& manifest,
+/// payload bounds, offset monotonicity) and the file CRC. `header` is a
+/// prefix of the file at least as long as the header (the rank byte sizes
+/// it; bytes past it are ignored). kDataLoss on any structural or checksum
+/// mismatch.
+StatusOr<KdpManifest> DecodeKdpManifest(std::string_view header,
+                                        std::string_view manifest,
                                         const KdpTrailer& trailer);
 
 /// Default pack chunk grid for `shape`: max(2, dim/16) per dimension — the

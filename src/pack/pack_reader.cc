@@ -4,6 +4,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <cstring>
@@ -14,6 +15,7 @@
 #include "array/index_set.h"
 #include "array/kdf_file.h"
 #include "common/status.h"
+#include "common/strings.h"
 #include "exec/campaign_executor.h"
 #include "pack/chunk_codec.h"
 #include "provenance/crc32.h"
@@ -45,6 +47,34 @@ int64_t BitmapRank(const std::string& payload, int64_t local) {
   return rank;
 }
 
+/// Reads `buf->size()` bytes at `offset`; false on error or a short read.
+bool PreadFully(int fd, std::string* buf, int64_t offset) {
+  return ::pread(fd, buf->data(), buf->size(), offset) ==
+         static_cast<ssize_t>(buf->size());
+}
+
+/// Reads and decodes the header, trailer and manifest of the KDP package
+/// open at `fd`.
+StatusOr<KdpManifest> ReadManifest(int fd, int64_t file_bytes) {
+  // The header is at most kKdpMaxHeaderBytes: read that much (or the whole
+  // file) and let the decoder find its end from the rank byte.
+  std::string header(
+      static_cast<size_t>(std::min(kKdpMaxHeaderBytes, file_bytes)), '\0');
+  std::string tail(static_cast<size_t>(kKdpTrailerBytes), '\0');
+  if (file_bytes < kKdpTrailerBytes || !PreadFully(fd, &header, 0) ||
+      !PreadFully(fd, &tail, file_bytes - kKdpTrailerBytes)) {
+    return DataLossError("not a KDP package (short file)");
+  }
+  KONDO_ASSIGN_OR_RETURN(const KdpTrailer trailer,
+                         DecodeKdpTrailer(tail, file_bytes));
+  std::string table(
+      static_cast<size_t>(trailer.num_chunks * kKdpManifestEntryBytes), '\0');
+  if (!PreadFully(fd, &table, trailer.manifest_offset)) {
+    return DataLossError("KDP manifest: short read");
+  }
+  return DecodeKdpManifest(header, table, trailer);
+}
+
 }  // namespace
 
 StatusOr<std::unique_ptr<PackReader>> PackReader::Open(
@@ -54,64 +84,18 @@ StatusOr<std::unique_ptr<PackReader>> PackReader::Open(
     return NotFoundError("cannot open KDP package: " + path);
   }
   struct stat st;
-  if (::fstat(fd, &st) != 0) {
+  StatusOr<KdpManifest> manifest = NotFoundError("cannot stat KDP package");
+  if (::fstat(fd, &st) == 0) {
+    manifest = ReadManifest(fd, static_cast<int64_t>(st.st_size));
+  }
+  if (!manifest.ok()) {
     ::close(fd);
-    return NotFoundError("cannot stat KDP package: " + path);
+    return Status(manifest.status().code(),
+                  StrCat(manifest.status().message(), ": ", path));
   }
-  const int64_t file_bytes = static_cast<int64_t>(st.st_size);
-
-  std::unique_ptr<PackReader> reader;
-  {
-    // Minimal fixed header: enough to learn the rank, which sizes the rest.
-    char fixed[8];
-    if (file_bytes < 8 + kKdpTrailerBytes ||
-        ::pread(fd, fixed, 8, 0) != 8 ||
-        std::memcmp(fixed, kKdpMagic, 4) != 0) {
-      ::close(fd);
-      return DataLossError("not a KDP package (short file or bad magic): " +
-                           path);
-    }
-    const int rank = static_cast<uint8_t>(fixed[6]);
-    const int64_t header_bytes = 8 + 16 * rank;
-    if (rank < 1 || rank > kMaxRank ||
-        file_bytes < header_bytes + kKdpTrailerBytes) {
-      ::close(fd);
-      return DataLossError("KDP header: bad rank or truncated file: " + path);
-    }
-
-    std::string header(static_cast<size_t>(header_bytes), '\0');
-    std::string tail(static_cast<size_t>(kKdpTrailerBytes), '\0');
-    if (::pread(fd, header.data(), header.size(), 0) !=
-            static_cast<ssize_t>(header.size()) ||
-        ::pread(fd, tail.data(), tail.size(),
-                file_bytes - kKdpTrailerBytes) !=
-            static_cast<ssize_t>(tail.size())) {
-      ::close(fd);
-      return DataLossError("KDP package: short read: " + path);
-    }
-    StatusOr<KdpTrailer> trailer = DecodeKdpTrailer(tail, file_bytes);
-    if (!trailer.ok()) {
-      ::close(fd);
-      return trailer.status();
-    }
-    std::string table(
-        static_cast<size_t>(trailer->num_chunks * kKdpManifestEntryBytes),
-        '\0');
-    if (::pread(fd, table.data(), table.size(), trailer->manifest_offset) !=
-        static_cast<ssize_t>(table.size())) {
-      ::close(fd);
-      return DataLossError("KDP manifest: short read: " + path);
-    }
-    StatusOr<KdpManifest> manifest =
-        DecodeKdpManifest(header, table, *trailer);
-    if (!manifest.ok()) {
-      ::close(fd);
-      return manifest.status();
-    }
-    reader.reset(
-        new PackReader(fd, path, *std::move(manifest), options));
-    reader->file_bytes_ = file_bytes;
-  }
+  std::unique_ptr<PackReader> reader(
+      new PackReader(fd, path, *std::move(manifest), options));
+  reader->file_bytes_ = static_cast<int64_t>(st.st_size);
 
   // Per-chunk geometry check the manifest decoder cannot do (it has no
   // grid element counts): decoded bytes must be bitmap + whole elements,

@@ -1,55 +1,44 @@
 #include "provenance/kel2_reader.h"
 
 #include <cstring>
+#include <string_view>
 
+#include "common/byte_codec.h"
 #include "common/strings.h"
 #include "provenance/crc32.h"
-#include "provenance/varint.h"
 
 namespace kondo {
 namespace {
 
-int64_t ReadI64(const char* buf) {
-  int64_t value;
-  std::memcpy(&value, buf, 8);
-  return value;
-}
-
-uint32_t ReadU32(const char* buf) {
-  uint32_t value;
-  std::memcpy(&value, buf, 4);
-  return value;
-}
-
 /// Decodes one delta + zigzag varint column of `count` values.
-bool DecodeDeltaColumn(VarintReader* in, uint32_t count,
-                       std::vector<int64_t>* out) {
+Status DecodeDeltaColumn(ByteCursor& in, uint32_t count,
+                         std::vector<int64_t>* out) {
   out->clear();
   out->reserve(count);
   int64_t prev = 0;
   for (uint32_t i = 0; i < count; ++i) {
-    int64_t delta;
-    if (!in->NextSigned(&delta)) {
-      return false;
-    }
+    int64_t delta = 0;
+    KONDO_RETURN_IF_ERROR(in.ReadSignedVarint(&delta));
     prev += delta;
     out->push_back(prev);
   }
-  return true;
+  return OkStatus();
 }
 
-Kel2BlockInfo ParseDescriptor(const char* buf) {
-  Kel2BlockInfo info;
-  info.payload_bytes = ReadU32(buf);
-  info.crc32 = ReadU32(buf + 4);
-  info.event_count = ReadU32(buf + 8);
-  info.min_offset = ReadI64(buf + 16);
-  info.max_end = ReadI64(buf + 24);
-  info.min_pid = ReadI64(buf + 32);
-  info.max_pid = ReadI64(buf + 40);
-  info.min_file_id = ReadI64(buf + 48);
-  info.max_file_id = ReadI64(buf + 56);
-  return info;
+Status ParseDescriptor(std::string_view bytes, Kel2BlockInfo* info) {
+  ByteCursor cur(bytes, "KEL2 block descriptor");
+  uint32_t reserved = 0;
+  KONDO_RETURN_IF_ERROR(cur.ReadU32(&info->payload_bytes));
+  KONDO_RETURN_IF_ERROR(cur.ReadU32(&info->crc32));
+  KONDO_RETURN_IF_ERROR(cur.ReadU32(&info->event_count));
+  KONDO_RETURN_IF_ERROR(cur.ReadU32(&reserved));
+  KONDO_RETURN_IF_ERROR(cur.ReadI64(&info->min_offset));
+  KONDO_RETURN_IF_ERROR(cur.ReadI64(&info->max_end));
+  KONDO_RETURN_IF_ERROR(cur.ReadI64(&info->min_pid));
+  KONDO_RETURN_IF_ERROR(cur.ReadI64(&info->max_pid));
+  KONDO_RETURN_IF_ERROR(cur.ReadI64(&info->min_file_id));
+  KONDO_RETURN_IF_ERROR(cur.ReadI64(&info->max_file_id));
+  return cur.Done();
 }
 
 }  // namespace
@@ -57,20 +46,19 @@ Kel2BlockInfo ParseDescriptor(const char* buf) {
 StatusOr<std::vector<Event>> DecodeKel2Payload(const char* payload,
                                                size_t size,
                                                uint32_t event_count) {
-  VarintReader in(payload, size);
+  ByteCursor in(std::string_view(payload, size), "KEL2 block payload");
   std::vector<int64_t> pids, file_ids;
-  if (!DecodeDeltaColumn(&in, event_count, &pids) ||
-      !DecodeDeltaColumn(&in, event_count, &file_ids)) {
-    return DataLossError("KEL2 payload truncated in id columns");
-  }
+  KONDO_RETURN_IF_ERROR(DecodeDeltaColumn(in, event_count, &pids));
+  KONDO_RETURN_IF_ERROR(DecodeDeltaColumn(in, event_count, &file_ids));
 
   std::vector<EventType> types;
   types.reserve(event_count);
   while (types.size() < event_count) {
-    uint8_t type_byte;
-    uint64_t run;
-    if (!in.NextByte(&type_byte) || !in.Next(&run) || run == 0 ||
-        run > event_count - types.size()) {
+    uint8_t type_byte = 0;
+    uint64_t run = 0;
+    KONDO_RETURN_IF_ERROR(in.ReadU8(&type_byte));
+    KONDO_RETURN_IF_ERROR(in.ReadVarint(&run));
+    if (run == 0 || run > event_count - types.size()) {
       return DataLossError("KEL2 type column mis-encoded");
     }
     types.insert(types.end(), static_cast<size_t>(run),
@@ -78,26 +66,21 @@ StatusOr<std::vector<Event>> DecodeKel2Payload(const char* payload,
   }
 
   std::vector<int64_t> offsets;
-  if (!DecodeDeltaColumn(&in, event_count, &offsets)) {
-    return DataLossError("KEL2 payload truncated in offset column");
-  }
+  KONDO_RETURN_IF_ERROR(DecodeDeltaColumn(in, event_count, &offsets));
 
   std::vector<int64_t> sizes;
   sizes.reserve(event_count);
   while (sizes.size() < event_count) {
-    int64_t value;
-    uint64_t run;
-    if (!in.NextSigned(&value) || !in.Next(&run) || run == 0 ||
-        run > event_count - sizes.size()) {
+    int64_t value = 0;
+    uint64_t run = 0;
+    KONDO_RETURN_IF_ERROR(in.ReadSignedVarint(&value));
+    KONDO_RETURN_IF_ERROR(in.ReadVarint(&run));
+    if (run == 0 || run > event_count - sizes.size()) {
       return DataLossError("KEL2 size column mis-encoded");
     }
     sizes.insert(sizes.end(), static_cast<size_t>(run), value);
   }
-  if (!in.AtEnd()) {
-    return DataLossError(
-        StrCat("KEL2 payload has ", size - in.position(),
-               " trailing bytes after ", event_count, " events"));
-  }
+  KONDO_RETURN_IF_ERROR(in.Done());
 
   std::vector<Event> events(event_count);
   for (uint32_t i = 0; i < event_count; ++i) {
@@ -122,7 +105,7 @@ StatusOr<Kel2Reader> Kel2Reader::Open(const std::string& path) {
     return DataLossError("not a KEL2 event store: " + path);
   }
 
-  Kel2Reader reader(file, path);
+  Kel2Reader reader(file, path);  // Closes `file` on every error below.
   char descriptor[kKel2DescriptorBytes];
   int64_t pos = kKel2HeaderBytes;
   while (true) {
@@ -130,10 +113,10 @@ StatusOr<Kel2Reader> Kel2Reader::Open(const std::string& path) {
     if (n < kKel2DescriptorBytes) {
       break;  // Clean EOF or torn trailing descriptor: drop.
     }
-    Kel2BlockInfo info = ParseDescriptor(descriptor);
+    Kel2BlockInfo info;
+    KONDO_RETURN_IF_ERROR(ParseDescriptor(
+        std::string_view(descriptor, kKel2DescriptorBytes), &info));
     if (info.payload_bytes > kKel2MaxPayloadBytes) {
-      std::fclose(file);
-      reader.file_ = nullptr;
       return DataLossError(StrCat("KEL2 block at offset ", pos,
                                   " declares implausible payload of ",
                                   info.payload_bytes, " bytes: ", path));
@@ -142,8 +125,6 @@ StatusOr<Kel2Reader> Kel2Reader::Open(const std::string& path) {
     // file_id and offset columns, so a larger count cannot decode — and
     // would size ReadAll's reservation from a corrupt descriptor.
     if (info.event_count > info.payload_bytes / 3) {
-      std::fclose(file);
-      reader.file_ = nullptr;
       return DataLossError(StrCat("KEL2 block at offset ", pos, " declares ",
                                   info.event_count, " events in ",
                                   info.payload_bytes, " payload bytes: ",

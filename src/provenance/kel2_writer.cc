@@ -1,27 +1,14 @@
 #include "provenance/kel2_writer.h"
 
 #include <algorithm>
-#include <cstring>
 #include <limits>
 
+#include "common/byte_codec.h"
 #include "common/strings.h"
 #include "provenance/crc32.h"
-#include "provenance/varint.h"
 
 namespace kondo {
 namespace {
-
-void AppendI64(int64_t value, std::string* out) {
-  char buf[8];
-  std::memcpy(buf, &value, 8);
-  out->append(buf, 8);
-}
-
-void AppendU32(uint32_t value, std::string* out) {
-  char buf[4];
-  std::memcpy(buf, &value, 4);
-  out->append(buf, 4);
-}
 
 /// Delta + zigzag + varint column: each value is stored as the signed
 /// difference from its predecessor (the first from 0), so near-sequential
@@ -54,7 +41,7 @@ void EncodeKel2Block(const std::vector<Event>& events, std::string* out) {
            events[i + run].type == events[i].type) {
       ++run;
     }
-    payload.push_back(static_cast<char>(events[i].type));
+    AppendU8(static_cast<uint8_t>(events[i].type), &payload);
     AppendVarint(run, &payload);
     i += run;
   }
@@ -127,9 +114,9 @@ StatusOr<Kel2Writer> Kel2Writer::Create(const std::string& path,
                   StrCat("cannot create KEL2 store: ", path, ": ",
                          file.status().message()));
   }
-  char header[kKel2HeaderBytes] = {};
-  std::memcpy(header, kKel2Magic, 4);
-  const Status written = file->Append(header, kKel2HeaderBytes);
+  std::string header(kKel2Magic, sizeof(kKel2Magic));
+  AppendU32(0, &header);  // reserved
+  const Status written = file->Append(header);
   if (!written.ok()) {
     return Status(written.code(),
                   StrCat("KEL2 header write: ", written.message()));

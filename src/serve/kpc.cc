@@ -2,110 +2,11 @@
 
 #include <cstring>
 
+#include "common/byte_codec.h"
 #include "common/strings.h"
 #include "provenance/crc32.h"
 
 namespace kondo {
-
-// ---------------------------------------------------------------------------
-// Primitives.
-
-void KpcAppendU8(uint8_t v, std::string* out) {
-  out->push_back(static_cast<char>(v));
-}
-
-void KpcAppendU32(uint32_t v, std::string* out) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void KpcAppendI64(int64_t v, std::string* out) {
-  uint64_t u;
-  std::memcpy(&u, &v, sizeof(u));
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((u >> (8 * i)) & 0xff));
-  }
-}
-
-void KpcAppendF64(double v, std::string* out) {
-  uint64_t u;
-  std::memcpy(&u, &v, sizeof(u));
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((u >> (8 * i)) & 0xff));
-  }
-}
-
-void KpcAppendString(std::string_view v, std::string* out) {
-  KpcAppendU32(static_cast<uint32_t>(v.size()), out);
-  out->append(v.data(), v.size());
-}
-
-Status KpcCursor::Take(size_t n, const char** p) {
-  if (data_.size() - pos_ < n) {
-    return DataLossError(StrCat("KPC payload underrun: need ", n,
-                                " bytes, have ", data_.size() - pos_));
-  }
-  *p = data_.data() + pos_;
-  pos_ += n;
-  return OkStatus();
-}
-
-Status KpcCursor::ReadU8(uint8_t* v) {
-  const char* p = nullptr;
-  KONDO_RETURN_IF_ERROR(Take(1, &p));
-  *v = static_cast<uint8_t>(*p);
-  return OkStatus();
-}
-
-Status KpcCursor::ReadU32(uint32_t* v) {
-  const char* p = nullptr;
-  KONDO_RETURN_IF_ERROR(Take(4, &p));
-  uint32_t u = 0;
-  for (int i = 0; i < 4; ++i) {
-    u |= static_cast<uint32_t>(static_cast<uint8_t>(p[i])) << (8 * i);
-  }
-  *v = u;
-  return OkStatus();
-}
-
-Status KpcCursor::ReadI64(int64_t* v) {
-  const char* p = nullptr;
-  KONDO_RETURN_IF_ERROR(Take(8, &p));
-  uint64_t u = 0;
-  for (int i = 0; i < 8; ++i) {
-    u |= static_cast<uint64_t>(static_cast<uint8_t>(p[i])) << (8 * i);
-  }
-  std::memcpy(v, &u, sizeof(u));
-  return OkStatus();
-}
-
-Status KpcCursor::ReadF64(double* v) {
-  int64_t bits = 0;
-  KONDO_RETURN_IF_ERROR(ReadI64(&bits));
-  std::memcpy(v, &bits, sizeof(bits));
-  return OkStatus();
-}
-
-Status KpcCursor::ReadString(std::string* v) {
-  uint32_t size = 0;
-  KONDO_RETURN_IF_ERROR(ReadU32(&size));
-  if (size > kKpcMaxPayloadBytes) {
-    return DataLossError(StrCat("KPC string too large: ", size));
-  }
-  const char* p = nullptr;
-  KONDO_RETURN_IF_ERROR(Take(size, &p));
-  v->assign(p, size);
-  return OkStatus();
-}
-
-Status KpcCursor::Done() const {
-  if (pos_ != data_.size()) {
-    return DataLossError(StrCat("KPC payload has ", data_.size() - pos_,
-                                " trailing bytes"));
-  }
-  return OkStatus();
-}
 
 // ---------------------------------------------------------------------------
 // Framing.
@@ -114,17 +15,17 @@ void AppendKpcFrame(KpcKind kind, std::string_view payload,
                     std::string* out) {
   const size_t header_start = out->size();
   out->append(kKpcMagic, sizeof(kKpcMagic));
-  KpcAppendU8(static_cast<uint8_t>(kind), out);
-  KpcAppendU8(0, out);
-  KpcAppendU8(0, out);
-  KpcAppendU8(0, out);
-  KpcAppendU32(static_cast<uint32_t>(payload.size()), out);
+  AppendU8(static_cast<uint8_t>(kind), out);
+  AppendU8(0, out);
+  AppendU8(0, out);
+  AppendU8(0, out);
+  AppendU32(static_cast<uint32_t>(payload.size()), out);
   out->append(payload.data(), payload.size());
   // CRC over kind..payload — everything after the magic.
   const uint32_t crc =
       Crc32(out->data() + header_start + sizeof(kKpcMagic),
             out->size() - header_start - sizeof(kKpcMagic));
-  KpcAppendU32(crc, out);
+  AppendU32(crc, out);
 }
 
 Status WriteKpcFrame(Connection& conn, KpcKind kind,
@@ -141,17 +42,21 @@ StatusOr<KpcFrame> ReadKpcFrame(Connection& conn) {
   if (std::memcmp(header, kKpcMagic, sizeof(kKpcMagic)) != 0) {
     return DataLossError("bad KPC frame magic");
   }
+  ByteCursor fields(std::string_view(header + sizeof(kKpcMagic),
+                                     sizeof(header) - sizeof(kKpcMagic)),
+                    "KPC frame header");
+  uint8_t kind = 0;
+  const char* reserved = nullptr;
   uint32_t payload_bytes = 0;
-  for (int i = 0; i < 4; ++i) {
-    payload_bytes |=
-        static_cast<uint32_t>(static_cast<uint8_t>(header[8 + i])) << (8 * i);
-  }
+  KONDO_RETURN_IF_ERROR(fields.ReadU8(&kind));
+  KONDO_RETURN_IF_ERROR(fields.ReadBytes(3, &reserved));
+  KONDO_RETURN_IF_ERROR(fields.ReadU32(&payload_bytes));
   if (payload_bytes > kKpcMaxPayloadBytes) {
     return DataLossError(
         StrCat("KPC frame payload too large: ", payload_bytes));
   }
   KpcFrame frame;
-  frame.kind = static_cast<KpcKind>(static_cast<uint8_t>(header[4]));
+  frame.kind = static_cast<KpcKind>(kind);
   frame.payload.resize(payload_bytes);
   if (payload_bytes > 0) {
     KONDO_RETURN_IF_ERROR(conn.ReadFully(frame.payload.data(),
@@ -160,10 +65,8 @@ StatusOr<KpcFrame> ReadKpcFrame(Connection& conn) {
   char trailer[kKpcTrailerBytes];
   KONDO_RETURN_IF_ERROR(conn.ReadFully(trailer, sizeof(trailer)));
   uint32_t wire_crc = 0;
-  for (int i = 0; i < 4; ++i) {
-    wire_crc |=
-        static_cast<uint32_t>(static_cast<uint8_t>(trailer[i])) << (8 * i);
-  }
+  ByteCursor crc_field(std::string_view(trailer, sizeof(trailer)));
+  KONDO_RETURN_IF_ERROR(crc_field.ReadU32(&wire_crc));
   uint32_t crc = Crc32(header + sizeof(kKpcMagic),
                        sizeof(header) - sizeof(kKpcMagic));
   crc = Crc32Update(crc, frame.payload.data(), frame.payload.size());
@@ -187,16 +90,16 @@ StatusOr<KpcFrame> ReadKpcReply(Connection& conn) {
 
 std::string FetchSubsetRequest::Encode() const {
   std::string out;
-  KpcAppendString(artifact, &out);
-  KpcAppendI64(begin, &out);
-  KpcAppendI64(end, &out);
+  AppendString(artifact, &out);
+  AppendI64(begin, &out);
+  AppendI64(end, &out);
   return out;
 }
 
 StatusOr<FetchSubsetRequest> FetchSubsetRequest::Decode(
     std::string_view payload) {
   FetchSubsetRequest req;
-  KpcCursor cur(payload);
+  ByteCursor cur(payload, "KPC payload");
   KONDO_RETURN_IF_ERROR(cur.ReadString(&req.artifact));
   KONDO_RETURN_IF_ERROR(cur.ReadI64(&req.begin));
   KONDO_RETURN_IF_ERROR(cur.ReadI64(&req.end));
@@ -206,17 +109,15 @@ StatusOr<FetchSubsetRequest> FetchSubsetRequest::Decode(
 
 std::string FetchSubsetResponse::Encode() const {
   std::string out;
-  KpcAppendI64(fingerprint_bytes, &out);
-  KpcAppendU32(fingerprint_crc, &out);
-  KpcAppendI64(begin, &out);
-  KpcAppendI64(end, &out);
-  KpcAppendU32(static_cast<uint32_t>(present.size()), &out);
-  for (uint8_t p : present) {
-    KpcAppendU8(p, &out);
-  }
-  KpcAppendU32(static_cast<uint32_t>(values.size()), &out);
+  AppendI64(fingerprint_bytes, &out);
+  AppendU32(fingerprint_crc, &out);
+  AppendI64(begin, &out);
+  AppendI64(end, &out);
+  AppendU32(static_cast<uint32_t>(present.size()), &out);
+  out.append(present.begin(), present.end());
+  AppendU32(static_cast<uint32_t>(values.size()), &out);
   for (double v : values) {
-    KpcAppendF64(v, &out);
+    AppendF64(v, &out);
   }
   return out;
 }
@@ -224,7 +125,7 @@ std::string FetchSubsetResponse::Encode() const {
 StatusOr<FetchSubsetResponse> FetchSubsetResponse::Decode(
     std::string_view payload) {
   FetchSubsetResponse resp;
-  KpcCursor cur(payload);
+  ByteCursor cur(payload, "KPC payload");
   KONDO_RETURN_IF_ERROR(cur.ReadI64(&resp.fingerprint_bytes));
   KONDO_RETURN_IF_ERROR(cur.ReadU32(&resp.fingerprint_crc));
   KONDO_RETURN_IF_ERROR(cur.ReadI64(&resp.begin));
@@ -233,16 +134,10 @@ StatusOr<FetchSubsetResponse> FetchSubsetResponse::Decode(
   // before any allocation happens: a hostile 32-bit count can never command
   // more memory than the (already frame-capped) payload that carried it.
   uint32_t count = 0;
+  const char* present = nullptr;
   KONDO_RETURN_IF_ERROR(cur.ReadU32(&count));
-  if (count > cur.remaining()) {
-    return DataLossError(StrCat("KPC subset present count ", count,
-                                " overruns the remaining ", cur.remaining(),
-                                "-byte payload"));
-  }
-  resp.present.resize(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    KONDO_RETURN_IF_ERROR(cur.ReadU8(&resp.present[i]));
-  }
+  KONDO_RETURN_IF_ERROR(cur.ReadBytes(count, &present));
+  resp.present.assign(present, present + count);
   KONDO_RETURN_IF_ERROR(cur.ReadU32(&count));
   if (count > cur.remaining() / 8) {  // 8 payload bytes per f64 value.
     return DataLossError(StrCat("KPC subset value count ", count,
@@ -259,17 +154,17 @@ StatusOr<FetchSubsetResponse> FetchSubsetResponse::Decode(
 
 std::string QueryRequest::Encode() const {
   std::string out;
-  KpcAppendString(store, &out);
-  KpcAppendI64(file_id, &out);
-  KpcAppendI64(begin, &out);
-  KpcAppendI64(end, &out);
-  KpcAppendU8(runs_only, &out);
+  AppendString(store, &out);
+  AppendI64(file_id, &out);
+  AppendI64(begin, &out);
+  AppendI64(end, &out);
+  AppendU8(runs_only, &out);
   return out;
 }
 
 StatusOr<QueryRequest> QueryRequest::Decode(std::string_view payload) {
   QueryRequest req;
-  KpcCursor cur(payload);
+  ByteCursor cur(payload, "KPC payload");
   KONDO_RETURN_IF_ERROR(cur.ReadString(&req.store));
   KONDO_RETURN_IF_ERROR(cur.ReadI64(&req.file_id));
   KONDO_RETURN_IF_ERROR(cur.ReadI64(&req.begin));
@@ -281,20 +176,20 @@ StatusOr<QueryRequest> QueryRequest::Decode(std::string_view payload) {
 
 std::string EventBatch::Encode() const {
   std::string out;
-  KpcAppendU32(static_cast<uint32_t>(events.size()), &out);
+  AppendU32(static_cast<uint32_t>(events.size()), &out);
   for (const Event& event : events) {
-    KpcAppendI64(event.id.pid, &out);
-    KpcAppendI64(event.id.file_id, &out);
-    KpcAppendU8(static_cast<uint8_t>(event.type), &out);
-    KpcAppendI64(event.offset, &out);
-    KpcAppendI64(event.size, &out);
+    AppendI64(event.id.pid, &out);
+    AppendI64(event.id.file_id, &out);
+    AppendU8(static_cast<uint8_t>(event.type), &out);
+    AppendI64(event.offset, &out);
+    AppendI64(event.size, &out);
   }
   return out;
 }
 
 StatusOr<EventBatch> EventBatch::Decode(std::string_view payload) {
   EventBatch batch;
-  KpcCursor cur(payload);
+  ByteCursor cur(payload, "KPC payload");
   uint32_t count = 0;
   KONDO_RETURN_IF_ERROR(cur.ReadU32(&count));
   // Each event is 33 wire bytes (pid + file_id + type + offset + size), so
@@ -321,20 +216,20 @@ StatusOr<EventBatch> EventBatch::Decode(std::string_view payload) {
 
 std::string QueryDone::Encode() const {
   std::string out;
-  KpcAppendI64(events_total, &out);
-  KpcAppendU32(static_cast<uint32_t>(runs.size()), &out);
+  AppendI64(events_total, &out);
+  AppendU32(static_cast<uint32_t>(runs.size()), &out);
   for (int64_t pid : runs) {
-    KpcAppendI64(pid, &out);
+    AppendI64(pid, &out);
   }
-  KpcAppendI64(blocks_considered, &out);
-  KpcAppendI64(blocks_skipped, &out);
-  KpcAppendI64(blocks_decoded, &out);
+  AppendI64(blocks_considered, &out);
+  AppendI64(blocks_skipped, &out);
+  AppendI64(blocks_decoded, &out);
   return out;
 }
 
 StatusOr<QueryDone> QueryDone::Decode(std::string_view payload) {
   QueryDone done;
-  KpcCursor cur(payload);
+  ByteCursor cur(payload, "KPC payload");
   KONDO_RETURN_IF_ERROR(cur.ReadI64(&done.events_total));
   uint32_t count = 0;
   KONDO_RETURN_IF_ERROR(cur.ReadU32(&count));
@@ -356,16 +251,16 @@ StatusOr<QueryDone> QueryDone::Decode(std::string_view payload) {
 
 std::string SubmitRequest::Encode() const {
   std::string out;
-  KpcAppendString(program, &out);
-  KpcAppendI64(seed, &out);
-  KpcAppendI64(max_evals, &out);
-  KpcAppendI64(max_iter, &out);
+  AppendString(program, &out);
+  AppendI64(seed, &out);
+  AppendI64(max_evals, &out);
+  AppendI64(max_iter, &out);
   return out;
 }
 
 StatusOr<SubmitRequest> SubmitRequest::Decode(std::string_view payload) {
   SubmitRequest req;
-  KpcCursor cur(payload);
+  ByteCursor cur(payload, "KPC payload");
   KONDO_RETURN_IF_ERROR(cur.ReadString(&req.program));
   KONDO_RETURN_IF_ERROR(cur.ReadI64(&req.seed));
   KONDO_RETURN_IF_ERROR(cur.ReadI64(&req.max_evals));
@@ -376,16 +271,16 @@ StatusOr<SubmitRequest> SubmitRequest::Decode(std::string_view payload) {
 
 std::string SubmitResponse::Encode() const {
   std::string out;
-  KpcAppendU8(accepted, &out);
-  KpcAppendI64(job_id, &out);
-  KpcAppendI64(queue_depth, &out);
-  KpcAppendString(message, &out);
+  AppendU8(accepted, &out);
+  AppendI64(job_id, &out);
+  AppendI64(queue_depth, &out);
+  AppendString(message, &out);
   return out;
 }
 
 StatusOr<SubmitResponse> SubmitResponse::Decode(std::string_view payload) {
   SubmitResponse resp;
-  KpcCursor cur(payload);
+  ByteCursor cur(payload, "KPC payload");
   KONDO_RETURN_IF_ERROR(cur.ReadU8(&resp.accepted));
   KONDO_RETURN_IF_ERROR(cur.ReadI64(&resp.job_id));
   KONDO_RETURN_IF_ERROR(cur.ReadI64(&resp.queue_depth));
@@ -412,15 +307,15 @@ const char* KpcVerbName(int verb) {
 namespace {
 
 void AppendVerbLatency(const VerbLatency& v, std::string* out) {
-  KpcAppendI64(v.count, out);
-  KpcAppendI64(v.total_micros, out);
-  KpcAppendI64(v.max_micros, out);
+  AppendI64(v.count, out);
+  AppendI64(v.total_micros, out);
+  AppendI64(v.max_micros, out);
   for (int i = 0; i < kKpcLatencyBuckets; ++i) {
-    KpcAppendI64(v.buckets[i], out);
+    AppendI64(v.buckets[i], out);
   }
 }
 
-Status ReadVerbLatency(KpcCursor* cur, VerbLatency* v) {
+Status ReadVerbLatency(ByteCursor* cur, VerbLatency* v) {
   KONDO_RETURN_IF_ERROR(cur->ReadI64(&v->count));
   KONDO_RETURN_IF_ERROR(cur->ReadI64(&v->total_micros));
   KONDO_RETURN_IF_ERROR(cur->ReadI64(&v->max_micros));
@@ -451,7 +346,7 @@ constexpr int64_t Snapshot::*kStatsCounters[] = {
 std::string ServeStatsSnapshot::Encode() const {
   std::string out;
   for (int64_t Snapshot::*counter : kStatsCounters) {
-    KpcAppendI64(this->*counter, &out);
+    AppendI64(this->*counter, &out);
   }
   for (int v = 0; v < kKpcVerbCount; ++v) {
     AppendVerbLatency(verbs[v], &out);
@@ -462,7 +357,7 @@ std::string ServeStatsSnapshot::Encode() const {
 StatusOr<ServeStatsSnapshot> ServeStatsSnapshot::Decode(
     std::string_view payload) {
   ServeStatsSnapshot s;
-  KpcCursor cur(payload);
+  ByteCursor cur(payload, "KPC payload");
   for (int64_t Snapshot::*counter : kStatsCounters) {
     KONDO_RETURN_IF_ERROR(cur.ReadI64(&(s.*counter)));
   }
@@ -475,14 +370,14 @@ StatusOr<ServeStatsSnapshot> ServeStatsSnapshot::Decode(
 
 std::string KpcError::Encode() const {
   std::string out;
-  KpcAppendU32(code, &out);
-  KpcAppendString(message, &out);
+  AppendU32(code, &out);
+  AppendString(message, &out);
   return out;
 }
 
 StatusOr<KpcError> KpcError::Decode(std::string_view payload) {
   KpcError err;
-  KpcCursor cur(payload);
+  ByteCursor cur(payload, "KPC payload");
   KONDO_RETURN_IF_ERROR(cur.ReadU32(&err.code));
   KONDO_RETURN_IF_ERROR(cur.ReadString(&err.message));
   KONDO_RETURN_IF_ERROR(cur.Done());

@@ -81,39 +81,6 @@ StatusOr<KpcFrame> ReadKpcFrame(Connection& conn);
 StatusOr<KpcFrame> ReadKpcReply(Connection& conn);
 
 // ---------------------------------------------------------------------------
-// Payload primitives.
-
-void KpcAppendU8(uint8_t v, std::string* out);
-void KpcAppendU32(uint32_t v, std::string* out);
-void KpcAppendI64(int64_t v, std::string* out);
-void KpcAppendF64(double v, std::string* out);
-void KpcAppendString(std::string_view v, std::string* out);
-
-/// Sequential decoder over a payload. Every Read fails with kDataLoss on
-/// underrun; Done() verifies the payload was consumed exactly.
-class KpcCursor {
- public:
-  explicit KpcCursor(std::string_view data) : data_(data) {}
-
-  Status ReadU8(uint8_t* v);
-  Status ReadU32(uint32_t* v);
-  Status ReadI64(int64_t* v);
-  Status ReadF64(double* v);
-  Status ReadString(std::string* v);
-
-  /// kDataLoss unless the cursor consumed the whole payload.
-  Status Done() const;
-
-  size_t remaining() const { return data_.size() - pos_; }
-
- private:
-  Status Take(size_t n, const char** p);
-
-  std::string_view data_;
-  size_t pos_ = 0;
-};
-
-// ---------------------------------------------------------------------------
 // Verb payloads.
 
 /// fetch-subset: a debloated runtime asks for the D_Θ slice covering

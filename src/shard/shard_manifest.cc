@@ -186,16 +186,17 @@ StatusOr<ShardManifest> LoadShardManifest(const std::string& path) {
     if (tag == 'F') {
       int rank = 0;
       fields >> rank;
-      if (rank <= 0) {
+      std::vector<int64_t> dims;
+      for (int64_t dim = 0; static_cast<int>(dims.size()) < rank &&
+                            fields >> dim;) {
+        dims.push_back(dim);
+      }
+      if (static_cast<int>(dims.size()) != rank) {
         return DataLossError("bad file line in shard manifest: " + line);
       }
-      std::vector<int64_t> dims(static_cast<size_t>(rank));
-      for (int64_t& dim : dims) {
-        if (!(fields >> dim) || dim <= 0) {
-          return DataLossError("bad file dims in shard manifest: " + line);
-        }
-      }
-      manifest.file_shapes.emplace_back(dims);
+      KONDO_ASSIGN_OR_RETURN(
+          Shape shape, DecodeShape(dims, "shard manifest line '" + line + "'"));
+      manifest.file_shapes.push_back(std::move(shape));
     } else if (tag == 'H') {
       int shard = -1;
       int status = -1;

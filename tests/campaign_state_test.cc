@@ -107,6 +107,24 @@ TEST(CampaignStateTest, RejectsOutOfRangeIds) {
   EXPECT_FALSE(LoadCampaignState(path).ok());
 }
 
+TEST(CampaignStateTest, RejectsHeaderShapesOutsideTheShapeBounds) {
+  const char* headers[] = {
+      "KCS1 5 1 1 1 1 1\n",                         // Rank above kMaxRank.
+      "KCS1 0\n",                                   // Rank zero.
+      "KCS1 2000000000 1\n",                        // Rank with no dims.
+      "KCS1 2 4 0\n",                               // Non-positive dim.
+      "KCS1 3 2147483648 2147483648 2147483648\n",  // 2^93 elements.
+  };
+  for (const char* header : headers) {
+    SCOPED_TRACE(header);
+    const std::string path = TempPath("badshape.kcs");
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    std::fputs(header, f);
+    std::fclose(f);
+    EXPECT_EQ(LoadCampaignState(path).status().code(), StatusCode::kDataLoss);
+  }
+}
+
 TEST(CampaignStateTest, MissingFileIsNotFound) {
   EXPECT_EQ(LoadCampaignState(TempPath("absent.kcs")).status().code(),
             StatusCode::kNotFound);

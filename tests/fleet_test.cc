@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "common/byte_codec.h"
 #include "common/net_fault.h"
 #include "common/socket.h"
 #include "exec/campaign_executor.h"
@@ -130,6 +131,35 @@ TEST(FleetProtocolTest, WorkerHelloAckRoundTripsShapes) {
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   EXPECT_EQ(decoded->program, "STORM");
   EXPECT_EQ(decoded->file_shapes, ack.file_shapes);
+}
+
+TEST(FleetProtocolTest, WorkerHelloAckRejectsShapesOutsideTheBounds) {
+  const int64_t big = int64_t{1} << 31;
+  const std::vector<std::vector<int64_t>> bad_shapes = {
+      {1, 1, 1, 1, 1},  // Rank above kMaxRank.
+      {},               // Rank zero.
+      {4, 0},           // Non-positive dim.
+      {big, big, big},  // 2^93 elements.
+  };
+  for (const std::vector<int64_t>& dims : bad_shapes) {
+    SCOPED_TRACE(dims.size());
+    std::string wire;
+    AppendString("STORM", &wire);
+    AppendU32(1, &wire);  // One file.
+    AppendU32(static_cast<uint32_t>(dims.size()), &wire);
+    for (int64_t dim : dims) {
+      AppendI64(dim, &wire);
+    }
+    EXPECT_EQ(WorkerHelloAck::Decode(wire).status().code(),
+              StatusCode::kDataLoss);
+  }
+  // A rank the payload cannot hold is refused before any allocation.
+  std::string wire;
+  AppendString("STORM", &wire);
+  AppendU32(1, &wire);
+  AppendU32(0xffffffffu, &wire);
+  EXPECT_EQ(WorkerHelloAck::Decode(wire).status().code(),
+            StatusCode::kDataLoss);
 }
 
 TEST(FleetProtocolTest, RunShardRequestRoundTripsSlices) {

@@ -1,16 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <limits>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "array/data_array.h"
 #include "array/debloated_array.h"
 #include "array/index_set.h"
 #include "array/kdf_file.h"
+#include "common/byte_codec.h"
 #include "common/rng.h"
 
 namespace kondo {
@@ -18,6 +21,29 @@ namespace {
 
 std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
+}
+
+/// Writes a KDF header with arbitrary (possibly hostile) fields, then
+/// zero bytes up to `file_bytes`, and returns the status of opening it.
+Status OpenCraftedKdf(const std::string& name, uint8_t layout,
+                      const std::vector<int64_t>& dims,
+                      const std::vector<int64_t>& chunk_dims,
+                      size_t file_bytes) {
+  std::string bytes = "KDF1";
+  AppendU8(static_cast<uint8_t>(dims.size()), &bytes);
+  AppendU8(static_cast<uint8_t>(DType::kFloat64), &bytes);
+  AppendU8(layout, &bytes);
+  AppendU8(0, &bytes);
+  for (int64_t dim : dims) {
+    AppendI64(dim, &bytes);
+  }
+  for (int64_t chunk : chunk_dims) {
+    AppendI64(chunk, &bytes);
+  }
+  bytes.resize(std::max(bytes.size(), file_bytes), '\0');
+  const std::string path = TempPath(name);
+  std::ofstream(path, std::ios::binary) << bytes;
+  return KdfReader::Open(path).status();
 }
 
 // ------------------------------------------------------- element codecs --
@@ -216,6 +242,48 @@ TEST(KdfFileTest, RejectsTruncatedHeader) {
   const std::string path = TempPath("trunc.kdf");
   std::ofstream(path) << "KDF1";
   EXPECT_FALSE(KdfReader::Open(path).ok());
+}
+
+TEST(KdfFileTest, RejectsHeaderShapesOutsideTheShapeBounds) {
+  const int64_t big = int64_t{1} << 31;
+  const std::vector<std::vector<int64_t>> bad_shapes = {
+      {},               // Rank zero.
+      {1, 1, 1, 1, 1},  // Rank above kMaxRank.
+      {4, 0},           // Non-positive dim.
+      {big, big, big},  // 2^93 elements: NumElements would wrap.
+  };
+  for (const std::vector<int64_t>& dims : bad_shapes) {
+    SCOPED_TRACE(dims.size());
+    EXPECT_EQ(OpenCraftedKdf("bad_shape.kdf", 0, dims, {}, 64).code(),
+              StatusCode::kDataLoss);
+  }
+}
+
+TEST(KdfFileTest, RejectsPayloadLargerThanTheFile) {
+  // An 80-byte file whose header declares 8.8 TB of float64 payload.
+  const Status status =
+      OpenCraftedKdf("huge.kdf", 0, {10000, 10000, 11000}, {}, 80);
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss);
+  EXPECT_NE(status.message().find("exceed the 80-byte file"),
+            std::string::npos)
+      << status;
+  // One byte short of a complete payload is refused as well.
+  EXPECT_EQ(OpenCraftedKdf("short.kdf", 0, {2, 2}, {}, 24 + 31).code(),
+            StatusCode::kDataLoss);
+  EXPECT_TRUE(OpenCraftedKdf("exact.kdf", 0, {2, 2}, {}, 24 + 32).ok());
+}
+
+TEST(KdfFileTest, RejectsChunkDimsWhosePaddedExtentOverflows) {
+  const int64_t big = int64_t{1} << 62;
+  EXPECT_EQ(OpenCraftedKdf("chunk_pad.kdf", 1, {big + 1}, {big}, 64).code(),
+            StatusCode::kDataLoss);
+  EXPECT_EQ(OpenCraftedKdf("chunk_zero.kdf", 1, {4}, {0}, 64).code(),
+            StatusCode::kDataLoss);
+  // A chunk wider than the array pads it: 1 element stored as 3.
+  EXPECT_TRUE(OpenCraftedKdf("chunk_wide.kdf", 1, {1}, {3}, 24 + 24).ok());
+  EXPECT_EQ(OpenCraftedKdf("chunk_wide_short.kdf", 1, {1}, {3}, 24 + 23)
+                .code(),
+            StatusCode::kDataLoss);
 }
 
 TEST(KdfFileTest, ReadElementOutOfBounds) {

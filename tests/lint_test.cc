@@ -752,6 +752,21 @@ TEST(LintFixtureTest, R6CleanCounterpartIsCleanAndCountsItsSuppression) {
   EXPECT_EQ(report.suppressed, 1);
 }
 
+TEST(LintFixtureTest, R6SeesTheI64CountsOfFileDecoders) {
+  const LintReport report = LintFixture({"src/pack/r6_bad.cc"});
+  ASSERT_EQ(RuleLines(report),
+            (std::vector<std::pair<std::string, int>>{{"R6", 23}}));
+  EXPECT_NE(
+      report.findings[0].message.find(
+          "'num_chunks' carries a wire-tainted length (ReadI64 at line 22)"),
+      std::string::npos)
+      << report.findings[0].message;
+}
+
+TEST(LintFixtureTest, R6PackCleanCounterpartIsClean) {
+  EXPECT_TRUE(LintFixture({"src/pack/r6_clean.cc"}).findings.empty());
+}
+
 TEST(LintFixtureTest, WellFormedDirectivesSuppressAndAreCounted) {
   const LintReport report = LintFixture({"src/carve/suppressed.cc"});
   EXPECT_TRUE(report.findings.empty());
@@ -770,7 +785,7 @@ TEST(LintFixtureTest, NoncriticalModuleEscapesR1AndR2Iteration) {
 
 TEST(LintFixtureTest, WholeTreeTotalsAreExact) {
   const LintReport report = LintFixture({"src"});
-  EXPECT_EQ(report.files_scanned, 22);
+  EXPECT_EQ(report.files_scanned, 24);
   EXPECT_EQ(report.suppressed, 4);
   std::map<std::string, int> by_rule;
   for (const Finding& finding : report.findings) {
@@ -781,9 +796,9 @@ TEST(LintFixtureTest, WholeTreeTotalsAreExact) {
   EXPECT_EQ(by_rule["R3"], 5);
   EXPECT_EQ(by_rule["R4"], 2);
   EXPECT_EQ(by_rule["R5"], 2);
-  EXPECT_EQ(by_rule["R6"], 2);
+  EXPECT_EQ(by_rule["R6"], 3);
   EXPECT_EQ(by_rule["LINT"], 1);
-  EXPECT_EQ(report.findings.size(), 21u);
+  EXPECT_EQ(report.findings.size(), 22u);
 }
 
 // ---------------------------------------------------------------------------
@@ -812,7 +827,8 @@ TEST(LintMainTest, ExitsOneAndPrintsAnchorsOnFindings) {
   EXPECT_NE(text.find("src/serve/r5_wait_bad.cc:16: [R5]"),
             std::string::npos);
   EXPECT_NE(text.find("src/serve/r6_bad.cc:23: [R6]"), std::string::npos);
-  EXPECT_NE(text.find("21 finding(s) across 22 file(s) (4 suppressed)"),
+  EXPECT_NE(text.find("src/pack/r6_bad.cc:23: [R6]"), std::string::npos);
+  EXPECT_NE(text.find("22 finding(s) across 24 file(s) (4 suppressed)"),
             std::string::npos);
 }
 
@@ -851,7 +867,7 @@ TEST(LintMainTest, JsonFormatEmitsMachineReadableReport) {
   EXPECT_EQ(code, 1) << "findings still drive the exit code in json mode";
   const std::string text = out.str();
   EXPECT_NE(text.find("\"tool\": \"kondo-lint\""), std::string::npos);
-  EXPECT_NE(text.find("\"files_scanned\": 22"), std::string::npos) << text;
+  EXPECT_NE(text.find("\"files_scanned\": 24"), std::string::npos) << text;
   EXPECT_NE(text.find("\"suppressed\": 4"), std::string::npos);
   EXPECT_NE(text.find("{\"file\": \"src/fuzz/r1_bad.cc\", \"line\": 9, "
                       "\"rule\": \"R1\""),

@@ -19,12 +19,14 @@
 #include "array/debloated_array.h"
 #include "array/index_set.h"
 #include "array/kdf_file.h"
+#include "common/byte_codec.h"
 #include "common/env.h"
 #include "exec/thread_pool.h"
 #include "pack/chunk_codec.h"
 #include "pack/kdp_format.h"
 #include "pack/pack_reader.h"
 #include "pack/pack_writer.h"
+#include "provenance/crc32.h"
 
 namespace kondo {
 namespace {
@@ -485,6 +487,89 @@ TEST(PackCorruptionTest, DamagedTrailerFailsOpen) {
   const StatusOr<std::unique_ptr<PackReader>> opened = PackReader::Open(path);
   ASSERT_FALSE(opened.ok());
   EXPECT_EQ(opened.status().code(), StatusCode::kDataLoss);
+}
+
+TEST(PackCorruptionTest, HugeChunkCountIsBoundedBeforeArithmetic) {
+  // num_chunks * entry bytes would overflow int64 for a count of 2^62.
+  const std::string tail = EncodeKdpTrailer(0, int64_t{1} << 62, 0);
+  EXPECT_EQ(DecodeKdpTrailer(tail, 4096).status().code(),
+            StatusCode::kDataLoss);
+  EXPECT_EQ(DecodeKdpTrailer(EncodeKdpTrailer(-1, 0, 0), 0).status().code(),
+            StatusCode::kDataLoss);
+  EXPECT_EQ(DecodeKdpTrailer(tail.substr(1), 4096).status().code(),
+            StatusCode::kDataLoss);
+
+  // The same trailer on disk: Open refuses it without allocating.
+  const DebloatedArray array = MakeArray(Shape{6, 6}, DType::kInt64, 2);
+  const std::string path = TempPath("huge_count.kdp");
+  ASSERT_TRUE(WriteKdpFile(path, array).ok());
+  std::string bytes = ReadFileBytes(path);
+  bytes.replace(bytes.size() - kKdpTrailerBytes, kKdpTrailerBytes, tail);
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  EXPECT_EQ(PackReader::Open(path).status().code(), StatusCode::kDataLoss);
+}
+
+/// A KDP header with arbitrary (possibly hostile) rank and dims.
+std::string CraftedKdpHeader(const std::vector<int64_t>& dims,
+                             const std::vector<int64_t>& chunk_dims) {
+  std::string header = "KDP1";
+  AppendU8(kKdpVersion, &header);
+  AppendU8(static_cast<uint8_t>(DType::kInt64), &header);
+  AppendU8(static_cast<uint8_t>(dims.size()), &header);
+  AppendU8(0, &header);
+  for (int64_t dim : dims) {
+    AppendI64(dim, &header);
+  }
+  for (int64_t chunk : chunk_dims) {
+    AppendI64(chunk, &header);
+  }
+  return header;
+}
+
+TEST(PackCorruptionTest, HeaderShapeIsValidatedBeforeUse) {
+  KdpTrailer trailer;
+  trailer.num_chunks = 1;
+  // True when decoding fails with kDataLoss at the header, before the
+  // (deliberately empty) manifest is looked at.
+  const auto header_rejected = [&trailer](const std::string& header) {
+    trailer.manifest_offset = static_cast<int64_t>(header.size());
+    const Status status = DecodeKdpManifest(header, "", trailer).status();
+    return status.code() == StatusCode::kDataLoss &&
+           status.message().rfind("KDP header", 0) == 0;
+  };
+  const int64_t dim = int64_t{1} << 31;
+  EXPECT_TRUE(header_rejected(CraftedKdpHeader({1, 1, 1, 1, 1},
+                                               {1, 1, 1, 1, 1})));
+  EXPECT_TRUE(header_rejected(CraftedKdpHeader({}, {})));
+  EXPECT_TRUE(header_rejected(CraftedKdpHeader({dim, dim, dim},
+                                               {dim, dim, dim})));
+  EXPECT_TRUE(header_rejected(CraftedKdpHeader({4, 0}, {2, 2})));
+  EXPECT_TRUE(header_rejected(CraftedKdpHeader({4, 4}, {2, -2})));
+  EXPECT_TRUE(
+      header_rejected(CraftedKdpHeader({4, 4}, {2, 2}).substr(0, 20)));
+  EXPECT_FALSE(header_rejected(CraftedKdpHeader({4, 4}, {2, 2})));
+}
+
+TEST(PackCorruptionTest, HugeChunkDimsDoNotOverflowTheGrid) {
+  // dim + chunk - 1 overflows int64 here; the grid is still one chunk.
+  const std::string header = CraftedKdpHeader(
+      {int64_t{1} << 62}, {std::numeric_limits<int64_t>::max()});
+  KdpManifest hole;
+  hole.chunks.resize(1);
+  const std::string manifest = EncodeKdpManifest(hole);
+  KdpTrailer trailer;
+  trailer.manifest_offset = static_cast<int64_t>(header.size());
+  trailer.num_chunks = 1;
+  trailer.file_crc = Crc32Update(Crc32(header.data(), header.size()),
+                                 manifest.data(), manifest.size());
+  const StatusOr<KdpManifest> decoded =
+      DecodeKdpManifest(header, manifest, trailer);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_EQ(decoded->MakeGrid().num_chunks(), 1);
+  EXPECT_EQ(decoded->MakeGrid().ChunkElements(0), int64_t{1} << 62);
 }
 
 // ----------------------------------------------------------------- repack --

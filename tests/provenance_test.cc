@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -22,7 +21,6 @@
 #include "provenance/kel2_writer.h"
 #include "provenance/persist.h"
 #include "provenance/provenance_query.h"
-#include "provenance/varint.h"
 
 namespace kondo {
 namespace {
@@ -128,75 +126,6 @@ std::string WriteKel2(const std::string& name,
   }
   EXPECT_TRUE(writer->Close().ok());
   return path;
-}
-
-// ---------------------------------------------------------------- varint --
-
-TEST(VarintTest, RoundTripBoundaryValues) {
-  const uint64_t values[] = {0,
-                             1,
-                             127,
-                             128,
-                             16383,
-                             16384,
-                             (1ull << 32) - 1,
-                             1ull << 32,
-                             std::numeric_limits<uint64_t>::max()};
-  std::string buf;
-  for (uint64_t v : values) {
-    AppendVarint(v, &buf);
-  }
-  VarintReader reader(buf.data(), buf.size());
-  for (uint64_t v : values) {
-    uint64_t got = 0;
-    ASSERT_TRUE(reader.Next(&got));
-    EXPECT_EQ(got, v);
-  }
-  EXPECT_TRUE(reader.AtEnd());
-}
-
-TEST(VarintTest, RoundTripRandomSigned) {
-  Rng rng(7);
-  std::string buf;
-  std::vector<int64_t> values;
-  for (int i = 0; i < 1000; ++i) {
-    // Mix magnitudes so every varint length is exercised.
-    const int shift = static_cast<int>(rng.UniformInt(0, 62));
-    int64_t v = static_cast<int64_t>(rng.NextU64() >> shift);
-    if (rng.Bernoulli(0.5)) {
-      v = -v;
-    }
-    values.push_back(v);
-    AppendSignedVarint(v, &buf);
-  }
-  values.push_back(std::numeric_limits<int64_t>::min());
-  AppendSignedVarint(values.back(), &buf);
-  values.push_back(std::numeric_limits<int64_t>::max());
-  AppendSignedVarint(values.back(), &buf);
-
-  VarintReader reader(buf.data(), buf.size());
-  for (int64_t v : values) {
-    int64_t got = 0;
-    ASSERT_TRUE(reader.NextSigned(&got));
-    EXPECT_EQ(got, v);
-  }
-  EXPECT_TRUE(reader.AtEnd());
-}
-
-TEST(VarintTest, TruncatedInputFails) {
-  std::string buf;
-  AppendVarint(1ull << 40, &buf);
-  VarintReader reader(buf.data(), buf.size() - 1);
-  uint64_t value;
-  EXPECT_FALSE(reader.Next(&value));
-}
-
-TEST(VarintTest, SmallMagnitudesStayShort) {
-  std::string buf;
-  AppendSignedVarint(-1, &buf);
-  AppendSignedVarint(1, &buf);
-  AppendSignedVarint(0, &buf);
-  EXPECT_EQ(buf.size(), 3u);  // Zigzag keeps sign bits out of the way.
 }
 
 // ----------------------------------------------------------------- crc32 --

@@ -20,6 +20,7 @@
 #include "core/kondo.h"
 #include "core/multi_kondo.h"
 #include "fuzz/fuzz_schedule.h"
+#include "common/strings.h"
 #include "provenance/crc32.h"
 #include "shard/merge_stage.h"
 #include "shard/plan_weights.h"
@@ -285,6 +286,28 @@ TEST(ShardManifestTest, DispatchCountsRoundTripThroughWLines) {
             (std::vector<int>{2, 0, 5}));
   // The fleet's re-dispatch accounting never perturbs plan matching.
   EXPECT_TRUE(CheckManifestMatchesPlan(*loaded, *plan, 42).ok());
+}
+
+TEST(ShardManifestTest, RejectsFileLinesOutsideTheShapeBounds) {
+  const std::string dir = TempDir("manifest_bad_shape");
+  ASSERT_TRUE(EnsureCampaignDirectory(dir).ok());
+  const std::string path = dir + "/" + kShardManifestFileName;
+  const char* file_lines[] = {
+      "F 5 1 1 1 1 1",                         // Rank above kMaxRank.
+      "F 0",                                   // Rank zero.
+      "F 2 4",                                 // Fewer dims than the rank.
+      "F 2 4 -1",                              // Non-positive dim.
+      "F 3 2147483648 2147483648 2147483648",  // 2^93 elements.
+  };
+  for (const char* file_line : file_lines) {
+    SCOPED_TRACE(file_line);
+    // A well-formed manifest around the bad line, checksum included, so
+    // the shape check is what must refuse it.
+    std::string body = StrCat("KSM1 1 7 1 0\n", file_line, "\nH 0 0\nW 0 0\n");
+    AppendChecksumTrailer(&body);
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << body;
+    EXPECT_EQ(LoadShardManifest(path).status().code(), StatusCode::kDataLoss);
+  }
 }
 
 TEST(ShardManifestTest, RoundTripsThroughDisk) {
