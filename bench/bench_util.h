@@ -19,10 +19,10 @@
 namespace kondo::bench {
 
 // All bench timing goes through Stopwatch (common/stopwatch.h), which is
-// pinned to std::chrono::steady_clock: speedup ratios (e.g. the --jobs
-// comparisons in bench_parallel_speedup) must come from a monotonic clock,
-// never from wall-clock sources that can step under NTP adjustment. Keep
-// system_clock / gettimeofday out of the bench and report paths.
+// pinned to std::chrono::steady_clock: timings and ratios must come from a
+// monotonic clock, never from wall-clock sources that can step under NTP
+// adjustment. Keep system_clock / gettimeofday out of the bench and report
+// paths.
 
 /// Mean and (sample) standard deviation of a series.
 struct Series {

@@ -30,8 +30,9 @@ void InterruptibleSleep(int64_t total_micros, const CancelFn& cancel) {
   }
 }
 
-}  // namespace
-
+/// Instantiates the program a WorkerHello names from the workloads
+/// registry: multi-file programs first, then single-file programs wrapped
+/// in a SingleFileProgramAdapter. nullptr for unknown names.
 std::unique_ptr<MultiFileProgram> CreateFleetProgram(const std::string& name,
                                                      int64_t extent) {
   std::unique_ptr<MultiFileProgram> multi =
@@ -45,6 +46,8 @@ std::unique_ptr<MultiFileProgram> CreateFleetProgram(const std::string& name,
   }
   return std::make_unique<SingleFileProgramAdapter>(std::move(single));
 }
+
+}  // namespace
 
 FleetWorker::FleetWorker(FleetWorkerOptions options)
     : options_(std::move(options)),
@@ -96,10 +99,8 @@ Status FleetWorker::Session::Send(KpcKind kind, std::string_view payload) {
 Status FleetWorker::HandleHello(Session* session, const KpcFrame& frame) {
   KONDO_ASSIGN_OR_RETURN(WorkerHello hello,
                          WorkerHello::Decode(frame.payload));
-  FleetProgramFactory factory = options_.program_factory;
   std::unique_ptr<MultiFileProgram> program =
-      factory ? factory(hello.program, hello.extent)
-              : CreateFleetProgram(hello.program, hello.extent);
+      CreateFleetProgram(hello.program, hello.extent);
   if (program == nullptr) {
     const Status unknown =
         NotFoundError(StrCat("unknown fleet program: ", hello.program));

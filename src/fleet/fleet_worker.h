@@ -2,7 +2,6 @@
 #define KONDO_FLEET_FLEET_WORKER_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -16,18 +15,6 @@
 #include "workloads/multi_file_program.h"
 
 namespace kondo {
-
-/// Instantiates the program a WorkerHello names. The default resolves the
-/// workloads registry: multi-file programs first, then single-file programs
-/// wrapped in a SingleFileProgramAdapter. Tests and benches substitute
-/// factories that add latency models or refuse names.
-using FleetProgramFactory =
-    std::function<std::unique_ptr<MultiFileProgram>(const std::string& name,
-                                                    int64_t extent)>;
-
-/// The registry-backed default factory (nullptr for unknown names).
-std::unique_ptr<MultiFileProgram> CreateFleetProgram(const std::string& name,
-                                                     int64_t extent);
 
 struct FleetWorkerOptions {
   /// Where to listen: unix-domain path or loopback TCP port (0 picks one;
@@ -58,9 +45,6 @@ struct FleetWorkerOptions {
 
   /// Filesystem seam for scratch lineage writes; nullptr = real.
   Env* env = nullptr;
-
-  /// Program instantiation; nullptr = CreateFleetProgram.
-  FleetProgramFactory program_factory;
 };
 
 /// A fleet worker process body: listens for a coordinator, answers the

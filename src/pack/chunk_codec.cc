@@ -48,10 +48,13 @@ std::string EncodeChunkPayload(KdpCodec codec, DType dtype, int64_t elements,
   out.append(decoded.data(), static_cast<size_t>(bitmap_bytes));
 
   if (codec == KdpCodec::kDeltaVarint) {
-    int64_t previous = 0;
+    // Differences wrap mod 2^64 (uint64_t, never signed overflow); the
+    // decoder's wrapping sum undoes them exactly.
+    uint64_t previous = 0;
     for (int64_t i = 0; i < values; ++i) {
-      const int64_t value = IntValueAt(decoded, bitmap_bytes, elem_size, i);
-      AppendSignedVarint(value - previous, &out);
+      const uint64_t value = static_cast<uint64_t>(
+          IntValueAt(decoded, bitmap_bytes, elem_size, i));
+      AppendSignedVarint(static_cast<int64_t>(value - previous), &out);
       previous = value;
     }
     return out;
@@ -132,12 +135,12 @@ StatusOr<std::string> DecodeChunkPayload(KdpCodec codec, DType dtype,
   out.append(bitmap, static_cast<size_t>(bitmap_bytes));
 
   if (codec == KdpCodec::kDeltaVarint) {
-    int64_t previous = 0;
+    uint64_t previous = 0;
     char buf[8];
     for (int64_t i = 0; i < values; ++i) {
       int64_t delta = 0;
       KONDO_RETURN_IF_ERROR(reader.ReadSignedVarint(&delta));
-      previous += delta;
+      previous += static_cast<uint64_t>(delta);
       if (elem_size == 4) {
         const int32_t v = static_cast<int32_t>(previous);
         std::memcpy(buf, &v, 4);

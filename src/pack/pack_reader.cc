@@ -6,9 +6,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
 #include <cstring>
-#include <thread>
 #include <utility>
 
 #include "array/data_array.h"
@@ -151,11 +149,6 @@ Status PackReader::ReadRaw(int64_t offset, int64_t size, char* buf) const {
 StatusOr<std::string> PackReader::DecodeChunkUncached(int64_t chunk) const {
   const KdpChunkInfo& info = manifest_.chunks[static_cast<size_t>(chunk)];
   const int64_t elements = grid_.ChunkElements(chunk);
-  if (options_.chunk_fetch_sleep_micros > 0) {
-    // Models the cold-store fetch cost of one chunk; see PackReadOptions.
-    std::this_thread::sleep_for(
-        std::chrono::microseconds(options_.chunk_fetch_sleep_micros));
-  }
   if (info.codec == KdpCodec::kHole) {
     return std::string(static_cast<size_t>(KdpBitmapBytes(elements)), '\0');
   }

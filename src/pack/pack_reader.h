@@ -23,13 +23,6 @@ struct PackReadOptions {
   /// chunk larger than the cap is still served, it just never stays
   /// resident.
   int64_t cache_bytes = 8 << 20;
-
-  /// Deterministic blocking sleep (microseconds) charged per chunk decode,
-  /// modelling a cold-store fetch the way ServeOptions::fetch_sleep_micros
-  /// does for serve sessions. A sleep, not a busy-wait: concurrent decodes
-  /// overlap their waits even on one hardware thread, which is what the
-  /// parallel-unpack benchmark measures.
-  int64_t chunk_fetch_sleep_micros = 0;
 };
 
 /// Decoded-chunk cache counters (monotonic over the reader's lifetime).

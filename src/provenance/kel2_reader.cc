@@ -10,17 +10,18 @@
 namespace kondo {
 namespace {
 
-/// Decodes one delta + zigzag varint column of `count` values.
+/// Decodes one delta + zigzag varint column of `count` values. The running
+/// sum wraps mod 2^64, matching the writer's wrapping difference.
 Status DecodeDeltaColumn(ByteCursor& in, uint32_t count,
                          std::vector<int64_t>* out) {
   out->clear();
   out->reserve(count);
-  int64_t prev = 0;
+  uint64_t prev = 0;
   for (uint32_t i = 0; i < count; ++i) {
     int64_t delta = 0;
     KONDO_RETURN_IF_ERROR(in.ReadSignedVarint(&delta));
-    prev += delta;
-    out->push_back(prev);
+    prev += static_cast<uint64_t>(delta);
+    out->push_back(static_cast<int64_t>(prev));
   }
   return OkStatus();
 }

@@ -12,13 +12,14 @@ namespace {
 
 /// Delta + zigzag + varint column: each value is stored as the signed
 /// difference from its predecessor (the first from 0), so near-sequential
-/// streams collapse to one byte per value.
+/// streams collapse to one byte per value. The difference wraps mod 2^64
+/// (uint64_t, never signed overflow); the reader's wrapping sum undoes it.
 void EncodeDeltaColumn(const std::vector<Event>& events,
                        int64_t (*field)(const Event&), std::string* out) {
-  int64_t prev = 0;
+  uint64_t prev = 0;
   for (const Event& event : events) {
-    const int64_t value = field(event);
-    AppendSignedVarint(value - prev, out);
+    const uint64_t value = static_cast<uint64_t>(field(event));
+    AppendSignedVarint(static_cast<int64_t>(value - prev), out);
     prev = value;
   }
 }

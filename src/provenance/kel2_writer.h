@@ -62,9 +62,8 @@ class Kel2Writer {
   int64_t blocks_written() const { return blocks_written_; }
 
   /// Bytes appended to the store so far (file header, descriptors, and
-  /// payloads). Valid after Close() too — the serve stats verb and
-  /// bench_serve report artifact sizes from here instead of stat()-ing
-  /// files mid-serve.
+  /// payloads). Valid after Close() too — the serve stats verb reports
+  /// artifact sizes from here instead of stat()-ing files mid-serve.
   int64_t bytes_written() const { return file_.bytes_appended(); }
 
  private:

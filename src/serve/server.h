@@ -41,15 +41,14 @@ struct ServeOptions {
   /// Events per kEventBatch frame of a streamed query result.
   int events_per_batch = 256;
 
-  /// Deterministic extra busy-work per campaign job, for tests and
-  /// bench_serve to model long campaigns without bigger workloads.
+  /// Deterministic extra busy-work per campaign job, for tests to model
+  /// long campaigns without bigger workloads.
   int64_t job_spin_micros = 0;
 
-  /// Deterministic per-fetch-subset sleep modelling a backing-store round
-  /// trip. A *blocking* wait, not a busy one, for the same reason
-  /// bench_shard sleeps: blocked sessions overlap even on one hardware
-  /// thread, so bench_serve measures the server's session concurrency
-  /// rather than the host's core count.
+  /// Deterministic per-fetch-subset blocking sleep modelling a
+  /// backing-store round trip. Nothing in the project sets it above 0; it
+  /// stays only because perfbench/serve_load.cc assigns it, and it goes
+  /// with the next change to the benchmark.
   int64_t fetch_sleep_micros = 0;
 };
 

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -215,6 +216,14 @@ TEST(Kel2RoundTripTest, NegativeOffsetsSurvive) {
   std::vector<Event> events;
   events.push_back(MakeEvent(-5, -9, EventType::kPread, -1000, 10));
   events.push_back(MakeEvent(5, 9, EventType::kRead, 1000, 10));
+  // Extremes next to positive values: most deltas below overflow int64,
+  // so the columns must difference and sum in wrapping uint64.
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  events.push_back(MakeEvent(kMin, kMax, EventType::kRead, 0, 10));
+  events.push_back(MakeEvent(7, kMin, EventType::kRead, 8, 10));
+  events.push_back(MakeEvent(kMax, 3, EventType::kRead, 16, 10));
+  events.push_back(MakeEvent(kMin, kMax, EventType::kRead, 24, 10));
   const std::string path = WriteKel2("negative.kel2", events);
   StatusOr<Kel2Reader> reader = Kel2Reader::Open(path);
   ASSERT_TRUE(reader.ok()) << reader.status();
