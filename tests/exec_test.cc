@@ -31,6 +31,7 @@
 #include "exec/result_collector.h"
 #include "exec/test_candidate.h"
 #include "exec/thread_pool.h"
+#include "provenance/crc32.h"
 #include "provenance/kel2_reader.h"
 #include "provenance/persist.h"
 #include "workloads/registry.h"
@@ -411,6 +412,50 @@ TEST(ExecDeterminismTest, AuditedLineageStoreByteIdenticalAcrossJobs) {
   }
   EXPECT_EQ(static_cast<int>(pids.size()),
             parallel.fuzz.stats.evaluations);
+}
+
+// Pins an audited LDC3D campaign end to end: the ids its audited reads
+// discover and the bytes of the KEL2 lineage its ResultCollector writes,
+// at jobs 1 and 4. Any change to what the auditor records, how a run's
+// events reach the store or how KEL2 encodes them fails here.
+TEST(ExecDeterminismTest, AuditedLdc3dCampaignMatchesGoldenDigests) {
+  std::unique_ptr<Program> program = CreateProgram("LDC3D", 0);
+  const Shape& shape = program->data_shape();
+  DataArray array(shape, DType::kFloat32);
+  array.FillPattern(1);
+  const std::string data_path = TempPath("exec_ldc3d.kdf");
+  ASSERT_TRUE(WriteKdfFile(data_path, array).ok());
+
+  for (int jobs : {1, 4}) {
+    SCOPED_TRACE("jobs " + std::to_string(jobs));
+    const std::string store_path =
+        TempPath("ldc3d_jobs" + std::to_string(jobs) + ".kel2");
+    StatusOr<CampaignLineageSink> sink =
+        CampaignLineageSink::Create(store_path);
+    ASSERT_TRUE(sink.ok()) << sink.status();
+    ResultCollector collector(shape, sink->persister());
+    KondoConfig config = ScaledKondoConfig(shape);
+    config.rng_seed = 1;
+    config.jobs = jobs;
+    const KondoResult result = KondoPipeline(config).RunWithCandidateTest(
+        MakeAuditedCandidateTest(*program, data_path),
+        program->param_space(), shape, &collector);
+    ASSERT_TRUE(sink->Close().ok());
+
+    std::vector<int64_t> ids = SortedLinear(result.fuzz.discovered, shape);
+    uint64_t digest = 0xcbf29ce484222325ULL;  // FNV-1a over the ids.
+    for (int64_t id : ids) {
+      for (int b = 0; b < 8; ++b) {
+        digest ^= (static_cast<uint64_t>(id) >> (8 * b)) & 0xff;
+        digest *= 0x100000001b3ULL;
+      }
+    }
+    const std::string store = ReadFileBytes(store_path);
+    EXPECT_EQ(ids.size(), 27648u);
+    EXPECT_EQ(digest, 0x3c8f8c7e5d6b3e25ULL);
+    EXPECT_EQ(store.size(), 2586419u);
+    EXPECT_EQ(Crc32(store.data(), store.size()), 0x63588f5eu);
+  }
 }
 
 // The executor overload of FuzzSchedule::Run must reproduce the serial
