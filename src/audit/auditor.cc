@@ -3,56 +3,23 @@
 #include <utility>
 
 namespace kondo {
-namespace {
 
-constexpr int64_t kFileId = 1;
+StatusOr<AuditReport> RunAudited(
+    const std::string& path, int64_t pid,
+    const std::function<Status(TracedFile&)>& body, EventLog* log_out) {
+  constexpr int64_t kFileId = 1;
+  EventLog log;
+  KONDO_ASSIGN_OR_RETURN(TracedFile file,
+                         TracedFile::Open(path, pid, kFileId, &log));
+  KONDO_RETURN_IF_ERROR(body(file));
+  file.Close();
 
-/// Distills the recorded events into the per-run report.
-AuditReport DistillReport(const EventLog& log, const TracedFile& file) {
   AuditReport report;
   report.accessed_ranges = log.AccessedRanges(kFileId);
   OffsetMapper mapper(&file.reader().layout(), file.reader().payload_offset());
   report.accessed_indices = mapper.IndicesForRanges(report.accessed_ranges);
   report.num_events = log.NumEvents();
   report.saw_writes = log.HasWrites(kFileId);
-  return report;
-}
-
-}  // namespace
-
-StatusOr<AuditReport> RunAudited(
-    const std::string& path, int64_t pid,
-    const std::function<Status(TracedFile&)>& body) {
-  return RunAudited(path, pid, body, AuditPersistFn());
-}
-
-StatusOr<AuditReport> RunAudited(
-    const std::string& path, int64_t pid,
-    const std::function<Status(TracedFile&)>& body,
-    const AuditPersistFn& persist) {
-  EventLog log;
-  KONDO_ASSIGN_OR_RETURN(TracedFile file,
-                         TracedFile::Open(path, pid, kFileId, &log));
-  KONDO_RETURN_IF_ERROR(body(file));
-  file.Close();
-
-  if (persist) {
-    KONDO_RETURN_IF_ERROR(persist(log));
-  }
-
-  return DistillReport(log, file);
-}
-
-StatusOr<AuditReport> RunAuditedCapture(
-    const std::string& path, int64_t pid,
-    const std::function<Status(TracedFile&)>& body, EventLog* log_out) {
-  EventLog log;
-  KONDO_ASSIGN_OR_RETURN(TracedFile file,
-                         TracedFile::Open(path, pid, kFileId, &log));
-  KONDO_RETURN_IF_ERROR(body(file));
-  file.Close();
-
-  AuditReport report = DistillReport(log, file);
   if (log_out != nullptr) {
     *log_out = std::move(log);
   }

@@ -40,7 +40,7 @@ struct AuditReport {
 /// consumed runs in candidate order and rejects concurrent use with
 /// kFailedPrecondition. For ad-hoc concurrent callers,
 /// `MakeSerializedPersister` (src/provenance/persist.h) wraps any persister
-/// with a mutex so racing RunAudited calls serialize instead of corrupting
+/// with a mutex so racing persist calls serialize instead of corrupting
 /// the store.
 using AuditPersistFn = std::function<Status(const EventLog&)>;
 
@@ -49,26 +49,14 @@ using AuditPersistFn = std::function<Status(const EventLog&)>;
 /// `body`, and distills the recorded events into an AuditReport.
 ///
 /// `body` receives the traced file and performs whatever element reads the
-/// application under test performs.
-StatusOr<AuditReport> RunAudited(
-    const std::string& path, int64_t pid,
-    const std::function<Status(TracedFile&)>& body);
-
-/// As above, but additionally hands the completed event log to `persist`
-/// before distilling the report — the hook that makes KEL2 stores
-/// durable backends of the auditor. A persist failure fails the audit.
+/// application under test performs. When `log_out` is non-null the run's
+/// raw event log is moved into it, so the caller can persist it: the
+/// campaign executor's single-writer ResultCollector persists consumed runs
+/// in candidate order; a lone run can hand it to `MakeKel2Persister`.
 StatusOr<AuditReport> RunAudited(
     const std::string& path, int64_t pid,
     const std::function<Status(TracedFile&)>& body,
-    const AuditPersistFn& persist);
-
-/// As `RunAudited` without a persister, but additionally moves the run's
-/// raw event log into `*log_out` (when non-null) so the caller can defer
-/// persistence — e.g. the parallel campaign executor, whose single-writer
-/// ResultCollector channel persists consumed runs in candidate order.
-StatusOr<AuditReport> RunAuditedCapture(
-    const std::string& path, int64_t pid,
-    const std::function<Status(TracedFile&)>& body, EventLog* log_out);
+    EventLog* log_out = nullptr);
 
 }  // namespace kondo
 

@@ -1,80 +1,71 @@
 #include "audit/event_log.h"
 
+#include <algorithm>
+
 namespace kondo {
+namespace {
 
-const IntervalSet EventLog::kEmptyRanges;
-
-int64_t EventLog::Record(const Event& event) {
-  const int64_t seq = static_cast<int64_t>(events_.size());
-  events_.push_back(event);
-  if (event.type == EventType::kWrite) {
-    file_has_writes_[event.id.file_id] = true;
-  }
-  if (event.IsDataAccess() && event.size > 0) {
-    if (!(event.id == cached_id_)) {
-      cached_id_ = event.id;
-      cached_ranges_ = &file_ranges_[event.id.file_id];
-      cached_index_ = &process_indexes_.try_emplace(event.id).first->second;
-    }
-    const Interval range{event.offset, event.offset + event.size};
-    cached_ranges_->Add(range);
-    cached_index_->Insert(range, seq);
-  }
-  return seq;
+/// True for the events that make up accessed ranges.
+bool IsRangeAccess(const Event& event) {
+  return event.IsDataAccess() && event.size > 0;
 }
 
-const IntervalSet& EventLog::AccessedRanges(int64_t file_id) const {
-  auto it = file_ranges_.find(file_id);
-  return it == file_ranges_.end() ? kEmptyRanges : it->second;
+}  // namespace
+
+int64_t EventLog::Record(const Event& event) {
+  events_.push_back(event);
+  return NumEvents() - 1;
+}
+
+IntervalSet EventLog::AccessedRanges(int64_t file_id) const {
+  IntervalSet ranges;
+  for (const Event& event : events_) {
+    if (event.id.file_id == file_id && IsRangeAccess(event)) {
+      ranges.Add(event.offset, event.offset + event.size);
+    }
+  }
+  return ranges;
 }
 
 IntervalSet EventLog::AccessedRangesForProcess(int64_t pid,
                                                int64_t file_id) const {
   IntervalSet ranges;
-  const IntervalBTree* index = ProcessIndex(pid, file_id);
-  if (index != nullptr) {
-    index->VisitOverlaps(INT64_MIN / 2, INT64_MAX / 2,
-                         [&ranges](const IntervalBTree::Entry& entry) {
-                           ranges.Add(entry.interval);
-                         });
+  for (const Event& event : events_) {
+    if (event.id == EventId{pid, file_id} && IsRangeAccess(event)) {
+      ranges.Add(event.offset, event.offset + event.size);
+    }
   }
   return ranges;
 }
 
-const IntervalBTree* EventLog::ProcessIndex(int64_t pid,
-                                            int64_t file_id) const {
-  auto it = process_indexes_.find(EventId{pid, file_id});
-  return it == process_indexes_.end() ? nullptr : &it->second;
-}
-
 bool EventLog::HasWrites(int64_t file_id) const {
-  auto it = file_has_writes_.find(file_id);
-  return it != file_has_writes_.end() && it->second;
+  return std::any_of(events_.begin(), events_.end(),
+                     [file_id](const Event& event) {
+                       return event.type == EventType::kWrite &&
+                              event.id.file_id == file_id;
+                     });
 }
 
 std::vector<Event> EventLog::LookupProcessRange(int64_t pid, int64_t file_id,
                                                 int64_t begin,
                                                 int64_t end) const {
-  std::vector<Event> result;
-  const IntervalBTree* index = ProcessIndex(pid, file_id);
-  if (index != nullptr) {
-    index->VisitOverlaps(begin, end,
-                         [this, &result](const IntervalBTree::Entry& entry) {
-                           result.push_back(
-                               events_[static_cast<size_t>(entry.payload)]);
-                         });
+  std::vector<Event> hits;
+  for (const Event& event : events_) {
+    // Non-empty intersection; an empty [begin,end) overlaps nothing.
+    if (event.id == EventId{pid, file_id} && IsRangeAccess(event) &&
+        std::max(begin, event.offset) <
+            std::min(end, event.offset + event.size)) {
+      hits.push_back(event);
+    }
   }
-  return result;
-}
-
-void EventLog::Clear() {
-  events_.clear();
-  file_ranges_.clear();
-  process_indexes_.clear();
-  file_has_writes_.clear();
-  cached_id_ = EventId{-1, -1};
-  cached_ranges_ = nullptr;
-  cached_index_ = nullptr;
+  std::stable_sort(hits.begin(), hits.end(),
+                   [](const Event& a, const Event& b) {
+                     if (a.offset != b.offset) {
+                       return a.offset < b.offset;
+                     }
+                     return a.size < b.size;
+                   });
+  return hits;
 }
 
 }  // namespace kondo

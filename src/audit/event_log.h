@@ -2,29 +2,30 @@
 #define KONDO_AUDIT_EVENT_LOG_H_
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "audit/event.h"
-#include "audit/interval_btree.h"
 #include "common/interval_set.h"
 
 namespace kondo {
 
-/// Accumulates audited I/O events and maintains the derived access state:
+/// The audited I/O events of a run in arrival order. The access views are
+/// computed from the events when asked for:
 ///
-///  * per-(process, file) interval B-trees indexing every data-access event
-///    (Section IV-C: "interval-based B-trees ... per-process lookup"), and
 ///  * per-file merged offset ranges across processes (overlapping events are
 ///    coalesced, reproducing the paper's worked example where
 ///    e1(P1,R,0,110), e2(P2,R,70,30), e3(P1,R,130,20), e4(P1,R,90,30)
-///    yield accessed offsets (0,120) and (130,150)).
+///    yield accessed offsets (0,120) and (130,150)), and
+///  * Section IV-C's per-process lookups. Persisted runs answer the same
+///    lookups in situ from the KEL2 store's block zone maps
+///    (ProvenanceQuery::AccessedRangesForRun, EventsOverlapping).
+///
+/// Only data accesses with a positive size count as accessed ranges.
 class EventLog {
  public:
   EventLog() = default;
 
-  /// Appends an event; data accesses update the indexes. Returns the event's
-  /// sequence number.
+  /// Appends an event. Returns the event's sequence number.
   int64_t Record(const Event& event);
 
   /// All events in arrival order.
@@ -32,38 +33,25 @@ class EventLog {
   int64_t NumEvents() const { return static_cast<int64_t>(events_.size()); }
 
   /// Merged accessed byte ranges of `file_id` across all processes.
-  const IntervalSet& AccessedRanges(int64_t file_id) const;
+  IntervalSet AccessedRanges(int64_t file_id) const;
 
   /// Merged accessed byte ranges of `file_id` by a single process.
   IntervalSet AccessedRangesForProcess(int64_t pid, int64_t file_id) const;
-
-  /// The per-process interval index (nullptr when no accesses recorded).
-  const IntervalBTree* ProcessIndex(int64_t pid, int64_t file_id) const;
 
   /// True when any write event touched `file_id` — the paper records the
   /// event type `c` "to ensure that no write event took place".
   bool HasWrites(int64_t file_id) const;
 
-  /// Events whose ranges overlap [begin,end) on `file_id` for `pid`.
+  /// Data accesses of `file_id` by `pid` overlapping [begin,end), ascending
+  /// by (offset, end); equal ranges keep arrival order.
   std::vector<Event> LookupProcessRange(int64_t pid, int64_t file_id,
                                         int64_t begin, int64_t end) const;
 
-  /// Drops all recorded state.
-  void Clear();
+  /// Drops all recorded events.
+  void Clear() { events_.clear(); }
 
  private:
   std::vector<Event> events_;
-  std::map<int64_t, IntervalSet> file_ranges_;
-  std::map<EventId, IntervalBTree> process_indexes_;
-  std::map<int64_t, bool> file_has_writes_;
-
-  // One-entry cache: consecutive events almost always share (pid, file),
-  // so Record() can skip both map lookups on the hot path.
-  EventId cached_id_{-1, -1};
-  IntervalSet* cached_ranges_ = nullptr;
-  IntervalBTree* cached_index_ = nullptr;
-
-  static const IntervalSet kEmptyRanges;
 };
 
 }  // namespace kondo

@@ -37,7 +37,7 @@ CandidateTestFn MakeAuditedCandidateTest(const Program& program,
                                          const std::string& kdf_path) {
   return [&program, kdf_path](const TestCandidate& candidate) {
     auto log = std::make_shared<EventLog>();
-    StatusOr<AuditReport> report = RunAuditedCapture(
+    StatusOr<AuditReport> report = RunAudited(
         kdf_path, /*pid=*/1 + candidate.seq,
         [&program, &candidate](TracedFile& file) {
           return program.ExecuteOnFile(candidate.value, file);

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "audit/event_log.h"
-#include "audit/interval_btree.h"
 #include "carve/carver.h"
 #include "common/interval_set.h"
 #include "common/rng.h"
@@ -16,24 +15,6 @@
 
 namespace kondo {
 namespace {
-
-TEST(StressTest, IntervalBTreeFiftyThousandInserts) {
-  IntervalBTree tree(/*min_degree=*/16);
-  Rng rng(1);
-  int64_t max_end_inserted = 0;
-  for (int i = 0; i < 50000; ++i) {
-    const int64_t begin = rng.UniformInt(0, 1 << 20);
-    const int64_t end = begin + rng.UniformInt(1, 512);
-    tree.Insert(Interval{begin, end}, i);
-    max_end_inserted = std::max(max_end_inserted, end);
-  }
-  EXPECT_EQ(tree.size(), 50000);
-  tree.CheckInvariants();
-  // Height stays logarithmic: degree-16 B-tree with 50k entries is shallow.
-  EXPECT_LE(tree.Height(), 5);
-  // Full-range scan sees everything.
-  EXPECT_EQ(tree.QueryOverlaps(0, max_end_inserted).size(), 50000u);
-}
 
 TEST(StressTest, EventLogHundredThousandEvents) {
   EventLog log;
