@@ -85,6 +85,12 @@ StatusOr<std::vector<Event>> DecodeKel2Payload(const char* payload,
 
   std::vector<Event> events(event_count);
   for (uint32_t i = 0; i < event_count; ++i) {
+    int64_t end = 0;
+    if (__builtin_add_overflow(offsets[i], sizes[i], &end)) {
+      return DataLossError(StrCat("KEL2 event ", i, " at offset ", offsets[i],
+                                  " with size ", sizes[i],
+                                  " ends past int64"));
+    }
     events[i].id.pid = pids[i];
     events[i].id.file_id = file_ids[i];
     events[i].type = types[i];

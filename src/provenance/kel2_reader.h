@@ -67,7 +67,8 @@ class Kel2Reader {
 
 /// Decodes a KEL2 columnar payload (CRC already verified) into events.
 /// Returns kDataLoss when the payload does not decode to exactly
-/// `event_count` events.
+/// `event_count` events, or when an event's `offset + size` overflows
+/// int64 (the writer never stores one).
 StatusOr<std::vector<Event>> DecodeKel2Payload(const char* payload,
                                                size_t size,
                                                uint32_t event_count);

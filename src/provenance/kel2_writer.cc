@@ -154,6 +154,11 @@ Status Kel2Writer::Append(const Event& event) {
     return FailedPreconditionError("KEL2 store already closed: " +
                                    file_.path());
   }
+  int64_t end = 0;
+  if (__builtin_add_overflow(event.offset, event.size, &end)) {
+    return InvalidArgumentError(StrCat("KEL2 event ", event.ToString(),
+                                       " ends past int64: ", file_.path()));
+  }
   buffer_.push_back(event);
   if (static_cast<int64_t>(buffer_.size()) >= options_.events_per_block) {
     return SealBlock();

@@ -44,7 +44,8 @@ class Kel2Writer {
   ~Kel2Writer();
 
   /// Buffers one event; seals a block when the buffer reaches
-  /// `events_per_block`.
+  /// `events_per_block`. An event whose `offset + size` overflows int64 is
+  /// refused with kInvalidArgument and leaves the store unchanged.
   Status Append(const Event& event);
 
   /// Appends every event of `log` in arrival order.
