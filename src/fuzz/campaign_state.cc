@@ -10,36 +10,36 @@
 
 namespace kondo {
 
-Status SaveCampaignState(const std::string& path,
-                         const CampaignState& state) {
-  std::ofstream out(path);
-  if (!out) {
-    return InternalError("cannot open campaign state for write: " + path);
-  }
+Status SaveCampaignState(const std::string& path, const CampaignState& state,
+                         Env* env) {
   // Header: KCS1 <rank> <dim...>
-  out << "KCS1 " << state.shape.rank();
+  std::string body = StrCat("KCS1 ", state.shape.rank());
   for (int d = 0; d < state.shape.rank(); ++d) {
-    out << " " << state.shape.dim(d);
+    body += StrCat(" ", state.shape.dim(d));
   }
-  out << "\n";
+  body += "\n";
   // Seeds: S <useful> <v...> with full double precision.
   for (const Seed& seed : state.seeds) {
-    out << "S " << (seed.useful ? 1 : 0);
+    body += seed.useful ? "S 1" : "S 0";
     for (double v : seed.value) {
       char buf[64];
       std::snprintf(buf, sizeof(buf), " %.17g", v);
-      out << buf;
+      body += buf;
     }
-    out << "\n";
+    body += "\n";
   }
   // Discovered ids: I <linear>, sorted for reproducible files.
   for (int64_t id : state.discovered.ToSortedLinearIds()) {
-    out << "I " << id << "\n";
+    body += StrCat("I ", id, "\n");
   }
-  if (!out.good()) {
-    return InternalError("campaign state write failed: " + path);
+  StatusOr<AtomicFile> file = AtomicFile::Create(path, env);
+  if (!file.ok()) {
+    return Status(file.status().code(),
+                  StrCat("cannot open campaign state for write: ", path, ": ",
+                         file.status().message()));
   }
-  return OkStatus();
+  KONDO_RETURN_IF_ERROR(file->Append(body));
+  return file->Commit();
 }
 
 StatusOr<CampaignState> LoadCampaignState(const std::string& path) {

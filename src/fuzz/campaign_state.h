@@ -3,6 +3,7 @@
 
 #include <string>
 
+#include "common/env.h"
 #include "common/status.h"
 #include "common/statusor.h"
 #include "fuzz/fuzz_schedule.h"
@@ -24,7 +25,11 @@ struct CampaignState {
 /// Serialises a campaign to a text file (one header line, one line per
 /// seed, one line per discovered linear id). Text keeps the state
 /// greppable and diffable; campaigns are small (thousands of entries).
-Status SaveCampaignState(const std::string& path, const CampaignState& state);
+/// The file is committed atomically (tmp + fsync + rename) through `env`
+/// (nullptr selects Env::Default()), so a crash mid-save leaves the
+/// previous state in place.
+Status SaveCampaignState(const std::string& path, const CampaignState& state,
+                         Env* env = nullptr);
 
 /// Parses a file written by SaveCampaignState.
 StatusOr<CampaignState> LoadCampaignState(const std::string& path);

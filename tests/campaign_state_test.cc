@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
+#include "common/env.h"
 #include "common/rng.h"
 #include "core/debloat_test.h"
 #include "fuzz/campaign_state.h"
@@ -169,6 +171,59 @@ TEST(CampaignStateTest, ResumedCampaignExtendsDiscovery) {
                                        second.Run(test)));
   EXPECT_GE(reloaded->discovered.size(), after_first);
   EXPECT_GE(reloaded->seeds.size(), 2u);
+}
+
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+TEST(CampaignStateTest, FileBytesArePinned) {
+  const std::string path = TempPath("pinned.kcs");
+  ASSERT_TRUE(SaveCampaignState(path, SmallCampaign()).ok());
+  EXPECT_EQ(ReadFileBytes(path),
+            "KCS1 2 16 16\nS 1 3 4\nS 0 100 -2.5\nI 18\nI 255\n");
+}
+
+// `kondo fuzz --out S --resume S` overwrites the state it resumed from: a
+// crash at any point of the save must leave the old state or the new one.
+TEST(CampaignStateCrashSweepTest, InterruptedSaveKeepsTheOldOrNewState) {
+  const CampaignState before = SmallCampaign();
+  CampaignState after = SmallCampaign();
+  after.seeds.push_back(Seed{{7.0, 0.125}, true});
+  after.discovered.Insert(Index{4, 4});
+
+  const std::string scratch = TempPath("crash_count.kcs");
+  ASSERT_TRUE(SaveCampaignState(scratch, after).ok());
+  const std::string new_bytes = ReadFileBytes(scratch);
+  ASSERT_TRUE(SaveCampaignState(scratch, before).ok());
+  const std::string old_bytes = ReadFileBytes(scratch);
+  FaultInjectingEnv counter(Env::Default(), FaultPlan{});
+  ASSERT_TRUE(SaveCampaignState(scratch, after, &counter).ok());
+  EXPECT_EQ(ReadFileBytes(scratch), new_bytes);
+  const int64_t num_ops = counter.ops();
+  ASSERT_GT(num_ops, 2);
+
+  for (int64_t k = 0; k < num_ops; ++k) {
+    const std::string path =
+        TempPath("crash_" + std::to_string(k) + ".kcs");
+    ASSERT_TRUE(SaveCampaignState(path, before).ok());
+    FaultPlan plan;
+    plan.crash_at_op = k;
+    FaultInjectingEnv env(Env::Default(), plan);
+    EXPECT_FALSE(SaveCampaignState(path, after, &env).ok())
+        << "crash at op " << k << " did not surface";
+    const std::string left = ReadFileBytes(path);
+    EXPECT_TRUE(left == old_bytes || left == new_bytes)
+        << "torn campaign state after crash at op " << k;
+    StatusOr<CampaignState> loaded = LoadCampaignState(path);
+    ASSERT_TRUE(loaded.ok()) << "crash at op " << k << ": "
+                             << loaded.status();
+    const size_t seeds = loaded->seeds.size();
+    EXPECT_TRUE(seeds == before.seeds.size() || seeds == after.seeds.size())
+        << "crash at op " << k;
+  }
 }
 
 }  // namespace
