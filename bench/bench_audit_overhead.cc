@@ -1,8 +1,9 @@
 // Section V-D6 — overhead of I/O event auditing: the benchmark programs
 // run against real KDF data files with increasing sizes, once through the
-// bare file reader and once through the interposition shim (recording,
-// merging, and indexing every event, plus a per-process offset-range
-// lookup). The paper reports ~31% average overhead.
+// bare file reader and once through the interposition shim (recording
+// every event, then merging the file's accessed ranges and one per-process
+// offset-range lookup over the recorded events). The paper reports ~31%
+// average overhead.
 
 #include <benchmark/benchmark.h>
 
@@ -73,8 +74,8 @@ OverheadRow MeasureOne(const std::string& name, int64_t n, int repeats) {
   }
   row.raw_seconds = raw;
 
-  // Audited executions: record + merge + index + one range lookup, the
-  // full pipeline of Section IV-C.
+  // Audited executions: record + merge + one range lookup, the full
+  // pipeline of Section IV-C.
   Stopwatch stopwatch;
   for (int rep = 0; rep < effective_repeats; ++rep) {
     EventLog log;

@@ -1,6 +1,8 @@
 // Raw audit-substrate demo: multi-process syscall-style event streams, the
-// overlap-merging of Definition 4's worked example, per-process interval
-// B-tree lookups, and byte-offset -> index recovery through file metadata.
+// overlap-merging of Definition 4's worked example, per-process offset-range
+// lookups, and byte-offset -> index recovery through file metadata.
+// Registered as the ctest `example_audit_explorer`, which checks the worked
+// example's output.
 
 #include <cstdio>
 #include <string>
@@ -38,7 +40,7 @@ int main() {
   std::printf("P2 only:                 %s\n\n",
               log.AccessedRangesForProcess(2, 1).ToString().c_str());
 
-  // Per-process range lookup through the interval B-tree.
+  // Per-process range lookup; hits come back in ascending offset order.
   std::printf("--- per-process offset-range lookup [80, 140) for P1 ---\n");
   for (const Event& event : log.LookupProcessRange(1, 1, 80, 140)) {
     std::printf("  hit %s\n", event.ToString().c_str());
