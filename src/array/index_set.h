@@ -7,31 +7,21 @@
 
 #include "array/index.h"
 #include "array/shape.h"
+#include "common/interval_set.h"
 
 namespace kondo {
 
 /// A set of array indices over a fixed shape — the `I_v` / `I_Θ` objects of
 /// Section III.
 ///
-/// Representation: the row-major linear ids of the members, stored as a
-/// sorted vector of disjoint, non-touching half-open runs [begin, end)
-/// plus a cached element count. Accessed regions of array programs are
-/// rows, faces and boxes, so a set of n ids is usually far fewer than n
-/// runs (the run encoding of Zhao–Krishnan's array-lineage compression).
-/// With r = runs of this set and s = runs of `other`:
-///
-///   Insert / InsertLinear / InsertRun   O(1) amortised when ascending
-///                                       (at or past the last run),
-///                                       O(log r + r) otherwise;
-///   Contains / ContainsLinear           O(log r);
-///   Union                               O(s log(r/s)) when `other` is
-///                                       already contained (no allocation),
-///                                       else one O(r + s) merge;
-///   Difference                          O(r log(s/r)) plus its output;
-///   IntersectionSize                    O(r + s);
-///   IsSubsetOf                          O(r log(s/r));
-///   size / empty                        O(1);
-///   ForEach / ForEachRun                O(n) / O(r), ascending, no sort.
+/// Representation: an `IntervalSet` of the members' row-major linear ids.
+/// Accessed regions of array programs are rows, faces and boxes, so a set
+/// of n ids is usually far fewer than n runs; the costs are IntervalSet's,
+/// with `size` the element count and `num_runs` its number of runs. This
+/// class adds only what a shape brings: bounds checks, the shape check of
+/// set operations (an empty set of any shape is exempt, and an unshaped
+/// empty set adopts the shape of what is unioned into it), and the
+/// conversion between `Index` and linear id.
 ///
 /// Streams that are not ascending (a program's reads, a decoded file)
 /// should go through `IndexSet::Builder`, which sorts and coalesces once.
@@ -56,14 +46,14 @@ class IndexSet {
   void InsertRun(int64_t begin, int64_t end);
 
   bool Contains(const Index& index) const;
-  bool ContainsLinear(int64_t linear) const;
+  bool ContainsLinear(int64_t linear) const { return ids_.Contains(linear); }
 
-  size_t size() const { return static_cast<size_t>(size_); }
-  bool empty() const { return size_ == 0; }
+  size_t size() const { return static_cast<size_t>(ids_.TotalLength()); }
+  bool empty() const { return ids_.empty(); }
 
   /// Number of maximal runs of consecutive ids: the storage size, and the
   /// cost of a merging Union.
-  size_t num_runs() const { return runs_.size(); }
+  size_t num_runs() const { return ids_.size(); }
 
   /// Adds all elements of `other` (shapes must match unless one is empty).
   void Union(const IndexSet& other);
@@ -90,7 +80,7 @@ class IndexSet {
   /// ascending order.
   template <typename Fn>
   void ForEachRun(Fn&& fn) const {
-    for (const Run& run : runs_) {
+    for (const Interval& run : ids_.ToIntervals()) {
       fn(run.begin, run.end);
     }
   }
@@ -105,7 +95,7 @@ class IndexSet {
   template <typename Fn>
   void ForEach(Fn&& fn) const {
     const int rank = shape_.rank();
-    for (const Run& run : runs_) {
+    for (const Interval& run : ids_.ToIntervals()) {
       Index index = shape_.Delinearize(run.begin);
       for (int64_t id = run.begin; id < run.end; ++id) {
         fn(static_cast<const Index&>(index));
@@ -120,29 +110,18 @@ class IndexSet {
   }
 
  private:
-  struct Run {
-    int64_t begin;
-    int64_t end;
-  };
-
-  /// Inserts [begin, end) at its sorted position (the out-of-order path).
-  void InsertRunSlow(int64_t begin, int64_t end);
+  IndexSet(Shape shape, IntervalSet ids)
+      : shape_(std::move(shape)), ids_(std::move(ids)) {}
 
   /// Checks that set operations combine sets over the same shape.
   void CheckSameShape(const IndexSet& other) const;
 
   Shape shape_;
-  std::vector<Run> runs_;  // Sorted, disjoint, non-touching.
-  int64_t size_ = 0;       // Sum of run lengths.
+  IntervalSet ids_;
 };
 
-/// Collects ids in any order, then sorts and coalesces them once in
-/// `Build()`. Each insert extends the last or second-to-last run when the
-/// id continues it, so ascending streams and two interleaved ascending
-/// streams (the two faces a stencil reads in one loop) stay compact;
-/// duplicates are allowed. Pending runs are coalesced whenever they double,
-/// so a stream that re-reads scattered elements needs memory in proportion
-/// to the distinct runs, as a hash set would, not to the reads.
+/// An `IntervalSet::Builder` of linear ids that bounds-checks each insert
+/// as the matching `IndexSet` insert does; ids may come in any order.
 class IndexSet::Builder {
  public:
   explicit Builder(Shape shape) : shape_(std::move(shape)) {}
@@ -160,14 +139,8 @@ class IndexSet::Builder {
   IndexSet Build();
 
  private:
-  void Append(int64_t begin, int64_t end);
-  void Coalesce();
-
   Shape shape_;
-  std::vector<Run> runs_;  // Any order; may overlap.
-  size_t coalesce_at_ = kMinCoalesceRuns;
-
-  static constexpr size_t kMinCoalesceRuns = size_t{1} << 16;
+  IntervalSet::Builder ids_;
 };
 
 }  // namespace kondo

@@ -18,24 +18,24 @@ int64_t EventLog::Record(const Event& event) {
 }
 
 IntervalSet EventLog::AccessedRanges(int64_t file_id) const {
-  IntervalSet ranges;
+  IntervalSet::Builder ranges;  // Events come in arrival order.
   for (const Event& event : events_) {
     if (event.id.file_id == file_id && IsRangeAccess(event)) {
       ranges.Add(event.offset, event.offset + event.size);
     }
   }
-  return ranges;
+  return ranges.Build();
 }
 
 IntervalSet EventLog::AccessedRangesForProcess(int64_t pid,
                                                int64_t file_id) const {
-  IntervalSet ranges;
+  IntervalSet::Builder ranges;
   for (const Event& event : events_) {
     if (event.id == EventId{pid, file_id} && IsRangeAccess(event)) {
       ranges.Add(event.offset, event.offset + event.size);
     }
   }
-  return ranges;
+  return ranges.Build();
 }
 
 bool EventLog::HasWrites(int64_t file_id) const {

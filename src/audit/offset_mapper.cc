@@ -21,11 +21,12 @@ IndexSet OffsetMapper::IndicesForRanges(const IntervalSet& ranges) const {
 }
 
 IntervalSet OffsetMapper::RangesForIndices(const IndexSet& indices) const {
-  IntervalSet ranges;
+  // Ascending ids give ascending bytes only in a row-major layout.
+  IntervalSet::Builder ranges;
   indices.ForEach([this, &ranges](const Index& index) {
     ranges.Add(RangeForIndex(index));
   });
-  return ranges;
+  return ranges.Build();
 }
 
 Interval OffsetMapper::RangeForIndex(const Index& index) const {

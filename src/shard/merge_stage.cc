@@ -102,10 +102,10 @@ Status MergeShardLineageStores(const std::vector<std::string>& shard_paths,
                                const std::string& merged_path,
                                Kel2WriterOptions options) {
   // Regroup every shard's events into per-run, per-file coalesced ranges.
-  // IntervalSet::Add rejoins ranges split by chunk-slice boundaries, so the
+  // Coalescing rejoins ranges split by chunk-slice boundaries, so the
   // grouped view — and hence the re-encoded store — is shard-count
-  // invariant.
-  std::map<int64_t, std::map<int64_t, IntervalSet>> runs;
+  // invariant. Shards interleave their ranges, so each is built once.
+  std::map<int64_t, std::map<int64_t, IntervalSet::Builder>> runs;
   for (const std::string& path : shard_paths) {
     KONDO_ASSIGN_OR_RETURN(std::vector<Event> events,
                            ReadLineageStore(path));
@@ -121,9 +121,10 @@ Status MergeShardLineageStores(const std::vector<std::string>& shard_paths,
   KONDO_ASSIGN_OR_RETURN(CampaignLineageSink sink,
                          CampaignLineageSink::Create(merged_path, options));
   const AuditPersistFn persist = sink.persister();
-  for (const auto& [pid, files] : runs) {
+  for (auto& [pid, files] : runs) {
     EventLog log;
-    for (const auto& [file_id, ranges] : files) {
+    for (auto& [file_id, builder] : files) {
+      const IntervalSet ranges = builder.Build();
       for (const Interval& range : ranges.ToIntervals()) {
         Event event;
         event.id = EventId{pid, file_id};
