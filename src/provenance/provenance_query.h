@@ -41,8 +41,9 @@ class ProvenanceQuery {
   /// `reader` must outlive the query object.
   explicit ProvenanceQuery(const Kel2Reader* reader);
 
-  /// Data-access events of `file_id` overlapping [begin, end), in store
-  /// order.
+  /// Data-access events of `file_id` with a positive size overlapping
+  /// [begin, end), in store order. An event of size <= 0 covers no byte, so
+  /// it matches nothing, however the store is blocked.
   StatusOr<std::vector<Event>> EventsOverlapping(int64_t file_id,
                                                  int64_t begin, int64_t end);
 

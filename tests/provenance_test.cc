@@ -528,6 +528,30 @@ TEST(ProvenanceQueryTest, RunsTouchingAndPerRunCoverage) {
   EXPECT_EQ(run1->ToString(), "[0,120) [130,150)");
 }
 
+// A zero-size read covers no byte, so no query matches it — whether or not
+// a block holds only it (the writer's zone map covers positive sizes only).
+TEST(ProvenanceQueryTest, ZeroSizeEventsMatchNoQueryAtAnyBlocking) {
+  const std::vector<Event> events = {
+      MakeEvent(1, 1, EventType::kPread, 50, 0),
+      MakeEvent(2, 1, EventType::kPread, 0, 100)};
+  const std::string one_per_block = WriteKel2("zero_size_1.kel2", events, 1);
+  const std::string compacted = TempPath("zero_size_compacted.kel2");
+  ASSERT_TRUE(CompactLineageStore(one_per_block, compacted).ok());
+  for (const std::string& path :
+       {one_per_block, WriteKel2("zero_size_2.kel2", events, 2), compacted}) {
+    SCOPED_TRACE(path);
+    StatusOr<Kel2Reader> reader = Kel2Reader::Open(path);
+    ASSERT_TRUE(reader.ok()) << reader.status();
+    ProvenanceQuery query(&*reader);
+    StatusOr<std::vector<Event>> hits = query.EventsOverlapping(1, 40, 60);
+    ASSERT_TRUE(hits.ok()) << hits.status();
+    ExpectSameEvents(*hits, {events[1]});
+    StatusOr<std::vector<int64_t>> runs = query.RunsTouching(1, 40, 60);
+    ASSERT_TRUE(runs.ok()) << runs.status();
+    EXPECT_EQ(*runs, (std::vector<int64_t>{2}));
+  }
+}
+
 TEST(ProvenanceQueryTest, CoverageHistogram) {
   std::vector<Event> events;
   events.push_back(MakeEvent(1, 1, EventType::kPread, 0, 100));
@@ -634,11 +658,9 @@ TEST(EventLogKel2IdentityTest, ViewsMatchPersistedQueries) {
           SCOPED_TRACE("pid " + std::to_string(pid) + " file " +
                        std::to_string(file) + " [" + std::to_string(begin) +
                        "," + std::to_string(end) + ")");
-          // Zero-size events match EventsOverlapping but not the
-          // EventLog lookup, so the comparison covers positive sizes.
           std::vector<Event> want;
           for (const Event& event : *overlapping) {
-            if (event.id.pid == pid && event.size > 0) {
+            if (event.id.pid == pid) {
               want.push_back(event);
             }
           }
