@@ -4,8 +4,8 @@
 
 namespace kondo {
 
-ResultCollector::ResultCollector(Shape shape, AuditPersistFn persist)
-    : merged_(std::move(shape)), persist_(std::move(persist)) {}
+ResultCollector::ResultCollector(Shape /*shape*/, AuditPersistFn persist)
+    : persist_(std::move(persist)) {}
 
 void ResultCollector::EnablePerFile(const std::vector<Shape>& file_shapes) {
   per_file_.clear();
@@ -22,7 +22,6 @@ Status ResultCollector::Collect(const CandidateResult& result) {
         "in flight; funnel results through one consumption thread");
   }
   Status status = OkStatus();
-  merged_.Union(result.accessed);
   if (!per_file_.empty() && !result.per_file.empty()) {
     const size_t files = std::min(per_file_.size(), result.per_file.size());
     for (size_t f = 0; f < files; ++f) {

@@ -197,7 +197,6 @@ TEST(ResultCollectorTest, MergesAccessSetsAndPersistsLogs) {
 
   ASSERT_TRUE(collector.Collect(first).ok());
   ASSERT_TRUE(collector.Collect(second).ok());
-  EXPECT_EQ(collector.merged().size(), 2u);
   EXPECT_EQ(collector.collected(), 2);
   EXPECT_EQ(collector.persisted(), 1);  // Only `first` carried a log.
   EXPECT_EQ(persisted_events, 1);
