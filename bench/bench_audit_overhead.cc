@@ -1,12 +1,15 @@
 // Section V-D6 — overhead of I/O event auditing: the benchmark programs
-// run against real KDF data files with increasing sizes, once through the
-// bare file reader and once through the interposition shim (recording
-// every event, then merging the file's accessed ranges and one per-process
-// offset-range lookup over the recorded events). The paper reports ~31%
-// average overhead.
+// run against real KDF data files with increasing sizes, through the bare
+// file reader and through the interposition shim (recording every event,
+// then merging the file's accessed ranges and one per-process offset-range
+// lookup over the recorded events). Each row times 5 alternating
+// raw/audited pairs and prints the medians: raw time, audited time and the
+// overhead of a pair. The paper reports ~31% average overhead.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -22,6 +25,9 @@
 namespace kondo {
 namespace {
 
+// Alternating raw/audited measurements per row; the table prints medians.
+constexpr int kPairs = 5;
+
 struct OverheadRow {
   std::string program;
   int64_t n;
@@ -30,6 +36,35 @@ struct OverheadRow {
   double audited_seconds;
   double overhead;
 };
+
+// Times `repeats` executions of `program` on the KDF at `path`, through the
+// bare reader or, when `audited`, through the shim with an event log:
+// record + merge + one range lookup, the full pipeline of Section IV-C.
+double TimeExecutions(const Program& program, const ParamValue& v,
+                      const std::string& path, int repeats, bool audited,
+                      int64_t* io_calls) {
+  Stopwatch stopwatch;
+  for (int rep = 0; rep < repeats; ++rep) {
+    EventLog log;
+    StatusOr<TracedFile> file =
+        TracedFile::Open(path, 1, 1, audited ? &log : nullptr);
+    KONDO_CHECK(file.ok());
+    KONDO_CHECK(program.ExecuteOnFile(v, *file).ok());
+    *io_calls = file->access_count();
+    if (audited) {
+      file->Close();
+      benchmark::DoNotOptimize(log.AccessedRanges(1).TotalLength());
+      benchmark::DoNotOptimize(
+          log.LookupProcessRange(1, 1, 0, file->reader().FileBytes()).size());
+    }
+  }
+  return stopwatch.ElapsedSeconds();
+}
+
+double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
+}
 
 OverheadRow MeasureOne(const std::string& name, int64_t n, int repeats) {
   const std::unique_ptr<Program> program = CreateProgram(name, n);
@@ -55,50 +90,39 @@ OverheadRow MeasureOne(const std::string& name, int64_t n, int repeats) {
   // enough (>= 20 ms) to be stable on a noisy machine.
   constexpr double kMinMeasureSeconds = 0.02;
   int effective_repeats = repeats;
-  double raw = 0.0;
-  while (true) {
-    Stopwatch stopwatch;
-    int64_t io_calls = 0;
-    for (int rep = 0; rep < effective_repeats; ++rep) {
-      StatusOr<TracedFile> file = TracedFile::Open(path, 1, 1, nullptr);
-      KONDO_CHECK(file.ok());
-      KONDO_CHECK(program->ExecuteOnFile(v, *file).ok());
-      io_calls = file->access_count();
-    }
-    raw = stopwatch.ElapsedSeconds();
-    row.io_calls = io_calls;
-    if (raw >= kMinMeasureSeconds || effective_repeats > 1000000) {
-      break;
-    }
+  while (TimeExecutions(*program, v, path, effective_repeats, false,
+                        &row.io_calls) < kMinMeasureSeconds &&
+         effective_repeats <= 1000000) {
     effective_repeats *= 4;
   }
-  row.raw_seconds = raw;
 
-  // Audited executions: record + merge + one range lookup, the full
-  // pipeline of Section IV-C.
-  Stopwatch stopwatch;
-  for (int rep = 0; rep < effective_repeats; ++rep) {
-    EventLog log;
-    StatusOr<TracedFile> file = TracedFile::Open(path, 1, 1, &log);
-    KONDO_CHECK(file.ok());
-    KONDO_CHECK(program->ExecuteOnFile(v, *file).ok());
-    file->Close();
-    benchmark::DoNotOptimize(log.AccessedRanges(1).TotalLength());
-    benchmark::DoNotOptimize(
-        log.LookupProcessRange(1, 1, 0, file->reader().FileBytes()).size());
+  // kPairs alternating raw/audited measurements. A slow stretch of the
+  // machine lasting one pair moves that pair only, and the medians drop it.
+  std::vector<double> raw;
+  std::vector<double> audited;
+  std::vector<double> overhead;
+  int64_t audited_io_calls = 0;
+  for (int pair = 0; pair < kPairs; ++pair) {
+    raw.push_back(TimeExecutions(*program, v, path, effective_repeats, false,
+                                 &row.io_calls));
+    audited.push_back(TimeExecutions(*program, v, path, effective_repeats,
+                                     true, &audited_io_calls));
+    overhead.push_back(raw.back() > 0.0
+                           ? (audited.back() - raw.back()) / raw.back()
+                           : 0.0);
   }
-  row.audited_seconds = stopwatch.ElapsedSeconds();
-  row.overhead = row.raw_seconds > 0.0
-                     ? (row.audited_seconds - row.raw_seconds) /
-                           row.raw_seconds
-                     : 0.0;
+  row.raw_seconds = Median(raw);
+  row.audited_seconds = Median(audited);
+  row.overhead = Median(overhead);
   std::remove(path.c_str());
   return row;
 }
 
 void PrintTable() {
   const int repeats = bench::EnvInt("KONDO_BENCH_AUDIT_REPS", 20);
-  std::printf("=== §V-D6: I/O event auditing overhead ===\n\n");
+  std::printf("=== §V-D6: I/O event auditing overhead ===\n");
+  std::printf("(each row: medians of %d alternating raw/audited pairs)\n\n",
+              kPairs);
   std::printf("%-7s %6s %10s %10s %10s %10s\n", "prog", "n", "io-calls",
               "raw s", "audited s", "overhead");
   double sum = 0.0;
