@@ -1,9 +1,5 @@
 #include "array/kdf_file.h"
 
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <cstring>
 #include <limits>
 #include <string_view>
@@ -169,7 +165,8 @@ double DecodeElement(const char* buf, DType dtype) {
 }
 
 Status WriteKdfFile(const std::string& path, const DataArray& array,
-                    LayoutKind layout_kind, std::vector<int64_t> chunk_dims) {
+                    LayoutKind layout_kind, std::vector<int64_t> chunk_dims,
+                    Env* env) {
   KdfHeader header;
   header.dtype = array.dtype();
   header.layout_kind = layout_kind;
@@ -181,7 +178,6 @@ Status WriteKdfFile(const std::string& path, const DataArray& array,
     return InvalidArgumentError("chunk_dims rank mismatch");
   }
 
-  std::string bytes = EncodeKdfHeader(header);
   std::unique_ptr<Layout> layout = header.MakeFileLayout();
   const int64_t payload_bytes = layout->PayloadBytes();
   std::string payload(static_cast<size_t>(payload_bytes), '\0');
@@ -191,74 +187,31 @@ Status WriteKdfFile(const std::string& path, const DataArray& array,
     KONDO_CHECK_LE(offset + elem, payload_bytes);
     EncodeElement(array.At(index), header.dtype, payload.data() + offset);
   });
-  bytes += payload;
 
-  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) {
-    return InternalError("open for write failed: " + path);
-  }
-  size_t written = 0;
-  while (written < bytes.size()) {
-    const ssize_t n =
-        ::write(fd, bytes.data() + written, bytes.size() - written);
-    if (n <= 0) {
-      ::close(fd);
-      return InternalError("write failed: " + path);
-    }
-    written += static_cast<size_t>(n);
-  }
-  ::close(fd);
-  return OkStatus();
+  KONDO_ASSIGN_OR_RETURN(AtomicFile file, AtomicFile::Create(path, env));
+  KONDO_RETURN_IF_ERROR(file.Append(EncodeKdfHeader(header)));
+  KONDO_RETURN_IF_ERROR(file.Append(payload));
+  return file.Commit();
 }
 
-KdfReader::KdfReader(int fd, KdfHeader header)
-    : fd_(fd), header_(std::move(header)), layout_(header_.MakeFileLayout()) {}
+KdfReader::KdfReader(std::unique_ptr<RandomAccessFile> file, KdfHeader header)
+    : file_(std::move(file)),
+      header_(std::move(header)),
+      layout_(header_.MakeFileLayout()) {}
 
-KdfReader::~KdfReader() {
-  if (fd_ >= 0) {
-    ::close(fd_);
-  }
-}
-
-KdfReader::KdfReader(KdfReader&& other) noexcept
-    : fd_(other.fd_),
-      header_(std::move(other.header_)),
-      layout_(std::move(other.layout_)) {
-  other.fd_ = -1;
-}
-
-KdfReader& KdfReader::operator=(KdfReader&& other) noexcept {
-  if (this != &other) {
-    if (fd_ >= 0) {
-      ::close(fd_);
-    }
-    fd_ = other.fd_;
-    header_ = std::move(other.header_);
-    layout_ = std::move(other.layout_);
-    other.fd_ = -1;
-  }
-  return *this;
-}
-
-StatusOr<KdfReader> KdfReader::Open(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    return NotFoundError("cannot open " + path);
-  }
+StatusOr<KdfReader> KdfReader::Open(const std::string& path, Env* env) {
+  KONDO_ASSIGN_OR_RETURN(
+      std::unique_ptr<RandomAccessFile> file,
+      (env != nullptr ? env : Env::Default())->NewRandomAccessFile(path));
   char buf[kMaxKdfHeaderBytes];
-  const ssize_t got = ::pread(fd, buf, sizeof(buf), 0);
-  struct stat st;
-  StatusOr<KdfHeader> header = DataLossError("cannot read the KDF header");
-  if (got >= 0 && ::fstat(fd, &st) == 0) {
-    header = DecodeKdfHeader(std::string_view(buf, static_cast<size_t>(got)),
-                             static_cast<int64_t>(st.st_size));
-  }
+  KONDO_ASSIGN_OR_RETURN(const int64_t got, file->Read(0, sizeof(buf), buf));
+  StatusOr<KdfHeader> header = DecodeKdfHeader(
+      std::string_view(buf, static_cast<size_t>(got)), file->Size());
   if (!header.ok()) {
-    ::close(fd);
     return Status(header.status().code(),
                   StrCat(header.status().message(), ": ", path));
   }
-  return KdfReader(fd, *std::move(header));
+  return KdfReader(std::move(file), *std::move(header));
 }
 
 int64_t KdfReader::FileBytes() const {
@@ -270,34 +223,15 @@ StatusOr<double> KdfReader::ReadElement(const Index& index) const {
     return OutOfRangeError("index out of bounds");
   }
   char buf[16];
-  const int64_t elem = layout_->element_size();
-  const int64_t offset = payload_offset() + layout_->ByteOffsetOf(index);
-  KONDO_ASSIGN_OR_RETURN(int64_t n, ReadRaw(offset, elem, buf));
-  if (n != elem) {
-    return DataLossError("short read");
-  }
+  KONDO_RETURN_IF_ERROR(
+      file_->ReadFully(payload_offset() + layout_->ByteOffsetOf(index),
+                       layout_->element_size(), buf));
   return DecodeElement(buf, header_.dtype);
 }
 
 StatusOr<int64_t> KdfReader::ReadRaw(int64_t offset, int64_t size,
                                      char* buf) const {
-  if (offset < 0 || size < 0) {
-    return InvalidArgumentError("negative offset or size");
-  }
-  int64_t total = 0;
-  while (total < size) {
-    const ssize_t n = ::pread(fd_, buf + total,
-                              static_cast<size_t>(size - total),
-                              offset + total);
-    if (n < 0) {
-      return InternalError("pread failed");
-    }
-    if (n == 0) {
-      break;  // EOF
-    }
-    total += n;
-  }
-  return total;
+  return file_->Read(offset, size, buf);
 }
 
 StatusOr<DataArray> KdfReader::ReadAll() const {
@@ -308,10 +242,7 @@ StatusOr<DataArray> KdfReader::ReadAll() const {
   for (int64_t linear = 0; linear < n; ++linear) {
     const Index index = shape().Delinearize(linear);
     const int64_t offset = payload_offset() + layout_->ByteOffsetOf(index);
-    KONDO_ASSIGN_OR_RETURN(int64_t got, ReadRaw(offset, elem, buf));
-    if (got != elem) {
-      return DataLossError("short read in ReadAll");
-    }
+    KONDO_RETURN_IF_ERROR(file_->ReadFully(offset, elem, buf));
     array.SetLinear(linear, DecodeElement(buf, header_.dtype));
   }
   return array;

@@ -8,6 +8,7 @@
 
 #include "array/data_array.h"
 #include "array/layout.h"
+#include "common/env.h"
 #include "common/status.h"
 #include "common/statusor.h"
 
@@ -45,23 +46,21 @@ void EncodeElement(double value, DType dtype, char* buf);
 /// Deserialises one element value from `buf`.
 double DecodeElement(const char* buf, DType dtype);
 
-/// Writes `array` to `path` with the given layout.
+/// Writes `array` to `path` with the given layout. The file is committed
+/// atomically (tmp + fsync + rename) through `env` (nullptr selects
+/// Env::Default()), so a crash mid-write leaves the previous file in place.
 Status WriteKdfFile(const std::string& path, const DataArray& array,
                     LayoutKind layout_kind = LayoutKind::kRowMajor,
-                    std::vector<int64_t> chunk_dims = {});
+                    std::vector<int64_t> chunk_dims = {}, Env* env = nullptr);
 
-/// Random-access reader over a KDF file. All reads go through pread-style
-/// positioned reads so they can be interposed by the audit layer.
+/// Random-access reader over a KDF file. All reads are positioned reads
+/// through Env::NewRandomAccessFile, so they can be interposed by the audit
+/// layer and by read-fault tests.
 class KdfReader {
  public:
-  ~KdfReader();
-  KdfReader(const KdfReader&) = delete;
-  KdfReader& operator=(const KdfReader&) = delete;
-  KdfReader(KdfReader&& other) noexcept;
-  KdfReader& operator=(KdfReader&& other) noexcept;
-
-  /// Opens `path` and parses the header.
-  static StatusOr<KdfReader> Open(const std::string& path);
+  /// Opens `path` through `env` (nullptr selects Env::Default()) and parses
+  /// the header.
+  static StatusOr<KdfReader> Open(const std::string& path, Env* env = nullptr);
 
   const KdfHeader& header() const { return header_; }
   const Layout& layout() const { return *layout_; }
@@ -83,13 +82,13 @@ class KdfReader {
   /// Reads the entire array into memory.
   StatusOr<DataArray> ReadAll() const;
 
-  /// Underlying file descriptor (exposed for the audit layer's event ids).
-  int fd() const { return fd_; }
+  /// False once the reader has been moved from.
+  bool is_open() const { return file_ != nullptr; }
 
  private:
-  KdfReader(int fd, KdfHeader header);
+  KdfReader(std::unique_ptr<RandomAccessFile> file, KdfHeader header);
 
-  int fd_ = -1;
+  std::unique_ptr<RandomAccessFile> file_;
   KdfHeader header_;
   std::unique_ptr<Layout> layout_;
 };

@@ -11,9 +11,9 @@ StatusOr<TracedFile> TracedFile::Open(const std::string& path, int64_t pid,
 }
 
 TracedFile::~TracedFile() {
-  // A moved-from TracedFile has a closed reader fd (-1); logging close for
-  // it would be misleading, so guard on the flag only for live instances.
-  if (!closed_ && reader_.fd() >= 0) {
+  // A moved-from TracedFile has a moved-from reader; logging close for it
+  // would be misleading, so guard on the flag only for live instances.
+  if (!closed_ && reader_.is_open()) {
     Close();
   }
 }

@@ -11,7 +11,7 @@
 namespace kondo {
 
 /// Function-interposition shim over a KDF data file: every read issued
-/// through a TracedFile is forwarded to the underlying file descriptor *and*
+/// through a TracedFile is forwarded to the underlying KDF reader *and*
 /// recorded as an `<id, c, l, sz>` event in the attached EventLog — the role
 /// ptrace/Sciunit interposition plays in the paper's prototype.
 ///

@@ -14,7 +14,7 @@
 namespace kondo {
 namespace {
 
-std::string ErrnoMessage() { return std::strerror(errno); }
+std::string ErrnoMessage(int error = errno) { return std::strerror(error); }
 
 /// The parent directory of `path` ("." when the path has no slash).
 std::string DirOf(const std::string& path) {
@@ -116,8 +116,64 @@ class RealWritableFile : public WritableFile {
   std::FILE* file_ = nullptr;
 };
 
+/// A read-only descriptor; Read is pread, so concurrent reads are safe.
+class RealRandomAccessFile : public RandomAccessFile {
+ public:
+  RealRandomAccessFile(int fd, std::string path, int64_t size)
+      : RandomAccessFile(std::move(path), size), fd_(fd) {}
+
+  ~RealRandomAccessFile() override { ::close(fd_); }
+
+  StatusOr<int64_t> Read(int64_t offset, int64_t n,
+                         char* buf) const override {
+    if (offset < 0 || n < 0) {
+      return InvalidArgumentError(
+          StrCat("negative read offset or size: ", path_));
+    }
+    int64_t total = 0;
+    while (total < n) {
+      const ssize_t got = ::pread(fd_, buf + total,
+                                  static_cast<size_t>(n - total),
+                                  static_cast<off_t>(offset + total));
+      if (got < 0) {
+        return InternalError(
+            StrCat("cannot read ", path_, ": ", ErrnoMessage()));
+      }
+      if (got == 0) {
+        break;  // End of file.
+      }
+      total += got;
+    }
+    return total;
+  }
+
+ private:
+  const int fd_;
+};
+
 class RealEnv : public Env {
  public:
+  StatusOr<std::unique_ptr<RandomAccessFile>> NewRandomAccessFile(
+      const std::string& path) override {
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0) {
+      const int error = errno;
+      const std::string message =
+          StrCat("cannot open ", path, ": ", ErrnoMessage(error));
+      return error == ENOENT ? NotFoundError(message)
+                             : InternalError(message);
+    }
+    struct stat st = {};
+    if (::fstat(fd, &st) != 0 || S_ISDIR(st.st_mode)) {
+      const int error = S_ISDIR(st.st_mode) ? EISDIR : errno;
+      ::close(fd);
+      return InternalError(
+          StrCat("cannot open ", path, ": ", ErrnoMessage(error)));
+    }
+    return std::unique_ptr<RandomAccessFile>(
+        std::make_unique<RealRandomAccessFile>(fd, path, st.st_size));
+  }
+
   StatusOr<std::unique_ptr<WritableFile>> NewWritableFile(
       const std::string& path) override {
     std::FILE* file = std::fopen(path.c_str(), "wb");
@@ -179,6 +235,24 @@ class RealEnv : public Env {
 Env* Env::Default() {
   static RealEnv* real = new RealEnv;
   return real;
+}
+
+Status RandomAccessFile::ReadFully(int64_t offset, int64_t n,
+                                   char* buf) const {
+  KONDO_ASSIGN_OR_RETURN(const int64_t got, Read(offset, n, buf));
+  if (got != n) {
+    return DataLossError(StrCat("short read of ", path_, ": ", got, " of ", n,
+                                " bytes at offset ", offset));
+  }
+  return OkStatus();
+}
+
+Status ReadFileToString(const std::string& path, std::string* out, Env* env) {
+  KONDO_ASSIGN_OR_RETURN(
+      const std::unique_ptr<RandomAccessFile> file,
+      (env != nullptr ? env : Env::Default())->NewRandomAccessFile(path));
+  out->resize(static_cast<size_t>(file->Size()));
+  return file->ReadFully(0, file->Size(), out->data());
 }
 
 // ---------------------------------------------------------------------------
@@ -469,6 +543,11 @@ Status FaultInjectingEnv::SyncDirOf(const std::string& path) {
     }
   }
   return base_->SyncDirOf(path);
+}
+
+StatusOr<std::unique_ptr<RandomAccessFile>>
+FaultInjectingEnv::NewRandomAccessFile(const std::string& path) {
+  return base_->NewRandomAccessFile(path);
 }
 
 FileKind FaultInjectingEnv::GetFileKind(const std::string& path) {

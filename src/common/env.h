@@ -53,13 +53,51 @@ class WritableFile {
   std::string path_;
 };
 
-/// Filesystem access points used by the artifact writers. Production code
-/// uses Env::Default() (the real filesystem); tests inject a
-/// FaultInjectingEnv. Read paths intentionally stay on plain stdio — fault
-/// injection targets the write/commit protocol.
+/// A read-only file for positioned reads. Reads carry their own offset, so
+/// one file may serve concurrent readers.
+class RandomAccessFile {
+ public:
+  virtual ~RandomAccessFile() = default;
+
+  RandomAccessFile(const RandomAccessFile&) = delete;
+  RandomAccessFile& operator=(const RandomAccessFile&) = delete;
+
+  /// Reads up to `n` bytes at `offset` into `buf` and returns the count
+  /// read. The count is short only at end of file; an OS error is a Status
+  /// naming the path and the error.
+  virtual StatusOr<int64_t> Read(int64_t offset, int64_t n,
+                                 char* buf) const = 0;
+
+  /// Reads exactly `n` bytes at `offset`: a file that ends first is
+  /// kDataLoss naming the path.
+  Status ReadFully(int64_t offset, int64_t n, char* buf) const;
+
+  /// File size in bytes, taken when the file was opened.
+  int64_t Size() const { return size_; }
+
+  const std::string& path() const { return path_; }
+
+ protected:
+  RandomAccessFile(std::string path, int64_t size)
+      : path_(std::move(path)), size_(size) {}
+
+  std::string path_;
+  int64_t size_ = 0;
+};
+
+/// Filesystem access points: every artifact writer commits through
+/// NewWritableFile/RenameFile and every file reader opens through
+/// NewRandomAccessFile. Production code uses Env::Default() (the real
+/// filesystem); tests inject a FaultInjectingEnv (write and commit faults)
+/// or their own decorator (read faults).
 class Env {
  public:
   virtual ~Env() = default;
+
+  /// Opens `path` for positioned reads. A missing file is kNotFound; a
+  /// directory or any other OS error is an error naming the path.
+  virtual StatusOr<std::unique_ptr<RandomAccessFile>> NewRandomAccessFile(
+      const std::string& path) = 0;
 
   /// Creates (truncates) `path` for writing.
   virtual StatusOr<std::unique_ptr<WritableFile>> NewWritableFile(
@@ -84,6 +122,11 @@ class Env {
   /// The real-filesystem environment (process-wide singleton).
   static Env* Default();
 };
+
+/// Reads the whole of `path` into `out` through `env` (nullptr selects
+/// Env::Default()). A file that shrinks while it is read is kDataLoss.
+Status ReadFileToString(const std::string& path, std::string* out,
+                        Env* env = nullptr);
 
 /// Crash-safe artifact commit: writes to `path + ".tmp"`, and on Commit()
 /// flushes, fsyncs, closes, and renames the tmp file onto `path` (then
@@ -185,6 +228,9 @@ class FaultInjectingEnv : public Env {
  public:
   FaultInjectingEnv(Env* base, const FaultPlan& plan);
 
+  /// Reads are forwarded untouched: the plan targets writes and commits.
+  StatusOr<std::unique_ptr<RandomAccessFile>> NewRandomAccessFile(
+      const std::string& path) override;
   StatusOr<std::unique_ptr<WritableFile>> NewWritableFile(
       const std::string& path) override;
   Status RenameFile(const std::string& from, const std::string& to) override;

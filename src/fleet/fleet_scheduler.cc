@@ -138,7 +138,8 @@ StatusOr<ShardCampaignResult> CommitShardResult(const std::string& output_dir,
       JoinPath(output_dir, ShardStateFileName(result.shard));
   ShardArtifactInfo existing;
   StatusOr<ShardCampaignResult> committed =
-      LoadShardState(state_path, result.shard, plan.file_shapes, &existing);
+      LoadShardState(state_path, result.shard, plan.file_shapes, &existing,
+                     env);
   if (committed.ok()) {
     if (existing.lineage_bytes == info.lineage_bytes &&
         existing.lineage_crc == info.lineage_crc) {

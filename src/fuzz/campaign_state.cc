@@ -2,7 +2,6 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 
 #include "common/logging.h"
@@ -42,11 +41,11 @@ Status SaveCampaignState(const std::string& path, const CampaignState& state,
   return file->Commit();
 }
 
-StatusOr<CampaignState> LoadCampaignState(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    return NotFoundError("cannot open campaign state: " + path);
-  }
+StatusOr<CampaignState> LoadCampaignState(const std::string& path,
+                                          Env* env) {
+  std::string content;
+  KONDO_RETURN_IF_ERROR(ReadFileToString(path, &content, env));
+  std::istringstream in(content);
   std::string line;
   if (!std::getline(in, line)) {
     return DataLossError("empty campaign state: " + path);

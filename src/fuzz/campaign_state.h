@@ -31,8 +31,10 @@ struct CampaignState {
 Status SaveCampaignState(const std::string& path, const CampaignState& state,
                          Env* env = nullptr);
 
-/// Parses a file written by SaveCampaignState.
-StatusOr<CampaignState> LoadCampaignState(const std::string& path);
+/// Parses a file written by SaveCampaignState, read through `env`
+/// (nullptr selects Env::Default()).
+StatusOr<CampaignState> LoadCampaignState(const std::string& path,
+                                          Env* env = nullptr);
 
 /// Builds the persistable state from a finished fuzz run.
 CampaignState MakeCampaignState(const Shape& shape, const FuzzResult& result);

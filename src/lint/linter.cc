@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <ostream>
-#include <sstream>
 
+#include "common/env.h"
 #include "lint/include_graph.h"
 #include "lint/lexer.h"
 
@@ -25,16 +24,6 @@ bool IsCppSource(const fs::path& path) {
 /// `path` relative to `root`, with '/' separators (report format).
 std::string RelativeTo(const fs::path& path, const fs::path& root) {
   return fs::relative(path, root).generic_string();
-}
-
-StatusOr<std::string> ReadFileToString(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return InternalError("cannot read " + path.string());
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return std::move(buffer).str();
 }
 
 bool StartsWith(const std::string& s, const std::string& prefix) {
@@ -59,7 +48,8 @@ StatusOr<LintReport> RunLint(const LintOptions& options) {
   for (const std::string& rel : options.paths) {
     const fs::path at = root / rel;
     if (fs::is_regular_file(at, ec)) {
-      KONDO_ASSIGN_OR_RETURN(std::string source, ReadFileToString(at));
+      std::string source;
+      KONDO_RETURN_IF_ERROR(ReadFileToString(at.string(), &source));
       files[RelativeTo(at, root)] = Lex(source);
       continue;
     }
@@ -75,8 +65,8 @@ StatusOr<LintReport> RunLint(const LintOptions& options) {
       if (!it->is_regular_file() || !IsCppSource(it->path())) {
         continue;
       }
-      KONDO_ASSIGN_OR_RETURN(std::string source,
-                             ReadFileToString(it->path()));
+      std::string source;
+      KONDO_RETURN_IF_ERROR(ReadFileToString(it->path().string(), &source));
       files[RelativeTo(it->path(), root)] = Lex(source);
     }
   }

@@ -1,9 +1,5 @@
 #include "pack/pack_reader.h"
 
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <bit>
 #include <cstring>
@@ -45,31 +41,27 @@ int64_t BitmapRank(const std::string& payload, int64_t local) {
   return rank;
 }
 
-/// Reads `buf->size()` bytes at `offset`; false on error or a short read.
-bool PreadFully(int fd, std::string* buf, int64_t offset) {
-  return ::pread(fd, buf->data(), buf->size(), offset) ==
-         static_cast<ssize_t>(buf->size());
-}
-
 /// Reads and decodes the header, trailer and manifest of the KDP package
-/// open at `fd`.
-StatusOr<KdpManifest> ReadManifest(int fd, int64_t file_bytes) {
+/// open as `file`.
+StatusOr<KdpManifest> ReadManifest(const RandomAccessFile& file) {
+  const int64_t file_bytes = file.Size();
+  if (file_bytes < kKdpTrailerBytes) {
+    return DataLossError("not a KDP package (short file)");
+  }
   // The header is at most kKdpMaxHeaderBytes: read that much (or the whole
   // file) and let the decoder find its end from the rank byte.
   std::string header(
       static_cast<size_t>(std::min(kKdpMaxHeaderBytes, file_bytes)), '\0');
   std::string tail(static_cast<size_t>(kKdpTrailerBytes), '\0');
-  if (file_bytes < kKdpTrailerBytes || !PreadFully(fd, &header, 0) ||
-      !PreadFully(fd, &tail, file_bytes - kKdpTrailerBytes)) {
-    return DataLossError("not a KDP package (short file)");
-  }
+  KONDO_RETURN_IF_ERROR(file.ReadFully(0, header.size(), header.data()));
+  KONDO_RETURN_IF_ERROR(file.ReadFully(file_bytes - kKdpTrailerBytes,
+                                       kKdpTrailerBytes, tail.data()));
   KONDO_ASSIGN_OR_RETURN(const KdpTrailer trailer,
                          DecodeKdpTrailer(tail, file_bytes));
   std::string table(
       static_cast<size_t>(trailer.num_chunks * kKdpManifestEntryBytes), '\0');
-  if (!PreadFully(fd, &table, trailer.manifest_offset)) {
-    return DataLossError("KDP manifest: short read");
-  }
+  KONDO_RETURN_IF_ERROR(
+      file.ReadFully(trailer.manifest_offset, table.size(), table.data()));
   return DecodeKdpManifest(header, table, trailer);
 }
 
@@ -77,23 +69,16 @@ StatusOr<KdpManifest> ReadManifest(int fd, int64_t file_bytes) {
 
 StatusOr<std::unique_ptr<PackReader>> PackReader::Open(
     const std::string& path, const PackReadOptions& options) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    return NotFoundError("cannot open KDP package: " + path);
-  }
-  struct stat st;
-  StatusOr<KdpManifest> manifest = NotFoundError("cannot stat KDP package");
-  if (::fstat(fd, &st) == 0) {
-    manifest = ReadManifest(fd, static_cast<int64_t>(st.st_size));
-  }
+  Env* env = options.env != nullptr ? options.env : Env::Default();
+  KONDO_ASSIGN_OR_RETURN(std::unique_ptr<RandomAccessFile> file,
+                         env->NewRandomAccessFile(path));
+  StatusOr<KdpManifest> manifest = ReadManifest(*file);
   if (!manifest.ok()) {
-    ::close(fd);
     return Status(manifest.status().code(),
                   StrCat(manifest.status().message(), ": ", path));
   }
   std::unique_ptr<PackReader> reader(
-      new PackReader(fd, path, *std::move(manifest), options));
-  reader->file_bytes_ = static_cast<int64_t>(st.st_size);
+      new PackReader(std::move(file), *std::move(manifest), options));
 
   // Per-chunk geometry check the manifest decoder cannot do (it has no
   // grid element counts): decoded bytes must be bitmap + whole elements,
@@ -117,34 +102,12 @@ StatusOr<std::unique_ptr<PackReader>> PackReader::Open(
   return reader;
 }
 
-PackReader::PackReader(int fd, std::string path, KdpManifest manifest,
-                       PackReadOptions options)
-    : fd_(fd),
-      path_(std::move(path)),
+PackReader::PackReader(std::unique_ptr<RandomAccessFile> file,
+                       KdpManifest manifest, PackReadOptions options)
+    : file_(std::move(file)),
       manifest_(std::move(manifest)),
       grid_(manifest_.MakeGrid()),
       options_(options) {}
-
-PackReader::~PackReader() {
-  ::close(fd_);
-}
-
-Status PackReader::ReadRaw(int64_t offset, int64_t size, char* buf) const {
-  int64_t total = 0;
-  while (total < size) {
-    const ssize_t n = ::pread(fd_, buf + total,
-                              static_cast<size_t>(size - total),
-                              offset + total);
-    if (n < 0) {
-      return InternalError("pread failed: " + path_);
-    }
-    if (n == 0) {
-      return DataLossError("KDP package: read past EOF: " + path_);
-    }
-    total += n;
-  }
-  return OkStatus();
-}
 
 StatusOr<std::string> PackReader::DecodeChunkUncached(int64_t chunk) const {
   const KdpChunkInfo& info = manifest_.chunks[static_cast<size_t>(chunk)];
@@ -153,8 +116,8 @@ StatusOr<std::string> PackReader::DecodeChunkUncached(int64_t chunk) const {
     return std::string(static_cast<size_t>(KdpBitmapBytes(elements)), '\0');
   }
   std::string encoded(static_cast<size_t>(info.encoded_bytes), '\0');
-  KONDO_RETURN_IF_ERROR(ReadRaw(manifest_.HeaderBytes() + info.offset,
-                                info.encoded_bytes, encoded.data()));
+  KONDO_RETURN_IF_ERROR(file_->ReadFully(manifest_.HeaderBytes() + info.offset,
+                                        info.encoded_bytes, encoded.data()));
   StatusOr<std::string> decoded = DecodeChunkPayload(
       info.codec, manifest_.dtype, elements, info.decoded_bytes, encoded);
   if (!decoded.ok()) {
@@ -315,8 +278,8 @@ StatusOr<std::string> PackReader::ReadEncodedChunk(int64_t chunk) const {
     return std::string();
   }
   std::string encoded(static_cast<size_t>(info.encoded_bytes), '\0');
-  KONDO_RETURN_IF_ERROR(ReadRaw(manifest_.HeaderBytes() + info.offset,
-                                info.encoded_bytes, encoded.data()));
+  KONDO_RETURN_IF_ERROR(file_->ReadFully(manifest_.HeaderBytes() + info.offset,
+                                        info.encoded_bytes, encoded.data()));
   return encoded;
 }
 

@@ -10,6 +10,7 @@
 
 #include "array/debloated_array.h"
 #include "array/index.h"
+#include "common/env.h"
 #include "common/statusor.h"
 #include "common/thread_annotations.h"
 #include "exec/thread_pool.h"
@@ -23,6 +24,9 @@ struct PackReadOptions {
   /// chunk larger than the cap is still served, it just never stays
   /// resident.
   int64_t cache_bytes = 8 << 20;
+
+  /// Filesystem access for reads; nullptr selects Env::Default().
+  Env* env = nullptr;
 };
 
 /// Decoded-chunk cache counters (monotonic over the reader's lifetime).
@@ -38,19 +42,15 @@ struct PackReaderStats {
 /// byte-capacity LRU cache; Unpack() reconstructs the full DebloatedArray,
 /// fanning chunk decodes out over a shared ThreadPool.
 ///
-/// Thread-safe: reads go through pread-style positioned IO and the cache is
-/// internally locked, so one PackReader may serve concurrent sessions (the
-/// ArtifactPool pools open readers per artifact).
+/// Thread-safe: reads are positioned reads of one RandomAccessFile and the
+/// cache is internally locked, so one PackReader may serve concurrent
+/// sessions (the ArtifactPool pools open readers per artifact).
 class PackReader {
  public:
   /// Opens `path`, parses trailer + manifest, and validates both (magic,
   /// CRC, chunk-table bounds). kDataLoss on any structural damage.
   static StatusOr<std::unique_ptr<PackReader>> Open(
       const std::string& path, const PackReadOptions& options = {});
-
-  ~PackReader();
-  PackReader(const PackReader&) = delete;
-  PackReader& operator=(const PackReader&) = delete;
 
   const KdpManifest& manifest() const { return manifest_; }
   const KdpChunkGrid& grid() const { return grid_; }
@@ -62,7 +62,7 @@ class PackReader {
   uint32_t pack_fingerprint() const { return manifest_.file_crc; }
 
   /// Total package size in bytes.
-  int64_t FileBytes() const { return file_bytes_; }
+  int64_t FileBytes() const { return file_->Size(); }
 
   /// Retained elements across all chunks (popcount of the chunk bitmaps,
   /// computed once at Open).
@@ -95,15 +95,12 @@ class PackReader {
   PackReaderStats stats() const;
 
  private:
-  PackReader(int fd, std::string path, KdpManifest manifest,
+  PackReader(std::unique_ptr<RandomAccessFile> file, KdpManifest manifest,
              PackReadOptions options);
 
-  /// Positioned read of exactly [offset, offset+size); kDataLoss on EOF.
-  Status ReadRaw(int64_t offset, int64_t size, char* buf) const;
-
   /// Decodes chunk `chunk` (no cache, no lock), verifying the manifest CRC
-  /// over the decoded bytes; the error names the chunk. Charges the
-  /// fetch-sleep. Holes decode to an all-zero bitmap.
+  /// over the decoded bytes; the error names the chunk. Holes decode to an
+  /// all-zero bitmap.
   StatusOr<std::string> DecodeChunkUncached(int64_t chunk) const;
 
   /// Cache-through decode of chunk `chunk`.
@@ -114,12 +111,10 @@ class PackReader {
     std::list<int64_t>::iterator lru_pos;
   };
 
-  const int fd_;
-  const std::string path_;
+  const std::unique_ptr<RandomAccessFile> file_;
   const KdpManifest manifest_;
   const KdpChunkGrid grid_;
   const PackReadOptions options_;
-  int64_t file_bytes_ = 0;
   int64_t retained_count_ = 0;
 
   mutable Mutex mu_;

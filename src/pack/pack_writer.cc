@@ -191,8 +191,10 @@ StatusOr<PackStats> RepackKdpFile(const std::string& in_path,
                                   const std::string& out_path,
                                   const DebloatedArray& updated,
                                   const PackOptions& options) {
+  PackReadOptions read_options;
+  read_options.env = options.env;
   KONDO_ASSIGN_OR_RETURN(std::unique_ptr<PackReader> reader,
-                         PackReader::Open(in_path));
+                         PackReader::Open(in_path, read_options));
   const KdpManifest& old = reader->manifest();
   if (!(old.shape == updated.shape())) {
     return FailedPreconditionError(

@@ -28,10 +28,11 @@ struct PackOptions {
   int jobs = 1;
   ThreadPool* pool = nullptr;
 
-  /// Filesystem access for the commit protocol; nullptr selects
-  /// Env::Default(). Tests inject a FaultInjectingEnv: the package commits
-  /// through AtomicFile, so a crash at any mutating op leaves either no
-  /// `.kdp` or the previous/new complete one.
+  /// Filesystem access for the commit protocol (and for the package a
+  /// repack reads); nullptr selects Env::Default(). Tests inject a
+  /// FaultInjectingEnv: the package commits through AtomicFile, so a crash
+  /// at any mutating op leaves either no `.kdp` or the previous/new
+  /// complete one.
   Env* env = nullptr;
 };
 

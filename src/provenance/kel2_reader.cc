@@ -100,26 +100,25 @@ StatusOr<std::vector<Event>> DecodeKel2Payload(const char* payload,
   return events;
 }
 
-StatusOr<Kel2Reader> Kel2Reader::Open(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
-    return NotFoundError("cannot open KEL2 store: " + path);
-  }
+StatusOr<Kel2Reader> Kel2Reader::Open(const std::string& path, Env* env) {
+  KONDO_ASSIGN_OR_RETURN(
+      std::unique_ptr<RandomAccessFile> file,
+      (env != nullptr ? env : Env::Default())->NewRandomAccessFile(path));
   char header[kKel2HeaderBytes];
-  if (std::fread(header, 1, kKel2HeaderBytes, file) != kKel2HeaderBytes ||
-      std::memcmp(header, kKel2Magic, 4) != 0) {
-    std::fclose(file);
+  KONDO_ASSIGN_OR_RETURN(const int64_t got,
+                         file->Read(0, kKel2HeaderBytes, header));
+  if (got != kKel2HeaderBytes || std::memcmp(header, kKel2Magic, 4) != 0) {
     return DataLossError("not a KEL2 event store: " + path);
   }
 
-  Kel2Reader reader(file, path);  // Closes `file` on every error below.
+  Kel2Reader reader(std::move(file));
+  const RandomAccessFile& in = *reader.file_;
   char descriptor[kKel2DescriptorBytes];
   int64_t pos = kKel2HeaderBytes;
-  while (true) {
-    const size_t n = std::fread(descriptor, 1, kKel2DescriptorBytes, file);
-    if (n < kKel2DescriptorBytes) {
-      break;  // Clean EOF or torn trailing descriptor: drop.
-    }
+  // A torn trailing descriptor or payload ends short of the file size and
+  // is dropped; a read that fails inside the file is an error.
+  while (pos + static_cast<int64_t>(kKel2DescriptorBytes) <= in.Size()) {
+    KONDO_RETURN_IF_ERROR(in.ReadFully(pos, kKel2DescriptorBytes, descriptor));
     Kel2BlockInfo info;
     KONDO_RETURN_IF_ERROR(ParseDescriptor(
         std::string_view(descriptor, kKel2DescriptorBytes), &info));
@@ -138,12 +137,8 @@ StatusOr<Kel2Reader> Kel2Reader::Open(const std::string& path) {
                                   path));
     }
     info.payload_pos = pos + static_cast<int64_t>(kKel2DescriptorBytes);
-    // A torn write can leave the descriptor intact but the payload short:
-    // probe the payload end before accepting the block.
-    if (std::fseek(file, info.payload_pos +
-                             static_cast<int64_t>(info.payload_bytes) - 1,
-                   SEEK_SET) != 0 ||
-        std::fgetc(file) == EOF) {
+    if (info.payload_pos + static_cast<int64_t>(info.payload_bytes) >
+        in.Size()) {
       break;  // Torn trailing payload: drop the block.
     }
     reader.blocks_.push_back(info);
@@ -155,53 +150,19 @@ StatusOr<Kel2Reader> Kel2Reader::Open(const std::string& path) {
   return reader;
 }
 
-Kel2Reader::Kel2Reader(Kel2Reader&& other) noexcept
-    : file_(other.file_),
-      path_(std::move(other.path_)),
-      blocks_(std::move(other.blocks_)),
-      num_events_(other.num_events_),
-      block_bytes_(other.block_bytes_) {
-  other.file_ = nullptr;
-}
-
-Kel2Reader& Kel2Reader::operator=(Kel2Reader&& other) noexcept {
-  if (this != &other) {
-    if (file_ != nullptr) {
-      std::fclose(file_);
-    }
-    file_ = other.file_;
-    path_ = std::move(other.path_);
-    blocks_ = std::move(other.blocks_);
-    num_events_ = other.num_events_;
-    block_bytes_ = other.block_bytes_;
-    other.file_ = nullptr;
-  }
-  return *this;
-}
-
-Kel2Reader::~Kel2Reader() {
-  if (file_ != nullptr) {
-    std::fclose(file_);
-  }
-}
-
 StatusOr<std::vector<Event>> Kel2Reader::DecodeBlock(size_t index) const {
   if (index >= blocks_.size()) {
     return OutOfRangeError(StrCat("block ", index, " of ", blocks_.size()));
   }
   const Kel2BlockInfo& info = blocks_[index];
   std::string payload(info.payload_bytes, '\0');
-  if (std::fseek(file_, info.payload_pos, SEEK_SET) != 0 ||
-      std::fread(payload.data(), 1, payload.size(), file_) !=
-          payload.size()) {
-    return DataLossError(StrCat("cannot read KEL2 block ", index, " of ",
-                                path_));
-  }
+  KONDO_RETURN_IF_ERROR(
+      file_->ReadFully(info.payload_pos, payload.size(), payload.data()));
   const uint32_t crc = Crc32(payload.data(), payload.size());
   if (crc != info.crc32) {
     return DataLossError(StrCat("KEL2 block ", index,
                                 " checksum mismatch (stored ", info.crc32,
-                                ", computed ", crc, "): ", path_));
+                                ", computed ", crc, "): ", path()));
   }
   return DecodeKel2Payload(payload.data(), payload.size(),
                            info.event_count);
@@ -217,8 +178,9 @@ StatusOr<std::vector<Event>> Kel2Reader::ReadAll() const {
   return events;
 }
 
-StatusOr<std::vector<Event>> ReadLineageStore(const std::string& path) {
-  KONDO_ASSIGN_OR_RETURN(Kel2Reader reader, Kel2Reader::Open(path));
+StatusOr<std::vector<Event>> ReadLineageStore(const std::string& path,
+                                              Env* env) {
+  KONDO_ASSIGN_OR_RETURN(Kel2Reader reader, Kel2Reader::Open(path, env));
   return reader.ReadAll();
 }
 

@@ -2,11 +2,12 @@
 #define KONDO_PROVENANCE_KEL2_READER_H_
 
 #include <cstdint>
-#include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "audit/event.h"
+#include "common/env.h"
 #include "common/status.h"
 #include "common/statusor.h"
 #include "provenance/kel2_format.h"
@@ -20,19 +21,18 @@ namespace kondo {
 /// blocks that cannot match.
 ///
 /// Crash semantics: a truncated trailing descriptor or payload (torn
-/// write) is silently dropped at Open. A structurally complete block whose
-/// payload fails its CRC is reported as `kDataLoss` by DecodeBlock/ReadAll
-/// — corruption is detected, never silently mis-decoded. Descriptors sit
-/// outside the CRC, so Open rejects (kDataLoss) any descriptor whose
-/// payload size or event count is implausible rather than letting it size
-/// an allocation.
+/// write, judged against the file size) is silently dropped at Open; a
+/// read error is returned, never taken for a torn tail. A structurally
+/// complete block whose payload fails its CRC is reported as `kDataLoss`
+/// by DecodeBlock/ReadAll — corruption is detected, never silently
+/// mis-decoded. Descriptors sit outside the CRC, so Open rejects
+/// (kDataLoss) any descriptor whose payload size or event count is
+/// implausible rather than letting it size an allocation.
 class Kel2Reader {
  public:
-  static StatusOr<Kel2Reader> Open(const std::string& path);
-
-  Kel2Reader(Kel2Reader&& other) noexcept;
-  Kel2Reader& operator=(Kel2Reader&& other) noexcept;
-  ~Kel2Reader();
+  /// Opens `path` through `env` (nullptr selects Env::Default()).
+  static StatusOr<Kel2Reader> Open(const std::string& path,
+                                   Env* env = nullptr);
 
   /// Block descriptors in file order (the torn tail, if any, excluded).
   const std::vector<Kel2BlockInfo>& blocks() const { return blocks_; }
@@ -52,14 +52,13 @@ class Kel2Reader {
   /// Decodes every block in order.
   StatusOr<std::vector<Event>> ReadAll() const;
 
-  const std::string& path() const { return path_; }
+  const std::string& path() const { return file_->path(); }
 
  private:
-  Kel2Reader(std::FILE* file, std::string path)
-      : file_(file), path_(std::move(path)) {}
+  explicit Kel2Reader(std::unique_ptr<RandomAccessFile> file)
+      : file_(std::move(file)) {}
 
-  std::FILE* file_ = nullptr;
-  std::string path_;
+  std::unique_ptr<RandomAccessFile> file_;
   std::vector<Kel2BlockInfo> blocks_;
   int64_t num_events_ = 0;
   int64_t block_bytes_ = 0;
@@ -73,8 +72,10 @@ StatusOr<std::vector<Event>> DecodeKel2Payload(const char* payload,
                                                size_t size,
                                                uint32_t event_count);
 
-/// Opens the KEL2 store at `path` and decodes every event in order.
-StatusOr<std::vector<Event>> ReadLineageStore(const std::string& path);
+/// Opens the KEL2 store at `path` through `env` (nullptr selects
+/// Env::Default()) and decodes every event in order.
+StatusOr<std::vector<Event>> ReadLineageStore(const std::string& path,
+                                              Env* env = nullptr);
 
 }  // namespace kondo
 

@@ -1,6 +1,5 @@
 #include "provenance/persist.h"
 
-#include <cstdio>
 #include <memory>
 #include <utility>
 
@@ -49,7 +48,7 @@ StatusOr<CompactStats> CompactLineageStore(const std::string& input_path,
                                            const std::string& output_path,
                                            Kel2WriterOptions options) {
   KONDO_ASSIGN_OR_RETURN(std::vector<Event> events,
-                         ReadLineageStore(input_path));
+                         ReadLineageStore(input_path, options.env));
   KONDO_ASSIGN_OR_RETURN(Kel2Writer writer,
                          Kel2Writer::Create(output_path, options));
   for (const Event& event : events) {
@@ -66,17 +65,9 @@ StatusOr<CompactStats> CompactLineageStore(const std::string& input_path,
 }
 
 StatusOr<int64_t> FileSizeBytes(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
-    return NotFoundError("cannot open: " + path);
-  }
-  std::fseek(file, 0, SEEK_END);
-  const int64_t size = std::ftell(file);
-  std::fclose(file);
-  if (size < 0) {
-    return InternalError("cannot size: " + path);
-  }
-  return size;
+  KONDO_ASSIGN_OR_RETURN(const std::unique_ptr<RandomAccessFile> file,
+                         Env::Default()->NewRandomAccessFile(path));
+  return file->Size();
 }
 
 }  // namespace kondo

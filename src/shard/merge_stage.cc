@@ -108,7 +108,7 @@ Status MergeShardLineageStores(const std::vector<std::string>& shard_paths,
   std::map<int64_t, std::map<int64_t, IntervalSet::Builder>> runs;
   for (const std::string& path : shard_paths) {
     KONDO_ASSIGN_OR_RETURN(std::vector<Event> events,
-                           ReadLineageStore(path));
+                           ReadLineageStore(path, options.env));
     for (const Event& event : events) {
       if (!event.IsDataAccess()) {
         continue;

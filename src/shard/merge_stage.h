@@ -48,6 +48,7 @@ StatusOr<MergedCampaign> MergeShardCampaigns(
 /// Decodes every per-shard KEL2 store, regroups events into per-run
 /// (pid ascending), per-file (file_id ascending) coalesced byte ranges,
 /// and re-encodes them through one CampaignLineageSink at `merged_path`.
+/// Both the reads and the commit go through `options.env`.
 /// Because the canonical encoding is a pure function of the merged ranges
 /// — and re-coalescing joins ranges that a chunk-range slice boundary had
 /// split — the merged store's bytes are identical for every shard count.

@@ -1,7 +1,6 @@
 #include "shard/shard_campaign.h"
 
 #include <cstdio>
-#include <fstream>
 #include <memory>
 #include <sstream>
 #include <utility>
@@ -115,9 +114,10 @@ StatusOr<ShardCampaignResult> RunShardCampaign(
   return result;
 }
 
-StatusOr<ShardArtifactInfo> HashFileArtifact(const std::string& path) {
+StatusOr<ShardArtifactInfo> HashFileArtifact(const std::string& path,
+                                             Env* env) {
   std::string content;
-  KONDO_RETURN_IF_ERROR(ReadFileToString(path, &content));
+  KONDO_RETURN_IF_ERROR(ReadFileToString(path, &content, env));
   ShardArtifactInfo info;
   info.lineage_bytes = static_cast<int64_t>(content.size());
   info.lineage_crc = Crc32(content.data(), content.size());
@@ -140,7 +140,7 @@ StatusOr<SealedShard> RunSealedShard(const MultiFileProgram& program,
                          RunShardCampaign(program, plan, shard, config,
                                           executor, sink.persister()));
   KONDO_RETURN_IF_ERROR(sink.Close());
-  KONDO_RETURN_IF_ERROR(ReadFileToString(lineage_path, &sealed.kel2));
+  KONDO_RETURN_IF_ERROR(ReadFileToString(lineage_path, &sealed.kel2, env));
   sealed.info.lineage_bytes = static_cast<int64_t>(sealed.kel2.size());
   sealed.info.lineage_crc = Crc32(sealed.kel2.data(), sealed.kel2.size());
   return sealed;
@@ -206,12 +206,10 @@ Status SaveShardState(const std::string& path, int shard,
 
 StatusOr<ShardCampaignResult> LoadShardState(
     const std::string& path, int shard,
-    const std::vector<Shape>& file_shapes, ShardArtifactInfo* info_out) {
+    const std::vector<Shape>& file_shapes, ShardArtifactInfo* info_out,
+    Env* env) {
   std::string content;
-  const Status read = ReadFileToString(path, &content);
-  if (!read.ok()) {
-    return Status(read.code(), "cannot open shard state: " + path);
-  }
+  KONDO_RETURN_IF_ERROR(ReadFileToString(path, &content, env));
   return DecodeShardState(std::move(content), path, shard, file_shapes,
                           info_out);
 }

@@ -65,9 +65,10 @@ struct ShardArtifactInfo {
   uint32_t lineage_crc = 0;
 };
 
-/// Reads `path` fully and returns its byte count + CRC32 (kNotFound when
-/// missing).
-StatusOr<ShardArtifactInfo> HashFileArtifact(const std::string& path);
+/// Reads `path` fully through `env` (nullptr = real filesystem) and
+/// returns its byte count + CRC32 (kNotFound when missing).
+StatusOr<ShardArtifactInfo> HashFileArtifact(const std::string& path,
+                                             Env* env = nullptr);
 
 /// One shard campaign sealed into its KEL2 lineage store.
 struct SealedShard {
@@ -101,15 +102,15 @@ StatusOr<SealedShard> RunSealedShard(const MultiFileProgram& program,
 ///   A <bytes> <crc32>        sealed lineage-store fingerprint (optional)
 ///   C <crc32>                checksum over every preceding byte
 ///
-/// The state is committed atomically (tmp + fsync + rename) through `env`
-/// and the checksum trailer is verified on load.
+/// The state is committed atomically (tmp + fsync + rename) through `env`,
+/// read back through `env`, and the checksum trailer is verified on load.
 Status SaveShardState(const std::string& path, int shard,
                       const ShardCampaignResult& result,
                       const ShardArtifactInfo& info = {}, Env* env = nullptr);
 StatusOr<ShardCampaignResult> LoadShardState(
     const std::string& path, int shard,
     const std::vector<Shape>& file_shapes,
-    ShardArtifactInfo* info_out = nullptr);
+    ShardArtifactInfo* info_out = nullptr, Env* env = nullptr);
 
 /// The codec under Save/LoadShardState, exposed so fleet workers can
 /// stream KSS bytes over the wire and the coordinator can verify them

@@ -1,7 +1,6 @@
 #include "shard/shard_manifest.h"
 
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 
 #include "common/strings.h"
@@ -45,18 +44,6 @@ Status StripChecksumTrailer(const std::string& path, std::string* content) {
                                 ", computed ", actual, "): ", path));
   }
   content->resize(body_end);
-  return OkStatus();
-}
-
-/// Reads `path` fully (binary) into `out`.
-Status ReadFileToString(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return NotFoundError("cannot open: " + path);
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  *out = buffer.str();
   return OkStatus();
 }
 
@@ -135,12 +122,10 @@ Status SaveShardManifest(const std::string& path,
   return file->Commit();
 }
 
-StatusOr<ShardManifest> LoadShardManifest(const std::string& path) {
+StatusOr<ShardManifest> LoadShardManifest(const std::string& path,
+                                          Env* env) {
   std::string content;
-  const Status read = ReadFileToString(path, &content);
-  if (!read.ok()) {
-    return Status(read.code(), "cannot open shard manifest: " + path);
-  }
+  KONDO_RETURN_IF_ERROR(ReadFileToString(path, &content, env));
   {
     const Status verified = StripChecksumTrailer(path, &content);
     if (!verified.ok()) {

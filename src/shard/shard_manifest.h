@@ -68,9 +68,10 @@ ShardManifest MakeShardManifest(const ShardPlan& plan, uint64_t rng_seed);
 Status SaveShardManifest(const std::string& path,
                          const ShardManifest& manifest, Env* env = nullptr);
 
-/// Loads and CRC-verifies a manifest; a missing or mismatching checksum
-/// trailer is kDataLoss.
-StatusOr<ShardManifest> LoadShardManifest(const std::string& path);
+/// Loads (through `env`, nullptr = real filesystem) and CRC-verifies a
+/// manifest; a missing or mismatching checksum trailer is kDataLoss.
+StatusOr<ShardManifest> LoadShardManifest(const std::string& path,
+                                          Env* env = nullptr);
 
 /// Verifies a loaded manifest describes exactly `plan` under `rng_seed` —
 /// the guard that keeps a resumed invocation from silently merging shards
@@ -82,10 +83,9 @@ Status CheckManifestMatchesPlan(const ShardManifest& manifest,
 /// AppendChecksumTrailer appends a `C <crc32>` line covering every byte
 /// already in `body`; StripChecksumTrailer verifies and removes it
 /// (kDataLoss when missing or mismatching, `path` names the artefact in
-/// the message). ReadFileToString reads `path` fully in binary mode.
+/// the message).
 void AppendChecksumTrailer(std::string* body);
 Status StripChecksumTrailer(const std::string& path, std::string* content);
-Status ReadFileToString(const std::string& path, std::string* out);
 
 }  // namespace kondo
 

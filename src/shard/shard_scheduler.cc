@@ -24,11 +24,12 @@ StatusOr<ShardCampaignResult> LoadVerifiedShard(
   KONDO_ASSIGN_OR_RETURN(
       ShardCampaignResult loaded,
       LoadShardState(campaign.PathOf(ShardStateFileName(s)), s,
-                     campaign.plan.file_shapes, &expected));
+                     campaign.plan.file_shapes, &expected, campaign.env));
   if (expected.lineage_bytes >= 0) {
     KONDO_ASSIGN_OR_RETURN(
         ShardArtifactInfo actual,
-        HashFileArtifact(campaign.PathOf(ShardLineageFileName(s))));
+        HashFileArtifact(campaign.PathOf(ShardLineageFileName(s)),
+                         campaign.env));
     if (actual.lineage_bytes != expected.lineage_bytes ||
         actual.lineage_crc != expected.lineage_crc) {
       return DataLossError(
@@ -78,7 +79,8 @@ StatusOr<CampaignDirectory> CampaignDirectory::Open(
     if (c.env->GetFileKind(manifest_path) == FileKind::kMissing) {
       KONDO_RETURN_IF_ERROR(c.SaveManifest());
     } else {
-      KONDO_ASSIGN_OR_RETURN(c.manifest, LoadShardManifest(manifest_path));
+      KONDO_ASSIGN_OR_RETURN(c.manifest,
+                             LoadShardManifest(manifest_path, c.env));
       KONDO_RETURN_IF_ERROR(
           CheckManifestMatchesPlan(c.manifest, c.plan, rng_seed));
     }

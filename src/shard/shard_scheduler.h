@@ -76,7 +76,7 @@ struct CampaignDirectory {
   std::vector<int> pending;
 
   /// Plans `shards` shards over `program`'s files (steered by `weights`),
-  /// creates `dir`, and loads its manifest — creating it through `env`
+  /// creates `dir`, and loads its manifest through `env` — creating it
   /// when missing, rejecting one that describes another plan or seed.
   /// Every shard the manifest calls fuzzed is re-verified (KSS checksum
   /// plus the KEL2 fingerprint recorded in it) and loaded; a damaged one
