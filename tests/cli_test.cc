@@ -287,10 +287,13 @@ void WriteKel2Fixture(const std::string& path,
 }
 
 /// Three positioned reads of file 1 by two runs.
-void WriteKel2Fixture(const std::string& path) {
-  WriteKel2Fixture(path, {Pread(1, 1, 0, 100),     // [0,100)
-                          Pread(2, 1, 250, 100),   // [250,350)
-                          Pread(1, 1, 40, 20)});  // [40,60)
+void WriteKel2Fixture(const std::string& path,
+                      int64_t events_per_block = 512) {
+  WriteKel2Fixture(path,
+                   {Pread(1, 1, 0, 100),    // [0,100)
+                    Pread(2, 1, 250, 100),  // [250,350)
+                    Pread(1, 1, 40, 20)},   // [40,60)
+                   events_per_block);
 }
 
 TEST(CliTest, GlobalUsageListsProvenance) {
@@ -449,6 +452,18 @@ TEST(CliTest, ProvenanceCompactQueryStatsFlow) {
       << stats.output;
   EXPECT_NE(stats.output.find("run 1: 100 distinct bytes"),
             std::string::npos);
+}
+
+TEST(CliTest, ProvenanceStatsSaysLargerWhenBlocksCostMoreThanRecords) {
+  // One event per block pays a 64-byte descriptor per event, more than a
+  // 40-byte fixed-width record: the density line must say "larger".
+  const std::string kel2 = TempPath("cli_prov_block1.kel2");
+  WriteKel2Fixture(kel2, /*events_per_block=*/1);
+  const CommandResult stats = RunCli("provenance stats " + kel2);
+  EXPECT_EQ(stats.exit_code, 0) << stats.output;
+  EXPECT_NE(stats.output.find("x larger than 40-byte fixed-width records"),
+            std::string::npos)
+      << stats.output;
 }
 
 TEST(CliTest, ProvenanceStatsListsSparseFileIds) {
