@@ -2,16 +2,19 @@
 // deterministic fault schedules (FaultInjectingEnv), crash-safe artifact
 // writers (event store, KEL2, KSM/KSS), resume of a sharded campaign after
 // a simulated crash at *every* injection point, detection and re-run of
-// corrupted shard artifacts, deterministic retry/quarantine of failing
-// debloat tests, and the retrying/degraded-mode fetching runtime.
+// corrupted shard artifacts, a read-fault sweep (EIO, short reads, bit
+// flips) over every reader entry point, deterministic retry/quarantine of
+// failing debloat tests, and the retrying/degraded-mode fetching runtime.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -23,12 +26,15 @@
 #include "array/data_array.h"
 #include "array/kdf_file.h"
 #include "common/env.h"
+#include "common/logging.h"
 #include "core/debloat_test.h"
 #include "core/runtime.h"
+#include "fuzz/campaign_state.h"
 #include "fuzz/fuzz_schedule.h"
 #include "pack_fixture.h"
 #include "provenance/kel2_reader.h"
 #include "provenance/kel2_writer.h"
+#include "provenance/provenance_query.h"
 #include "shard/shard_campaign.h"
 #include "shard/shard_manifest.h"
 #include "shard/shard_scheduler.h"
@@ -510,6 +516,326 @@ TEST(CrashSweepTest, CrashWritingTheFirstManifestLeavesNoneAndResumes) {
   ASSERT_TRUE(resumed->complete);
   EXPECT_EQ(ReadFileBytes(resumed->merged_lineage_path),
             ReadFileBytes(reference->merged_lineage_path));
+}
+
+// ------------------------------------------------------- read-fault sweep --
+
+/// One injected read fault: EIO or a short count at the `read`-th Read
+/// call (counted over every file the env opened), or the low bit of byte
+/// `byte` of the file named `file` flipped in every read that covers it.
+struct ReadFault {
+  enum class Kind { kNone, kEio, kShortRead, kBitFlip };
+  Kind kind = Kind::kNone;
+  int64_t read = -1;
+  std::string file;
+  int64_t byte = -1;
+
+  std::string ToString() const {
+    switch (kind) {
+      case Kind::kEio:
+        return "EIO at read " + std::to_string(read);
+      case Kind::kShortRead:
+        return "short read at read " + std::to_string(read);
+      case Kind::kBitFlip:
+        return "bit flip at byte " + std::to_string(byte) + " of " + file;
+      case Kind::kNone:
+        break;
+    }
+    return "no fault";
+  }
+};
+
+/// An Env over Env::Default() whose files deliver one ReadFault. It is a
+/// fault-free FaultInjectingEnv (which forwards every other operation
+/// untouched) with its own reads.
+class ReadFaultEnv : public FaultInjectingEnv {
+ public:
+  explicit ReadFaultEnv(ReadFault fault)
+      : FaultInjectingEnv(Env::Default(), FaultPlan{}),
+        fault_(std::move(fault)) {}
+
+  StatusOr<std::unique_ptr<RandomAccessFile>> NewRandomAccessFile(
+      const std::string& path) override {
+    KONDO_ASSIGN_OR_RETURN(std::unique_ptr<RandomAccessFile> file,
+                           FaultInjectingEnv::NewRandomAccessFile(path));
+    return std::unique_ptr<RandomAccessFile>(
+        std::make_unique<FaultyFile>(this, std::move(file)));
+  }
+
+  /// Read calls issued so far (a clean run's count bounds the sweep).
+  int64_t reads() const { return reads_.load(); }
+
+ private:
+  class FaultyFile : public RandomAccessFile {
+   public:
+    FaultyFile(ReadFaultEnv* env, std::unique_ptr<RandomAccessFile> base)
+        : RandomAccessFile(base->path(), base->Size()),
+          env_(env),
+          base_(std::move(base)) {}
+
+    StatusOr<int64_t> Read(int64_t offset, int64_t n,
+                           char* buf) const override {
+      const ReadFault& fault = env_->fault_;
+      const int64_t read = env_->reads_.fetch_add(1);
+      if (fault.kind == ReadFault::Kind::kEio && read == fault.read) {
+        return InternalError("injected EIO: cannot read " + path_ +
+                             ": Input/output error");
+      }
+      KONDO_ASSIGN_OR_RETURN(const int64_t got, base_->Read(offset, n, buf));
+      if (fault.kind == ReadFault::Kind::kShortRead && read == fault.read) {
+        return got / 2;
+      }
+      if (fault.kind == ReadFault::Kind::kBitFlip &&
+          std::filesystem::path(path_).filename() == fault.file &&
+          offset <= fault.byte && fault.byte < offset + got) {
+        buf[fault.byte - offset] ^= 0x01;
+      }
+      return got;
+    }
+
+   private:
+    ReadFaultEnv* const env_;
+    const std::unique_ptr<RandomAccessFile> base_;
+  };
+
+  const ReadFault fault_;
+  std::atomic<int64_t> reads_{0};
+};
+
+/// A read-side entry point run through `env`. Two runs agree exactly when
+/// their answers are equal strings.
+using ReadEntryPoint = std::function<StatusOr<std::string>(Env* env)>;
+
+/// Bytes [begin, end) of the file named `file`: where a bit flip may land.
+struct FlipRange {
+  std::string file;
+  int64_t begin = 0;
+  int64_t end = 0;
+};
+
+/// Runs `entry` clean, then once per fault: EIO and a short count at every
+/// read index of the clean run, and a bit flip at every byte of `flips`.
+/// Each faulted run must fail or give the clean run's exact answer, and
+/// each kind of fault must fail at least one run (or the sweep would show
+/// nothing).
+void SweepReadFaults(const std::string& name, const ReadEntryPoint& entry,
+                     const std::vector<FlipRange>& flips = {}) {
+  ReadFaultEnv clean_env{ReadFault{}};
+  const StatusOr<std::string> clean = entry(&clean_env);
+  ASSERT_TRUE(clean.ok()) << name << ": " << clean.status();
+  const int64_t reads = clean_env.reads();
+  ASSERT_GT(reads, 0) << name;
+
+  std::vector<ReadFault> faults;
+  for (int64_t k = 0; k < reads; ++k) {
+    faults.push_back(ReadFault{ReadFault::Kind::kEio, k, "", -1});
+    faults.push_back(ReadFault{ReadFault::Kind::kShortRead, k, "", -1});
+  }
+  for (const FlipRange& range : flips) {
+    for (int64_t b = range.begin; b < range.end; ++b) {
+      faults.push_back(ReadFault{ReadFault::Kind::kBitFlip, -1, range.file, b});
+    }
+  }
+  std::map<ReadFault::Kind, int64_t> failed;
+  for (const ReadFault& fault : faults) {
+    ReadFaultEnv env(fault);
+    const StatusOr<std::string> answer = entry(&env);
+    if (!answer.ok()) {
+      ++failed[fault.kind];
+      continue;
+    }
+    EXPECT_TRUE(*answer == *clean)
+        << name << ": " << fault.ToString()
+        << " changed the answer without an error";
+  }
+  EXPECT_GT(failed[ReadFault::Kind::kEio], 0) << name;
+  EXPECT_GT(failed[ReadFault::Kind::kShortRead], 0) << name;
+  if (!flips.empty()) {
+    EXPECT_GT(failed[ReadFault::Kind::kBitFlip], 0) << name;
+  }
+}
+
+/// The raw bytes of `values` (an exact, order-preserving answer).
+template <typename T>
+std::string BytesOf(const std::vector<T>& values) {
+  return std::string(reinterpret_cast<const char*>(values.data()),
+                     values.size() * sizeof(T));
+}
+
+// KDF carries no checksum, so only EIO and short reads are swept.
+TEST(ReadFaultSweepTest, KdfReadAllFailsOrGivesTheCleanAnswer) {
+  const std::string path = TempDir("read_fault_kdf") + "/a.kdf";
+  DataArray array(Shape{6, 5}, DType::kFloat64);
+  array.FillPattern(7);
+  ASSERT_TRUE(WriteKdfFile(path, array).ok());
+  SweepReadFaults("KDF ReadAll", [&](Env* env) -> StatusOr<std::string> {
+    KONDO_ASSIGN_OR_RETURN(const KdfReader reader, KdfReader::Open(path, env));
+    KONDO_ASSIGN_OR_RETURN(const DataArray all, reader.ReadAll());
+    return BytesOf(all.values());
+  });
+}
+
+TEST(ReadFaultSweepTest, KdpReplayFailsOrGivesTheCleanAnswer) {
+  const std::string path = TempDir("read_fault_kdp") + "/a.kdp";
+  const Shape shape{12, 12};
+  DataArray data(shape, DType::kFloat64);
+  data.FillPattern(3);
+  IndexSet::Builder retained(shape);
+  shape.ForEachIndex([&](const Index& index) {
+    if (index[0] < 7 && (index[0] + index[1]) % 3 == 0) {
+      retained.Insert(index);
+    }
+  });
+  PackOptions options;
+  options.chunk_dims = {4, 4};  // 9 chunks, 3 of them holes.
+  ASSERT_TRUE(WriteKdpFile(path,
+                           DebloatedArray::FromDataArray(data,
+                                                         retained.Build()),
+                           options)
+                  .ok());
+  const int64_t size = static_cast<int64_t>(ReadFileBytes(path).size());
+  SweepReadFaults(
+      "KDP replay",
+      [&](Env* env) -> StatusOr<std::string> {
+        PackReadOptions read_options;
+        read_options.env = env;
+        KONDO_ASSIGN_OR_RETURN(std::unique_ptr<PackReader> reader,
+                               PackReader::Open(path, read_options));
+        std::vector<uint8_t> present;
+        std::vector<double> values;
+        KONDO_RETURN_IF_ERROR(
+            reader->ReadRange(0, shape.NumElements(), &present, &values));
+        return BytesOf(present) + BytesOf(values);
+      },
+      {FlipRange{"a.kdp", 0, size}});
+}
+
+// Bit flips land in block payloads only: a flipped descriptor zone map can
+// make a query skip a matching block with no error, a known gap.
+TEST(ReadFaultSweepTest, Kel2QueryFailsOrGivesTheCleanAnswer) {
+  const std::string path = TempDir("read_fault_kel2") + "/q.kel2";
+  Kel2WriterOptions options;
+  options.events_per_block = 8;
+  StatusOr<Kel2Writer> writer = Kel2Writer::Create(path, options);
+  ASSERT_TRUE(writer.ok()) << writer.status();
+  for (int64_t i = 0; i < 48; ++i) {
+    Event event;
+    event.id = EventId{1 + i % 3, 1};
+    event.type = EventType::kPread;
+    event.offset = 16 * i;
+    event.size = 16;
+    ASSERT_TRUE(writer->Append(event).ok());
+  }
+  ASSERT_TRUE(writer->Close().ok());
+  StatusOr<Kel2Reader> layout = Kel2Reader::Open(path);
+  ASSERT_TRUE(layout.ok()) << layout.status();
+  ASSERT_EQ(layout->NumBlocks(), 6);
+  std::vector<FlipRange> payloads;
+  for (const Kel2BlockInfo& block : layout->blocks()) {
+    payloads.push_back(FlipRange{
+        "q.kel2", block.payload_pos,
+        block.payload_pos + static_cast<int64_t>(block.payload_bytes)});
+  }
+  // The range skips blocks 0 and 1 and ends in the last block, so a reader
+  // that drops blocks after a failed read gives a short answer.
+  SweepReadFaults(
+      "KEL2 query",
+      [&](Env* env) -> StatusOr<std::string> {
+        KONDO_ASSIGN_OR_RETURN(const Kel2Reader reader,
+                               Kel2Reader::Open(path, env));
+        ProvenanceQuery query(&reader);
+        KONDO_ASSIGN_OR_RETURN(const std::vector<Event> events,
+                               query.EventsOverlapping(1, 300, 760));
+        std::ostringstream answer;
+        for (const Event& event : events) {
+          answer << event.id.pid << " " << event.offset << " " << event.size
+                 << "\n";
+        }
+        return answer.str();
+      },
+      payloads);
+}
+
+// KCS carries no checksum, so only EIO and short reads are swept.
+TEST(ReadFaultSweepTest, LoadCampaignStateFailsOrGivesTheCleanAnswer) {
+  const std::string path = TempDir("read_fault_kcs") + "/c.kcs";
+  CampaignState state;
+  state.shape = Shape{8, 8};
+  state.seeds = {Seed{{3.0, 4.0}, true}, Seed{{100.0, -2.5}, false}};
+  state.discovered = IndexSet(state.shape);
+  state.discovered.Insert(Index{2, 2});
+  state.discovered.Insert(Index{7, 7});
+  ASSERT_TRUE(SaveCampaignState(path, state).ok());
+  SweepReadFaults("LoadCampaignState", [&](Env* env) -> StatusOr<std::string> {
+    KONDO_ASSIGN_OR_RETURN(const CampaignState loaded,
+                           LoadCampaignState(path, env));
+    std::ostringstream answer;
+    answer << loaded.shape.ToString() << "\n";
+    for (const Seed& seed : loaded.seeds) {
+      answer << seed.useful << BytesOf(seed.value) << "\n";
+    }
+    answer << BytesOf(loaded.discovered.ToSortedLinearIds());
+    return answer.str();
+  });
+}
+
+// A resume reads the manifest, every shard's state and lineage store (to
+// verify them) and the stores again to merge. A shard that fails
+// verification is re-run, so the answer is the golden manifest and merged
+// store whether or not a fault hit a shard.
+TEST(ReadFaultSweepTest, ShardedResumeFailsOrGivesTheGoldenCampaign) {
+  const StormTrackProgram program(16, 4);
+  KondoConfig config;
+  config.rng_seed = 17;
+  config.jobs = 1;  // Serial drivers give a deterministic read order.
+  config.fuzz.max_evals = 12;  // Short KSS files keep the byte sweep quick.
+  ShardOptions options;
+  options.shards = 2;
+  options.output_dir = TempDir("read_fault_golden");
+  const StatusOr<ShardedRunResult> golden =
+      RunShardedCampaign(program, config, options);
+  ASSERT_TRUE(golden.ok()) << golden.status();
+  ASSERT_TRUE(golden->complete);
+  std::map<std::string, std::string> files;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(options.output_dir)) {
+    files[entry.path().filename().string()] = ReadFileBytes(entry.path());
+  }
+  std::vector<FlipRange> flips;
+  for (const auto& [name, bytes] : files) {
+    const std::string ext = std::filesystem::path(name).extension().string();
+    if (ext == ".ksm" || ext == ".kss") {
+      flips.push_back(
+          FlipRange{name, 0, static_cast<int64_t>(bytes.size())});
+    }
+  }
+  ASSERT_EQ(flips.size(), 3u);
+
+  // Every damaged shard logs a re-run warning; the sweep makes hundreds.
+  const LogSeverity severity = MinLogSeverity();
+  SetMinLogSeverity(LogSeverity::kError);
+  const std::string dir = TempDir("read_fault_resume");
+  SweepReadFaults(
+      "sharded resume",
+      [&](Env* env) -> StatusOr<std::string> {
+        std::filesystem::remove_all(dir);
+        std::filesystem::create_directories(dir);
+        for (const auto& [name, bytes] : files) {
+          std::ofstream(dir + "/" + name, std::ios::binary) << bytes;
+        }
+        ShardOptions resume = options;
+        resume.output_dir = dir;
+        resume.env = env;
+        KONDO_ASSIGN_OR_RETURN(const ShardedRunResult result,
+                               RunShardedCampaign(program, config, resume));
+        if (!result.complete) {
+          return InternalError("resume did not complete");
+        }
+        return ReadFileBytes(dir + "/" + kShardManifestFileName) +
+               ReadFileBytes(result.merged_lineage_path);
+      },
+      flips);
+  SetMinLogSeverity(severity);
 }
 
 // -------------------------------------------------- retry and quarantine --
