@@ -14,6 +14,7 @@
 #include "array/index_set.h"
 #include "array/kdf_file.h"
 #include "common/byte_codec.h"
+#include "common/env.h"
 #include "common/rng.h"
 
 namespace kondo {
@@ -317,6 +318,52 @@ TEST(KdfFileTest, ReadRawShortReadAtEof) {
   StatusOr<int64_t> n = reader->ReadRaw(reader->FileBytes() - 8, 64, buf);
   ASSERT_TRUE(n.ok());
   EXPECT_EQ(*n, 8);
+}
+
+/// The bytes of `path` (empty, with a test failure, when unreadable).
+std::string FileContents(const std::string& path) {
+  std::string bytes;
+  const Status read = ReadFileToString(path, &bytes);
+  EXPECT_TRUE(read.ok()) << read;
+  return bytes;
+}
+
+// `kondo make-data` over an existing KDF rewrites it: a crash at any point
+// of the write must leave the old file or the new one, and either opens.
+TEST(KdfCrashSweepTest, InterruptedRewriteKeepsTheOldOrNewFile) {
+  DataArray before(Shape{6, 5}, DType::kFloat64);
+  before.FillPattern(1);
+  DataArray after(Shape{6, 5}, DType::kFloat64);
+  after.FillPattern(2);
+
+  const std::string scratch = TempPath("crash_count.kdf");
+  ASSERT_TRUE(WriteKdfFile(scratch, after).ok());
+  const std::string new_bytes = FileContents(scratch);
+  ASSERT_TRUE(WriteKdfFile(scratch, before).ok());
+  const std::string old_bytes = FileContents(scratch);
+  ASSERT_NE(old_bytes, new_bytes);
+  FaultInjectingEnv counter(Env::Default(), FaultPlan{});
+  ASSERT_TRUE(
+      WriteKdfFile(scratch, after, LayoutKind::kRowMajor, {}, &counter).ok());
+  EXPECT_EQ(FileContents(scratch), new_bytes);
+  const int64_t num_ops = counter.ops();
+  ASSERT_GT(num_ops, 2);
+
+  for (int64_t k = 0; k < num_ops; ++k) {
+    const std::string path = TempPath("crash_" + std::to_string(k) + ".kdf");
+    ASSERT_TRUE(WriteKdfFile(path, before).ok());
+    FaultPlan plan;
+    plan.crash_at_op = k;
+    FaultInjectingEnv env(Env::Default(), plan);
+    EXPECT_FALSE(
+        WriteKdfFile(path, after, LayoutKind::kRowMajor, {}, &env).ok())
+        << "crash at op " << k << " did not surface";
+    const std::string left = FileContents(path);
+    EXPECT_TRUE(left == old_bytes || left == new_bytes)
+        << "torn KDF after crash at op " << k;
+    const StatusOr<KdfReader> reader = KdfReader::Open(path);
+    EXPECT_TRUE(reader.ok()) << "crash at op " << k << ": " << reader.status();
+  }
 }
 
 // ------------------------------------------------------- DebloatedArray --
