@@ -22,6 +22,14 @@ std::string_view EventTypeName(EventType type) {
   return "unknown";
 }
 
+Status DecodeEnum(uint8_t byte, EventType* type) {
+  if (byte > static_cast<uint8_t>(EventType::kClose)) {
+    return DataLossError("bad event type " + std::to_string(byte));
+  }
+  *type = static_cast<EventType>(byte);
+  return OkStatus();
+}
+
 std::string Event::ToString() const {
   std::ostringstream os;
   os << *this;

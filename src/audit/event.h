@@ -6,6 +6,8 @@
 #include <string>
 #include <string_view>
 
+#include "common/status.h"
+
 namespace kondo {
 
 /// System-call classes audited by the interposition layer.
@@ -19,6 +21,11 @@ enum class EventType : uint8_t {
 };
 
 std::string_view EventTypeName(EventType type);
+
+/// The one check of an event type read from untrusted bytes, shared by the
+/// KPC event batch and the KEL2 type column: kDataLoss unless `byte` names
+/// an EventType.
+Status DecodeEnum(uint8_t byte, EventType* type);
 
 /// Identifies the process and file an event belongs to ("id" in
 /// Definition 4: "the process identifier that generated the system call and
@@ -51,6 +58,12 @@ struct Event {
   }
 
   std::string ToString() const;
+
+  /// KPC wire order (serve/kpc_codec.h).
+  template <class V>
+  void Fields(V& v) {
+    v(id.pid, id.file_id, type, offset, size);
+  }
 };
 
 std::ostream& operator<<(std::ostream& os, const Event& event);

@@ -9,6 +9,11 @@ namespace kondo {
 struct DistRange {
   double lo = 0.0;
   double hi = 0.0;
+
+  template <class V>
+  void Fields(V& v) {
+    v(lo, hi);
+  }
 };
 
 /// Fuzz-schedule configuration (the fuzzing entries of Fig. 5), with the
@@ -67,6 +72,15 @@ struct FuzzConfig {
 
   /// Base busy-wait backoff between attempts, doubling per retry.
   int64_t test_backoff_micros = 0;
+
+  /// Every field, in declaration order: the fleet hello ships the whole
+  /// config through this list (serve/kpc_codec.h).
+  template <class V>
+  void Fields(V& v) {
+    v(stop_iter, max_iter, diameter, u_reps, n_reps, u_dist, n_dist, restart,
+      decay_iter, decay, epsilon0, init_seeds, max_seconds, max_evals,
+      test_max_attempts, test_backoff_micros);
+  }
 
   /// Returns a config running the plain exploit-and-explore schedule.
   static FuzzConfig PlainExploitExplore() {

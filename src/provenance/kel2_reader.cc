@@ -56,14 +56,15 @@ StatusOr<std::vector<Event>> DecodeKel2Payload(const char* payload,
   types.reserve(event_count);
   while (types.size() < event_count) {
     uint8_t type_byte = 0;
+    EventType type = EventType::kRead;
     uint64_t run = 0;
     KONDO_RETURN_IF_ERROR(in.ReadU8(&type_byte));
+    KONDO_RETURN_IF_ERROR(DecodeEnum(type_byte, &type));
     KONDO_RETURN_IF_ERROR(in.ReadVarint(&run));
     if (run == 0 || run > event_count - types.size()) {
       return DataLossError("KEL2 type column mis-encoded");
     }
-    types.insert(types.end(), static_cast<size_t>(run),
-                 static_cast<EventType>(type_byte));
+    types.insert(types.end(), static_cast<size_t>(run), type);
   }
 
   std::vector<int64_t> offsets;

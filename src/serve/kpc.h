@@ -11,6 +11,7 @@
 #include "common/socket.h"
 #include "common/status.h"
 #include "common/statusor.h"
+#include "serve/kpc_codec.h"
 
 namespace kondo {
 
@@ -27,10 +28,11 @@ namespace kondo {
 ///               length, payload; the IEEE/zlib polynomial of
 ///               provenance/crc32.h
 ///
-/// Integers in payloads are little-endian fixed width; strings are u32
-/// length-prefixed bytes. Encoding is a pure function of the message, so
-/// two responses carrying equal data are byte-identical on the wire — the
-/// property the subset cache's hit/miss contract is tested against.
+/// Payload fields follow the wire rules of serve/kpc_codec.h: little-endian
+/// fixed-width integers, u32 length-prefixed strings and lists. Encoding is
+/// a pure function of the message, so two responses carrying equal data are
+/// byte-identical on the wire — the property the subset cache's hit/miss
+/// contract is tested against.
 constexpr char kKpcMagic[4] = {'K', 'P', 'C', '1'};
 constexpr size_t kKpcHeaderBytes = 12;
 constexpr size_t kKpcTrailerBytes = 4;
@@ -81,24 +83,32 @@ StatusOr<KpcFrame> ReadKpcFrame(Connection& conn);
 StatusOr<KpcFrame> ReadKpcReply(Connection& conn);
 
 // ---------------------------------------------------------------------------
-// Verb payloads.
+// Verb payloads. Each lists its fields once, in wire order; kpc_codec.h
+// derives Encode() and Decode() from that list.
+
+inline constexpr char kKpcPayload[] = "KPC payload";
+
+template <class T>
+using KpcMessage = WireMessage<T, kKpcPayload>;
 
 /// fetch-subset: a debloated runtime asks for the D_Θ slice covering
 /// linear element ids [begin, end) of a pooled `.kdp` package.
-struct FetchSubsetRequest {
+struct FetchSubsetRequest : KpcMessage<FetchSubsetRequest> {
   std::string artifact;  // Pool-relative name, e.g. "main.kdp".
   int64_t begin = 0;
   int64_t end = 0;
 
-  std::string Encode() const;
-  static StatusOr<FetchSubsetRequest> Decode(std::string_view payload);
+  template <class V>
+  void Fields(V& v) {
+    v(artifact, begin, end);
+  }
 };
 
 /// The slice, stamped with the artifact fingerprint it was cut from (the
 /// same whole-file byte-count + CRC32 the shard KSS `A` line records).
 /// Null elements carry presence bit 0 and no value — the runtime maps them
 /// back to kDataMissing.
-struct FetchSubsetResponse {
+struct FetchSubsetResponse : KpcMessage<FetchSubsetResponse> {
   int64_t fingerprint_bytes = 0;
   uint32_t fingerprint_crc = 0;
   int64_t begin = 0;
@@ -106,67 +116,79 @@ struct FetchSubsetResponse {
   std::vector<uint8_t> present;  // One per element of [begin, end).
   std::vector<double> values;    // One per present element, in order.
 
-  std::string Encode() const;
-  static StatusOr<FetchSubsetResponse> Decode(std::string_view payload);
+  template <class V>
+  void Fields(V& v) {
+    v(fingerprint_bytes, fingerprint_crc, begin, end, present, values);
+  }
 };
 
 /// query-provenance: which events / runs of a pooled KEL2 store touch byte
 /// range [begin, end) of `file_id`. Executed server-side with in-situ
 /// block skipping; events stream back in kEventBatch frames.
-struct QueryRequest {
+struct QueryRequest : KpcMessage<QueryRequest> {
   std::string store;  // Pool-relative name, e.g. "merged.kel2".
   int64_t file_id = 1;
   int64_t begin = 0;
   int64_t end = 0;
   uint8_t runs_only = 0;  // 1 = suppress event batches, send only totals.
 
-  std::string Encode() const;
-  static StatusOr<QueryRequest> Decode(std::string_view payload);
+  template <class V>
+  void Fields(V& v) {
+    v(store, file_id, begin, end, runs_only);
+  }
 };
 
 /// One streamed batch of matching events, in store order.
-struct EventBatch {
+struct EventBatch : KpcMessage<EventBatch> {
   std::vector<Event> events;
 
-  std::string Encode() const;
-  static StatusOr<EventBatch> Decode(std::string_view payload);
+  template <class V>
+  void Fields(V& v) {
+    v(events);
+  }
 };
 
-/// Terminates a query stream: totals plus the engine's in-situ counters
-/// for this store (cumulative — the memo persists across requests).
-struct QueryDone {
+/// Terminates a query stream: totals plus the engine's in-situ block
+/// counters for this query alone (each query counts from zero).
+struct QueryDone : KpcMessage<QueryDone> {
   int64_t events_total = 0;
   std::vector<int64_t> runs;  // Sorted, deduplicated pids.
   int64_t blocks_considered = 0;
   int64_t blocks_skipped = 0;
   int64_t blocks_decoded = 0;
 
-  std::string Encode() const;
-  static StatusOr<QueryDone> Decode(std::string_view payload);
+  template <class V>
+  void Fields(V& v) {
+    v(events_total, runs, blocks_considered, blocks_skipped, blocks_decoded);
+  }
 };
 
 /// submit-campaign: enqueue a fuzz/debloat campaign for a registered
 /// single-file program on the server's shared ThreadPool.
-struct SubmitRequest {
+struct SubmitRequest : KpcMessage<SubmitRequest> {
   std::string program;
   int64_t seed = 1;
   int64_t max_evals = 0;  // 0 = program default budget.
   int64_t max_iter = 0;   // 0 = config default.
 
-  std::string Encode() const;
-  static StatusOr<SubmitRequest> Decode(std::string_view payload);
+  template <class V>
+  void Fields(V& v) {
+    v(program, seed, max_evals, max_iter);
+  }
 };
 
 /// Admission verdict. `accepted == 0` is backpressure: the global queue is
 /// full or the client is at its in-flight cap; `message` says which.
-struct SubmitResponse {
+struct SubmitResponse : KpcMessage<SubmitResponse> {
   uint8_t accepted = 0;
   int64_t job_id = -1;
   int64_t queue_depth = 0;  // Depth observed at admission time.
   std::string message;
 
-  std::string Encode() const;
-  static StatusOr<SubmitResponse> Decode(std::string_view payload);
+  template <class V>
+  void Fields(V& v) {
+    v(accepted, job_id, queue_depth, message);
+  }
 };
 
 /// Per-verb latency histogram: bucket i counts requests with latency in
@@ -179,6 +201,11 @@ struct VerbLatency {
   int64_t total_micros = 0;
   int64_t max_micros = 0;
   int64_t buckets[kKpcLatencyBuckets] = {};
+
+  template <class V>
+  void Fields(V& v) {
+    v(count, total_micros, max_micros, buckets);
+  }
 };
 
 /// The verbs with latency accounting, indexing ServeStatsSnapshot::verbs.
@@ -194,7 +221,7 @@ enum KpcVerb : int {
 const char* KpcVerbName(int verb);
 
 /// stats: a point-in-time snapshot of the daemon's counters.
-struct ServeStatsSnapshot {
+struct ServeStatsSnapshot : KpcMessage<ServeStatsSnapshot> {
   // Subset cache.
   int64_t cache_hits = 0;
   int64_t cache_misses = 0;
@@ -225,17 +252,28 @@ struct ServeStatsSnapshot {
 
   VerbLatency verbs[kKpcVerbCount];
 
-  std::string Encode() const;
-  static StatusOr<ServeStatsSnapshot> Decode(std::string_view payload);
+  template <class V>
+  void Fields(V& v) {
+    v(cache_hits, cache_misses, cache_evictions, cache_stale_evictions,
+      cache_entries, cache_bytes, cache_capacity_bytes, sessions_accepted,
+      sessions_active, requests_total, protocol_errors, campaigns_submitted,
+      campaigns_rejected, campaigns_completed, campaigns_failed,
+      campaign_queue_depth, campaign_inflight, lineage_bytes_written,
+      stores_open, stores_reopened, verbs);
+  }
 };
 
 /// Error frame payload: a Status on the wire.
-struct KpcError {
-  uint32_t code = 0;  // StatusCode cast.
+struct KpcError : KpcMessage<KpcError> {
+  uint32_t code = 0;  // StatusCode cast; never kOk on the wire.
   std::string message;
 
-  std::string Encode() const;
-  static StatusOr<KpcError> Decode(std::string_view payload);
+  template <class V>
+  void Fields(V& v) {
+    v(code, message);
+  }
+  /// kDataLoss unless `code` is an error StatusCode.
+  Status Check() const;
 
   static KpcError FromStatus(const Status& status);
   Status ToStatus() const;

@@ -20,6 +20,11 @@ struct ShardSlice {
 
   int64_t NumElements() const { return end - begin; }
 
+  template <class V>
+  void Fields(V& v) {
+    v(file, begin, end);
+  }
+
   friend bool operator==(const ShardSlice& a, const ShardSlice& b) {
     return a.file == b.file && a.begin == b.begin && a.end == b.end;
   }
