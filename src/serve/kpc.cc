@@ -103,6 +103,31 @@ const char* KpcVerbName(int verb) {
   }
 }
 
+Status FetchSubsetResponse::Check() const {
+  if (begin > end ||
+      static_cast<uint64_t>(end) - static_cast<uint64_t>(begin) !=
+          present.size()) {
+    return DataLossError(StrCat("fetch-subset response range [", begin, ", ",
+                                end, ") disagrees with its ", present.size(),
+                                " presence bytes"));
+  }
+  size_t set = 0;
+  for (uint8_t bit : present) {
+    if (bit > 1) {
+      return DataLossError(
+          StrCat("fetch-subset presence byte ", static_cast<int>(bit),
+                 " is neither 0 nor 1"));
+    }
+    set += bit;
+  }
+  if (set != values.size()) {
+    return DataLossError(StrCat("fetch-subset response marks ", set,
+                                " elements present but carries ",
+                                values.size(), " values"));
+  }
+  return OkStatus();
+}
+
 Status KpcError::Check() const {
   if (code == 0 || code > static_cast<uint32_t>(StatusCode::kDataMissing)) {
     return DataLossError(StrCat("bad KPC error code: ", code));

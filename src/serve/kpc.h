@@ -120,6 +120,9 @@ struct FetchSubsetResponse : KpcMessage<FetchSubsetResponse> {
   void Fields(V& v) {
     v(fingerprint_bytes, fingerprint_crc, begin, end, present, values);
   }
+  /// kDataLoss unless begin <= end, `present` has end - begin bytes, each
+  /// 0 or 1, and `values` has one entry per 1.
+  Status Check() const;
 };
 
 /// query-provenance: which events / runs of a pooled KEL2 store touch byte

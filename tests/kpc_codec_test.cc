@@ -3,11 +3,13 @@
 // every field away from its default, round-trips, and fails with kDataLoss
 // on every strict prefix, on a trailing byte and on any u32 count set to
 // 0xffffffff. The named tests below pin the decode rules the field types
-// enforce: int range, enum range, and counts checked before allocation.
+// enforce: int range, enum range, and counts checked before allocation,
+// and the fetch-subset response's range/presence/value agreement.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -375,6 +377,58 @@ TEST(WireCodecTest, KpcErrorRejectsCodesOutsideTheErrorRange) {
     EXPECT_EQ(error_with_code(code).status().code(), StatusCode::kDataLoss)
         << "code " << code;
   }
+}
+
+// ------------------------------------------------ fetch-subset checks --
+
+/// Decodes the Sample() response ([12, 16), present {1,0,1,1}, three
+/// values) after `edit`, through the encoder, so only the edit differs.
+template <class Edit>
+StatusCode DecodeEditedSubset(Edit edit) {
+  FetchSubsetResponse m = Sample<FetchSubsetResponse>();
+  edit(m);
+  return FetchSubsetResponse::Decode(m.Encode()).status().code();
+}
+
+TEST(WireCodecTest, FetchSubsetRejectsBeginAfterEnd) {
+  EXPECT_EQ(DecodeEditedSubset([](FetchSubsetResponse& m) {
+              m.begin = 16;
+              m.end = 12;
+            }),
+            StatusCode::kDataLoss);
+}
+
+TEST(WireCodecTest, FetchSubsetRejectsPresenceBytesDisagreeingWithTheRange) {
+  EXPECT_EQ(DecodeEditedSubset([](FetchSubsetResponse& m) { m.end = 17; }),
+            StatusCode::kDataLoss);
+  EXPECT_EQ(DecodeEditedSubset([](FetchSubsetResponse& m) {
+              m.begin = std::numeric_limits<int64_t>::min();
+              m.end = std::numeric_limits<int64_t>::max();
+            }),
+            StatusCode::kDataLoss);
+}
+
+TEST(WireCodecTest, FetchSubsetRejectsPresenceBytesOtherThanZeroOrOne) {
+  EXPECT_EQ(DecodeEditedSubset([](FetchSubsetResponse& m) {
+              m.present[1] = 2;
+              m.values.push_back(0.0);
+            }),
+            StatusCode::kDataLoss);
+}
+
+TEST(WireCodecTest, FetchSubsetRejectsValuesDisagreeingWithPresentBits) {
+  // The reader walks `values` once per set bit: {1, 1} with no values
+  // would read past the end.
+  EXPECT_EQ(DecodeEditedSubset([](FetchSubsetResponse& m) {
+              m.begin = 0;
+              m.end = 2;
+              m.present = {1, 1};
+              m.values.clear();
+            }),
+            StatusCode::kDataLoss);
+  EXPECT_EQ(DecodeEditedSubset(
+                [](FetchSubsetResponse& m) { m.values.push_back(4.0); }),
+            StatusCode::kDataLoss);
 }
 
 TEST(WireCodecTest, Kel2TypeColumnRejectsUnknownEventTypes) {
