@@ -1,13 +1,10 @@
 #include "fleet/fleet_scheduler.h"
 
-#include <deque>
 #include <memory>
-#include <thread>
 #include <utility>
 
 #include "common/logging.h"
 #include "common/strings.h"
-#include "common/thread_annotations.h"
 #include "provenance/crc32.h"
 #include "serve/kpc.h"
 #include "shard/shard_campaign.h"
@@ -19,27 +16,6 @@ namespace {
 std::string JoinPath(const std::string& dir, const std::string& name) {
   return dir + "/" + name;
 }
-
-/// Shared dispatch state of one fleet run. Worker threads take shards from
-/// `pending`, mirror every transition into the manifest, and wake each
-/// other through `cv` — a retired worker requeues its shard, so a waiting
-/// peer always observes either new work or a drained campaign.
-struct FleetState {
-  Mutex mu;
-  CondVar cv;
-  std::deque<int> pending KONDO_GUARDED_BY(mu);
-  int in_flight KONDO_GUARDED_BY(mu) = 0;
-  int committed_now KONDO_GUARDED_BY(mu) = 0;
-  Status fatal KONDO_GUARDED_BY(mu);
-  Status last_worker_error KONDO_GUARDED_BY(mu);
-};
-
-/// One connected, handshaken worker endpoint and the thread driving it.
-struct FleetWorkerLink {
-  SocketAddress address;
-  std::unique_ptr<Connection> conn;
-  std::thread thread;
-};
 
 /// Connects to `address` and runs the kHello handshake, failing a worker
 /// whose echoed file geometry differs from the coordinator's plan.
@@ -184,10 +160,11 @@ StatusOr<ShardedRunResult> RunFleetCampaign(const MultiFileProgram& program,
       CampaignDirectory::Open(program, config.rng_seed, options.shards,
                               options.plan_weights, options.output_dir,
                               options.env));
-  FleetState state;
-  state.pending.assign(campaign.pending.begin(), campaign.pending.end());
 
-  if (!state.pending.empty()) {
+  // Each handshaken link is a one-slot runner: a worker lost mid-shard
+  // retires its link, and the shard goes back to the survivors.
+  std::vector<ShardRunner> runners;
+  if (!campaign.pending.empty()) {
     NetEnv* net = options.net != nullptr ? options.net : NetEnv::Default();
     WorkerHello hello;
     hello.program = std::string(program.name());
@@ -195,7 +172,6 @@ StatusOr<ShardedRunResult> RunFleetCampaign(const MultiFileProgram& program,
     hello.rng_seed = config.rng_seed;
     hello.fuzz = config.fuzz;
 
-    std::vector<std::unique_ptr<FleetWorkerLink>> links;
     Status last_connect_error;
     for (const SocketAddress& address : options.workers) {
       StatusOr<std::unique_ptr<Connection>> conn =
@@ -208,108 +184,25 @@ StatusOr<ShardedRunResult> RunFleetCampaign(const MultiFileProgram& program,
         last_connect_error = conn.status();
         continue;
       }
-      auto link = std::make_unique<FleetWorkerLink>();
-      link->address = address;
-      link->conn = std::move(*conn);
-      links.push_back(std::move(link));
+      ShardRunner runner;
+      runner.name = "fleet worker " + address.ToString();
+      runner.run = [link = std::shared_ptr<Connection>(std::move(*conn)),
+                    &campaign](int s) {
+        return RunShardOnWorker(*link, campaign.plan, s, campaign.dir,
+                                campaign.env);
+      };
+      runners.push_back(std::move(runner));
     }
-    if (links.empty()) {
+    if (runners.empty()) {
       return Status(last_connect_error.code(),
                     StrCat("no fleet worker completed the handshake: ",
                            last_connect_error.message()));
     }
-
-    const auto worker_loop = [&campaign, &state,
-                              &options](FleetWorkerLink* link) {
-      while (true) {
-        int s = -1;
-        {
-          MutexLock lock(state.mu);
-          while (state.pending.empty() && state.in_flight > 0 &&
-                 state.fatal.ok()) {
-            state.cv.Wait(state.mu);
-          }
-          if (!state.fatal.ok() || state.pending.empty()) {
-            return;  // Fatal error, or every shard is committed.
-          }
-          s = state.pending.front();
-          state.pending.pop_front();
-          const int dispatches =
-              campaign.manifest.dispatch_counts[static_cast<size_t>(s)];
-          if (dispatches >= options.max_dispatches) {
-            state.fatal = InternalError(StrCat(
-                "shard ", s, " exhausted its dispatch budget (",
-                dispatches, " dispatches): last worker error: ",
-                state.last_worker_error.message()));
-            state.cv.NotifyAll();
-            return;
-          }
-          campaign.manifest.dispatch_counts[static_cast<size_t>(s)] =
-              dispatches + 1;
-          ++state.in_flight;
-          const Status saved = campaign.SaveManifest();
-          if (!saved.ok()) {
-            state.fatal = saved;
-            state.cv.NotifyAll();
-            return;
-          }
-        }
-
-        StatusOr<ShardCampaignResult> run = RunShardOnWorker(
-            *link->conn, campaign.plan, s, campaign.dir, campaign.env);
-
-        MutexLock lock(state.mu);
-        --state.in_flight;
-        if (!run.ok()) {
-          // Straggler timeout, crash, torn stream, or worker-reported
-          // failure: requeue the shard for a surviving worker and retire
-          // this connection — exactly how resume demotes a damaged shard.
-          KONDO_LOG(Warning) << "fleet worker " << link->address.ToString()
-                             << " lost on shard " << s << ": "
-                             << run.status();
-          state.last_worker_error = run.status();
-          state.pending.push_back(s);
-          state.cv.NotifyAll();
-          return;
-        }
-        campaign.results[static_cast<size_t>(s)] = std::move(*run);
-        campaign.manifest.statuses[static_cast<size_t>(s)] =
-            ShardStatus::kFuzzed;
-        ++state.committed_now;
-        const Status saved = campaign.SaveManifest();
-        if (!saved.ok() && state.fatal.ok()) {
-          state.fatal = saved;
-        }
-        state.cv.NotifyAll();
-      }
-    };
-
-    for (const std::unique_ptr<FleetWorkerLink>& link : links) {
-      link->thread = std::thread(worker_loop, link.get());
-    }
-    for (const std::unique_ptr<FleetWorkerLink>& link : links) {
-      link->thread.join();
-    }
-
-    MutexLock lock(state.mu);
-    if (!state.fatal.ok()) {
-      return state.fatal;
-    }
-    if (!state.pending.empty()) {
-      return Status(
-          state.last_worker_error.code(),
-          StrCat("all fleet workers were lost with ", state.pending.size(),
-                 " shard(s) pending (progress is preserved in ",
-                 campaign.PathOf(kShardManifestFileName),
-                 "): ", state.last_worker_error.message()));
-    }
   }
 
-  int committed_now = 0;
-  {
-    MutexLock lock(state.mu);
-    committed_now = state.committed_now;
-  }
+  KONDO_ASSIGN_OR_RETURN(const int committed_now,
+                         DispatchShards(campaign, runners));
+  runners.clear();  // Hangs up on the workers before the merge.
   return campaign.Finish(config, committed_now);
 }
 

@@ -45,12 +45,6 @@ struct FleetOptions {
   /// the worker is retired.
   int64_t heartbeat_timeout_micros = 10'000'000;
 
-  /// Per-shard dispatch ceiling. A shard that keeps burning workers
-  /// (dispatched this many times without a commit) fails the campaign
-  /// instead of looping forever; the manifest's `W` lines carry the count
-  /// across invocations.
-  int max_dispatches = 3;
-
   /// Socket seam; nullptr = real sockets. Tests wrap a FaultInjectingNetEnv
   /// here to sever a worker connection mid-shard.
   NetEnv* net = nullptr;
@@ -62,21 +56,26 @@ struct FleetOptions {
 /// Distributes a sharded campaign over remote workers and merges the
 /// results bit-identically to the local RunShardedCampaign. Both run the
 /// same campaign-directory lifecycle (CampaignDirectory: plan, manifest
-/// load-or-create, resume re-verification, merge); what the fleet adds is:
+/// load-or-create, resume re-verification, merge) and the same dispatch
+/// loop (DispatchShards: per-shard `W` counts and kMaxShardDispatches
+/// budget, a manifest commit per finished shard, requeue on failure);
+/// what the fleet adds is:
 ///
 ///  * handshakes every worker (kHello), failing any whose echoed file
 ///    geometry disagrees with the plan;
-///  * dispatches pending shards over the surviving workers, one in flight
-///    per connection, re-arming a receive timeout on every frame. A
-///    timeout, torn stream, EOF, or worker-reported error retires that
-///    worker and requeues its shard — the same demote-and-rerun rule the
-///    resume path applies to damaged artefacts;
+///  * makes each surviving worker link a one-slot ShardRunner whose run
+///    ships the shard (kRunShard) and waits for its result, re-arming a
+///    receive timeout on every frame. A timeout, torn stream, EOF, or
+///    worker-reported error retires that link and requeues its shard —
+///    the same demote-and-rerun rule the resume path applies to damaged
+///    artefacts;
 ///  * commits each result through CommitShardResult (fingerprint-verified,
-///    duplicate-tolerant) and records progress in the manifest after every
-///    state change, so a coordinator crash resumes losslessly.
+///    duplicate-tolerant) before the loop records it in the manifest, so
+///    a coordinator crash resumes losslessly.
 ///
-/// Fails (preserving manifest progress) when every worker is lost with
-/// shards still pending, or when one shard exhausts `max_dispatches`.
+/// Fails (preserving manifest progress) when no worker completes the
+/// handshake, when every worker is lost with shards still pending, or
+/// when one shard exhausts its dispatch budget.
 StatusOr<ShardedRunResult> RunFleetCampaign(const MultiFileProgram& program,
                                             const KondoConfig& config,
                                             const FleetOptions& options);

@@ -26,10 +26,11 @@ enum class ShardStatus {
 ///   F <rank> <dim...>                 one line per file, in ordinal order
 ///   H <shard> <status>                one line per shard (0=pending 1=fuzzed)
 ///   L <shard> <file> <begin> <end>    one line per slice, in shard order
-///   W <shard> <dispatches>            fleet worker-assignment state: how
-///                                     often the shard has been dispatched
-///                                     (absent in pre-fleet manifests; the
-///                                     loader defaults it to zero)
+///   W <shard> <dispatches>            how often the shard has been
+///                                     dispatched to a runner, local or
+///                                     fleet (absent in pre-fleet
+///                                     manifests; the loader defaults it
+///                                     to zero)
 ///   C <crc32>                         checksum over every preceding byte
 ///
 /// The manifest is committed atomically (tmp + fsync + rename) and the
@@ -40,9 +41,9 @@ struct ShardManifest {
   std::vector<Shape> file_shapes;
   std::vector<Shard> shards;
   std::vector<ShardStatus> statuses;
-  /// Fleet accounting: times each shard was handed to a worker (0 for
-  /// purely local campaigns). Straggler/crash re-dispatches increment it;
-  /// the fleet's duplicate-dispatch cap reads it across resumes.
+  /// Times each shard was handed to a runner (DispatchShards), local or
+  /// fleet. Crash and straggler re-dispatches increment it; the
+  /// kMaxShardDispatches budget reads it across resumes.
   std::vector<int> dispatch_counts;
   bool merged = false;
 

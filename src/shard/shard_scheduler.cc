@@ -3,12 +3,15 @@
 #include <sys/stat.h>
 
 #include <algorithm>
-#include <atomic>
+#include <deque>
+#include <functional>
+#include <memory>
 #include <thread>
 #include <utility>
 
 #include "common/logging.h"
 #include "common/strings.h"
+#include "common/thread_annotations.h"
 #include "exec/thread_pool.h"
 
 namespace kondo {
@@ -39,6 +42,84 @@ StatusOr<ShardCampaignResult> LoadVerifiedShard(
     }
   }
   return loaded;
+}
+
+/// Shared state of one DispatchShards call. Slot threads pop shards from
+/// `queue`, mirror every transition into the campaign manifest, and wake
+/// each other through `cv`: a failed slot requeues its shard, so a waiting
+/// slot always sees new work, a drained campaign, or its runner retired.
+struct DispatchState {
+  Mutex mu;
+  CondVar cv;
+  std::deque<int> queue KONDO_GUARDED_BY(mu);
+  std::vector<uint8_t> retired KONDO_GUARDED_BY(mu);  // One per runner.
+  int in_flight KONDO_GUARDED_BY(mu) = 0;
+  int committed KONDO_GUARDED_BY(mu) = 0;
+  Status fatal KONDO_GUARDED_BY(mu);
+  Status last_failure KONDO_GUARDED_BY(mu) =
+      FailedPreconditionError("no shard runner has a slot");
+};
+
+/// One slot of runner `r`: runs shards until the queue drains, the runner
+/// is retired, or the campaign fails.
+void RunSlot(CampaignDirectory& campaign, const ShardRunner& runner,
+             size_t r, DispatchState& state) {
+  while (true) {
+    int s = -1;
+    {
+      MutexLock lock(state.mu);
+      while (state.queue.empty() && state.in_flight > 0 &&
+             state.fatal.ok() && state.retired[r] == 0) {
+        state.cv.Wait(state.mu);
+      }
+      if (!state.fatal.ok() || state.retired[r] != 0 ||
+          state.queue.empty()) {
+        return;
+      }
+      s = state.queue.front();
+      state.queue.pop_front();
+      int& dispatches =
+          campaign.manifest.dispatch_counts[static_cast<size_t>(s)];
+      if (dispatches >= kMaxShardDispatches) {
+        state.fatal = InternalError(
+            StrCat("shard ", s, " exhausted its dispatch budget (",
+                   dispatches, " dispatches)"));
+      } else {
+        ++dispatches;
+        state.fatal = campaign.SaveManifest();
+      }
+      if (!state.fatal.ok()) {
+        state.cv.NotifyAll();
+        return;
+      }
+      ++state.in_flight;
+    }
+
+    StatusOr<ShardCampaignResult> run = runner.run(s);
+
+    MutexLock lock(state.mu);
+    --state.in_flight;
+    if (!run.ok()) {
+      // A crash, I/O error, straggler timeout or torn stream: requeue the
+      // shard for a surviving runner and retire this one — exactly how
+      // resume demotes a damaged shard.
+      KONDO_LOG(Warning) << runner.name << " lost on shard " << s << ": "
+                         << run.status();
+      state.last_failure = run.status();
+      state.queue.push_back(s);
+      state.retired[r] = 1;
+      state.cv.NotifyAll();
+      return;
+    }
+    campaign.results[static_cast<size_t>(s)] = std::move(*run);
+    campaign.manifest.statuses[static_cast<size_t>(s)] = ShardStatus::kFuzzed;
+    ++state.committed;
+    const Status saved = campaign.SaveManifest();
+    if (!saved.ok() && state.fatal.ok()) {
+      state.fatal = saved;
+    }
+    state.cv.NotifyAll();
+  }
 }
 
 }  // namespace
@@ -102,6 +183,7 @@ StatusOr<CampaignDirectory> CampaignDirectory::Open(
                            << " failed resume verification, re-running: "
                            << loaded.status();
         status = ShardStatus::kPending;
+        c.manifest.dispatch_counts[static_cast<size_t>(s)] = 0;
         c.manifest.merged = false;
         demoted = true;
         continue;
@@ -164,6 +246,37 @@ StatusOr<ShardedRunResult> CampaignDirectory::Finish(const KondoConfig& config,
   return out;
 }
 
+StatusOr<int> DispatchShards(CampaignDirectory& campaign,
+                             const std::vector<ShardRunner>& runners) {
+  DispatchState state;
+  {
+    MutexLock lock(state.mu);
+    state.queue.assign(campaign.pending.begin(), campaign.pending.end());
+    state.retired.assign(runners.size(), 0);
+  }
+  std::vector<std::thread> slots;
+  for (size_t r = 0; r < runners.size(); ++r) {
+    for (int slot = 0; slot < runners[r].slots; ++slot) {
+      slots.emplace_back(RunSlot, std::ref(campaign), std::cref(runners[r]),
+                         r, std::ref(state));
+    }
+  }
+  for (std::thread& slot : slots) {
+    slot.join();
+  }
+
+  MutexLock lock(state.mu);
+  KONDO_RETURN_IF_ERROR(state.fatal);
+  if (!state.queue.empty()) {
+    return Status(state.last_failure.code(),
+                  StrCat(state.queue.size(),
+                         " shard(s) still pending and no shard runner is "
+                         "left: ",
+                         state.last_failure.message()));
+  }
+  return state.committed;
+}
+
 StatusOr<ShardedRunResult> RunShardedCampaign(const MultiFileProgram& program,
                                               const KondoConfig& config,
                                               const ShardOptions& options) {
@@ -175,85 +288,46 @@ StatusOr<ShardedRunResult> RunShardedCampaign(const MultiFileProgram& program,
 
   // Pacing only makes sense with a campaign directory to resume from; an
   // in-memory campaign always runs every shard.
-  std::vector<int> to_run = campaign.pending;
   if (campaign.persistent() && options.max_shards_this_run > 0 &&
-      static_cast<size_t>(options.max_shards_this_run) < to_run.size()) {
-    to_run.resize(static_cast<size_t>(options.max_shards_this_run));
+      static_cast<size_t>(options.max_shards_this_run) <
+          campaign.pending.size()) {
+    campaign.pending.resize(static_cast<size_t>(options.max_shards_this_run));
   }
 
+  // One shared pool; one slot per running shard, capped at the pool width
+  // (more slots than workers would only queue). Slots block on their
+  // batches outside the pool, so every worker stays available for debloat
+  // tests from any shard. At jobs 1 there is no pool: tests run inline.
   const int jobs = ClampJobs(config.jobs);
-  std::vector<Status> run_statuses(to_run.size(), OkStatus());
-
-  const auto run_one = [&](size_t slot, CampaignExecutor& executor) {
-    const int s = to_run[slot];
+  std::unique_ptr<ThreadPool> pool;
+  if (jobs > 1 && !campaign.pending.empty()) {
+    pool = std::make_unique<ThreadPool>(jobs);
+  }
+  ShardRunner local;
+  local.name = "local shard runner";
+  local.slots = std::min(jobs, static_cast<int>(campaign.pending.size()));
+  local.run = [&](int s) -> StatusOr<ShardCampaignResult> {
+    CampaignExecutor executor(pool.get(), jobs);
     const Shard& shard = campaign.plan.shards[static_cast<size_t>(s)];
-    ShardCampaignResult& result = campaign.results[static_cast<size_t>(s)];
     if (!campaign.persistent()) {
-      StatusOr<ShardCampaignResult> run =
-          RunShardCampaign(program, campaign.plan, shard, config, executor);
-      if (run.ok()) {
-        result = std::move(*run);
-      }
-      run_statuses[slot] = run.status();
-      return;
+      return RunShardCampaign(program, campaign.plan, shard, config,
+                              executor);
     }
     // The shard's state (with the store's fingerprint) is committed last:
     // it only exists once every artefact it vouches for is durable.
-    StatusOr<SealedShard> sealed = RunSealedShard(
-        program, campaign.plan, shard, config, executor,
-        campaign.PathOf(ShardLineageFileName(s)), campaign.env);
-    Status status = sealed.status();
-    if (status.ok()) {
-      status = SaveShardState(campaign.PathOf(ShardStateFileName(s)), s,
-                              sealed->result, sealed->info, campaign.env);
-    }
-    if (status.ok()) {
-      result = std::move(sealed->result);
-    }
-    run_statuses[slot] = status;
+    KONDO_ASSIGN_OR_RETURN(
+        SealedShard sealed,
+        RunSealedShard(program, campaign.plan, shard, config, executor,
+                       campaign.PathOf(ShardLineageFileName(s)),
+                       campaign.env));
+    KONDO_RETURN_IF_ERROR(
+        SaveShardState(campaign.PathOf(ShardStateFileName(s)), s,
+                       sealed.result, sealed.info, campaign.env));
+    return std::move(sealed.result);
   };
-
-  if (jobs <= 1 || to_run.size() <= 1) {
-    CampaignExecutor executor(jobs);
-    for (size_t slot = 0; slot < to_run.size(); ++slot) {
-      run_one(slot, executor);
-    }
-  } else {
-    // One shared pool; one driver thread per running shard (capped at the
-    // pool width — more drivers than workers would only queue). Drivers
-    // are plain threads, NOT pool tasks: they block on their batches
-    // outside the pool, so every worker stays available for debloat tests
-    // from any shard.
-    ThreadPool pool(jobs);
-    const size_t drivers =
-        std::min(to_run.size(), static_cast<size_t>(jobs));
-    std::atomic<size_t> next{0};
-    std::vector<std::thread> threads;
-    threads.reserve(drivers);
-    for (size_t d = 0; d < drivers; ++d) {
-      threads.emplace_back([&] {
-        CampaignExecutor executor(&pool, jobs);
-        for (size_t slot = next.fetch_add(1); slot < to_run.size();
-             slot = next.fetch_add(1)) {
-          run_one(slot, executor);
-        }
-      });
-    }
-    for (std::thread& thread : threads) {
-      thread.join();
-    }
-  }
-  for (const Status& status : run_statuses) {
-    KONDO_RETURN_IF_ERROR(status);
-  }
-
-  for (int s : to_run) {
-    campaign.manifest.statuses[static_cast<size_t>(s)] = ShardStatus::kFuzzed;
-  }
-  if (!to_run.empty()) {
-    KONDO_RETURN_IF_ERROR(campaign.SaveManifest());
-  }
-  return campaign.Finish(config, static_cast<int>(to_run.size()));
+  KONDO_ASSIGN_OR_RETURN(const int fuzzed_now,
+                         DispatchShards(campaign, {local}));
+  return campaign.Finish(config, fuzzed_now);
 }
 
 }  // namespace kondo

@@ -2,6 +2,7 @@
 #define KONDO_SHARD_SHARD_SCHEDULER_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -61,16 +62,16 @@ struct ShardedRunResult {
 /// One invocation's view of a campaign directory — the lifecycle the local
 /// scheduler and the fleet coordinator share. Open() plans the shards,
 /// loads or creates the manifest, and re-verifies every fuzzed shard;
-/// the caller runs `pending` shards, records each in `results` and
-/// `manifest`, and calls Finish(). With an empty `dir` the campaign lives
+/// DispatchShards runs the `pending` shards and records each in `results`
+/// and `manifest`; Finish() merges. With an empty `dir` the campaign lives
 /// in memory: a fresh all-pending manifest, nothing on disk.
 struct CampaignDirectory {
   std::string dir;
   Env* env = nullptr;
   ShardPlan plan;
   ShardManifest manifest;
-  /// One per shard. Open() fills every fuzzed shard; the caller fills the
-  /// shards it runs.
+  /// One per shard. Open() fills every fuzzed shard; DispatchShards fills
+  /// the shards it runs.
   std::vector<ShardCampaignResult> results;
   /// Shards still to fuzz, ascending.
   std::vector<int> pending;
@@ -80,7 +81,8 @@ struct CampaignDirectory {
   /// when missing, rejecting one that describes another plan or seed.
   /// Every shard the manifest calls fuzzed is re-verified (KSS checksum
   /// plus the KEL2 fingerprint recorded in it) and loaded; a damaged one
-  /// is demoted to pending and re-run instead of poisoning the merge.
+  /// is demoted to pending, with its dispatch count reset (its last
+  /// dispatch committed), and re-run instead of poisoning the merge.
   static StatusOr<CampaignDirectory> Open(const MultiFileProgram& program,
                                           uint64_t rng_seed, int shards,
                                           const PlanWeights& weights,
@@ -102,16 +104,54 @@ struct CampaignDirectory {
                                     int shards_fuzzed_now);
 };
 
+/// Dispatches one shard may use before it fails the campaign. A shard that
+/// keeps failing its runners (dispatched this many times without a commit)
+/// stops the campaign instead of looping forever; the manifest's `W` lines
+/// carry the count across invocations.
+inline constexpr int kMaxShardDispatches = 3;
+
+/// One failure domain that runs shards: the local thread pool, or one
+/// handshaken fleet worker link. It runs up to `slots` shards at once.
+struct ShardRunner {
+  /// Names the runner in log lines ("fleet worker unix:w0.sock").
+  std::string name;
+  int slots = 1;
+  /// Runs shard `s` and returns its result once the shard's artefacts are
+  /// durable (in a persistent campaign). Called from `slots` threads at
+  /// once, never twice for the same shard concurrently.
+  std::function<StatusOr<ShardCampaignResult>(int s)> run;
+};
+
+/// Runs every shard in `campaign.pending` over `runners`, one thread per
+/// slot. Each slot repeats one rule until no shard is left:
+///
+///  1. pop a shard; fail the campaign (kInternal) if the shard has already
+///     been dispatched kMaxShardDispatches times;
+///  2. count the dispatch in the manifest's `W` line and save the manifest;
+///  3. run the shard; on success record its result, mark it fuzzed and
+///     save the manifest — each shard commits as soon as it finishes;
+///  4. on failure requeue the shard and retire the runner with all its
+///     slots: in-flight siblings finish and commit, then stop.
+///
+/// When every runner is retired with shards still queued, the campaign
+/// fails with the last failure's status code and message. Returns the
+/// number of shards committed. A failed save fails the campaign; progress
+/// committed before it stays in the manifest.
+StatusOr<int> DispatchShards(CampaignDirectory& campaign,
+                             const std::vector<ShardRunner>& runners);
+
 /// Plans shards, runs one full fuzz campaign per shard, and merges.
 ///
-/// Scheduling: all shard campaigns share ONE ThreadPool of
-/// `ClampJobs(config.jobs)` workers. Each running shard is driven by a
-/// dedicated driver thread holding a non-owning CampaignExecutor over the
-/// shared pool — drivers block on their batches outside the pool, so
-/// debloat tests from every shard interleave freely on the workers and the
-/// machine is never oversubscribed beyond `jobs` (plus the coordinating
-/// drivers, which are idle while tests run). With `jobs == 1` the shards
-/// simply run back-to-back on the calling thread.
+/// Scheduling: the campaign is one local ShardRunner — one failure domain,
+/// so the first failed shard fails the campaign — with
+/// `min(ClampJobs(config.jobs), pending)` slots driven by DispatchShards.
+/// All slots share ONE ThreadPool of `ClampJobs(config.jobs)` workers:
+/// each slot thread holds a non-owning CampaignExecutor over the shared
+/// pool and blocks on its batches outside the pool, so debloat tests from
+/// every shard interleave freely on the workers and the machine is never
+/// oversubscribed beyond `jobs` (plus the slot threads, which are idle
+/// while tests run). With `jobs == 1` there is one slot and no pool: its
+/// executor runs every test inline on the slot thread.
 ///
 /// Every shard replays the identical schedule (see RunShardCampaign), so
 /// the merged result — index sets, carve stats, fuzz statistics, and the

@@ -564,7 +564,6 @@ TEST(FleetCampaignTest, ExhaustedDispatchBudgetFailsTheCampaign) {
   options.output_dir = campaign;
   options.workers = Endpoints(workers);
   options.program_extent = kExtent;
-  options.max_dispatches = 3;
   const StatusOr<ShardedRunResult> fleet =
       RunFleetCampaign(*program, config, options);
   ASSERT_FALSE(fleet.ok());

@@ -518,6 +518,77 @@ TEST(CrashSweepTest, CrashWritingTheFirstManifestLeavesNoneAndResumes) {
             ReadFileBytes(reference->merged_lineage_path));
 }
 
+/// A fault-free FaultInjectingEnv that notes its op count right after the
+/// first manifest commit that records shard 0 as fuzzed: the index of the
+/// first operation after that commit.
+class ShardCommitProbeEnv : public FaultInjectingEnv {
+ public:
+  ShardCommitProbeEnv() : FaultInjectingEnv(Env::Default(), FaultPlan{}) {}
+
+  Status RenameFile(const std::string& from, const std::string& to) override {
+    KONDO_RETURN_IF_ERROR(FaultInjectingEnv::RenameFile(from, to));
+    if (op_after_commit_ < 0 &&
+        std::filesystem::path(to).filename() == kShardManifestFileName) {
+      const StatusOr<ShardManifest> manifest = LoadShardManifest(to);
+      if (manifest.ok() && manifest->statuses[0] == ShardStatus::kFuzzed) {
+        op_after_commit_ = ops();
+      }
+    }
+    return OkStatus();
+  }
+
+  int64_t op_after_commit() const { return op_after_commit_; }
+
+ private:
+  int64_t op_after_commit_ = -1;
+};
+
+// Each shard's status is committed as soon as the shard finishes: a crash
+// right after shard 0's manifest commit leaves only shards 1 and 2 to run.
+TEST(CrashSweepTest, CrashAfterTheFirstShardCommitReRunsOnlyTheRest) {
+  const StormTrackProgram program(16, 4);
+  KondoConfig config;
+  config.rng_seed = 17;
+  config.jobs = 1;  // One slot: shards run, and commit, in order.
+  config.fuzz.max_evals = 60;
+
+  ShardOptions reference_options;
+  reference_options.shards = 3;
+  reference_options.output_dir = TempDir("shard_commit_ref");
+  const StatusOr<ShardedRunResult> reference =
+      RunShardedCampaign(program, config, reference_options);
+  ASSERT_TRUE(reference.ok()) << reference.status();
+  ASSERT_TRUE(reference->complete);
+  ASSERT_EQ(reference->shards_total, 3);
+
+  ShardCommitProbeEnv probe;
+  ShardOptions probed = reference_options;
+  probed.output_dir = TempDir("shard_commit_probe");
+  probed.env = &probe;
+  ASSERT_TRUE(RunShardedCampaign(program, config, probed).ok());
+  ASSERT_GE(probe.op_after_commit(), 0);
+
+  FaultPlan plan;
+  plan.seed = FaultSeed();
+  plan.crash_at_op = probe.op_after_commit();
+  FaultInjectingEnv env(Env::Default(), plan);
+  ShardOptions crashed = reference_options;
+  crashed.output_dir = TempDir("shard_commit");
+  crashed.env = &env;
+  EXPECT_FALSE(RunShardedCampaign(program, config, crashed).ok());
+  EXPECT_TRUE(env.crashed());
+
+  ShardOptions resume = crashed;
+  resume.env = nullptr;
+  const StatusOr<ShardedRunResult> resumed =
+      RunShardedCampaign(program, config, resume);
+  ASSERT_TRUE(resumed.ok()) << resumed.status();
+  ASSERT_TRUE(resumed->complete);
+  EXPECT_EQ(resumed->shards_fuzzed_now, 2);
+  EXPECT_EQ(ReadFileBytes(resumed->merged_lineage_path),
+            ReadFileBytes(reference->merged_lineage_path));
+}
+
 // ------------------------------------------------------- read-fault sweep --
 
 /// One injected read fault: EIO or a short count at the `read`-th Read

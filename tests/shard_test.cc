@@ -1,18 +1,22 @@
 // Tests for the sharded campaign scheduler (src/shard/): planner partition
 // invariants, manifest/state round-trips, bit-identity of the merged result
 // against the unsharded pipeline at every (shards, jobs) setting, byte
-// identity of the merged lineage store across shard counts, and resume via
-// the campaign manifest.
+// identity of the merged lineage store across shard counts, resume via
+// the campaign manifest, and the shard dispatch loop over fake runners.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <future>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -480,6 +484,170 @@ TEST(ShardSchedulerTest, ResumesFromManifestOneShardAtATime) {
   }
   EXPECT_EQ(ReadFileBytes(last->merged_lineage_path),
             ReadFileBytes(full->merged_lineage_path));
+}
+
+// ------------------------------------------------------ dispatch loop --
+
+/// A fresh persistent 3-shard campaign directory for DispatchShards: the
+/// fake runners below never fuzz, so the program only fixes the plan.
+CampaignDirectory OpenDispatchCampaign(const std::string& name) {
+  const StormTrackProgram program(32, 8);
+  StatusOr<CampaignDirectory> campaign = CampaignDirectory::Open(
+      program, 7, 3, PlanWeights{}, TempDir(name), nullptr);
+  EXPECT_TRUE(campaign.ok()) << campaign.status();
+  EXPECT_EQ(campaign->pending, (std::vector<int>{0, 1, 2}));
+  return std::move(*campaign);
+}
+
+/// A one-slot runner that answers from `fn`, with no fuzzing and no socket.
+ShardRunner FakeRunner(const std::string& name,
+                       std::function<StatusOr<ShardCampaignResult>(int)> fn) {
+  ShardRunner runner;
+  runner.name = name;
+  runner.run = std::move(fn);
+  return runner;
+}
+
+ShardManifest SavedManifest(const CampaignDirectory& campaign) {
+  const StatusOr<ShardManifest> manifest =
+      LoadShardManifest(campaign.PathOf(kShardManifestFileName));
+  EXPECT_TRUE(manifest.ok()) << manifest.status();
+  return manifest.ok() ? *manifest : ShardManifest{};
+}
+
+TEST(ShardDispatchTest, FailedRunnerIsRetiredAndItsShardRunsElsewhere) {
+  CampaignDirectory campaign = OpenDispatchCampaign("dispatch_retire");
+  // `flaky` fails its first shard; `steady` holds its first shard until
+  // then, so `flaky` is sure to be handed one before the queue drains.
+  std::promise<void> flaky_failed;
+  const std::shared_future<void> failed = flaky_failed.get_future().share();
+  std::atomic<int> flaky_calls{0};
+  std::atomic<int> failed_shard{-1};
+  std::mutex mu;
+  std::vector<int> steady_shards;
+  const std::vector<ShardRunner> runners = {
+      FakeRunner("flaky",
+                 [&](int s) -> StatusOr<ShardCampaignResult> {
+                   if (flaky_calls.fetch_add(1) == 0) {
+                     failed_shard = s;
+                     flaky_failed.set_value();
+                   }
+                   return ResourceExhaustedError("injected straggler");
+                 }),
+      FakeRunner("steady", [&](int s) -> StatusOr<ShardCampaignResult> {
+        failed.wait();
+        std::lock_guard<std::mutex> lock(mu);
+        steady_shards.push_back(s);
+        return ShardCampaignResult{};
+      })};
+
+  const StatusOr<int> committed = DispatchShards(campaign, runners);
+  ASSERT_TRUE(committed.ok()) << committed.status();
+  EXPECT_EQ(*committed, 3);
+  EXPECT_EQ(flaky_calls.load(), 1);
+  std::sort(steady_shards.begin(), steady_shards.end());
+  EXPECT_EQ(steady_shards, (std::vector<int>{0, 1, 2}));
+
+  const ShardManifest manifest = SavedManifest(campaign);
+  EXPECT_TRUE(manifest.AllFuzzed());
+  std::vector<int> expected_counts = {1, 1, 1};
+  expected_counts[static_cast<size_t>(failed_shard.load())] = 2;
+  EXPECT_EQ(manifest.dispatch_counts, expected_counts);
+}
+
+TEST(ShardDispatchTest, LoneRunnerFailureKeepsFinishedShardsCommitted) {
+  CampaignDirectory campaign = OpenDispatchCampaign("dispatch_lone");
+  // One slot takes the shards in order: 0 commits, 1 fails.
+  const std::vector<ShardRunner> runners = {
+      FakeRunner("lone", [](int s) -> StatusOr<ShardCampaignResult> {
+        if (s == 1) {
+          return DataLossError("injected torn artefact");
+        }
+        return ShardCampaignResult{};
+      })};
+
+  const StatusOr<int> committed = DispatchShards(campaign, runners);
+  ASSERT_FALSE(committed.ok());
+  EXPECT_EQ(committed.status().code(), StatusCode::kDataLoss)
+      << committed.status();
+  EXPECT_NE(committed.status().ToString().find("injected torn artefact"),
+            std::string::npos)
+      << committed.status();
+
+  const ShardManifest manifest = SavedManifest(campaign);
+  EXPECT_EQ(manifest.statuses,
+            (std::vector<ShardStatus>{ShardStatus::kFuzzed,
+                                      ShardStatus::kPending,
+                                      ShardStatus::kPending}));
+  EXPECT_EQ(manifest.dispatch_counts, (std::vector<int>{1, 1, 0}));
+}
+
+TEST(ShardDispatchTest, ExhaustedDispatchBudgetFailsTheCampaign) {
+  CampaignDirectory campaign = OpenDispatchCampaign("dispatch_budget");
+  campaign.manifest.dispatch_counts[1] = kMaxShardDispatches;
+  ASSERT_TRUE(campaign.SaveManifest().ok());
+  std::atomic<int> calls{0};
+  const std::vector<ShardRunner> runners = {
+      FakeRunner("steady", [&](int) -> StatusOr<ShardCampaignResult> {
+        ++calls;
+        return ShardCampaignResult{};
+      })};
+
+  const StatusOr<int> committed = DispatchShards(campaign, runners);
+  ASSERT_FALSE(committed.ok());
+  EXPECT_EQ(committed.status().code(), StatusCode::kInternal)
+      << committed.status();
+  EXPECT_NE(committed.status().ToString().find("dispatch budget"),
+            std::string::npos)
+      << committed.status();
+  // Shard 0 ran and committed before shard 1 hit the budget; shard 1 was
+  // never run again.
+  EXPECT_EQ(calls.load(), 1);
+  const ShardManifest manifest = SavedManifest(campaign);
+  EXPECT_EQ(manifest.statuses[0], ShardStatus::kFuzzed);
+  EXPECT_EQ(manifest.statuses[1], ShardStatus::kPending);
+  EXPECT_EQ(manifest.dispatch_counts[1], kMaxShardDispatches);
+}
+
+TEST(ShardDispatchTest, LosingEveryRunnerFailsWithTheLastErrorsCode) {
+  CampaignDirectory campaign = OpenDispatchCampaign("dispatch_lost");
+  // `first` fails its shard; `second` commits every other shard and fails
+  // only on the one `first` lost. That shard is back in the queue only
+  // once `first`'s failure is recorded, so `second`'s error is the last.
+  std::promise<void> first_failed;
+  const std::shared_future<void> failed = first_failed.get_future().share();
+  std::atomic<int> lost_shard{-1};
+  const std::vector<ShardRunner> runners = {
+      FakeRunner("first",
+                 [&](int s) -> StatusOr<ShardCampaignResult> {
+                   lost_shard = s;
+                   first_failed.set_value();
+                   return ResourceExhaustedError("injected timeout");
+                 }),
+      FakeRunner("second", [&](int s) -> StatusOr<ShardCampaignResult> {
+        failed.wait();
+        if (s == lost_shard.load()) {
+          return OutOfRangeError("injected EOF");
+        }
+        return ShardCampaignResult{};
+      })};
+
+  const StatusOr<int> committed = DispatchShards(campaign, runners);
+  ASSERT_FALSE(committed.ok());
+  EXPECT_EQ(committed.status().code(), StatusCode::kOutOfRange)
+      << committed.status();
+  EXPECT_NE(committed.status().ToString().find("injected EOF"),
+            std::string::npos)
+      << committed.status();
+  const ShardManifest manifest = SavedManifest(campaign);
+  const size_t lost = static_cast<size_t>(lost_shard.load());
+  for (size_t s = 0; s < 3; ++s) {
+    EXPECT_EQ(manifest.statuses[s],
+              s == lost ? ShardStatus::kPending : ShardStatus::kFuzzed)
+        << "shard " << s;
+    EXPECT_EQ(manifest.dispatch_counts[s], s == lost ? 2 : 1)
+        << "shard " << s;
+  }
 }
 
 // ------------------------------------------------------- golden digests --
