@@ -114,6 +114,21 @@ StatusOr<ShardCampaignResult> RunShardCampaign(
   return result;
 }
 
+void ExtendCampaign(ShardCampaignResult* base, ShardCampaignResult latest) {
+  for (size_t f = 0; f < base->per_file.size(); ++f) {
+    base->per_file[f].Union(latest.per_file[f]);
+  }
+  base->seeds.insert(base->seeds.end(), latest.seeds.begin(),
+                     latest.seeds.end());
+  std::vector<ParamValue> quarantined =
+      std::move(base->stats.quarantined_points);
+  quarantined.insert(quarantined.end(),
+                     latest.stats.quarantined_points.begin(),
+                     latest.stats.quarantined_points.end());
+  base->stats = std::move(latest.stats);
+  base->stats.quarantined_points = std::move(quarantined);
+}
+
 StatusOr<ShardArtifactInfo> HashFileArtifact(const std::string& path,
                                              Env* env) {
   std::string content;
@@ -149,7 +164,10 @@ StatusOr<SealedShard> RunSealedShard(const MultiFileProgram& program,
 std::string EncodeShardState(int shard, const ShardCampaignResult& result,
                              const ShardArtifactInfo& info) {
   std::ostringstream out;
-  out << "KSS1 " << shard << " " << result.per_file.size() << "\n";
+  out << "KSS2 " << shard << " " << result.per_file.size() << "\n";
+  for (const IndexSet& discovered : result.per_file) {
+    AppendShapeLine(discovered.shape(), out);
+  }
   const FuzzStats& stats = result.stats;
   char buf[64];
   out << "T " << stats.iterations << " " << stats.evaluations << " "
@@ -193,15 +211,9 @@ std::string EncodeShardState(int shard, const ShardCampaignResult& result,
 Status SaveShardState(const std::string& path, int shard,
                       const ShardCampaignResult& result,
                       const ShardArtifactInfo& info, Env* env) {
-  const std::string body = EncodeShardState(shard, result, info);
-  StatusOr<AtomicFile> file = AtomicFile::Create(path, env);
-  if (!file.ok()) {
-    return Status(file.status().code(),
-                  StrCat("cannot open shard state for write: ", path, ": ",
-                         file.status().message()));
-  }
-  KONDO_RETURN_IF_ERROR(file->Append(body));
-  return file->Commit();
+  KONDO_ASSIGN_OR_RETURN(AtomicFile file, AtomicFile::Create(path, env));
+  KONDO_RETURN_IF_ERROR(file.Append(EncodeShardState(shard, result, info)));
+  return file.Commit();
 }
 
 StatusOr<ShardCampaignResult> LoadShardState(
@@ -217,27 +229,41 @@ StatusOr<ShardCampaignResult> LoadShardState(
 StatusOr<ShardCampaignResult> DecodeShardState(
     std::string content, const std::string& source, int shard,
     const std::vector<Shape>& file_shapes, ShardArtifactInfo* info_out) {
-  {
-    const Status verified = StripChecksumTrailer(source, &content);
-    if (!verified.ok()) {
-      return Status(verified.code(),
-                    StrCat("shard state ", verified.message()));
-    }
+  if (content.rfind("KCS", 0) == 0) {
+    return FailedPreconditionError(
+        StrCat(source, " is a KCS campaign state, which is no longer read; "
+                       "re-run `kondo fuzz --out` to write a KSS"));
   }
+  KONDO_RETURN_IF_ERROR(StripChecksumTrailer("shard state", source, &content));
   std::istringstream in(content);
   std::string line;
-  if (!std::getline(in, line)) {
-    return DataLossError("empty shard state: " + source);
-  }
+  std::getline(in, line);
   std::istringstream header(line);
   std::string magic;
   int stored_shard = -1;
   size_t num_files = 0;
   header >> magic >> stored_shard >> num_files;
-  if (magic != "KSS1" || stored_shard != shard ||
-      num_files != file_shapes.size()) {
+  if (header.fail() || magic != "KSS2" || stored_shard != shard) {
     return DataLossError(
         StrCat("bad shard state header for shard ", shard, ": ", source));
+  }
+  if (num_files != file_shapes.size()) {
+    return FailedPreconditionError(
+        StrCat("shard state holds ", num_files, " files, which does not ",
+               "match the campaign's ", file_shapes.size(), ": ", source));
+  }
+  // One `F` line per file follows the header: a state written for another
+  // program is refused before any of its ids are read.
+  for (const Shape& expected : file_shapes) {
+    std::getline(in, line);  // Past the end `line` is empty: a bad F line.
+    KONDO_ASSIGN_OR_RETURN(const Shape shape,
+                           ParseShapeLine(line, "shard state " + source));
+    if (!(shape == expected)) {
+      return FailedPreconditionError(
+          StrCat("shard state shape ", shape.ToString(),
+                 " does not match the campaign's ", expected.ToString(),
+                 ": ", source));
+    }
   }
 
   ShardCampaignResult result;

@@ -56,6 +56,13 @@ StatusOr<ShardCampaignResult> RunShardCampaign(
     const Shard& shard, const KondoConfig& config, CampaignExecutor& executor,
     const AuditPersistFn& persist = {});
 
+/// Folds a later run of the same campaign into `base`, the rule of
+/// `kondo fuzz --resume`: seeds and quarantined points concatenate (earlier
+/// run first; duplicates kept, they witness schedule behaviour), the
+/// discovered ids union per file, and the other stats become `latest`'s.
+/// Both sides must cover the same file shapes.
+void ExtendCampaign(ShardCampaignResult* base, ShardCampaignResult latest);
+
 /// Whole-file fingerprint of a sealed shard artefact (its KEL2 lineage
 /// store), recorded in the shard's KSS so a resume can detect a
 /// truncated or corrupted artefact — Kel2Reader alone silently drops a
@@ -90,9 +97,12 @@ StatusOr<SealedShard> RunSealedShard(const MultiFileProgram& program,
                                      Env* env);
 
 /// Saves / loads a shard's campaign outcome (`shard-NNN.kss`) so a later
-/// invocation can merge without re-fuzzing. Text format (docs/FORMATS.md):
+/// invocation can merge without re-fuzzing; `kondo fuzz --out` saves its
+/// campaign as shard 0 of a one-file campaign. Text format
+/// (docs/FORMATS.md):
 ///
-///   KSS1 <shard> <num_files>
+///   KSS2 <shard> <num_files>
+///   F <rank> <dim...>        one line per file, in ordinal order
 ///   T <iterations> <evaluations> <useful> <restarts> <epsilon> <elapsed>
 ///     <stopped_by_stagnation> <stopped_by_budget> <stopped_by_eval_budget>
 ///     <retries> <quarantined>
@@ -104,6 +114,8 @@ StatusOr<SealedShard> RunSealedShard(const MultiFileProgram& program,
 ///
 /// The state is committed atomically (tmp + fsync + rename) through `env`,
 /// read back through `env`, and the checksum trailer is verified on load.
+/// A state whose `F` lines differ from `file_shapes` was written for
+/// another program: kFailedPrecondition, "does not match".
 Status SaveShardState(const std::string& path, int shard,
                       const ShardCampaignResult& result,
                       const ShardArtifactInfo& info = {}, Env* env = nullptr);

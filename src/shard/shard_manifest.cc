@@ -16,7 +16,8 @@ void AppendChecksumTrailer(std::string* body) {
 
 /// Splits `content` into body + verified trailer. The trailer must be the
 /// final line; its checksum must match every preceding byte.
-Status StripChecksumTrailer(const std::string& path, std::string* content) {
+Status StripChecksumTrailer(const std::string& what, const std::string& path,
+                            std::string* content) {
   const size_t pos = content->rfind("\nC ");
   const bool leading_trailer =
       content->rfind("C ", 0) == 0 && pos == std::string::npos;
@@ -29,22 +30,47 @@ Status StripChecksumTrailer(const std::string& path, std::string* content) {
     body_end = 0;
     trailer_begin = 0;
   } else {
-    return DataLossError("missing checksum trailer: " + path);
+    return DataLossError(StrCat(what, " missing checksum trailer: ", path));
   }
   std::istringstream fields(content->substr(trailer_begin));
   char tag = 0;
   uint32_t expected = 0;
   fields >> tag >> expected;
   if (tag != 'C' || fields.fail()) {
-    return DataLossError("bad checksum trailer: " + path);
+    return DataLossError(StrCat(what, " bad checksum trailer: ", path));
   }
   const uint32_t actual = Crc32(content->data(), body_end);
   if (actual != expected) {
-    return DataLossError(StrCat("checksum mismatch (stored ", expected,
+    return DataLossError(StrCat(what, " checksum mismatch (stored ", expected,
                                 ", computed ", actual, "): ", path));
   }
   content->resize(body_end);
   return OkStatus();
+}
+
+void AppendShapeLine(const Shape& shape, std::ostream& out) {
+  out << "F " << shape.rank();
+  for (int d = 0; d < shape.rank(); ++d) {
+    out << " " << shape.dim(d);
+  }
+  out << "\n";
+}
+
+StatusOr<Shape> ParseShapeLine(const std::string& line,
+                               const std::string& what) {
+  std::istringstream fields(line);
+  char tag = 0;
+  int rank = 0;
+  fields >> tag >> rank;
+  std::vector<int64_t> dims;
+  for (int64_t dim = 0;
+       static_cast<int>(dims.size()) < rank && fields >> dim;) {
+    dims.push_back(dim);
+  }
+  if (tag != 'F' || static_cast<int>(dims.size()) != rank) {
+    return DataLossError(StrCat("bad file line in ", what, ": ", line));
+  }
+  return DecodeShape(dims, StrCat(what, " line '", line, "'"));
 }
 
 bool ShardManifest::AllFuzzed() const {
@@ -85,11 +111,7 @@ Status SaveShardManifest(const std::string& path,
       << manifest.file_shapes.size() << " " << (manifest.merged ? 1 : 0)
       << "\n";
   for (const Shape& shape : manifest.file_shapes) {
-    out << "F " << shape.rank();
-    for (int d = 0; d < shape.rank(); ++d) {
-      out << " " << shape.dim(d);
-    }
-    out << "\n";
+    AppendShapeLine(shape, out);
   }
   for (int s = 0; s < manifest.num_shards(); ++s) {
     out << "H " << s << " "
@@ -111,28 +133,17 @@ Status SaveShardManifest(const std::string& path,
   }
   std::string body = out.str();
   AppendChecksumTrailer(&body);
-
-  StatusOr<AtomicFile> file = AtomicFile::Create(path, env);
-  if (!file.ok()) {
-    return Status(file.status().code(),
-                  StrCat("cannot open shard manifest for write: ", path,
-                         ": ", file.status().message()));
-  }
-  KONDO_RETURN_IF_ERROR(file->Append(body));
-  return file->Commit();
+  KONDO_ASSIGN_OR_RETURN(AtomicFile file, AtomicFile::Create(path, env));
+  KONDO_RETURN_IF_ERROR(file.Append(body));
+  return file.Commit();
 }
 
 StatusOr<ShardManifest> LoadShardManifest(const std::string& path,
                                           Env* env) {
   std::string content;
   KONDO_RETURN_IF_ERROR(ReadFileToString(path, &content, env));
-  {
-    const Status verified = StripChecksumTrailer(path, &content);
-    if (!verified.ok()) {
-      return Status(verified.code(),
-                    StrCat("shard manifest ", verified.message()));
-    }
-  }
+  KONDO_RETURN_IF_ERROR(
+      StripChecksumTrailer("shard manifest", path, &content));
   std::istringstream in(content);
   std::string line;
   if (!std::getline(in, line)) {
@@ -169,18 +180,8 @@ StatusOr<ShardManifest> LoadShardManifest(const std::string& path,
     char tag = 0;
     fields >> tag;
     if (tag == 'F') {
-      int rank = 0;
-      fields >> rank;
-      std::vector<int64_t> dims;
-      for (int64_t dim = 0; static_cast<int>(dims.size()) < rank &&
-                            fields >> dim;) {
-        dims.push_back(dim);
-      }
-      if (static_cast<int>(dims.size()) != rank) {
-        return DataLossError("bad file line in shard manifest: " + line);
-      }
-      KONDO_ASSIGN_OR_RETURN(
-          Shape shape, DecodeShape(dims, "shard manifest line '" + line + "'"));
+      KONDO_ASSIGN_OR_RETURN(Shape shape,
+                             ParseShapeLine(line, "shard manifest"));
       manifest.file_shapes.push_back(std::move(shape));
     } else if (tag == 'H') {
       int shard = -1;

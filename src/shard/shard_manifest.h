@@ -2,6 +2,7 @@
 #define KONDO_SHARD_SHARD_MANIFEST_H_
 
 #include <cstdint>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -83,10 +84,19 @@ Status CheckManifestMatchesPlan(const ShardManifest& manifest,
 /// Checksum-trailer plumbing shared by the KSM and KSS text formats.
 /// AppendChecksumTrailer appends a `C <crc32>` line covering every byte
 /// already in `body`; StripChecksumTrailer verifies and removes it
-/// (kDataLoss when missing or mismatching, `path` names the artefact in
-/// the message).
+/// (kDataLoss when missing or mismatching; the message starts with `what`,
+/// the format's name, and ends with `path`).
 void AppendChecksumTrailer(std::string* body);
-Status StripChecksumTrailer(const std::string& path, std::string* content);
+Status StripChecksumTrailer(const std::string& what, const std::string& path,
+                            std::string* content);
+
+/// The `F <rank> <dim...>` file-shape line shared by the KSM and KSS text
+/// formats. AppendShapeLine writes one; ParseShapeLine reads one (`line`
+/// includes the `F` tag) through DecodeShape, so a hostile shape is
+/// kDataLoss. `what` names the artefact in error messages.
+void AppendShapeLine(const Shape& shape, std::ostream& out);
+StatusOr<Shape> ParseShapeLine(const std::string& line,
+                               const std::string& what);
 
 }  // namespace kondo
 

@@ -154,17 +154,16 @@ StatusOr<CampaignDirectory> CampaignDirectory::Open(
   c.manifest = MakeShardManifest(c.plan, rng_seed);
   c.results.resize(static_cast<size_t>(c.plan.num_shards()));
 
-  if (c.persistent()) {
-    KONDO_RETURN_IF_ERROR(EnsureCampaignDirectory(dir));
-    const std::string manifest_path = c.PathOf(kShardManifestFileName);
-    if (c.env->GetFileKind(manifest_path) == FileKind::kMissing) {
-      KONDO_RETURN_IF_ERROR(c.SaveManifest());
-    } else {
-      KONDO_ASSIGN_OR_RETURN(c.manifest,
-                             LoadShardManifest(manifest_path, c.env));
-      KONDO_RETURN_IF_ERROR(
-          CheckManifestMatchesPlan(c.manifest, c.plan, rng_seed));
-    }
+  // A fresh campaign writes nothing here: DispatchShards' first manifest
+  // save creates the directory, so a campaign that fails to start (a fleet
+  // whose every handshake fails) leaves nothing behind.
+  const std::string manifest_path = c.PathOf(kShardManifestFileName);
+  if (c.persistent() &&
+      c.env->GetFileKind(manifest_path) != FileKind::kMissing) {
+    KONDO_ASSIGN_OR_RETURN(c.manifest,
+                           LoadShardManifest(manifest_path, c.env));
+    KONDO_RETURN_IF_ERROR(
+        CheckManifestMatchesPlan(c.manifest, c.plan, rng_seed));
 
     // A manifest may claim a shard is fuzzed while its artefacts are
     // damaged (commits are atomic, so a crash cannot tear them — but
@@ -211,6 +210,7 @@ Status CampaignDirectory::SaveManifest() const {
   if (!persistent()) {
     return OkStatus();
   }
+  KONDO_RETURN_IF_ERROR(EnsureCampaignDirectory(dir));
   return SaveShardManifest(PathOf(kShardManifestFileName), manifest, env);
 }
 

@@ -76,10 +76,10 @@ struct CampaignDirectory {
   /// Shards still to fuzz, ascending.
   std::vector<int> pending;
 
-  /// Plans `shards` shards over `program`'s files (steered by `weights`),
-  /// creates `dir`, and loads its manifest through `env` — creating it
-  /// when missing, rejecting one that describes another plan or seed.
-  /// Every shard the manifest calls fuzzed is re-verified (KSS checksum
+  /// Plans `shards` shards over `program`'s files (steered by `weights`)
+  /// and loads `dir`'s manifest through `env`, rejecting one that
+  /// describes another plan or seed. A fresh campaign writes nothing: the
+  /// first SaveManifest creates `dir` and the manifest. Every shard the manifest calls fuzzed is re-verified (KSS checksum
   /// plus the KEL2 fingerprint recorded in it) and loaded; a damaged one
   /// is demoted to pending, with its dispatch count reset (its last
   /// dispatch committed), and re-run instead of poisoning the merge.
@@ -93,7 +93,8 @@ struct CampaignDirectory {
   /// `dir`/`name`.
   std::string PathOf(const std::string& name) const;
 
-  /// Commits the manifest atomically through `env`; a no-op in memory.
+  /// Creates `dir` if needed and commits the manifest atomically through
+  /// `env`; a no-op in memory.
   Status SaveManifest() const;
 
   /// Paced invocation (some shard still pending): reports progress only.

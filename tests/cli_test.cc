@@ -220,7 +220,7 @@ TEST(CliTest, SpecParsesKondofile) {
 }
 
 TEST(CliTest, FuzzCarveStagedPipeline) {
-  const std::string state = TempPath("cli_campaign.kcs");
+  const std::string state = TempPath("cli_campaign.kss");
   const CommandResult fuzz =
       RunCli("fuzz CS --out " + state + " --seed 4 --max-iter 400");
   EXPECT_EQ(fuzz.exit_code, 0) << fuzz.output;
@@ -238,12 +238,25 @@ TEST(CliTest, FuzzCarveStagedPipeline) {
 }
 
 TEST(CliTest, CarveShapeMismatchFails) {
-  const std::string state = TempPath("cli_mismatch.kcs");
+  const std::string state = TempPath("cli_mismatch.kss");
   ASSERT_EQ(RunCli("fuzz CS --out " + state + " --max-iter 100").exit_code,
             0);
   const CommandResult carve = RunCli("carve LDC3D --state " + state);
   EXPECT_EQ(carve.exit_code, 1);
   EXPECT_NE(carve.output.find("does not match"), std::string::npos);
+}
+
+TEST(CliTest, ResumeFromAnotherProgramsStateFails) {
+  const std::string other = TempPath("cli_resume_ldc3d.kss");
+  const std::string state = TempPath("cli_resume_cs.kss");
+  ASSERT_EQ(RunCli("fuzz LDC3D --out " + other + " --max-iter 50").exit_code,
+            0);
+  const CommandResult resumed = RunCli("fuzz CS --out " + state +
+                                       " --resume " + other +
+                                       " --max-iter 50");
+  EXPECT_EQ(resumed.exit_code, 1) << resumed.output;
+  EXPECT_NE(resumed.output.find("does not match"), std::string::npos)
+      << resumed.output;
 }
 
 TEST(CliTest, UnknownProgramFails) {
@@ -344,14 +357,14 @@ TEST(CliTest, EveryArgumentErrorPrintsOnlyItsCommandsSynopsis) {
   // Real fixtures, so each call below is wrong only in its arguments.
   const std::string kdf = TempPath("cli_args.kdf");
   const std::string kdp = TempPath("cli_args.kdp");
-  const std::string kcs = TempPath("cli_args.kcs");
+  const std::string kss = TempPath("cli_args.kss");
   const std::string kel2 = TempPath("cli_args.kel2");
   ASSERT_EQ(RunCli("make-data LDC " + kdf).exit_code, 0);
   ASSERT_EQ(RunCli("debloat LDC --data " + kdf + " --out " + kdp +
                    " --max-iter 50")
                 .exit_code,
             0);
-  ASSERT_EQ(RunCli("fuzz LDC --out " + kcs + " --max-iter 50").exit_code, 0);
+  ASSERT_EQ(RunCli("fuzz LDC --out " + kss + " --max-iter 50").exit_code, 0);
   WriteKel2Fixture(kel2);
   const std::string sock = " --socket /tmp/kondo_cli_none.sock";
 
@@ -386,8 +399,8 @@ TEST(CliTest, EveryArgumentErrorPrintsOnlyItsCommandsSynopsis) {
        "make-data"},
       {"make-data LDC " + TempPath("cli_args_seed.kdf") + " --seed 7x",
        "make-data"},
-      {"carve LDC --state " + kcs + " --center abc", "carve"},
-      {"carve LDC --state " + kcs + " --boundary 1.5.2", "carve"},
+      {"carve LDC --state " + kss + " --center abc", "carve"},
+      {"carve LDC --state " + kss + " --boundary 1.5.2", "carve"},
       {"replay LDC " + kdp + " 1 --bogus", "replay"},
       {"replay LDC " + kdp + " 1 abc", "replay"},
       {"evaluate LDC --max-evals 10 --bogus", "evaluate"},

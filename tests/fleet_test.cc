@@ -577,6 +577,27 @@ TEST(FleetCampaignTest, ExhaustedDispatchBudgetFailsTheCampaign) {
   }
 }
 
+// A fleet whose every handshake fails never starts, so it leaves no
+// campaign behind for a later invocation to trip over.
+TEST(FleetCampaignTest, FailedHandshakesLeaveNoManifest) {
+  const std::unique_ptr<MultiFileProgram> program = TestProgram();
+  const std::string dir = TempDir("unreachable");
+  SocketAddress missing;
+  missing.unix_path = dir + "/missing.sock";
+  FleetOptions options;
+  options.shards = 4;
+  options.output_dir = dir + "/campaign";
+  options.workers = {missing};
+  options.program_extent = kExtent;
+  const StatusOr<ShardedRunResult> fleet =
+      RunFleetCampaign(*program, ShortCampaignConfig(23), options);
+  EXPECT_FALSE(fleet.ok());
+  EXPECT_NE(fleet.status().ToString().find("handshake"), std::string::npos)
+      << fleet.status();
+  EXPECT_FALSE(std::filesystem::exists(options.output_dir + "/" +
+                                       kShardManifestFileName));
+}
+
 // ---------------------------------------------------- resume interplay --
 
 TEST(FleetCampaignTest, FleetResumesALocalCampaignAndViceVersa) {

@@ -29,7 +29,6 @@
 #include "common/logging.h"
 #include "core/debloat_test.h"
 #include "core/runtime.h"
-#include "fuzz/campaign_state.h"
 #include "fuzz/fuzz_schedule.h"
 #include "pack_fixture.h"
 #include "provenance/kel2_reader.h"
@@ -827,27 +826,32 @@ TEST(ReadFaultSweepTest, Kel2QueryFailsOrGivesTheCleanAnswer) {
       payloads);
 }
 
-// KCS carries no checksum, so only EIO and short reads are swept.
+// `carve --state` loads a `kondo fuzz --out` state as shard 0 of a
+// one-file campaign. The KSS checksum makes every bit flip an error or a
+// no-op, so the sweep flips every byte of the file.
 TEST(ReadFaultSweepTest, LoadCampaignStateFailsOrGivesTheCleanAnswer) {
-  const std::string path = TempDir("read_fault_kcs") + "/c.kcs";
-  CampaignState state;
-  state.shape = Shape{8, 8};
+  const std::string path = TempDir("read_fault_kss") + "/c.kss";
+  const Shape shape{8, 8};
+  ShardCampaignResult state;
   state.seeds = {Seed{{3.0, 4.0}, true}, Seed{{100.0, -2.5}, false}};
-  state.discovered = IndexSet(state.shape);
-  state.discovered.Insert(Index{2, 2});
-  state.discovered.Insert(Index{7, 7});
-  ASSERT_TRUE(SaveCampaignState(path, state).ok());
-  SweepReadFaults("LoadCampaignState", [&](Env* env) -> StatusOr<std::string> {
-    KONDO_ASSIGN_OR_RETURN(const CampaignState loaded,
-                           LoadCampaignState(path, env));
-    std::ostringstream answer;
-    answer << loaded.shape.ToString() << "\n";
-    for (const Seed& seed : loaded.seeds) {
-      answer << seed.useful << BytesOf(seed.value) << "\n";
-    }
-    answer << BytesOf(loaded.discovered.ToSortedLinearIds());
-    return answer.str();
-  });
+  state.per_file.emplace_back(shape);
+  state.per_file[0].Insert(Index{2, 2});
+  state.per_file[0].Insert(Index{7, 7});
+  ASSERT_TRUE(SaveShardState(path, 0, state).ok());
+  const int64_t size = static_cast<int64_t>(ReadFileBytes(path).size());
+  SweepReadFaults(
+      "LoadShardState",
+      [&](Env* env) -> StatusOr<std::string> {
+        KONDO_ASSIGN_OR_RETURN(const ShardCampaignResult loaded,
+                               LoadShardState(path, 0, {shape}, nullptr, env));
+        std::ostringstream answer;
+        for (const Seed& seed : loaded.seeds) {
+          answer << seed.useful << BytesOf(seed.value) << "\n";
+        }
+        answer << BytesOf(loaded.per_file[0].ToSortedLinearIds());
+        return answer.str();
+      },
+      {FlipRange{"c.kss", 0, size}});
 }
 
 // A resume reads the manifest, every shard's state and lineage store (to

@@ -21,6 +21,9 @@
 #include <string>
 #include <vector>
 
+#include "common/env.h"
+#include "common/rng.h"
+#include "core/debloat_test.h"
 #include "core/kondo.h"
 #include "core/multi_kondo.h"
 #include "fuzz/fuzz_schedule.h"
@@ -370,6 +373,270 @@ TEST(ShardStateTest, RoundTripsThroughDisk) {
   ExpectIndexSetsEqual(loaded->per_file[1], result.per_file[1], "file 1");
   // Loading under the wrong shard id is the resume-corruption guard.
   EXPECT_FALSE(LoadShardState(path, 6, shapes).ok());
+}
+
+/// The state `kondo fuzz --out` writes: shard 0 of a one-file campaign.
+ShardCampaignResult SmallCampaign() {
+  ShardCampaignResult state;
+  state.per_file.emplace_back(Shape{16, 16});
+  state.per_file[0].Insert(Index{1, 2});
+  state.per_file[0].Insert(Index{15, 15});
+  state.seeds.push_back(Seed{{3.0, 4.0}, true});
+  state.seeds.push_back(Seed{{100.0, -2.5}, false});
+  return state;
+}
+
+/// A fresh directory for one state-file test, and the state's path in it.
+std::string StatePath(const std::string& name) {
+  const std::string dir = TempDir(name);
+  std::filesystem::create_directories(dir);
+  return dir + "/c.kss";
+}
+
+/// Writes `body` plus its checksum trailer to `path`, so only the line
+/// under test can make a load fail.
+void WriteCheckedState(const std::string& path, std::string body) {
+  AppendChecksumTrailer(&body);
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << body;
+}
+
+// The campaign state of `kondo fuzz --out` / `--resume` / `carve --state`
+// (shard 0 of a one-file campaign) round-trips seeds and discovery.
+TEST(CampaignStateTest, RoundTrip) {
+  const ShardCampaignResult state = SmallCampaign();
+  const std::string path = StatePath("state_round_trip");
+  ASSERT_TRUE(SaveShardState(path, 0, state).ok());
+  const StatusOr<ShardCampaignResult> loaded =
+      LoadShardState(path, 0, {Shape{16, 16}});
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  ASSERT_EQ(loaded->seeds.size(), 2u);
+  EXPECT_TRUE(loaded->seeds[0].useful);
+  EXPECT_EQ(loaded->seeds[0].value, state.seeds[0].value);
+  EXPECT_FALSE(loaded->seeds[1].useful);
+  EXPECT_EQ(loaded->seeds[1].value, state.seeds[1].value);
+  ASSERT_EQ(loaded->per_file.size(), 1u);
+  EXPECT_EQ(loaded->per_file[0].shape(), (Shape{16, 16}));
+  EXPECT_EQ(loaded->per_file[0].size(), 2u);
+  EXPECT_TRUE(loaded->per_file[0].Contains(Index{1, 2}));
+  ExpectIndexSetsEqual(loaded->per_file[0], state.per_file[0], "file 0");
+}
+
+TEST(CampaignStateTest, DoublePrecisionPreserved) {
+  ShardCampaignResult state = SmallCampaign();
+  state.seeds[0].value = {0.1234567890123456789, 1e-300};
+  const std::string path = StatePath("state_precise");
+  ASSERT_TRUE(SaveShardState(path, 0, state).ok());
+  const StatusOr<ShardCampaignResult> loaded =
+      LoadShardState(path, 0, {Shape{16, 16}});
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  ASSERT_EQ(loaded->seeds.size(), 2u);
+  // Bit-exact, not merely close: a resumed campaign re-seeds from these.
+  EXPECT_EQ(loaded->seeds[0].value, state.seeds[0].value);
+  EXPECT_EQ(loaded->seeds[0].value[1], 1e-300);
+}
+
+TEST(ShardStateTest, ShuffledIdLinesLoadToTheSameState) {
+  const Shape shape{64, 64};
+  ShardCampaignResult state = SmallCampaign();
+  state.per_file = {IndexSet(shape)};
+  Rng rng(5);
+  for (int i = 0; i < 3000; ++i) {
+    state.per_file[0].InsertLinear(rng.UniformInt(0, 64 * 64 - 1));
+  }
+  // Keep the other lines (the trailer is re-made below); shuffle the `I`
+  // lines and repeat some.
+  std::istringstream encoded(EncodeShardState(0, state));
+  std::string head;
+  std::vector<std::string> ids;
+  for (std::string line; std::getline(encoded, line);) {
+    if (line.rfind("I ", 0) == 0) {
+      ids.push_back(line);
+    } else if (line.rfind("C ", 0) != 0) {
+      head += line + "\n";
+    }
+  }
+  ASSERT_EQ(ids.size(), state.per_file[0].size());
+  ids.insert(ids.end(), ids.begin(), ids.begin() + 500);
+  rng.Shuffle(ids);
+  for (const std::string& line : ids) {
+    head += line + "\n";
+  }
+  const std::string path = StatePath("state_shuffled");
+  WriteCheckedState(path, head);
+
+  const StatusOr<ShardCampaignResult> loaded = LoadShardState(path, 0, {shape});
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(loaded->seeds.size(), state.seeds.size());
+  ExpectIndexSetsEqual(loaded->per_file[0], state.per_file[0], "shuffled");
+}
+
+TEST(ShardStateTest, RejectsGarbage) {
+  const std::string path = StatePath("state_garbage");
+  std::ofstream(path, std::ios::binary) << "not a campaign\n";
+  EXPECT_EQ(LoadShardState(path, 0, {Shape{4, 4}}).status().code(),
+            StatusCode::kDataLoss);
+  // Past the checksum, the header is what must refuse it.
+  WriteCheckedState(path, "not a campaign\n");
+  EXPECT_EQ(LoadShardState(path, 0, {Shape{4, 4}}).status().code(),
+            StatusCode::kDataLoss);
+}
+
+TEST(ShardStateTest, RejectsOutOfRangeIds) {
+  const std::string path = StatePath("state_bad_id");
+  WriteCheckedState(path, "KSS2 0 1\nF 2 4 4\nI 0 99\n");
+  EXPECT_EQ(LoadShardState(path, 0, {Shape{4, 4}}).status().code(),
+            StatusCode::kDataLoss);
+  WriteCheckedState(path, "KSS2 0 1\nF 2 4 4\nI 1 0\n");  // No file 1.
+  EXPECT_EQ(LoadShardState(path, 0, {Shape{4, 4}}).status().code(),
+            StatusCode::kDataLoss);
+}
+
+TEST(ShardStateTest, RejectsFileLinesOutsideTheShapeBounds) {
+  const char* file_lines[] = {
+      "F 5 1 1 1 1 1",                         // Rank above kMaxRank.
+      "F 0",                                   // Rank zero.
+      "F 2000000000 1",                        // Rank with no dims.
+      "F 2 4 0",                               // Non-positive dim.
+      "F 3 2147483648 2147483648 2147483648",  // 2^93 elements.
+  };
+  const std::string path = StatePath("state_bad_shape");
+  for (const char* file_line : file_lines) {
+    SCOPED_TRACE(file_line);
+    WriteCheckedState(path, StrCat("KSS2 0 1\n", file_line, "\n"));
+    EXPECT_EQ(LoadShardState(path, 0, {Shape{4, 4}}).status().code(),
+              StatusCode::kDataLoss);
+  }
+}
+
+TEST(ShardStateTest, StateOfAnotherShapeDoesNotMatch) {
+  const std::string path = StatePath("state_other_shape");
+  ASSERT_TRUE(SaveShardState(path, 0, SmallCampaign()).ok());
+  for (const std::vector<Shape>& shapes :
+       {std::vector<Shape>{Shape{8, 32}},
+        std::vector<Shape>{Shape{16, 16}, Shape{4}}}) {
+    const Status status = LoadShardState(path, 0, shapes).status();
+    EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition) << status;
+    EXPECT_NE(status.ToString().find("does not match"), std::string::npos)
+        << status;
+  }
+}
+
+TEST(ShardStateTest, MissingFileIsNotFound) {
+  EXPECT_EQ(LoadShardState(TempDir("state_absent") + "/c.kss", 0,
+                           {Shape{4, 4}})
+                .status()
+                .code(),
+            StatusCode::kNotFound);
+}
+
+TEST(ShardStateTest, RefusesKcsFilesNamingTheFormat) {
+  const std::string path = StatePath("state_kcs");
+  std::ofstream(path, std::ios::binary) << "KCS1 2 16 16\nS 1 3 4\nI 18\n";
+  const Status status = LoadShardState(path, 0, {Shape{16, 16}}).status();
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.ToString().find("KCS"), std::string::npos) << status;
+  EXPECT_NE(status.ToString().find("kondo fuzz --out"), std::string::npos)
+      << status;
+}
+
+TEST(ShardStateTest, ExtendCampaignUnionsDiscoveryAndConcatenatesSeeds) {
+  ShardCampaignResult base = SmallCampaign();
+  base.stats.evaluations = 5;
+  base.stats.quarantined_points = {{1.0, 1.0}};
+  ShardCampaignResult latest;
+  latest.per_file.emplace_back(Shape{16, 16});
+  latest.per_file[0].Insert(Index{1, 2});  // Duplicate.
+  latest.per_file[0].Insert(Index{0, 0});  // New.
+  latest.seeds.push_back(Seed{{7.0, 7.0}, true});
+  latest.stats.evaluations = 1;
+  latest.stats.quarantined_points = {{2.0, 2.0}};
+  ExtendCampaign(&base, std::move(latest));
+  ASSERT_EQ(base.seeds.size(), 3u);
+  EXPECT_EQ(base.seeds[2].value, (ParamValue{7.0, 7.0}));
+  EXPECT_EQ(base.per_file[0].size(), 3u);
+  // The stats are the latest run's; quarantined points concatenate.
+  EXPECT_EQ(base.stats.evaluations, 1);
+  EXPECT_EQ(base.stats.quarantined_points,
+            (std::vector<ParamValue>{{1.0, 1.0}, {2.0, 2.0}}));
+}
+
+TEST(ShardStateTest, ResumedCampaignExtendsDiscovery) {
+  // A short campaign persisted, then a second campaign folded in: the
+  // combined state discovers at least as much as either alone.
+  const std::unique_ptr<Program> program = CreateProgram("CS", 64);
+  const Shape shape = program->data_shape();
+  FuzzConfig short_config;
+  short_config.max_iter = 150;
+  const auto run = [&](uint64_t seed) {
+    CampaignExecutor executor(1);
+    FuzzResult fuzz =
+        FuzzSchedule(program->param_space(), shape, short_config, seed)
+            .Run(executor, MakeCandidateTest(*program));
+    ShardCampaignResult state;
+    state.per_file.push_back(std::move(fuzz.discovered));
+    state.seeds = std::move(fuzz.seeds);
+    state.stats = std::move(fuzz.stats);
+    return state;
+  };
+  const ShardCampaignResult first = run(1);
+  const std::string path = StatePath("state_resume");
+  ASSERT_TRUE(SaveShardState(path, 0, first).ok());
+  StatusOr<ShardCampaignResult> reloaded = LoadShardState(path, 0, {shape});
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status();
+
+  ExtendCampaign(&*reloaded, run(2));
+  EXPECT_GE(reloaded->per_file[0].size(), first.per_file[0].size());
+  EXPECT_GT(reloaded->seeds.size(), first.seeds.size());
+}
+
+TEST(ShardStateTest, FileBytesArePinned) {
+  const std::string path = StatePath("state_pinned");
+  ASSERT_TRUE(SaveShardState(path, 0, SmallCampaign()).ok());
+  EXPECT_EQ(ReadFileBytes(path),
+            "KSS2 0 1\nF 2 16 16\nT 0 0 0 0 1 0 0 0 0 0 0\nS 1 3 4\n"
+            "S 0 100 -2.5\nI 0 18\nI 0 255\nC 2486959105\n");
+}
+
+// `kondo fuzz --out S --resume S` overwrites the state it resumed from: a
+// crash at any point of the save must leave the old state or the new one.
+TEST(ShardStateTest, InterruptedSaveKeepsTheOldOrNewState) {
+  const ShardCampaignResult before = SmallCampaign();
+  ShardCampaignResult after = SmallCampaign();
+  after.seeds.push_back(Seed{{7.0, 0.125}, true});
+  after.per_file[0].Insert(Index{4, 4});
+  const std::vector<Shape> shapes = {Shape{16, 16}};
+
+  const std::string scratch = StatePath("state_crash");
+  const std::string dir = std::filesystem::path(scratch).parent_path();
+  ASSERT_TRUE(SaveShardState(scratch, 0, after).ok());
+  const std::string new_bytes = ReadFileBytes(scratch);
+  ASSERT_TRUE(SaveShardState(scratch, 0, before).ok());
+  const std::string old_bytes = ReadFileBytes(scratch);
+  FaultInjectingEnv counter(Env::Default(), FaultPlan{});
+  ASSERT_TRUE(SaveShardState(scratch, 0, after, {}, &counter).ok());
+  EXPECT_EQ(ReadFileBytes(scratch), new_bytes);
+  const int64_t num_ops = counter.ops();
+  ASSERT_GT(num_ops, 2);
+
+  for (int64_t k = 0; k < num_ops; ++k) {
+    const std::string path = dir + "/crash_" + std::to_string(k) + ".kss";
+    ASSERT_TRUE(SaveShardState(path, 0, before).ok());
+    FaultPlan plan;
+    plan.crash_at_op = k;
+    FaultInjectingEnv env(Env::Default(), plan);
+    EXPECT_FALSE(SaveShardState(path, 0, after, {}, &env).ok())
+        << "crash at op " << k << " did not surface";
+    const std::string left = ReadFileBytes(path);
+    EXPECT_TRUE(left == old_bytes || left == new_bytes)
+        << "torn campaign state after crash at op " << k;
+    const StatusOr<ShardCampaignResult> loaded =
+        LoadShardState(path, 0, shapes);
+    ASSERT_TRUE(loaded.ok()) << "crash at op " << k << ": "
+                             << loaded.status();
+    const size_t seeds = loaded->seeds.size();
+    EXPECT_TRUE(seeds == before.seeds.size() || seeds == after.seeds.size())
+        << "crash at op " << k;
+  }
 }
 
 // ----------------------------------------------- merged-result identity --

@@ -37,7 +37,6 @@
 #include "exec/thread_pool.h"
 #include "fleet/fleet_scheduler.h"
 #include "fleet/fleet_worker.h"
-#include "fuzz/campaign_state.h"
 #include "pack/kdp_format.h"
 #include "pack/pack_reader.h"
 #include "pack/pack_writer.h"
@@ -49,6 +48,7 @@
 #include "serve/client.h"
 #include "serve/server.h"
 #include "shard/plan_weights.h"
+#include "shard/shard_campaign.h"
 #include "shard/shard_scheduler.h"
 #include "workloads/registry.h"
 
@@ -733,35 +733,39 @@ Status CmdFuzz(Args& args) {
   KondoConfig config = ScaledKondoConfig(shape);
   flags.ApplyTo(&config);
 
-  FuzzResult result;
+  // The state is shard 0 of a one-file campaign.
+  ShardCampaignResult state;
   if (flags.shards > 1) {
     // Sharded campaign (in memory): the merge reconstitutes the exact
-    // serial FuzzResult — seeds from the replicated schedule, discovered
-    // set as the union over the shard partition.
+    // serial result — seeds from the replicated schedule, discovered set
+    // as the union over the shard partition.
     const SingleFileProgramAdapter adapter(std::move(program));
     MergedCampaign merged = RunMultiFileKondo(adapter, config);
-    result.discovered = std::move(merged.per_file_discovered[0]);
-    result.seeds = std::move(merged.seeds);
-    result.stats = merged.fuzz_stats;
+    state.per_file.push_back(std::move(merged.per_file_discovered[0]));
+    state.seeds = std::move(merged.seeds);
+    state.stats = merged.fuzz_stats;
   } else {
     CampaignExecutor executor(flags.jobs);
     FuzzSchedule schedule(program->param_space(), shape, config.fuzz,
                           flags.seed);
-    result = schedule.Run(executor, MakeCandidateTest(*program));
+    FuzzResult result = schedule.Run(executor, MakeCandidateTest(*program));
+    state.per_file.push_back(std::move(result.discovered));
+    state.seeds = std::move(result.seeds);
+    state.stats = std::move(result.stats);
   }
-  CampaignState state = MakeCampaignState(shape, result);
 
   if (!resume_path.empty()) {
-    KONDO_ASSIGN_OR_RETURN(CampaignState previous,
-                           LoadCampaignState(resume_path));
-    MergeCampaignState(&previous, state);
+    KONDO_ASSIGN_OR_RETURN(ShardCampaignResult previous,
+                           LoadShardState(resume_path, 0, {shape}));
+    ExtendCampaign(&previous, std::move(state));
     state = std::move(previous);
   }
-  KONDO_RETURN_IF_ERROR(SaveCampaignState(out_path, state));
+  KONDO_RETURN_IF_ERROR(SaveShardState(out_path, 0, state));
+  // After a resume the stats are still this run's (ExtendCampaign).
   std::printf("campaign: %d evaluations this run (stopped by %s); state now "
               "holds %zu seeds and %zu discovered offsets -> %s\n",
-              result.stats.evaluations, StopReason(result.stats),
-              state.seeds.size(), state.discovered.size(), out_path.c_str());
+              state.stats.evaluations, StopReason(state.stats),
+              state.seeds.size(), state.per_file[0].size(), out_path.c_str());
   return OkStatus();
 }
 
@@ -773,23 +777,19 @@ Status CmdCarve(Args& args) {
                          args.Positionals(1));
   KONDO_ASSIGN_OR_RETURN(const std::unique_ptr<Program> program,
                          FindProgram(pos[0]));
-  KONDO_ASSIGN_OR_RETURN(const CampaignState state,
-                         LoadCampaignState(state_path));
-  if (!(state.shape == program->data_shape())) {
-    return FailedPreconditionError(
-        StrCat("campaign shape ", state.shape.ToString(),
-               " does not match program ", program->data_shape().ToString()));
-  }
+  KONDO_ASSIGN_OR_RETURN(
+      const ShardCampaignResult state,
+      LoadShardState(state_path, 0, {program->data_shape()}));
+  const IndexSet& discovered = state.per_file[0];
   CarveConfig config = ScaledKondoConfig(program->data_shape()).carve;
   config.center_d_thresh = center.value_or(config.center_d_thresh);
   config.boundary_d_thresh = boundary.value_or(config.boundary_d_thresh);
   CarveStats stats;
-  const IndexSet approx =
-      Carver(config).Carve(state.discovered, &stats).Rasterize();
+  const IndexSet approx = Carver(config).Carve(discovered, &stats).Rasterize();
   const AccuracyMetrics metrics =
       ComputeAccuracy(program->GroundTruth(), approx);
   std::printf("carved %d hulls from %zu discovered offsets (%d merges)\n",
-              stats.final_hulls, state.discovered.size(),
+              stats.final_hulls, discovered.size(),
               stats.merge_operations);
   std::printf("precision %.3f, recall %.3f, subset %lld of %lld\n",
               metrics.precision, metrics.recall,
@@ -1192,13 +1192,13 @@ constexpr Command kCommands[] = {
      "                 [--shards N] [--max-evals N]",
      "--seed= --map --jobs= --shards= --max-evals=", CmdEvaluate},
     {"fuzz",
-     "<program> --out <state.kcs> [--seed N]\n"
-     "              [--max-iter N] [--max-evals N] [--resume <state.kcs>]\n"
+     "<program> --out <state.kss> [--seed N]\n"
+     "              [--max-iter N] [--max-evals N] [--resume <state.kss>]\n"
      "              [--jobs N] [--shards N]",
      "--out= --resume= --seed= --max-iter= --max-evals= --jobs= --shards=",
      CmdFuzz},
     {"carve",
-     "<program> --state <state.kcs> [--center X]\n"
+     "<program> --state <state.kss> [--center X]\n"
      "              [--boundary X]",
      "--state= --center= --boundary=", CmdCarve},
     {"repack",
