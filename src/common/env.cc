@@ -28,28 +28,6 @@ std::string DirOf(const std::string& path) {
   return path.substr(0, slash);
 }
 
-/// FNV-1a over the basename so fault decisions survive a change of
-/// temporary directory (the directory differs between test runs; the
-/// artifact names do not).
-uint64_t BasenameHash(const std::string& path) {
-  const size_t slash = path.find_last_of('/');
-  const size_t begin = slash == std::string::npos ? 0 : slash + 1;
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (size_t i = begin; i < path.size(); ++i) {
-    h ^= static_cast<unsigned char>(path[i]);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-uint64_t SplitMix64Step(uint64_t* state) {
-  *state += 0x9e3779b97f4a7c15ULL;
-  uint64_t z = *state;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
 /// Buffered stdio-backed file; Sync() is fflush + fsync.
 class RealWritableFile : public WritableFile {
  public:
@@ -377,347 +355,6 @@ void AtomicFile::Discard() {
       KONDO_LOG(Info) << "atomic file discard remove: " << removed;
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// FaultInjectingEnv
-
-/// Wrapper that consults the env's fault plan before every operation and
-/// reports byte progress back for crash truncation.
-class FaultInjectingFile : public WritableFile {
- public:
-  FaultInjectingFile(FaultInjectingEnv* env,
-                     std::unique_ptr<WritableFile> base)
-      : WritableFile(base->path()), env_(env), base_(std::move(base)) {}
-
-  ~FaultInjectingFile() override {
-    if (base_ != nullptr) {
-      const Status closed = Close();
-      if (!closed.ok()) {
-        KONDO_LOG(Info) << "fault-injecting file close: " << closed;
-      }
-    }
-  }
-
-  WritableFile* base() const { return base_.get(); }
-
-  Status Append(const void* data, size_t size) override {
-    if (base_ == nullptr) {
-      return FailedPreconditionError("file already closed: " + path_);
-    }
-    const FaultInjectingEnv::FaultDecision d =
-        env_->DecideAppend(path_, size);
-    switch (d.action) {
-      case FaultInjectingEnv::FaultAction::kCrash:
-        return env_->CrashedError(path_);
-      case FaultInjectingEnv::FaultAction::kEnospc:
-        return ResourceExhaustedError(
-            StrCat("injected ENOSPC (op ", d.op, "): ", path_));
-      case FaultInjectingEnv::FaultAction::kShortWrite: {
-        const Status written = base_->Append(data, d.short_bytes);
-        if (written.ok()) {
-          env_->RecordAppended(path_, static_cast<int64_t>(d.short_bytes));
-        }
-        return InternalError(StrCat("injected short write (op ", d.op,
-                                    "): ", path_, ": wrote ", d.short_bytes,
-                                    " of ", size, " bytes"));
-      }
-      case FaultInjectingEnv::FaultAction::kProceed:
-        break;
-    }
-    KONDO_RETURN_IF_ERROR(base_->Append(data, size));
-    env_->RecordAppended(path_, static_cast<int64_t>(size));
-    return OkStatus();
-  }
-
-  Status Flush() override {
-    if (base_ == nullptr) {
-      return FailedPreconditionError("file already closed: " + path_);
-    }
-    if (env_->crashed()) {
-      return env_->CrashedError(path_);
-    }
-    return base_->Flush();
-  }
-
-  Status Sync() override {
-    if (base_ == nullptr) {
-      return FailedPreconditionError("file already closed: " + path_);
-    }
-    const FaultInjectingEnv::FaultDecision d = env_->DecideSync(path_);
-    switch (d.action) {
-      case FaultInjectingEnv::FaultAction::kCrash:
-        return env_->CrashedError(path_);
-      case FaultInjectingEnv::FaultAction::kEnospc:
-        return ResourceExhaustedError(
-            StrCat("injected ENOSPC (op ", d.op, "): ", path_));
-      default:
-        break;
-    }
-    KONDO_RETURN_IF_ERROR(base_->Sync());
-    env_->RecordSynced(path_);
-    return OkStatus();
-  }
-
-  Status Close() override {
-    if (base_ == nullptr) {
-      return OkStatus();
-    }
-    env_->Unregister(path_);
-    const Status closed = base_->Close();
-    base_.reset();
-    return closed;
-  }
-
- private:
-  FaultInjectingEnv* const env_;
-  std::unique_ptr<WritableFile> base_;
-};
-
-FaultInjectingEnv::FaultInjectingEnv(Env* base, const FaultPlan& plan)
-    : base_(base == nullptr ? Env::Default() : base), plan_(plan) {}
-
-StatusOr<std::unique_ptr<WritableFile>> FaultInjectingEnv::NewWritableFile(
-    const std::string& path) {
-  {
-    MutexLock lock(mu_);
-    if (crashed_) {
-      return CrashedError(path);
-    }
-  }
-  KONDO_ASSIGN_OR_RETURN(std::unique_ptr<WritableFile> base,
-                         base_->NewWritableFile(path));
-  WritableFile* raw = base.get();
-  auto file = std::make_unique<FaultInjectingFile>(this, std::move(base));
-  MutexLock lock(mu_);
-  if (crashed_) {
-    return CrashedError(path);  // The wrapper's destructor closes the base.
-  }
-  FileState state;
-  state.file = raw;
-  files_[path] = state;
-  return std::unique_ptr<WritableFile>(std::move(file));
-}
-
-Status FaultInjectingEnv::RenameFile(const std::string& from,
-                                     const std::string& to) {
-  const FaultDecision d = DecideRename();
-  switch (d.action) {
-    case FaultAction::kCrash:
-      return CrashedError(StrCat(from, " -> ", to));
-    case FaultAction::kEnospc:
-      return ResourceExhaustedError(
-          StrCat("injected ENOSPC (op ", d.op, "): ", from, " -> ", to));
-    default:
-      break;
-  }
-  return base_->RenameFile(from, to);
-}
-
-Status FaultInjectingEnv::RemoveFile(const std::string& path) {
-  {
-    MutexLock lock(mu_);
-    if (crashed_) {
-      return CrashedError(path);
-    }
-  }
-  return base_->RemoveFile(path);
-}
-
-Status FaultInjectingEnv::TruncateFile(const std::string& path,
-                                       int64_t size) {
-  {
-    MutexLock lock(mu_);
-    if (crashed_) {
-      return CrashedError(path);
-    }
-  }
-  return base_->TruncateFile(path, size);
-}
-
-Status FaultInjectingEnv::SyncDirOf(const std::string& path) {
-  {
-    MutexLock lock(mu_);
-    if (crashed_) {
-      return CrashedError(path);
-    }
-  }
-  return base_->SyncDirOf(path);
-}
-
-StatusOr<std::unique_ptr<RandomAccessFile>>
-FaultInjectingEnv::NewRandomAccessFile(const std::string& path) {
-  return base_->NewRandomAccessFile(path);
-}
-
-FileKind FaultInjectingEnv::GetFileKind(const std::string& path) {
-  return base_->GetFileKind(path);
-}
-
-int64_t FaultInjectingEnv::ops() const {
-  MutexLock lock(mu_);
-  return ops_;
-}
-
-bool FaultInjectingEnv::crashed() const {
-  MutexLock lock(mu_);
-  return crashed_;
-}
-
-int64_t FaultInjectingEnv::faults_injected() const {
-  MutexLock lock(mu_);
-  return faults_;
-}
-
-FaultInjectingEnv::FaultDecision FaultInjectingEnv::DecideAppend(
-    const std::string& path, size_t size) {
-  MutexLock lock(mu_);
-  FaultDecision d;
-  if (crashed_) {
-    d.action = FaultAction::kCrash;
-    return d;
-  }
-  d.op = ops_++;
-  const int64_t file_op = files_[path].file_ops++;
-  if (plan_.crash_at_op >= 0 && d.op >= plan_.crash_at_op) {
-    TriggerCrashLocked();
-    d.action = FaultAction::kCrash;
-    return d;
-  }
-  if (plan_.enospc_at_op >= 0 && !enospc_fired_ &&
-      d.op >= plan_.enospc_at_op) {
-    enospc_fired_ = true;
-    ++faults_;
-    d.action = FaultAction::kEnospc;
-    return d;
-  }
-  if (plan_.short_write_prob > 0.0 && size > 0) {
-    const uint64_t key = plan_.seed ^ BasenameHash(path);
-    if (FaultHash(key, file_op, 0) < plan_.short_write_prob) {
-      ++faults_;
-      d.action = FaultAction::kShortWrite;
-      d.short_bytes = static_cast<size_t>(
-          FaultHash(key, file_op, 1) * static_cast<double>(size));
-      if (d.short_bytes >= size) {
-        d.short_bytes = size - 1;
-      }
-    }
-  }
-  return d;
-}
-
-FaultInjectingEnv::FaultDecision FaultInjectingEnv::DecideSync(
-    const std::string& path) {
-  (void)path;
-  MutexLock lock(mu_);
-  FaultDecision d;
-  if (crashed_) {
-    d.action = FaultAction::kCrash;
-    return d;
-  }
-  d.op = ops_++;
-  if (plan_.crash_at_op >= 0 && d.op >= plan_.crash_at_op) {
-    TriggerCrashLocked();
-    d.action = FaultAction::kCrash;
-    return d;
-  }
-  if (plan_.enospc_at_op >= 0 && !enospc_fired_ &&
-      d.op >= plan_.enospc_at_op) {
-    enospc_fired_ = true;
-    ++faults_;
-    d.action = FaultAction::kEnospc;
-  }
-  return d;
-}
-
-FaultInjectingEnv::FaultDecision FaultInjectingEnv::DecideRename() {
-  MutexLock lock(mu_);
-  FaultDecision d;
-  if (crashed_) {
-    d.action = FaultAction::kCrash;
-    return d;
-  }
-  d.op = ops_++;
-  if (plan_.crash_at_op >= 0 && d.op >= plan_.crash_at_op) {
-    TriggerCrashLocked();
-    d.action = FaultAction::kCrash;
-    return d;
-  }
-  if (plan_.enospc_at_op >= 0 && !enospc_fired_ &&
-      d.op >= plan_.enospc_at_op) {
-    enospc_fired_ = true;
-    ++faults_;
-    d.action = FaultAction::kEnospc;
-  }
-  return d;
-}
-
-Status FaultInjectingEnv::CrashedError(const std::string& what) const {
-  return InternalError(
-      StrCat("injected crash (op ", plan_.crash_at_op, "): ", what));
-}
-
-void FaultInjectingEnv::TriggerCrashLocked() {
-  crashed_ = true;
-  for (auto& entry : files_) {
-    FileState& state = entry.second;
-    if (state.file == nullptr) {
-      continue;
-    }
-    // Close flushes stdio buffers to disk; truncating back to the synced
-    // length then models the kernel dropping everything past the last
-    // fsync.
-    const Status closed = state.file->Close();
-    if (!closed.ok()) {
-      KONDO_LOG(Info) << "injected crash close: " << closed;
-    }
-    state.file = nullptr;
-    if (plan_.lose_unsynced_on_crash) {
-      const Status truncated = base_->TruncateFile(entry.first, state.synced);
-      if (!truncated.ok()) {
-        KONDO_LOG(Info) << "injected crash truncate: " << truncated;
-      } else if (state.appended > state.synced) {
-        KONDO_LOG(Info) << "injected crash dropped "
-                        << (state.appended - state.synced)
-                        << " unsynced bytes of " << entry.first;
-      }
-    }
-  }
-}
-
-void FaultInjectingEnv::RecordAppended(const std::string& path,
-                                       int64_t bytes) {
-  MutexLock lock(mu_);
-  files_[path].appended += bytes;
-}
-
-void FaultInjectingEnv::RecordSynced(const std::string& path) {
-  MutexLock lock(mu_);
-  FileState& state = files_[path];
-  state.synced = state.appended;
-}
-
-void FaultInjectingEnv::Unregister(const std::string& path) {
-  MutexLock lock(mu_);
-  const auto it = files_.find(path);
-  if (it != files_.end()) {
-    it->second.file = nullptr;
-  }
-}
-
-bool IsInjectedFault(const Status& status) {
-  return !status.ok() &&
-         status.message().find("injected") != std::string::npos;
-}
-
-double FaultHash(uint64_t seed, int64_t a, int64_t b) {
-  uint64_t x = seed;
-  uint64_t h = SplitMix64Step(&x);
-  x = h ^ static_cast<uint64_t>(a);
-  h = SplitMix64Step(&x);
-  x = h ^ static_cast<uint64_t>(b);
-  h = SplitMix64Step(&x);
-  return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
 
 }  // namespace kondo

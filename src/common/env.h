@@ -3,13 +3,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 
 #include "common/status.h"
 #include "common/statusor.h"
-#include "common/thread_annotations.h"
 
 namespace kondo {
 
@@ -23,8 +21,8 @@ enum class FileKind {
 };
 
 /// A sequential append-only output file. All artifact writers go through
-/// this interface so a FaultInjectingEnv can interpose short writes,
-/// ENOSPC, lost fsyncs, and crash points underneath them.
+/// this interface, so an Env decorator can interpose short writes, ENOSPC,
+/// lost fsyncs, and crash points underneath them.
 class WritableFile {
  public:
   virtual ~WritableFile() = default;
@@ -88,8 +86,8 @@ class RandomAccessFile {
 /// Filesystem access points: every artifact writer commits through
 /// NewWritableFile/RenameFile and every file reader opens through
 /// NewRandomAccessFile. Production code uses Env::Default() (the real
-/// filesystem); tests inject a FaultInjectingEnv (write and commit faults)
-/// or their own decorator (read faults).
+/// filesystem); a decorator passed in its place sees every write, commit
+/// and read, which is the seam fault injection uses.
 class Env {
  public:
   virtual ~Env() = default;
@@ -192,107 +190,6 @@ class AtomicFile {
   bool failed_ = false;
   int64_t bytes_appended_ = 0;
 };
-
-/// Deterministic fault schedule for a FaultInjectingEnv. Operation indices
-/// count *mutating* operations — WritableFile::Append, WritableFile::Sync,
-/// and Env::RenameFile — in the order the env observes them.
-struct FaultPlan {
-  /// Seeds the per-file short-write decisions (and nothing else), so equal
-  /// seeds replay equal failure sequences.
-  uint64_t seed = 1;
-
-  /// Simulate a process crash at this mutating-op index (-1 = never): the
-  /// op and every later env operation fail with an "injected crash" error,
-  /// and unsynced bytes of every open file are discarded.
-  int64_t crash_at_op = -1;
-
-  /// Inject a single ENOSPC (kResourceExhausted) at this mutating-op index
-  /// (-1 = never).
-  int64_t enospc_at_op = -1;
-
-  /// Per-Append probability of an injected short write, decided by a hash
-  /// of (seed, file basename, per-file op index) — independent of global
-  /// interleaving, so the failure sequence is identical at every --jobs.
-  double short_write_prob = 0.0;
-
-  /// On crash, truncate each open file to its last-synced byte (models a
-  /// kernel that dropped the page cache). When false the crash only fails
-  /// subsequent operations.
-  bool lose_unsynced_on_crash = true;
-};
-
-/// An Env decorator that deterministically injects IO faults per a
-/// FaultPlan. Thread-safe; decisions that must be jobs-invariant are keyed
-/// per file rather than on the global op counter.
-class FaultInjectingEnv : public Env {
- public:
-  FaultInjectingEnv(Env* base, const FaultPlan& plan);
-
-  /// Reads are forwarded untouched: the plan targets writes and commits.
-  StatusOr<std::unique_ptr<RandomAccessFile>> NewRandomAccessFile(
-      const std::string& path) override;
-  StatusOr<std::unique_ptr<WritableFile>> NewWritableFile(
-      const std::string& path) override;
-  Status RenameFile(const std::string& from, const std::string& to) override;
-  Status RemoveFile(const std::string& path) override;
-  Status TruncateFile(const std::string& path, int64_t size) override;
-  Status SyncDirOf(const std::string& path) override;
-  FileKind GetFileKind(const std::string& path) override;
-
-  /// Mutating operations observed so far (a clean run's total bounds the
-  /// crash-point sweep).
-  int64_t ops() const;
-
-  /// True once crash_at_op has fired.
-  bool crashed() const;
-
-  /// Injected short writes + ENOSPCs delivered so far.
-  int64_t faults_injected() const;
-
- private:
-  friend class FaultInjectingFile;
-
-  enum class FaultAction { kProceed, kShortWrite, kEnospc, kCrash };
-  struct FaultDecision {
-    FaultAction action = FaultAction::kProceed;
-    int64_t op = 0;
-    size_t short_bytes = 0;
-  };
-  struct FileState {
-    WritableFile* file = nullptr;  // Base file, owned by the wrapper.
-    int64_t appended = 0;
-    int64_t synced = 0;
-    int64_t file_ops = 0;
-  };
-
-  FaultDecision DecideAppend(const std::string& path, size_t size);
-  FaultDecision DecideSync(const std::string& path);
-  FaultDecision DecideRename();
-  Status CrashedError(const std::string& what) const;
-  /// Must hold mu_. Fails every later op and drops unsynced bytes.
-  void TriggerCrashLocked() KONDO_REQUIRES(mu_);
-  void RecordAppended(const std::string& path, int64_t bytes);
-  void RecordSynced(const std::string& path);
-  void Unregister(const std::string& path);
-
-  Env* const base_;
-  const FaultPlan plan_;
-  mutable Mutex mu_;
-  int64_t ops_ KONDO_GUARDED_BY(mu_) = 0;
-  bool crashed_ KONDO_GUARDED_BY(mu_) = false;
-  bool enospc_fired_ KONDO_GUARDED_BY(mu_) = false;
-  int64_t faults_ KONDO_GUARDED_BY(mu_) = 0;
-  std::map<std::string, FileState> files_ KONDO_GUARDED_BY(mu_);
-};
-
-/// True when `status` carries an env-injected fault (crash, ENOSPC, or
-/// short write) rather than a real IO failure.
-bool IsInjectedFault(const Status& status);
-
-/// Deterministic hash of (seed, a, b) to [0, 1) — SplitMix64-based. Used to
-/// key injected per-candidate test failures on candidate identity so
-/// retry/quarantine decisions are identical at every --jobs.
-double FaultHash(uint64_t seed, int64_t a, int64_t b);
 
 }  // namespace kondo
 

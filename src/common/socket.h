@@ -31,10 +31,9 @@ struct SocketAddress {
 /// drain sessions on shutdown). The descriptor itself is immutable after
 /// construction and closed only by the destructor.
 ///
-/// The IO methods are virtual so a fault-injecting NetEnv can decorate a
-/// real connection with deterministic drops and short frames (see
-/// common/net_fault.h); decorators construct through the protected default
-/// constructor and own no descriptor of their own.
+/// The IO methods are virtual so a NetEnv decorator can wrap a real
+/// connection (to drop, tear or silence it); decorators construct through
+/// the protected default constructor and own no descriptor of their own.
 class Connection {
  public:
   explicit Connection(int fd) : fd_(fd) {}
@@ -76,7 +75,7 @@ class Connection {
 };
 
 /// A bound, listening socket accepting Connections. Accept/Shutdown are
-/// virtual for the same decoration seam as Connection: a fault-injecting
+/// virtual for the same decoration seam as Connection: a decorating
 /// listener wraps every accepted connection.
 class ListenSocket {
  public:
@@ -114,9 +113,8 @@ class ListenSocket {
 };
 
 /// Network access points, mirroring Env's role for the filesystem: servers
-/// and clients reach sockets only through this seam, so a fault-injecting
-/// NetEnv can later interpose torn frames and refused connections on the
-/// wire exactly as FaultInjectingEnv does for artifact IO.
+/// and clients reach sockets only through this seam, so a NetEnv decorator
+/// sees every connection either end opens.
 class NetEnv {
  public:
   virtual ~NetEnv() = default;

@@ -45,8 +45,8 @@ struct FleetOptions {
   /// the worker is retired.
   int64_t heartbeat_timeout_micros = 10'000'000;
 
-  /// Socket seam; nullptr = real sockets. Tests wrap a FaultInjectingNetEnv
-  /// here to sever a worker connection mid-shard.
+  /// Socket seam; nullptr = real sockets. A NetEnv decorator here sees
+  /// every worker connection, so it can sever one mid-shard.
   NetEnv* net = nullptr;
 
   /// Filesystem seam for every committed artefact; nullptr = real.

@@ -19,8 +19,8 @@ namespace kondo {
 namespace {
 
 /// Sleeps in 1ms slices until `total_micros` elapse or `cancel` returns
-/// true — a blocking wait (not a busy one), polled so Stop() is never held
-/// hostage by a long stall.
+/// true — a blocking wait (not a busy one), polled so a long heartbeat
+/// interval never delays the end of the campaign.
 template <typename CancelFn>
 void InterruptibleSleep(int64_t total_micros, const CancelFn& cancel) {
   constexpr int64_t kSliceMicros = 1000;
@@ -169,8 +169,7 @@ StatusOr<ShardResultMsg> FleetWorker::RunAssignedShard(
   const std::string lineage_path = options_.scratch_dir + "/" + name;
 
   // Heartbeats cover exactly the campaign: started before, stopped (and
-  // joined) before the result stall and the result write, so a suppressed
-  // or stalled worker goes silent the way a wedged one would.
+  // joined) before the result write.
   std::atomic<bool> campaign_done{false};
   std::thread heartbeat;
   if (options_.heartbeat_micros > 0) {
@@ -214,11 +213,6 @@ StatusOr<ShardResultMsg> FleetWorker::RunAssignedShard(
   result.shard = request.shard;
   result.kss = EncodeShardState(request.shard, sealed->result, sealed->info);
   result.kel2 = std::move(sealed->kel2);
-
-  if (options_.result_stall_micros > 0) {
-    InterruptibleSleep(options_.result_stall_micros,
-                       [this] { return host_.stopping(); });
-  }
   return result;
 }
 

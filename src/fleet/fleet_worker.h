@@ -30,17 +30,11 @@ struct FleetWorkerOptions {
   int jobs = 1;
 
   /// Liveness cadence while a shard campaign runs. 0 suppresses heartbeats
-  /// entirely — with a stalled result this makes the worker an intentional
-  /// straggler, which is how the coordinator's timeout path is tested.
+  /// entirely.
   int64_t heartbeat_micros = 100'000;
 
-  /// Test knob: a blocking wait inserted before each kShardResult frame,
-  /// after heartbeats have stopped, so a coordinator with a shorter
-  /// receive timeout observes a straggler deterministically.
-  int64_t result_stall_micros = 0;
-
-  /// Socket seam; nullptr = real sockets. Tests wrap this in a
-  /// FaultInjectingNetEnv to kill a worker's connection mid-shard.
+  /// Socket seam; nullptr = real sockets. A NetEnv decorator here sees
+  /// every accepted connection, so it can sever or silence one.
   NetEnv* net = nullptr;
 
   /// Filesystem seam for scratch lineage writes; nullptr = real.

@@ -27,13 +27,14 @@ struct LintOptions {
 
   /// Path prefixes (relative to `root`, trailing slash implied) whose files
   /// — and transitive includes — are determinism-critical. These are the
-  /// modules whose artefacts must be bit-identical under replay, plus the
-  /// shared substrate they all stand on (sockets, env, fault injection) and
-  /// the audit trail that replays them.
+  /// modules whose artefacts must be bit-identical under replay, the shared
+  /// substrate they all stand on (sockets, env), the audit trail that
+  /// replays them, and the test-side fault injectors, whose schedules must
+  /// replay as exactly as the artefacts they break.
   std::vector<std::string> critical_modules = {
       "src/fuzz/", "src/exec/", "src/shard/",      "src/carve/",
       "src/provenance/", "src/serve/", "src/pack/", "src/fleet/",
-      "src/audit/", "src/common/"};
+      "src/audit/", "src/common/", "tests/support/"};
 };
 
 /// Outcome of one lint run.

@@ -19,9 +19,9 @@ struct Kel2WriterOptions {
   /// better; smaller blocks give the query engine finer skip granularity.
   int64_t events_per_block = 512;
 
-  /// Filesystem to write through; nullptr selects Env::Default(). Tests
-  /// thread a FaultInjectingEnv through here (it rides inside the options
-  /// so every persister factory picks it up without signature churn).
+  /// Filesystem to write through; nullptr selects Env::Default(). It rides
+  /// inside the options so every persister factory picks it up without
+  /// signature churn.
   Env* env = nullptr;
 };
 

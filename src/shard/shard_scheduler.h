@@ -39,11 +39,10 @@ struct ShardOptions {
   PlanWeights plan_weights;
 
   /// Filesystem used for every artefact the scheduler commits (manifest,
-  /// per-shard KEL2 + KSS, merged store). nullptr = the real filesystem;
-  /// tests inject a FaultInjectingEnv here to simulate crashes and ENOSPC
-  /// at any write. All artefacts commit via tmp + fsync + rename, so a
-  /// crash at any point leaves either the previous file or nothing — never
-  /// a torn artefact — and a later invocation resumes from the manifest.
+  /// per-shard KEL2 + KSS, merged store). nullptr = the real filesystem.
+  /// All artefacts commit via tmp + fsync + rename, so a crash at any
+  /// point leaves either the previous file or nothing — never a torn
+  /// artefact — and a later invocation resumes from the manifest.
   Env* env = nullptr;
 };
 

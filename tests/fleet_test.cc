@@ -9,13 +9,13 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/byte_codec.h"
-#include "common/net_fault.h"
 #include "common/socket.h"
 #include "exec/campaign_executor.h"
 #include "fleet/fleet_protocol.h"
@@ -28,6 +28,7 @@
 #include "shard/shard_manifest.h"
 #include "shard/shard_plan.h"
 #include "shard/shard_scheduler.h"
+#include "support/net_fault.h"
 #include "workloads/multi_file_program.h"
 #include "workloads/registry.h"
 
@@ -72,7 +73,8 @@ std::unique_ptr<MultiFileProgram> TestProgram() {
 /// applying `tweak` (may be null) to each worker's options before Start.
 std::vector<std::unique_ptr<FleetWorker>> StartWorkers(
     const std::string& dir, int count,
-    void (*tweak)(int index, FleetWorkerOptions*) = nullptr) {
+    const std::function<void(int index, FleetWorkerOptions*)>& tweak =
+        nullptr) {
   std::vector<std::unique_ptr<FleetWorker>> workers;
   for (int i = 0; i < count; ++i) {
     FleetWorkerOptions options;
@@ -387,14 +389,17 @@ TEST(FleetCampaignTest, StragglerTimesOutAndShardIsReassigned) {
 
   const std::string dir = TempDir("slow");
   ASSERT_TRUE(EnsureCampaignDirectory(dir).ok());
-  // Worker 0 is a deliberate straggler: heartbeats suppressed and every
-  // result stalled well past the coordinator's timeout, so it goes silent
-  // exactly like a wedged process.
+  // Worker 0 is a deliberate straggler: its accepted connection is muted
+  // after the handshake reply, so its heartbeats and results vanish and it
+  // goes silent exactly like a wedged process.
+  NetFaultPlan mute;
+  mute.mute_connection = 0;
+  mute.mute_after_writes = 1;
+  FaultInjectingNetEnv muted(NetEnv::Default(), mute);
   std::vector<std::unique_ptr<FleetWorker>> workers = StartWorkers(
-      dir, 2, [](int index, FleetWorkerOptions* options) {
+      dir, 2, [&muted](int index, FleetWorkerOptions* options) {
         if (index == 0) {
-          options->heartbeat_micros = 0;
-          options->result_stall_micros = 2'000'000;
+          options->net = &muted;
         }
       });
 

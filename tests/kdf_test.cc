@@ -16,6 +16,7 @@
 #include "common/byte_codec.h"
 #include "common/env.h"
 #include "common/rng.h"
+#include "support/fault_env.h"
 
 namespace kondo {
 namespace {

@@ -28,6 +28,7 @@
 #include "pack/pack_reader.h"
 #include "pack/pack_writer.h"
 #include "provenance/crc32.h"
+#include "support/fault_env.h"
 #include "workloads/registry.h"
 
 namespace kondo {

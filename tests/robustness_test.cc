@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
@@ -37,6 +36,7 @@
 #include "shard/shard_campaign.h"
 #include "shard/shard_manifest.h"
 #include "shard/shard_scheduler.h"
+#include "support/fault_env.h"
 #include "workloads/registry.h"
 
 namespace kondo {
@@ -590,88 +590,6 @@ TEST(CrashSweepTest, CrashAfterTheFirstShardCommitReRunsOnlyTheRest) {
 
 // ------------------------------------------------------- read-fault sweep --
 
-/// One injected read fault: EIO or a short count at the `read`-th Read
-/// call (counted over every file the env opened), or the low bit of byte
-/// `byte` of the file named `file` flipped in every read that covers it.
-struct ReadFault {
-  enum class Kind { kNone, kEio, kShortRead, kBitFlip };
-  Kind kind = Kind::kNone;
-  int64_t read = -1;
-  std::string file;
-  int64_t byte = -1;
-
-  std::string ToString() const {
-    switch (kind) {
-      case Kind::kEio:
-        return "EIO at read " + std::to_string(read);
-      case Kind::kShortRead:
-        return "short read at read " + std::to_string(read);
-      case Kind::kBitFlip:
-        return "bit flip at byte " + std::to_string(byte) + " of " + file;
-      case Kind::kNone:
-        break;
-    }
-    return "no fault";
-  }
-};
-
-/// An Env over Env::Default() whose files deliver one ReadFault. It is a
-/// fault-free FaultInjectingEnv (which forwards every other operation
-/// untouched) with its own reads.
-class ReadFaultEnv : public FaultInjectingEnv {
- public:
-  explicit ReadFaultEnv(ReadFault fault)
-      : FaultInjectingEnv(Env::Default(), FaultPlan{}),
-        fault_(std::move(fault)) {}
-
-  StatusOr<std::unique_ptr<RandomAccessFile>> NewRandomAccessFile(
-      const std::string& path) override {
-    KONDO_ASSIGN_OR_RETURN(std::unique_ptr<RandomAccessFile> file,
-                           FaultInjectingEnv::NewRandomAccessFile(path));
-    return std::unique_ptr<RandomAccessFile>(
-        std::make_unique<FaultyFile>(this, std::move(file)));
-  }
-
-  /// Read calls issued so far (a clean run's count bounds the sweep).
-  int64_t reads() const { return reads_.load(); }
-
- private:
-  class FaultyFile : public RandomAccessFile {
-   public:
-    FaultyFile(ReadFaultEnv* env, std::unique_ptr<RandomAccessFile> base)
-        : RandomAccessFile(base->path(), base->Size()),
-          env_(env),
-          base_(std::move(base)) {}
-
-    StatusOr<int64_t> Read(int64_t offset, int64_t n,
-                           char* buf) const override {
-      const ReadFault& fault = env_->fault_;
-      const int64_t read = env_->reads_.fetch_add(1);
-      if (fault.kind == ReadFault::Kind::kEio && read == fault.read) {
-        return InternalError("injected EIO: cannot read " + path_ +
-                             ": Input/output error");
-      }
-      KONDO_ASSIGN_OR_RETURN(const int64_t got, base_->Read(offset, n, buf));
-      if (fault.kind == ReadFault::Kind::kShortRead && read == fault.read) {
-        return got / 2;
-      }
-      if (fault.kind == ReadFault::Kind::kBitFlip &&
-          std::filesystem::path(path_).filename() == fault.file &&
-          offset <= fault.byte && fault.byte < offset + got) {
-        buf[fault.byte - offset] ^= 0x01;
-      }
-      return got;
-    }
-
-   private:
-    ReadFaultEnv* const env_;
-    const std::unique_ptr<RandomAccessFile> base_;
-  };
-
-  const ReadFault fault_;
-  std::atomic<int64_t> reads_{0};
-};
-
 /// A read-side entry point run through `env`. Two runs agree exactly when
 /// their answers are equal strings.
 using ReadEntryPoint = std::function<StatusOr<std::string>(Env* env)>;
@@ -690,38 +608,50 @@ struct FlipRange {
 /// nothing).
 void SweepReadFaults(const std::string& name, const ReadEntryPoint& entry,
                      const std::vector<FlipRange>& flips = {}) {
-  ReadFaultEnv clean_env{ReadFault{}};
+  FaultInjectingEnv clean_env(Env::Default(), FaultPlan{});
   const StatusOr<std::string> clean = entry(&clean_env);
   ASSERT_TRUE(clean.ok()) << name << ": " << clean.status();
   const int64_t reads = clean_env.reads();
   ASSERT_GT(reads, 0) << name;
 
+  struct ReadFault {
+    std::string kind;
+    std::string where;
+    FaultPlan plan;
+  };
   std::vector<ReadFault> faults;
   for (int64_t k = 0; k < reads; ++k) {
-    faults.push_back(ReadFault{ReadFault::Kind::kEio, k, "", -1});
-    faults.push_back(ReadFault{ReadFault::Kind::kShortRead, k, "", -1});
+    const std::string where = "at read " + std::to_string(k);
+    faults.push_back(ReadFault{"EIO", where, FaultPlan{}});
+    faults.back().plan.eio_at_read = k;
+    faults.push_back(ReadFault{"short read", where, FaultPlan{}});
+    faults.back().plan.short_read_at = k;
   }
   for (const FlipRange& range : flips) {
     for (int64_t b = range.begin; b < range.end; ++b) {
-      faults.push_back(ReadFault{ReadFault::Kind::kBitFlip, -1, range.file, b});
+      faults.push_back(ReadFault{
+          "bit flip", "at byte " + std::to_string(b) + " of " + range.file,
+          FaultPlan{}});
+      faults.back().plan.flip_file = range.file;
+      faults.back().plan.flip_byte = b;
     }
   }
-  std::map<ReadFault::Kind, int64_t> failed;
+  std::map<std::string, int64_t> failed;
   for (const ReadFault& fault : faults) {
-    ReadFaultEnv env(fault);
+    FaultInjectingEnv env(Env::Default(), fault.plan);
     const StatusOr<std::string> answer = entry(&env);
     if (!answer.ok()) {
       ++failed[fault.kind];
       continue;
     }
     EXPECT_TRUE(*answer == *clean)
-        << name << ": " << fault.ToString()
+        << name << ": " << fault.kind << " " << fault.where
         << " changed the answer without an error";
   }
-  EXPECT_GT(failed[ReadFault::Kind::kEio], 0) << name;
-  EXPECT_GT(failed[ReadFault::Kind::kShortRead], 0) << name;
+  EXPECT_GT(failed["EIO"], 0) << name;
+  EXPECT_GT(failed["short read"], 0) << name;
   if (!flips.empty()) {
-    EXPECT_GT(failed[ReadFault::Kind::kBitFlip], 0) << name;
+    EXPECT_GT(failed["bit flip"], 0) << name;
   }
 }
 

@@ -35,6 +35,7 @@
 #include "shard/shard_manifest.h"
 #include "shard/shard_plan.h"
 #include "shard/shard_scheduler.h"
+#include "support/fault_env.h"
 #include "workloads/registry.h"
 
 namespace kondo {

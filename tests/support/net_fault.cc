@@ -1,9 +1,8 @@
-#include "common/net_fault.h"
+#include "support/net_fault.h"
 
 #include <algorithm>
+#include <atomic>
 #include <utility>
-
-#include "common/strings.h"
 
 namespace kondo {
 
@@ -14,46 +13,51 @@ constexpr char kInjectedDrop[] = "injected connection drop";
 }  // namespace
 
 /// A Connection decorator that forwards IO to the wrapped connection until
-/// its scheduled drop point, then fails every later operation. Single
-/// owner-thread use, like the connection it wraps.
+/// its scheduled drop or mute point. Writes must be serialised by the
+/// caller; reads may overlap them.
 class FaultInjectingConnection : public Connection {
  public:
   FaultInjectingConnection(FaultInjectingNetEnv* env,
-                           std::unique_ptr<Connection> base, bool faulted,
-                           int64_t drop_after_writes,
-                           int64_t short_frame_bytes)
+                           std::unique_ptr<Connection> base, int64_t ordinal)
       : env_(env),
         base_(std::move(base)),
-        faulted_(faulted),
-        drop_after_writes_(drop_after_writes),
-        short_frame_bytes_(short_frame_bytes) {}
+        drops_(env->plan_.drop_connection == ordinal),
+        mutes_(env->plan_.mute_connection == ordinal) {}
 
   Status WriteFully(const void* data, size_t size) override {
-    if (dropped_) {
+    const NetFaultPlan& plan = env_->plan_;
+    if (dropped_.load()) {
       return DataLossError(kInjectedDrop);
     }
-    if (faulted_ && writes_ == drop_after_writes_) {
+    if (drops_ && writes_ == plan.drop_after_writes) {
       // The drop fires on this write: transmit the scheduled prefix (a
       // torn frame on the peer's wire) and half-close so the peer's next
       // read sees EOF or a short frame — exactly what a worker killed
       // mid-send leaves behind.
       const size_t prefix = static_cast<size_t>(
-          std::min<int64_t>(short_frame_bytes_,
+          std::min<int64_t>(plan.short_frame_bytes,
                             static_cast<int64_t>(size)));
       if (prefix > 0) {
         (void)base_->WriteFully(data, prefix);
       }
       base_->ShutdownWrite();
-      dropped_ = true;
+      dropped_.store(true);
       env_->RecordFault();
       return DataLossError(kInjectedDrop);
+    }
+    if (mutes_ && writes_ >= plan.mute_after_writes) {
+      if (writes_ == plan.mute_after_writes) {
+        env_->RecordFault();
+      }
+      ++writes_;
+      return OkStatus();
     }
     ++writes_;
     return base_->WriteFully(data, size);
   }
 
   Status ReadFully(void* data, size_t size) override {
-    if (dropped_) {
+    if (dropped_.load()) {
       return DataLossError(kInjectedDrop);
     }
     return base_->ReadFully(data, size);
@@ -69,11 +73,10 @@ class FaultInjectingConnection : public Connection {
  private:
   FaultInjectingNetEnv* const env_;
   const std::unique_ptr<Connection> base_;
-  const bool faulted_;
-  const int64_t drop_after_writes_;
-  const int64_t short_frame_bytes_;
+  const bool drops_;
+  const bool mutes_;
   int64_t writes_ = 0;
-  bool dropped_ = false;
+  std::atomic<bool> dropped_{false};
 };
 
 /// Wraps every accepted connection through the env's fault schedule.
@@ -122,20 +125,13 @@ std::unique_ptr<Connection> FaultInjectingNetEnv::Wrap(
     MutexLock lock(mu_);
     ordinal = connections_++;
   }
-  const bool faulted = plan_.drop_connection == ordinal;
-  return std::make_unique<FaultInjectingConnection>(
-      this, std::move(conn), faulted, plan_.drop_after_writes,
-      plan_.short_frame_bytes);
+  return std::make_unique<FaultInjectingConnection>(this, std::move(conn),
+                                                    ordinal);
 }
 
 void FaultInjectingNetEnv::RecordFault() {
   MutexLock lock(mu_);
   ++faults_;
-}
-
-int64_t FaultInjectingNetEnv::connections() const {
-  MutexLock lock(mu_);
-  return connections_;
 }
 
 int64_t FaultInjectingNetEnv::faults_injected() const {

@@ -1,5 +1,5 @@
-#ifndef KONDO_COMMON_NET_FAULT_H_
-#define KONDO_COMMON_NET_FAULT_H_
+#ifndef KONDO_TESTS_SUPPORT_NET_FAULT_H_
+#define KONDO_TESTS_SUPPORT_NET_FAULT_H_
 
 #include <cstdint>
 #include <memory>
@@ -12,17 +12,14 @@
 namespace kondo {
 
 /// Deterministic fault schedule for a FaultInjectingNetEnv — the wire
-/// counterpart of FaultPlan (common/env.h). Operation indices count the
-/// *writes* a faulted connection performs, in per-connection order, so a
-/// schedule keyed on (connection ordinal, write index) replays identically
-/// regardless of how sessions interleave.
+/// counterpart of FaultPlan (support/fault_env.h). Operation indices count
+/// the *writes* a faulted connection performs, in per-connection order, so
+/// a schedule keyed on (connection ordinal, write index) replays
+/// identically regardless of how sessions interleave. Connection ordinals
+/// are 0-based and counted across Connect() and Accept() on the faulted
+/// env.
 struct NetFaultPlan {
-  /// Reserved for probabilistic schedules; deterministic drop/short-frame
-  /// points below do not consume it.
-  uint64_t seed = 1;
-
-  /// Drop connection ordinal `drop_connection` (0-based, counted across
-  /// Connect() and Accept() on the faulted env) after it completes
+  /// Drop connection ordinal `drop_connection` after it completes
   /// `drop_after_writes` writes: every later write and read on it fails
   /// with an "injected connection drop" kDataLoss and the write side is
   /// shut down so the peer observes EOF. -1 = never.
@@ -33,11 +30,18 @@ struct NetFaultPlan {
   /// the first `short_frame_bytes` bytes before shutting down — a torn
   /// frame on the peer's wire instead of a clean EOF. 0 = drop cleanly.
   int64_t short_frame_bytes = 0;
+
+  /// Mute connection ordinal `mute_connection` after it completes
+  /// `mute_after_writes` writes: every later write reports success and
+  /// sends nothing, which is how a wedged peer looks from the other end.
+  /// Reads are untouched. -1 = never.
+  int64_t mute_connection = -1;
+  int64_t mute_after_writes = 0;
 };
 
-/// A NetEnv decorator that deterministically injects connection drops and
-/// short (torn) frames per a NetFaultPlan, mirroring FaultInjectingEnv's
-/// role for artifact IO. Both Connect()ed and Accept()ed connections are
+/// A NetEnv decorator that deterministically injects connection drops,
+/// short (torn) frames and muted writes per a NetFaultPlan, mirroring
+/// FaultInjectingEnv's role for artifact IO. Both Connect()ed and Accept()ed connections are
 /// counted and wrapped, so either end of a protocol can be faulted.
 class FaultInjectingNetEnv : public NetEnv {
  public:
@@ -48,10 +52,7 @@ class FaultInjectingNetEnv : public NetEnv {
   StatusOr<std::unique_ptr<Connection>> Connect(
       const SocketAddress& address) override;
 
-  /// Connections handed out so far (Connect + Accept).
-  int64_t connections() const KONDO_EXCLUDES(mu_);
-
-  /// Injected drops delivered so far.
+  /// Injected drops and mutes delivered so far.
   int64_t faults_injected() const KONDO_EXCLUDES(mu_);
 
  private:
@@ -71,4 +72,4 @@ class FaultInjectingNetEnv : public NetEnv {
 
 }  // namespace kondo
 
-#endif  // KONDO_COMMON_NET_FAULT_H_
+#endif  // KONDO_TESTS_SUPPORT_NET_FAULT_H_
