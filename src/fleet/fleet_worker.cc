@@ -65,6 +65,9 @@ FleetWorker::FleetWorker(FleetWorkerOptions options)
 FleetWorker::~FleetWorker() { Stop(); }
 
 Status FleetWorker::Start() {
+  if (options_.heartbeat_micros <= 0) {
+    return InvalidArgumentError("fleet worker heartbeat_micros must be > 0");
+  }
   KONDO_RETURN_IF_ERROR(EnsureCampaignDirectory(options_.scratch_dir));
   return host_.Start(options_.net != nullptr ? options_.net : NetEnv::Default(),
                      options_.address);
@@ -171,31 +174,26 @@ StatusOr<ShardResultMsg> FleetWorker::RunAssignedShard(
   // Heartbeats cover exactly the campaign: started before, stopped (and
   // joined) before the result write.
   std::atomic<bool> campaign_done{false};
-  std::thread heartbeat;
-  if (options_.heartbeat_micros > 0) {
-    heartbeat = std::thread([this, session, &campaign_done,
-                             shard_id = request.shard] {
-      int64_t sequence = 0;
-      while (!campaign_done.load()) {
-        InterruptibleSleep(options_.heartbeat_micros,
-                           [&campaign_done] { return campaign_done.load(); });
-        if (campaign_done.load()) {
-          return;
-        }
-        HeartbeatMsg beat;
-        beat.shard = shard_id;
-        beat.sequence = sequence++;
-        if (!session->Send(KpcKind::kHeartbeat, beat.Encode()).ok()) {
-          return;  // Peer gone; the result write will surface it.
-        }
+  std::thread heartbeat([this, session, &campaign_done,
+                         shard_id = request.shard] {
+    int64_t sequence = 0;
+    while (!campaign_done.load()) {
+      InterruptibleSleep(options_.heartbeat_micros,
+                         [&campaign_done] { return campaign_done.load(); });
+      if (campaign_done.load()) {
+        return;
       }
-    });
-  }
+      HeartbeatMsg beat;
+      beat.shard = shard_id;
+      beat.sequence = sequence++;
+      if (!session->Send(KpcKind::kHeartbeat, beat.Encode()).ok()) {
+        return;  // Peer gone; the result write will surface it.
+      }
+    }
+  });
   const auto finish_heartbeat = [&campaign_done, &heartbeat] {
     campaign_done.store(true);
-    if (heartbeat.joinable()) {
-      heartbeat.join();
-    }
+    heartbeat.join();
   };
 
   KondoConfig config;

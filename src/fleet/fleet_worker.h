@@ -29,8 +29,8 @@ struct FleetWorkerOptions {
   /// Campaign executor width for debloat tests.
   int jobs = 1;
 
-  /// Liveness cadence while a shard campaign runs. 0 suppresses heartbeats
-  /// entirely.
+  /// Liveness cadence while a shard campaign runs; must be > 0 (Start()
+  /// rejects anything else).
   int64_t heartbeat_micros = 100'000;
 
   /// Socket seam; nullptr = real sockets. A NetEnv decorator here sees

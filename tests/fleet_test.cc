@@ -274,6 +274,16 @@ int OpenDescriptors() {
   return count;
 }
 
+TEST(FleetWorkerTest, StartRejectsANonPositiveHeartbeatInterval) {
+  for (const int64_t micros : {int64_t{0}, int64_t{-1}}) {
+    FleetWorkerOptions options;
+    options.address.unix_path = TempDir("nobeat") + ".sock";
+    options.heartbeat_micros = micros;
+    FleetWorker worker(options);
+    EXPECT_EQ(worker.Start().code(), StatusCode::kInvalidArgument) << micros;
+  }
+}
+
 TEST(FleetWorkerTest, FinishedCoordinatorSessionsAreReaped) {
   const std::unique_ptr<MultiFileProgram> program = TestProgram();
   const KondoConfig config = ShortCampaignConfig(19);

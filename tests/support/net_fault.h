@@ -41,8 +41,9 @@ struct NetFaultPlan {
 
 /// A NetEnv decorator that deterministically injects connection drops,
 /// short (torn) frames and muted writes per a NetFaultPlan, mirroring
-/// FaultInjectingEnv's role for artifact IO. Both Connect()ed and Accept()ed connections are
-/// counted and wrapped, so either end of a protocol can be faulted.
+/// FaultInjectingEnv's role for artifact IO. Both Connect()ed and Accept()ed
+/// connections are counted and wrapped, so either end of a protocol can be
+/// faulted.
 class FaultInjectingNetEnv : public NetEnv {
  public:
   FaultInjectingNetEnv(NetEnv* base, const NetFaultPlan& plan);
